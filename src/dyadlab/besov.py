@@ -3,8 +3,9 @@ at p=2 by tensor quadrature, weighted dyadic BMO, and finite-scale VMO tails.
 
 Dyadic norms sum (|b_hat(I)| |I|^1/2 / nu(I))^p over enumerated intervals;
 the second and third forms replace the nu factor by the equivalent weighted
-expressions built from lam and mu integrals.  The continuous p=2 norm is the
-double integral of |b(x)-b(y)|^2 / (x-y)^2 * lam(x) / mu(y) over the window
+expressions built from lam and mu integrals.  The three forms, BMO and the VMO
+tails read one interval table per (grid, window).  The continuous p=2 norm is
+the double integral of |b(x)-b(y)|^2 / (x-y)^2 * lam(x) / mu(y) over the window
 square, with near-diagonal cell pairs handled by one extra subdivision and the
 Lipschitz difference-quotient bound.  All reductions run in enumeration order,
 so results do not depend on thread count.
@@ -18,12 +19,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidConfigurationError, InvalidParameterError
+from .errors import DegenerateWeightError, InvalidConfigurationError, InvalidParameterError
 from .grids import (
     DyadicGrid,
     DyadicInterval,
+    IntervalTable,
     TruncationWindow,
     enumerate_intervals,
+    interval_table,
 )
 from .symbols import Symbol, haar_coefficient
 from .weights import BloomWeight, ConstantWeight, Weight
@@ -52,18 +55,36 @@ class NormReport:
             fh.write("\n".join(lines) + "\n")
 
 
-def _nu_of(weights: BloomWeight | Weight) -> Weight:
-    if isinstance(weights, BloomWeight):
-        return weights.nu
-    return weights
-
-
-def _pair_of(weights: BloomWeight | Weight, form: int) -> BloomWeight:
-    if not isinstance(weights, BloomWeight):
-        raise InvalidConfigurationError(
-            f"form {form} needs both weights (mu, lam); got a bare weight"
+def _bracket(weights: BloomWeight | Weight, form: int, table: IntervalTable) -> np.ndarray:
+    """The per-interval weight bracket of `form`, one entry per table row:
+    q1 = |I| / nu(I), q2 = (lam(I) mu^-1(I))^1/2 / |I| or
+    q3 = |I| / (lam^-1(I) mu(I))^1/2.  A bare weight serves as nu in form 1."""
+    lo, hi, length = table.left, table.right, table.length
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if form == 1:
+            nu = weights.nu if isinstance(weights, BloomWeight) else weights
+            q = length / nu.integrals(lo, hi)
+        elif not isinstance(weights, BloomWeight):
+            raise InvalidConfigurationError(
+                f"form {form} needs both weights (mu, lam); got a bare weight"
+            )
+        elif form == 2:
+            q = np.sqrt(weights.lam.integrals(lo, hi) * weights.mu.inv().integrals(lo, hi)) / length
+        else:
+            q = length / np.sqrt(weights.lam.inv().integrals(lo, hi) * weights.mu.integrals(lo, hi))
+    bad = ~(np.isfinite(q) & (q > 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DegenerateWeightError(
+            f"form {form} weight bracket is {q[i]!r} on {table.intervals[i].label()}"
         )
-    return weights
+    return q
+
+
+def _haar_terms(b: Symbol, table: IntervalTable) -> np.ndarray:
+    """|b_hat(I)| |I|^-1/2 per table row, the bracket-free factor of each term."""
+    bh = np.array([haar_coefficient(b, interval) for interval in table.intervals])
+    return np.abs(bh) / np.sqrt(table.length)
 
 
 def dyadic_besov_norm(
@@ -74,42 +95,18 @@ def dyadic_besov_norm(
     window: TruncationWindow,
     form: int = 1,
 ) -> NormReport:
-    """p-th root of the sum of per-interval terms; `form` selects which of the
-    three equivalent per-interval weight expressions multiplies |b_hat(I)|."""
+    """p-th root of the sum of the per-interval terms (|b_hat(I)| |I|^-1/2 q)^p,
+    where `form` selects which of the three equivalent brackets q is."""
     if not 0 < p < math.inf:
         raise InvalidParameterError("p must lie in (0, inf)")
     if form not in (1, 2, 3):
         raise InvalidConfigurationError(f"unknown form {form}")
-    if form == 1:
-        nu = _nu_of(weights)
-    else:
-        pair = _pair_of(weights, form)
-    contributions: list[tuple[str, float]] = []
-    total = 0.0
-    for interval in enumerate_intervals(grid, window):
-        a, c = float(interval.left), float(interval.right)
-        length = float(interval.length)
-        bh = haar_coefficient(b, interval)
-        if form == 1:
-            nu_i = nu.integral(a, c)
-            if nu_i <= 0:
-                raise InvalidConfigurationError(
-                    f"nu mass vanishes on {interval.label()}"
-                )
-            term = abs(bh) * math.sqrt(length) / nu_i
-        elif form == 2:
-            lam_i = pair.lam.integral(a, c)
-            mu_inv_i = pair.mu.inv().integral(a, c)
-            term = abs(bh) * math.sqrt(lam_i * mu_inv_i) / length**1.5
-        else:
-            lam_inv_i = pair.lam.inv().integral(a, c)
-            mu_i = pair.mu.integral(a, c)
-            term = abs(bh) * math.sqrt(length) / math.sqrt(lam_inv_i * mu_i)
-        contributions.append((interval.label(), term**p))
-        total += term**p
+    table = interval_table(enumerate_intervals(grid, window))
+    q = _bracket(weights, form, table)
+    terms = (_haar_terms(b, table) * q) ** p
     return NormReport(
-        value=total ** (1.0 / p),
-        contributions=contributions,
+        value=math.fsum(terms) ** (1.0 / p),
+        contributions=[(iv.label(), t) for iv, t in zip(table.intervals, terms.tolist())],
         params={"p": p, "form": form, "grid": grid.grid_id},
     )
 
@@ -128,35 +125,18 @@ def interval_form_ratios(
 ) -> tuple[list[IntervalFormRow], float]:
     """Per-interval values of the three equivalent weight brackets and the
     worst pairwise ratio across all enumerated intervals."""
-    rows: list[IntervalFormRow] = []
-    worst = 1.0
-    nu_inv = pair.nu.inv()
-    mu_inv = pair.mu.inv()
-    lam_inv = pair.lam.inv()
-    for interval in enumerate_intervals(grid, window):
-        a, c = float(interval.left), float(interval.right)
-        length = float(interval.length)
-        nu_i = pair.nu.integral(a, c)
-        lam_i = pair.lam.integral(a, c)
-        mu_inv_i = mu_inv.integral(a, c)
-        lam_inv_i = lam_inv.integral(a, c)
-        mu_i = pair.mu.integral(a, c)
-        q1 = length / nu_i
-        q2 = math.sqrt(lam_i * mu_inv_i) / length
-        q3 = length / math.sqrt(lam_inv_i * mu_i)
-        cs_gap = math.sqrt(mu_inv_i * lam_i) - nu_inv.integral(a, c)
-        rows.append(IntervalFormRow(interval, q1, q2, q3, cs_gap))
-        qs = sorted((q1, q2, q3))
-        worst = max(worst, qs[2] / qs[0])
-    return rows, worst
+    table = interval_table(enumerate_intervals(grid, window))
+    q1, q2, q3 = (_bracket(pair, form, table) for form in (1, 2, 3))
+    # q2 |I| is (lam(I) mu^-1(I))^1/2 exactly, as |I| is a power of two
+    cs_gap = q2 * table.length - pair.nu.inv().integrals(table.left, table.right)
+    qs = np.stack([q1, q2, q3])
+    worst = float(np.max(qs.max(axis=0) / qs.min(axis=0), initial=1.0))
+    columns = (table.intervals, q1.tolist(), q2.tolist(), q3.tolist(), cs_gap.tolist())
+    return [IntervalFormRow(*row) for row in zip(*columns)], worst
 
 
 # ----------------------------------------------------------------------------
 # continuous energy by tensor quadrature
-
-
-def _gl(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(nodes)
 
 
 def continuous_energy(
@@ -191,7 +171,7 @@ def continuous_energy(
     edges = window.cell_edges()
     mu_inv = mu.inv()
 
-    gx, gw = _gl(nodes)
+    gx, gw = np.polynomial.legendre.leggauss(nodes)
     # flatten (cell, node) grids once for both axes
     half = 0.5 * width
     centers = window.cell_midpoints()
@@ -218,7 +198,6 @@ def continuous_energy(
         per_cell[i0:i1] += np.add.reduceat(contrib.sum(axis=1), np.arange(0, (i1 - i0) * nodes, nodes))
 
     # near-diagonal pairs: one subdivision, touching half-pairs -> Lipschitz bound
-    gh, ghw = _gl(nodes)
     lip_mass = 0.0
     for i in range(n):
         for j in (i - 1, i, i + 1):
@@ -236,9 +215,9 @@ def continuous_energy(
                         lip_mass += c
                         per_cell[i] += c
                     else:
-                        xm = 0.5 * (ax + bx) + 0.25 * width * gh
-                        ym = 0.5 * (ay + by) + 0.25 * width * gh
-                        wq = 0.25 * width * ghw
+                        xm = 0.5 * (ax + bx) + 0.25 * width * gx
+                        ym = 0.5 * (ay + by) + 0.25 * width * gx
+                        wq = 0.25 * width * gw
                         dxh = xm[:, None] - ym[None, :]
                         dfh = np.abs(
                             np.asarray(b.eval(xm))[:, None] - np.asarray(b.eval(ym))[None, :]
@@ -368,41 +347,36 @@ def weighted_bmo_dyadic(
     oscillation; the square form takes sup over K of the mu^-1(K)-normalized
     sum of squared coefficient terms over enumerated descendants of K.
     """
-    intervals = enumerate_intervals(grid, window)
-    mu_inv = pair.mu.inv()
-
-    sup_avg = 0.0
-    arg_avg = ""
-    for interval in intervals:
-        a, c = float(interval.left), float(interval.right)
-        nu_i = pair.nu.integral(a, c)
-        osc = _abs_deviation_integral(b, a, c, window) / nu_i
-        if osc > sup_avg:
-            sup_avg, arg_avg = osc, interval.label()
+    table = interval_table(enumerate_intervals(grid, window))
+    lo, hi = table.left, table.right
+    deviation = np.array(
+        [_abs_deviation_integral(b, a, c, window) for a, c in zip(lo.tolist(), hi.tolist())]
+    )
+    # deviation / nu(I), with nu(I) read through the form-1 bracket |I| / nu(I)
+    sup_avg, arg_avg = _sup(deviation * _bracket(pair, 1, table) / table.length, table)
 
     # square form, accumulated bottom-up over the interval tree
-    s_term: dict[DyadicInterval, float] = {}
-    for interval in intervals:
-        a, c = float(interval.left), float(interval.right)
-        length = float(interval.length)
-        bh = haar_coefficient(b, interval)
-        lam_i = pair.lam.integral(a, c)
-        mu_inv_i = mu_inv.integral(a, c)
-        s_term[interval] = bh * bh * mu_inv_i * mu_inv_i * lam_i / length**3
-    subtree: dict[DyadicInterval, float] = {}
-    for interval in sorted(intervals, key=lambda iv: -iv.j):
-        total = s_term[interval]
-        for child in interval.children:
-            total += subtree.get(child, 0.0)
-        subtree[interval] = total
-    sup_sq = 0.0
-    arg_sq = ""
-    for interval in intervals:
-        a, c = float(interval.left), float(interval.right)
-        val = subtree[interval] / mu_inv.integral(a, c)
-        if val > sup_sq:
-            sup_sq, arg_sq = val, interval.label()
+    mu_inv = pair.mu.inv().integrals(lo, hi)
+    bh = np.array([haar_coefficient(b, interval) for interval in table.intervals])
+    s_term = bh * bh * mu_inv * mu_inv * pair.lam.integrals(lo, hi) / table.length**3
+    row = {interval: i for i, interval in enumerate(table.intervals)}
+    subtree = s_term.copy()
+    for i in sorted(range(len(table)), key=lambda i: -table.intervals[i].j):
+        for child in table.intervals[i].children:
+            if child in row:
+                subtree[i] += subtree[row[child]]
+    sup_sq, arg_sq = _sup(subtree / mu_inv, table)
     return BmoReport(sup_avg, sup_sq, arg_avg, arg_sq)
+
+
+def _sup(values: np.ndarray, table: IntervalTable) -> tuple[float, str]:
+    """The largest positive value and the label of its first row; (0.0, "")
+    when no value is positive."""
+    positive = np.where(values > 0, values, 0.0)
+    best = float(np.max(positive, initial=0.0))
+    if best == 0.0:
+        return 0.0, ""
+    return best, table.intervals[int(np.argmax(positive))].label()
 
 
 @dataclass
@@ -432,27 +406,20 @@ def vmo_tail_report(
     partial sums of squared form-1 contributions restricted to |I| < a,
     |I| > a, and I disjoint from the ball B(center, a), tabulated over a
     ladder of radii."""
-    nu = _nu_of(weights)
     if center is None:
         center = float(window.lo + window.span / 2)
     if ladder is None:
         ladder = [2.0 ** (-j) for j in range(window.j_min, window.j_max + 1)]
-    items = []
-    total = 0.0
-    for interval in enumerate_intervals(grid, window):
-        a, c = float(interval.left), float(interval.right)
-        bh = haar_coefficient(b, interval)
-        t = (abs(bh) * math.sqrt(float(interval.length)) / nu.integral(a, c)) ** 2
-        items.append((float(interval.length), a, c, t))
-        total += t
-    rows = []
-    for radius in ladder:
-        small = sum(t for ell, a, c, t in items if ell < radius)
-        large = sum(t for ell, a, c, t in items if ell > radius)
-        far = sum(
-            t
-            for ell, a, c, t in items
-            if c <= center - radius or a >= center + radius
+    table = interval_table(enumerate_intervals(grid, window))
+    terms = (_haar_terms(b, table) * _bracket(weights, 1, table)) ** 2
+    # fsum rounds each partial sum once, so tails over nested sets stay monotone
+    rows = [
+        VmoTailRow(
+            radius,
+            math.fsum(terms[table.length < radius]),
+            math.fsum(terms[table.length > radius]),
+            math.fsum(terms[(table.right <= center - radius) | (table.left >= center + radius)]),
         )
-        rows.append(VmoTailRow(radius, small, large, far))
-    return VmoTailReport(rows, total, center)
+        for radius in ladder
+    ]
+    return VmoTailReport(rows, math.fsum(terms), center)

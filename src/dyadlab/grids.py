@@ -33,15 +33,12 @@ def grid_shift(rule: str, j: int) -> Fraction:
 
 @dataclass(frozen=True)
 class DyadicGrid:
-    """A dyadic system, determined by its shift rule. base_length is 1."""
+    """A dyadic system of base length 1, determined by its shift rule."""
 
     shift_rule: str = STANDARD
-    base_length: int = 1
 
     def __post_init__(self):
         grid_shift(self.shift_rule, 0)  # validates the rule
-        if self.base_length != 1:
-            raise InvalidConfigurationError("base_length is fixed to 1")
 
     @property
     def grid_id(self) -> str:
@@ -117,10 +114,6 @@ class DyadicInterval:
         lc, rc = parent.children
         return rc if self == lc else lc
 
-    def contains_point(self, x) -> bool:
-        xf = Fraction(x) if not isinstance(x, Fraction) else x
-        return self.left <= xf < self.right
-
     def contains(self, other: "DyadicInterval") -> bool:
         return self.left <= other.left and other.right <= self.right
 
@@ -186,14 +179,7 @@ class TruncationWindow:
 
     def cell_slice(self, interval: DyadicInterval) -> tuple[int, int]:
         """Indices [i0, i1) of the finest cells tiling a cell-aligned interval."""
-        w = self.cell_width
-        i0 = (interval.left - self.lo) / w
-        i1 = (interval.right - self.lo) / w
-        if i0.denominator != 1 or i1.denominator != 1:
-            raise InvalidConfigurationError(
-                f"interval {interval.label()} is not aligned to the cell lattice"
-            )
-        return int(i0), int(i1)
+        return self.slice_of(interval.left, interval.right)
 
     def slice_of(self, left: Fraction, right: Fraction) -> tuple[int, int]:
         w = self.cell_width
@@ -233,6 +219,50 @@ def enumerate_intervals(grid: DyadicGrid, window: TruncationWindow) -> list[Dyad
             out.append(DyadicInterval(grid.grid_id, j, k))
             k += 1
     return out
+
+
+@dataclass(frozen=True)
+class IntervalTable:
+    """Intervals with their float geometry as arrays, row i for intervals[i].
+
+    Every entry equals float() of the exact Fraction value: left is
+    (3k + t) 2^-j / 3 with t = 3 * grid_shift in {0, 1, -1}, an exact product
+    followed by one correctly rounded division, and likewise for mid and right.
+    """
+
+    intervals: tuple[DyadicInterval, ...]
+    left: np.ndarray
+    mid: np.ndarray
+    right: np.ndarray
+    length: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.intervals)
+
+
+def interval_table(intervals: Iterable[DyadicInterval]) -> IntervalTable:
+    """The table of `intervals`, typically `enumerate_intervals(grid, window)`."""
+    intervals = tuple(intervals)
+    thirds: dict[tuple[str, int], int] = {}
+    k = np.empty(len(intervals))
+    t = np.empty(len(intervals))
+    j = np.empty(len(intervals), dtype=int)
+    for i, iv in enumerate(intervals):
+        key = (iv.grid_id, iv.j)
+        if key not in thirds:
+            thirds[key] = int(3 * grid_shift(iv.grid_id, iv.j))
+        j[i], k[i], t[i] = iv.j, iv.k, thirds[key]
+    length = np.ldexp(1.0, -j)
+    left = (3.0 * k + t) * length / 3.0
+    right = (3.0 * k + 3.0 + t) * length / 3.0
+    mid = (6.0 * k + 3.0 + 2.0 * t) * (0.5 * length) / 3.0
+    for arr in (left, mid, right, length):
+        arr.flags.writeable = False
+    return IntervalTable(intervals, left, mid, right, length)
+
+
+# The one Gauss-Legendre rule of the package: 32 nodes and weights on [-1, 1].
+GAUSS_LEGENDRE_32 = np.polynomial.legendre.leggauss(32)
 
 
 def haar_eval(interval: DyadicInterval, x) -> np.ndarray | float:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -36,7 +36,8 @@ UNWEIGHTED = "unweighted"
 
 @dataclass
 class OperatorMatrix:
-    """Dense N x N matrix with basis metadata and weight tags."""
+    """Dense N x N matrix with basis metadata and weight tags; every entry is
+    finite, or construction raises InvalidMatrixError."""
 
     mat: np.ndarray
     window: TruncationWindow
@@ -51,6 +52,9 @@ class OperatorMatrix:
             raise InvalidConfigurationError(
                 f"matrix shape {self.mat.shape} does not match {n} cells"
             )
+        # min and max propagate NaN and inf without an N x N mask
+        if not (np.isfinite(self.mat.min()) and np.isfinite(self.mat.max())):
+            raise InvalidMatrixError(f"{self.name} contains non-finite entries")
 
     @property
     def n(self) -> int:
@@ -238,10 +242,6 @@ def multiplication_matrix(b: Symbol, window: TruncationWindow) -> OperatorMatrix
     return OperatorMatrix(np.diag(b.cell_values()), window, name="multiplication")
 
 
-def cell_average_vector(w: Weight, window: TruncationWindow) -> np.ndarray:
-    return w.cell_averages(window)
-
-
 def weight_conjugate(t: OperatorMatrix, lam: Weight, mu: Weight) -> OperatorMatrix:
     """diag(sqrt(d lam)) @ T @ diag(1/sqrt(d mu)), d = `Weight.cell_discretization`.
 
@@ -398,7 +398,3 @@ def expansion_residual(
         kind=kind,
     )
 
-
-def validate_matrix(t: OperatorMatrix) -> None:
-    if not np.all(np.isfinite(t.mat)):
-        raise InvalidMatrixError(f"{t.name} contains non-finite entries")

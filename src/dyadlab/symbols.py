@@ -11,21 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import InvalidConfigurationError
+from .errors import InvalidConfigurationError, InvalidParameterError
 from .grids import (
+    GAUSS_LEGENDRE_32,
     DyadicGrid,
     DyadicInterval,
     TruncationWindow,
     enumerate_intervals,
     haar_cell_values,
 )
-
-_GL_NODES = 32
 
 
 class Symbol:
@@ -54,7 +52,7 @@ class Symbol:
 
 
 class StepSymbol(Symbol):
-    """Cellwise-constant symbol given by its values on the finest cells."""
+    """Cellwise-constant symbol given by its finite values on the finest cells."""
 
     def __init__(self, window: TruncationWindow, values: np.ndarray):
         values = np.asarray(values, dtype=float)
@@ -62,6 +60,8 @@ class StepSymbol(Symbol):
             raise InvalidConfigurationError(
                 f"step symbol needs {window.n_cells} cell values, got {values.shape}"
             )
+        if not np.isfinite(values).all():
+            raise InvalidParameterError("step symbol values must be finite")
         self.window = window
         self._values = values.copy()
         self._values.flags.writeable = False
@@ -130,7 +130,7 @@ class AnalyticSymbol(Symbol):
             return 0.0
         if self.antiderivative is not None:
             return float(self.antiderivative(bf) - self.antiderivative(af))
-        nodes, wts = np.polynomial.legendre.leggauss(_GL_NODES)
+        nodes, wts = GAUSS_LEGENDRE_32
         half = 0.5 * (bf - af)
         xs = 0.5 * (af + bf) + half * nodes
         return half * float(np.sum(wts * self.fn(xs)))
@@ -153,11 +153,8 @@ class AnalyticSymbol(Symbol):
             self._cells = vals
         return self._cells
 
-    def step_view(self) -> StepSymbol:
-        return StepSymbol(self.window, self.cell_values())
 
-
-class HaarSymbol(Symbol):
+class HaarSymbol(StepSymbol):
     """Finite Haar-coefficient map on the standard grid.
 
     Every interval must be cell-aligned and live at scale <= j_max - 1 so the
@@ -165,7 +162,6 @@ class HaarSymbol(Symbol):
     """
 
     def __init__(self, window: TruncationWindow, coefficients: Mapping[DyadicInterval, float]):
-        self.window = window
         self.coefficients = dict(coefficients)
         vals = np.zeros(window.n_cells)
         for interval, c in self.coefficients.items():
@@ -182,17 +178,7 @@ class HaarSymbol(Symbol):
                     f"interval {interval.label()} leaves the window"
                 )
             vals += c * haar_cell_values(interval, window)
-        self._step = StepSymbol(window, vals)
-        self.lipschitz = None
-
-    def cell_values(self) -> np.ndarray:
-        return self._step.cell_values()
-
-    def eval(self, x):
-        return self._step.eval(x)
-
-    def integral(self, a, b) -> float:
-        return self._step.integral(a, b)
+        super().__init__(window, vals)
 
 
 def haar_coefficient(b: Symbol, interval: DyadicInterval) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,13 +21,13 @@ from .errors import (
     InvalidConfigurationError,
     InvalidParameterError,
 )
-from .grids import DyadicGrid, TruncationWindow, enumerate_intervals
-
-_GL_NODES = 32
-
-
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+from .grids import (
+    GAUSS_LEGENDRE_32,
+    DyadicGrid,
+    TruncationWindow,
+    enumerate_intervals,
+    interval_table,
+)
 
 
 @dataclass(frozen=True)
@@ -57,6 +56,11 @@ class Weight:
 
     def integral(self, a, b) -> float:
         raise NotImplementedError
+
+    def integrals(self, lo, hi) -> np.ndarray:
+        """Integrals over the intervals [lo[i], hi[i]), one `integral` call each."""
+        pairs = zip(np.asarray(lo, dtype=float).tolist(), np.asarray(hi, dtype=float).tolist())
+        return np.array([self.integral(a, b) for a, b in pairs], dtype=float)
 
     def _reciprocal(self) -> "Weight":
         """The pointwise reciprocal 1/w, built directly."""
@@ -307,8 +311,8 @@ class _PowerOfSpiked(Weight):
 
 @dataclass(frozen=True)
 class QuadratureWeight(Weight):
-    """Composite weight integrated with 32-node Gauss-Legendre per unit
-    segment plus one refinement; pointwise evaluation via the callable."""
+    """Composite weight integrated with 32-node Gauss-Legendre on segments of
+    length at most seg_len / 2; pointwise evaluation via the callable."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     name: str = "composite"
@@ -321,29 +325,24 @@ class QuadratureWeight(Weight):
     def eval(self, x):
         return self.fn(np.asarray(x, dtype=float))
 
-    def _quad(self, a: float, b: float, seg: float) -> float:
-        nodes, wts = _leggauss(_GL_NODES)
-        n_seg = max(1, int(math.ceil((b - a) / seg)))
-        edges = np.linspace(a, b, n_seg + 1)
+    def integral(self, a, b) -> float:
+        af, bf = float(a), float(b)
+        if bf <= af:
+            return 0.0
+        nodes, wts = GAUSS_LEGENDRE_32
+        n_seg = max(1, int(math.ceil((bf - af) / (self.seg_len / 2.0))))
+        edges = np.linspace(af, bf, n_seg + 1)
         total = 0.0
         for i in range(n_seg):
             lo, hi = edges[i], edges[i + 1]
             half = 0.5 * (hi - lo)
             xs = 0.5 * (hi + lo) + half * nodes
             total += half * float(np.sum(wts * self.fn(xs)))
-        return total
-
-    def integral(self, a, b) -> float:
-        af, bf = float(a), float(b)
-        if bf <= af:
-            return 0.0
-        coarse = self._quad(af, bf, self.seg_len)
-        fine = self._quad(af, bf, self.seg_len / 2.0)
-        if not math.isfinite(fine):
+        if not math.isfinite(total):
             raise DivergedIntegralError(
                 f"quadrature integral of {self.name} diverged on [{af}, {bf})", (af, bf)
             )
-        return fine
+        return total
 
     def _reciprocal(self) -> "Weight":
         fn = self.fn
@@ -408,9 +407,6 @@ class BloomWeight:
     def label(self) -> str:
         return f"mu={self.mu.label},lam={self.lam.label}"
 
-    def nu_integral(self, a, b) -> float:
-        return self.nu.integral(a, b)
-
 
 def unweighted_pair() -> BloomWeight:
     return BloomWeight(ConstantWeight(1.0), ConstantWeight(1.0))
@@ -437,8 +433,8 @@ def interval_family(
     """
     fam: list[tuple[float, float]] = []
     for grid in grids:
-        for interval in enumerate_intervals(grid, window):
-            fam.append((float(interval.left), float(interval.right)))
+        table = interval_table(enumerate_intervals(grid, window))
+        fam.extend(zip(table.left.tolist(), table.right.tolist()))
     rng = np.random.default_rng(seed)
     lo_f, hi_f = float(window.lo), float(window.hi)
     min_len = float(window.cell_width)
@@ -469,22 +465,20 @@ def a2_constant(
         family_label = "user"
     if not family:
         raise InvalidConfigurationError("empty interval family")
-    w_inv = w.inv()
-    best = -math.inf
-    best_iv = family[0]
-    for a, b in family:
-        ell = b - a
-        pa = w.integral(a, b) / ell
-        pb = w_inv.integral(a, b) / ell
-        if not (math.isfinite(pa) and math.isfinite(pb)):
-            raise DivergedIntegralError(
-                f"non-integrable weight {w.label} on [{a}, {b})", (a, b)
-            )
-        prod = pa * pb
-        if prod > best:
-            best = prod
-            best_iv = (a, b)
-    return A2Report(best, best_iv, len(family), family_label)
+    lo, hi = np.asarray(family, dtype=float).T
+    ell = hi - lo
+    pa = w.integrals(lo, hi) / ell
+    pb = w.inv().integrals(lo, hi) / ell
+    bad = ~(np.isfinite(pa) & np.isfinite(pb))
+    if bad.any():
+        a, b = family[int(np.argmax(bad))]
+        raise DivergedIntegralError(
+            f"non-integrable weight {w.label} on [{a}, {b})", (a, b)
+        )
+    prod = pa * pb
+    best = int(np.argmax(prod))
+    a, b = family[best]
+    return A2Report(float(prod[best]), (a, b), len(family), family_label)
 
 
 def doubling_ratio(w: Weight, interval: tuple[float, float], s: float) -> float:
@@ -528,31 +522,19 @@ def reverse_holder_exponent(
         from .grids import standard_grid
 
         grid = standard_grid()
-    intervals = enumerate_intervals(grid, window)
+    table = interval_table(enumerate_intervals(grid, window))
+    ell = table.right - table.left
+    avg = w.integrals(table.left, table.right) / ell
     per: dict[float, float] = {}
     for r in ladder:
-        worst = 0.0
-        ok = True
         try:
             wr = w.power(r / 2.0)
-        except InvalidParameterError:
+            num = (wr.integrals(table.left, table.right) / ell) ** (2.0 / r)
+        except (InvalidParameterError, DivergedIntegralError):
             per[r] = math.inf
             continue
-        for interval in intervals:
-            a, b = float(interval.left), float(interval.right)
-            ell = b - a
-            try:
-                num = (wr.integral(a, b) / ell) ** (2.0 / r)
-            except DivergedIntegralError:
-                ok = False
-                break
-            den = w.integral(a, b) / ell
-            ratio = num / den
-            worst = max(worst, ratio)
-            if not math.isfinite(worst):
-                ok = False
-                break
-        per[r] = worst if ok else math.inf
+        worst = float(np.max(num / avg, initial=0.0))
+        per[r] = worst if math.isfinite(worst) else math.inf
     qualifying = [r for r in ladder if per[r] <= cap]
     if not qualifying:
         return ReverseHolderReport(None, math.inf, tuple(ladder), per)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dyadlab.errors import InvalidConfigurationError
+from dyadlab.errors import DyadlabError, InvalidConfigurationError
 from dyadlab.besov import (
     continuous_besov_norm_p2,
     dyadic_besov_norm,
@@ -23,11 +23,18 @@ from dyadlab.grids import (
 from dyadlab.symbols import (
     HaarSymbol,
     StepSymbol,
+    haar_coefficient,
     linear_symbol,
     random_haar_symbol,
     sin_symbol,
 )
-from dyadlab.weights import BloomWeight, ConstantWeight, PowerWeight, unweighted_pair
+from dyadlab.weights import (
+    BloomWeight,
+    ConstantWeight,
+    PowerWeight,
+    QuadratureWeight,
+    unweighted_pair,
+)
 
 WIN = make_window(0, 1, 0, 6)
 D0 = standard_grid()
@@ -241,3 +248,29 @@ class TestVmoTails:
         far = [rep.rows[i].far_field for i in order]
         assert all(a <= b_ + 1e-15 for a, b_ in zip(small, small[1:]))
         assert all(a >= b_ - 1e-15 for a, b_ in zip(far, far[1:]))
+
+
+class TestSharedBracket:
+    @pytest.mark.parametrize("grid", [D0, D1], ids=["standard", "shifted"])
+    @pytest.mark.parametrize("form", [1, 2, 3])
+    def test_contributions_use_form_ratio_rows(self, grid, form):
+        b = sin_symbol(WIN)
+        pair = BloomWeight(PowerWeight(0.5), PowerWeight(-0.25))
+        p = 1.5
+        rows, _ = interval_form_ratios(pair, grid, WIN)
+        rep = dyadic_besov_norm(b, pair, p, grid, WIN, form=form)
+        assert len(rep.contributions) == len(rows)
+        for (label, c), row in zip(rep.contributions, rows):
+            assert label == row.interval.label()
+            q = (row.q1, row.q2, row.q3)[form - 1]
+            length = float(row.interval.length)
+            bh = haar_coefficient(b, row.interval)
+            assert c == pytest.approx((abs(bh) / math.sqrt(length) * q) ** p, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("form", [2, 3])
+    def test_vanishing_lam_raises(self, form):
+        # lam vanishes on [0, 1/2): lam(I) = 0 there, and lam^-1(I) diverges
+        lam = QuadratureWeight(lambda x: np.where(x < 0.5, 0.0, 1.0), "half")
+        pair = BloomWeight(ConstantWeight(1.0), lam)
+        with np.errstate(divide="ignore"), pytest.raises(DyadlabError):
+            dyadic_besov_norm(sin_symbol(WIN), pair, 2.0, D0, WIN, form=form)

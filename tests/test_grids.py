@@ -12,6 +12,7 @@ from dyadlab.grids import (
     grid_shift,
     haar_cell_values,
     haar_eval,
+    interval_table,
     make_window,
     standard_grid,
     third_shift_grid,
@@ -184,3 +185,24 @@ class TestCover:
         w = default_window(8)
         with pytest.raises(CoverNotFoundError):
             find_cover(0.4, 0.6, (standard_grid(),), w, max_ratio=1.05)
+
+
+class TestIntervalTable:
+    @pytest.mark.parametrize("grid", [standard_grid(), third_shift_grid()], ids=["standard", "shifted"])
+    @pytest.mark.parametrize(
+        "window",
+        [default_window(7), make_window(-4, 4, -2, 10)],
+        ids=["negative_j_min", "cell_cap"],
+    )
+    def test_bit_equal_to_fraction_geometry(self, grid, window):
+        intervals = enumerate_intervals(grid, window)
+        table = interval_table(intervals)
+        assert table.intervals == tuple(intervals)
+        assert len(table) == len(intervals)
+        for name in ("left", "mid", "right", "length"):
+            exact = np.array([float(getattr(iv, name)) for iv in intervals])
+            assert np.array_equal(getattr(table, name), exact), name
+
+    def test_unknown_grid_rule_rejected(self):
+        with pytest.raises(InvalidConfigurationError):
+            interval_table([DyadicInterval("hexagonal", 0, 0)])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dyadlab.errors import DegenerateWeightError, InvalidConfigurationError
+from dyadlab.errors import DegenerateWeightError, InvalidConfigurationError, InvalidMatrixError
 from dyadlab.grids import (
     DyadicInterval,
     enumerate_intervals,
@@ -399,3 +399,17 @@ class TestExport:
         rows = text.strip().split("\n")
         assert len(rows) == win.n_cells
         assert len(rows[0].split(",")) == win.n_cells
+
+
+class TestFiniteEntries:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_matrix_raises(self, bad):
+        mat = np.zeros((WIN.n_cells, WIN.n_cells))
+        mat[2, 5] = bad
+        with pytest.raises(InvalidMatrixError):
+            OperatorMatrix(mat, WIN)
+
+    def test_overflowing_conjugation_raises(self):
+        t = OperatorMatrix(np.full((WIN.n_cells, WIN.n_cells), 1e300), WIN)
+        with np.errstate(over="ignore"), pytest.raises(InvalidMatrixError):
+            weight_conjugate(t, ConstantWeight(1e100), ConstantWeight(1e-100))

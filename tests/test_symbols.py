@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dyadlab.errors import DyadlabError
 from dyadlab.grids import (
     DyadicInterval,
     enumerate_intervals,
@@ -196,3 +197,23 @@ class TestMedianSplit:
             for i in e_set:
                 for k in f_set:
                     assert abs(vals[i] - split.alpha) <= abs(vals[i] - vals[k]) + 1e-15
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_step_symbol_rejects(self, bad):
+        vals = np.zeros(WIN.n_cells)
+        vals[3] = bad
+        with pytest.raises(DyadlabError):
+            StepSymbol(WIN, vals)
+
+    def test_haar_symbol_rejects_nan_coefficient(self):
+        with pytest.raises(DyadlabError):
+            HaarSymbol(WIN, {DyadicInterval("standard", 1, 0): math.nan})
+
+    def test_haar_symbol_is_a_step_symbol(self):
+        target = DyadicInterval("standard", 1, 1)
+        b = HaarSymbol(WIN, {target: 2.0})
+        assert isinstance(b, StepSymbol)
+        assert b.coefficients == {target: 2.0}
+        assert b.integral(0.5, 0.75) == pytest.approx(2.0 * math.sqrt(2.0) * 0.25, rel=1e-15)

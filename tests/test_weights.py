@@ -12,6 +12,7 @@ from dyadlab.weights import (
     BloomWeight,
     ConstantWeight,
     PowerWeight,
+    QuadratureWeight,
     SpikedLatticeWeight,
     a2_constant,
     derive_intermediary,
@@ -244,3 +245,24 @@ class TestReverseHolder:
         n_flat = sum(1 for v in flat.per_exponent.values() if v <= 10.0)
         n_spiked = sum(1 for v in spiked.per_exponent.values() if v <= 10.0)
         assert n_spiked < n_flat
+
+
+class TestIntegrals:
+    @pytest.mark.parametrize(
+        "w",
+        [
+            ConstantWeight(2.5),
+            PowerWeight(0.25),
+            pathological_weight(2.0, 3, 9.0),
+            QuadratureWeight(lambda x: 1.0 + np.abs(x - 1.0 / 3.0) ** 0.5, "1+|x-1/3|^0.5"),
+        ],
+        ids=["constant", "power", "spiked", "quadrature"],
+    )
+    def test_equals_scalar_loop(self, w):
+        rng = np.random.default_rng(7)
+        lo = rng.uniform(-2.0, 1.0, size=40)
+        hi = lo + rng.uniform(0.01, 1.0, size=40)
+        got = w.integrals(lo, hi)
+        assert got.shape == (40,)
+        assert np.array_equal(got, [w.integral(a, b) for a, b in zip(lo, hi)])
+        assert np.array_equal(w.inv().integrals(lo, hi), [w.inv().integral(a, b) for a, b in zip(lo, hi)])
