@@ -247,7 +247,7 @@ class TestReverseHolder:
         assert n_spiked < n_flat
 
 
-class TestIntegrals:
+class TestVectorIntegrals:
     @pytest.mark.parametrize(
         "w",
         [
