@@ -313,26 +313,20 @@ class BmoReport:
     argmax_square: str
 
 
-def _abs_deviation_integral(b: Symbol, a: float, c: float, window: TruncationWindow) -> float:
-    """Integral over [a, c) of |b - avg_[a,c) b| for the step view of b, exact
-    with fractional end cells."""
-    vals = b.cell_values()
-    lo = float(window.lo)
-    width = float(window.cell_width)
-    i0 = max(0, int(math.floor((a - lo) / width)))
-    i1 = min(window.n_cells, int(math.ceil((c - lo) / width)))
-    idx = []
-    cover = []
-    for i in range(i0, i1):
-        seg_lo = max(a, lo + i * width)
-        seg_hi = min(c, lo + (i + 1) * width)
-        if seg_hi > seg_lo:
-            idx.append(i)
-            cover.append(seg_hi - seg_lo)
-    idx_a = np.array(idx, dtype=int)
-    cov = np.array(cover)
-    avg = float(np.sum(vals[idx_a] * cov) / np.sum(cov))
-    return float(np.sum(np.abs(vals[idx_a] - avg) * cov))
+def _abs_deviation_integral(
+    vals: np.ndarray, edges: np.ndarray, a: float, c: float, width: float
+) -> float:
+    """Integral over [a, c) of |b - avg_[a,c) b| for the step view `vals` of
+    b on the cells between `edges` (each `width` wide), exact with
+    fractional end cells."""
+    # every cell i0 <= i < i1 meets [a, c) in positive length: each edge minus
+    # lo is a float, so rounding (a - lo) or (c - lo) never crosses an edge
+    i0 = max(0, math.floor((a - edges[0]) / width))
+    i1 = min(len(vals), math.ceil((c - edges[0]) / width))
+    cov = np.minimum(c, edges[i0 + 1 : i1 + 1]) - np.maximum(a, edges[i0:i1])
+    v = vals[i0:i1]
+    avg = float(np.sum(v * cov) / np.sum(cov))
+    return float(np.sum(np.abs(v - avg) * cov))
 
 
 def weighted_bmo_dyadic(
@@ -349,8 +343,12 @@ def weighted_bmo_dyadic(
     """
     table = interval_table(enumerate_intervals(grid, window))
     lo, hi = table.left, table.right
+    vals, edges, width = b.cell_values(), window.cell_edges(), float(window.cell_width)
     deviation = np.array(
-        [_abs_deviation_integral(b, a, c, window) for a, c in zip(lo.tolist(), hi.tolist())]
+        [
+            _abs_deviation_integral(vals, edges, a, c, width)
+            for a, c in zip(lo.tolist(), hi.tolist())
+        ]
     )
     # deviation / nu(I), with nu(I) read through the form-1 bracket |I| / nu(I)
     sup_avg, arg_avg = _sup(deviation * _bracket(pair, 1, table) / table.length, table)

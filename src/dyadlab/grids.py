@@ -1,17 +1,19 @@
 """Truncated dyadic systems: intervals, grids, windows, Haar functions.
 
-Intervals are identified by (grid_id, scale j, translation k); endpoints are
-rebuilt on demand from exact rational arithmetic, so no floating accumulation
-ever enters the geometry.  Two grid families are supported: the standard grid
-and its one-third shift, where the scale-j translation is (-1)^j * 2^-j / 3.
-All types are immutable and every operation is pure, so concurrent reads are
-safe.
+Intervals are identified by (grid_id, scale j, translation k); each endpoint is
+an exact Fraction built in one step from integers, left = (3k + t) 2^-j / 3
+with t = 3 * grid_shift, so no floating accumulation ever enters the geometry.
+Two grid families are supported: the standard grid and its one-third shift,
+where the scale-j translation is (-1)^j * 2^-j / 3.  All types are immutable
+and every operation is pure, so concurrent reads are safe.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,11 +26,23 @@ THIRD_SHIFT = "third_shift"
 
 def grid_shift(rule: str, j: int) -> Fraction:
     """Translation applied to the scale-j lattice, in units of 2^-j."""
+    return Fraction(_shift_thirds(rule, j), 3)
+
+
+def _shift_thirds(rule: str, j: int) -> int:
+    """t = 3 * grid_shift(rule, j), an integer in {0, 1, -1}."""
     if rule == STANDARD:
-        return Fraction(0)
+        return 0
     if rule == THIRD_SHIFT:
-        return Fraction(-1 if j % 2 else 1, 3)
+        return -1 if j % 2 else 1
     raise InvalidConfigurationError(f"unknown grid rule {rule!r}")
+
+
+def _over_scale(num: int, den: int, j: int) -> Fraction:
+    """The exact value num * 2^-j / den."""
+    if j >= 0:
+        return Fraction(num, den << j)
+    return Fraction(num << -j, den)
 
 
 @dataclass(frozen=True)
@@ -66,19 +80,19 @@ class DyadicInterval:
 
     @property
     def length(self) -> Fraction:
-        return Fraction(1, 1) * Fraction(2) ** (-self.j)
+        return _over_scale(1, 1, self.j)
 
     @property
     def left(self) -> Fraction:
-        return (Fraction(self.k) + grid_shift(self.grid_id, self.j)) * Fraction(2) ** (-self.j)
+        return _over_scale(3 * self.k + _shift_thirds(self.grid_id, self.j), 3, self.j)
 
     @property
     def right(self) -> Fraction:
-        return self.left + self.length
+        return _over_scale(3 * self.k + 3 + _shift_thirds(self.grid_id, self.j), 3, self.j)
 
     @property
     def mid(self) -> Fraction:
-        return self.left + self.length / 2
+        return _over_scale(6 * self.k + 3 + 2 * _shift_thirds(self.grid_id, self.j), 6, self.j)
 
     def endpoints(self) -> tuple[float, float]:
         return float(self.left), float(self.right)
@@ -151,28 +165,28 @@ class TruncationWindow:
                 f"cell count {self.n_cells} exceeds the hard cap 8192"
             )
 
-    @property
+    # Cached in the instance __dict__; equality and hashing still use the fields.
+    @cached_property
     def span(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
+    @cached_property
     def cell_width(self) -> Fraction:
         return Fraction(2) ** (-self.j_max)
 
-    @property
+    @cached_property
     def n_cells(self) -> int:
         n = self.span / self.cell_width
         return int(n)
 
+    # Each entry equals float() of the exact Fraction whenever lo is a float:
+    # the product (a count of half cells times a power of two) is exact, and
+    # the sum rounds once.
     def cell_edges(self) -> np.ndarray:
-        w = self.cell_width
-        return np.array([float(self.lo + i * w) for i in range(self.n_cells + 1)])
+        return float(self.lo) + np.arange(self.n_cells + 1) * float(self.cell_width)
 
     def cell_midpoints(self) -> np.ndarray:
-        w = self.cell_width
-        return np.array(
-            [float(self.lo + i * w + w / 2) for i in range(self.n_cells)]
-        )
+        return float(self.lo) + (np.arange(self.n_cells) + 0.5) * float(self.cell_width)
 
     def contains_interval(self, left: Fraction, right: Fraction) -> bool:
         return self.lo <= left and right <= self.hi
@@ -206,18 +220,13 @@ def enumerate_intervals(grid: DyadicGrid, window: TruncationWindow) -> list[Dyad
     """
     out: list[DyadicInterval] = []
     for j in range(window.j_min, window.j_max + 1):
-        length = Fraction(2) ** (-j)
-        shift = grid_shift(grid.shift_rule, j) * length
-        # smallest k with k*length + shift >= lo
-        k = -(-(window.lo - shift) // length)  # ceil division on Fractions
-        k = int(k)
-        while True:
-            left = Fraction(k) * length + shift
-            right = left + length
-            if right > window.hi:
-                break
-            out.append(DyadicInterval(grid.grid_id, j, k))
-            k += 1
+        # [left, right) = [3k + t, 3k + 3 + t) * 2^-j / 3 lies in [lo, hi)
+        # exactly when 3k + t >= lo * 3 * 2^j and 3k + 3 + t <= hi * 3 * 2^j
+        t = _shift_thirds(grid.shift_rule, j)
+        scale = 3 * Fraction(2) ** j
+        k_min = math.ceil((window.lo * scale - t) / 3)
+        k_max = math.floor((window.hi * scale - 3 - t) / 3)
+        out += [DyadicInterval(grid.grid_id, j, k) for k in range(k_min, k_max + 1)]
     return out
 
 
@@ -243,15 +252,11 @@ class IntervalTable:
 def interval_table(intervals: Iterable[DyadicInterval]) -> IntervalTable:
     """The table of `intervals`, typically `enumerate_intervals(grid, window)`."""
     intervals = tuple(intervals)
-    thirds: dict[tuple[str, int], int] = {}
     k = np.empty(len(intervals))
     t = np.empty(len(intervals))
     j = np.empty(len(intervals), dtype=int)
     for i, iv in enumerate(intervals):
-        key = (iv.grid_id, iv.j)
-        if key not in thirds:
-            thirds[key] = int(3 * grid_shift(iv.grid_id, iv.j))
-        j[i], k[i], t[i] = iv.j, iv.k, thirds[key]
+        j[i], k[i], t[i] = iv.j, iv.k, _shift_thirds(iv.grid_id, iv.j)
     length = np.ldexp(1.0, -j)
     left = (3.0 * k + t) * length / 3.0
     right = (3.0 * k + 3.0 + t) * length / 3.0

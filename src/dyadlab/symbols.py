@@ -65,9 +65,11 @@ class StepSymbol(Symbol):
         self.window = window
         self._values = values.copy()
         self._values.flags.writeable = False
+        # the window as floats, read by every integral
+        self._lo, self._hi = float(window.lo), float(window.hi)
+        self._width, self._n = float(window.cell_width), window.n_cells
         # prefix[i] = integral from window.lo to edge i
-        width = float(window.cell_width)
-        self._prefix = np.concatenate([[0.0], np.cumsum(self._values) * width])
+        self._prefix = np.concatenate([[0.0], np.cumsum(self._values) * self._width])
         self.lipschitz = None
 
     def cell_values(self) -> np.ndarray:
@@ -75,31 +77,24 @@ class StepSymbol(Symbol):
 
     def eval(self, x):
         xv = np.asarray(x, dtype=float)
-        lo = float(self.window.lo)
-        width = float(self.window.cell_width)
-        idx = np.floor((xv - lo) / width).astype(int)
-        inside = (idx >= 0) & (idx < self.window.n_cells)
-        out = np.where(inside, self._values[np.clip(idx, 0, self.window.n_cells - 1)], 0.0)
+        idx = np.floor((xv - self._lo) / self._width).astype(int)
+        inside = (idx >= 0) & (idx < self._n)
+        out = np.where(inside, self._values[np.clip(idx, 0, self._n - 1)], 0.0)
         return float(out) if np.ndim(x) == 0 else out
 
     def integral(self, a, b) -> float:
         """Exact: prefix sums plus fractional coverage of the end cells."""
-        lo = float(self.window.lo)
-        hi = float(self.window.hi)
-        width = float(self.window.cell_width)
-        af = max(float(a), lo)
-        bf = min(float(b), hi)
+        af = max(float(a), self._lo)
+        bf = min(float(b), self._hi)
         if bf <= af:
             return 0.0
+        return self._prefix_at(bf) - self._prefix_at(af)
 
-        def prefix_at(t: float) -> float:
-            pos = (t - lo) / width
-            i = min(int(math.floor(pos)), self.window.n_cells - 1)
-            i = max(i, 0)
-            frac = pos - i
-            return self._prefix[i] + self._values[i] * frac * width
-
-        return prefix_at(bf) - prefix_at(af)
+    def _prefix_at(self, t: float) -> float:
+        """Integral from window.lo to t, for t inside the window."""
+        pos = (t - self._lo) / self._width
+        i = max(min(math.floor(pos), self._n - 1), 0)
+        return self._prefix[i] + self._values[i] * (pos - i) * self._width
 
 
 class AnalyticSymbol(Symbol):

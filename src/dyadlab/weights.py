@@ -229,6 +229,28 @@ class SpikedLatticeWeight(Weight):
                 "spike levels overlap when 2^(levels-1) > growth+1; "
                 "closed-form integrals would be wrong in that regime"
             )
+        # a frozen dataclass: the derived level table is set once, here
+        object.__setattr__(self, "_levels", self._level_table())
+
+    def _level_table(self) -> tuple[tuple[float, float, float, float], ...]:
+        out = []
+        for j in range(1, self.levels + 1):
+            n_j = 2**j
+            try:
+                height = 2.0 ** (self.growth * self.alpha * n_j)
+            except OverflowError:
+                raise InvalidParameterError(
+                    f"spike height 2^{self.growth * self.alpha * n_j:g} of level {j} "
+                    "overflows a float"
+                ) from None
+            width = 2.0 ** (-(self.growth + 1.0) * n_j)
+            if width == 0.0:
+                raise InvalidParameterError(
+                    f"spike width 2^-{(self.growth + 1.0) * n_j:g} of level {j} "
+                    "underflows to zero"
+                )
+            out.append((2.0 ** (-n_j), width, 2.0 ** (-2 * n_j - 1), height))
+        return tuple(out)
 
     @property
     def alpha(self) -> float:
@@ -238,22 +260,14 @@ class SpikedLatticeWeight(Weight):
     def label(self) -> str:
         return f"spiked(r={self.r:g},J={self.levels},A={self.growth:g})"
 
-    def level_params(self) -> list[tuple[float, float, float, float]]:
+    def level_params(self) -> tuple[tuple[float, float, float, float], ...]:
         """(period, width, offset, height) per level."""
-        out = []
-        for j in range(1, self.levels + 1):
-            n_j = 2**j
-            period = 2.0 ** (-n_j)
-            width = 2.0 ** (-(self.growth + 1.0) * n_j)
-            offset = 2.0 ** (-2 * n_j - 1)
-            height = 2.0 ** (self.growth * self.alpha * n_j)
-            out.append((period, width, offset, height))
-        return out
+        return self._levels
 
     def eval(self, x):
         xv = np.asarray(x, dtype=float)
         out = np.ones_like(xv)
-        for period, width, offset, height in self.level_params():
+        for period, width, offset, height in self._levels:
             on_spike = np.mod(xv + offset, period) < width
             out = np.where(on_spike, np.maximum(out, height), out)
         if np.ndim(x) == 0:
@@ -264,9 +278,13 @@ class SpikedLatticeWeight(Weight):
         """Closed-form integral of w^s over [a, b), exact under level disjointness."""
         af, bf = float(a), float(b)
         total = bf - af
-        for period, width, offset, height in self.level_params():
+        for period, width, offset, height in self._levels:
             m = _periodic_measure(af + offset, bf + offset, period, width)
-            total += (height**s - 1.0) * m
+            try:
+                total += (height**s - 1.0) * m
+            except OverflowError:  # height**s is past the float range
+                total = math.inf
+                break
         if not math.isfinite(total):
             raise DivergedIntegralError(
                 f"spiked weight power {s} integral diverged on [{af}, {bf})",

@@ -5,6 +5,7 @@ import pytest
 
 from dyadlab.errors import DyadlabError, InvalidConfigurationError
 from dyadlab.besov import (
+    _abs_deviation_integral,
     continuous_besov_norm_p2,
     dyadic_besov_norm,
     intersection_norm,
@@ -204,6 +205,28 @@ class TestBmo:
             best = max(best, osc)
         assert rep.sup_average == pytest.approx(best, rel=1e-12)
         assert best == pytest.approx(1.0, rel=1e-12)
+
+    def test_deviation_integral_matches_cell_loop(self):
+        vals = np.random.default_rng(3).normal(size=WIN.n_cells)
+        lo, width = float(WIN.lo), float(WIN.cell_width)
+
+        def reference(a, c):
+            idx, cover = [], []
+            i0 = max(0, int(math.floor((a - lo) / width)))
+            i1 = min(WIN.n_cells, int(math.ceil((c - lo) / width)))
+            for i in range(i0, i1):
+                seg_lo = max(a, lo + i * width)
+                seg_hi = min(c, lo + (i + 1) * width)
+                if seg_hi > seg_lo:
+                    idx.append(i)
+                    cover.append(seg_hi - seg_lo)
+            cov = np.array(cover)
+            avg = float(np.sum(vals[idx] * cov) / np.sum(cov))
+            return float(np.sum(np.abs(vals[idx] - avg) * cov))
+
+        edges = WIN.cell_edges()
+        for a, c in [(0.0, 1.0), (0.25, 0.5), (0.3, 0.31), (0.1, 0.9), (-0.5, 0.2), (0.7, 1.5)]:
+            assert _abs_deviation_integral(vals, edges, a, c, width) == reference(a, c), (a, c)
 
     def test_square_form_dominated_by_besov_form2(self):
         pair = BloomWeight(PowerWeight(0.25), PowerWeight(-0.25))

@@ -19,6 +19,42 @@ from dyadlab.grids import (
 )
 
 
+def reference_shift(rule, j):
+    return {"standard": Fraction(0), "third_shift": Fraction(-1 if j % 2 else 1, 3)}[rule]
+
+
+def reference_geometry(interval):
+    """left, right, mid and length as sums of Fractions, built one on another."""
+    scale = Fraction(2) ** (-interval.j)
+    length = Fraction(1, 1) * scale
+    left = (Fraction(interval.k) + reference_shift(interval.grid_id, interval.j)) * scale
+    return {"left": left, "right": left + length, "mid": left + length / 2, "length": length}
+
+
+def reference_enumeration(grid, window):
+    """Per scale, walk k up from the first interval at or right of lo."""
+    out = []
+    for j in range(window.j_min, window.j_max + 1):
+        length = Fraction(2) ** (-j)
+        shift = reference_shift(grid.shift_rule, j) * length
+        k = int(-(-(window.lo - shift) // length))
+        while Fraction(k) * length + shift + length <= window.hi:
+            out.append(DyadicInterval(grid.grid_id, j, k))
+            k += 1
+    return out
+
+
+WINDOWS = [
+    pytest.param(default_window(5), id="negative_j_min"),
+    pytest.param(make_window(Fraction(1, 2), 3, 1, 7), id="positive_j_min"),
+    pytest.param(make_window(-3, 5, 0, 3), id="zero_j_min"),
+    pytest.param(make_window(-4, 4, -2, 10), id="cell_cap"),
+]
+GRIDS = pytest.mark.parametrize(
+    "grid", [standard_grid(), third_shift_grid()], ids=["standard", "shifted"]
+)
+
+
 def brute_third_shift_intervals(window):
     """Independent enumeration: scan a wide k range per scale and keep what fits."""
     out = []
@@ -70,6 +106,11 @@ class TestEnumeration:
             assert lefts[0] == w.lo and rights[-1] == w.hi
             assert all(rights[m] == lefts[m + 1] for m in range(len(scale) - 1))
 
+    @GRIDS
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_matches_reference_walk(self, grid, window):
+        assert enumerate_intervals(grid, window) == reference_enumeration(grid, window)
+
     def test_invalid_windows_rejected(self):
         with pytest.raises(InvalidConfigurationError):
             make_window(1, 1, 0, 2)
@@ -96,6 +137,40 @@ class TestIntervals:
     def test_exact_length(self):
         interval = DyadicInterval("standard", 5, 11)
         assert interval.right - interval.left == Fraction(1, 32)
+
+    @pytest.mark.parametrize("grid_id", ["standard", "third_shift"])
+    @pytest.mark.parametrize("j", [-2, 0, 5, 13])
+    def test_geometry_matches_fraction_reference(self, grid_id, j):
+        for k in (-9, -1, 0, 1, 6, 8191):
+            interval = DyadicInterval(grid_id, j, k)
+            for name, exact in reference_geometry(interval).items():
+                value = getattr(interval, name)
+                assert type(value) is Fraction, name
+                assert value == exact, (name, k)
+
+    @pytest.mark.parametrize("name", ["left", "right", "mid"])
+    def test_unknown_grid_id_rejected(self, name):
+        with pytest.raises(InvalidConfigurationError):
+            getattr(DyadicInterval("hexagonal", 3, 1), name)
+
+
+class TestWindow:
+    def test_filled_caches_keep_field_equality(self):
+        used = make_window(-4, 4, -2, 6)
+        assert (used.span, used.cell_width, used.n_cells) == (8, Fraction(1, 64), 512)
+        used.cell_edges()
+        fresh = make_window(-4, 4, -2, 6)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert {fresh: "window"}[used] == "window"
+        assert used != make_window(-4, 4, -2, 7)
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_cell_points_bit_equal_to_fractions(self, window):
+        w = window.cell_width
+        edges = [float(window.lo + i * w) for i in range(window.n_cells + 1)]
+        mids = [float(window.lo + i * w + w / 2) for i in range(window.n_cells)]
+        assert np.array_equal(window.cell_edges(), np.array(edges))
+        assert np.array_equal(window.cell_midpoints(), np.array(mids))
 
 
 class TestHaar:

@@ -87,6 +87,31 @@ class TestStepIntegral:
         b = StepSymbol(WIN, np.ones(WIN.n_cells))
         assert b.integral(-5.0, 2.0) == pytest.approx(1.0)
 
+    def test_matches_reference_formula(self):
+        window = make_window(-2, 2, -1, 5)
+        vals = np.random.default_rng(7).normal(size=window.n_cells)
+        b = StepSymbol(window, vals)
+        lo, hi, width = float(window.lo), float(window.hi), float(window.cell_width)
+        prefix = np.concatenate([[0.0], np.cumsum(vals) * width])
+
+        def reference(a, c):
+            a, c = max(a, lo), min(c, hi)
+            if c <= a:
+                return 0.0
+
+            def at(t):
+                pos = (t - lo) / width
+                i = max(min(int(math.floor(pos)), window.n_cells - 1), 0)
+                return prefix[i] + vals[i] * (pos - i) * width
+
+            return at(c) - at(a)
+
+        cells = width * np.array([0.0, 0.3, 1.0, 2.5, 17.75, 63.9, 64.0, 127.0, 128.0])
+        ends = [lo + x for x in cells] + [-7.0, -2.0 - width / 3, 2.0 + width / 3, 9.0]
+        for a in ends:
+            for c in ends:
+                assert b.integral(a, c) == reference(a, c), (a, c)
+
 
 class TestAnalytic:
     def test_cell_values_are_cell_averages(self):

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadlab.errors import InvalidConfigurationError, InvalidParameterError
+from dyadlab.errors import (
+    DivergedIntegralError,
+    InvalidConfigurationError,
+    InvalidParameterError,
+)
 from dyadlab.grids import make_window, standard_grid, third_shift_grid
 from dyadlab.weights import (
     A2Report,
@@ -201,6 +205,18 @@ class TestSpikedWeight:
             pathological_weight(2.0, 0, 9.0)
         with pytest.raises(InvalidConfigurationError):
             pathological_weight(2.0, 6, 9.0)  # levels overlap
+
+    def test_unrepresentable_level_rejected_at_construction(self):
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            SpikedLatticeWeight(r=2, levels=6, growth=31)  # height 2^1488
+        with pytest.raises(InvalidParameterError, match="underflows"):
+            SpikedLatticeWeight(r=100, levels=6, growth=31)  # width 2^-2048
+
+    def test_overflowing_power_diverges(self):
+        w = SpikedLatticeWeight(2, 4, 60).power(2.0)  # height^2 = 2^1440
+        with pytest.raises(DivergedIntegralError) as info:
+            w.integral(0, 1)
+        assert info.value.interval == (0.0, 1.0)
 
     def test_power_weight_exponent_validation(self):
         with pytest.raises(InvalidParameterError):
