@@ -94,8 +94,16 @@ class DyadicInterval:
     def mid(self) -> Fraction:
         return _over_scale(6 * self.k + 3 + 2 * _shift_thirds(self.grid_id, self.j), 6, self.j)
 
+    def float_bounds(self) -> tuple[float, float, float]:
+        """(left, mid, right) as floats, each equal to float() of the exact
+        Fraction, computed from (j, k) by the formula of `interval_table`."""
+        return _float_bounds(
+            self.k, _shift_thirds(self.grid_id, self.j), math.ldexp(1.0, -self.j)
+        )
+
     def endpoints(self) -> tuple[float, float]:
-        return float(self.left), float(self.right)
+        left, _, right = self.float_bounds()
+        return left, right
 
     @property
     def left_child(self) -> "DyadicInterval":
@@ -249,6 +257,17 @@ class IntervalTable:
         return len(self.intervals)
 
 
+def _float_bounds(k, t, length):
+    """Float (left, mid, right) of the interval(s) with translation k, shift
+    thirds t and length 2^-j, for scalars or arrays alike: the numerators are
+    exact integers, the product with a power of two is exact, and the one
+    division rounds correctly, so each value is float() of the exact Fraction."""
+    left = (3.0 * k + t) * length / 3.0
+    mid = (6.0 * k + 3.0 + 2.0 * t) * (0.5 * length) / 3.0
+    right = (3.0 * k + 3.0 + t) * length / 3.0
+    return left, mid, right
+
+
 def interval_table(intervals: Iterable[DyadicInterval]) -> IntervalTable:
     """The table of `intervals`, typically `enumerate_intervals(grid, window)`."""
     intervals = tuple(intervals)
@@ -258,9 +277,7 @@ def interval_table(intervals: Iterable[DyadicInterval]) -> IntervalTable:
     for i, iv in enumerate(intervals):
         j[i], k[i], t[i] = iv.j, iv.k, _shift_thirds(iv.grid_id, iv.j)
     length = np.ldexp(1.0, -j)
-    left = (3.0 * k + t) * length / 3.0
-    right = (3.0 * k + 3.0 + t) * length / 3.0
-    mid = (6.0 * k + 3.0 + 2.0 * t) * (0.5 * length) / 3.0
+    left, mid, right = _float_bounds(k, t, length)
     for arr in (left, mid, right, length):
         arr.flags.writeable = False
     return IntervalTable(intervals, left, mid, right, length)
@@ -273,10 +290,8 @@ GAUSS_LEGENDRE_32 = np.polynomial.legendre.leggauss(32)
 def haar_eval(interval: DyadicInterval, x) -> np.ndarray | float:
     """Haar function of the interval: +|I|^-1/2 on the left child, -|I|^-1/2
     on the right child, 0 outside.  Mean zero, unit L2 norm."""
-    amp = 1.0 / np.sqrt(float(interval.length))
-    left = float(interval.left)
-    mid = float(interval.mid)
-    right = float(interval.right)
+    amp = 1.0 / np.sqrt(math.ldexp(1.0, -interval.j))
+    left, mid, right = interval.float_bounds()
     xv = np.asarray(x, dtype=float)
     vals = np.where(
         (xv >= left) & (xv < mid),

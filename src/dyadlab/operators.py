@@ -360,9 +360,11 @@ def expansion_residual(
     sign_order="displayed" flips the four composition terms.  The identity is
     never asserted; the restricted residual is measured and reported.
     """
+    if sign_order not in ("definition", "displayed"):
+        raise InvalidConfigurationError(f"unknown sign order {sign_order!r}")
     pi = paraproduct_matrix(b, grid, window).mat
-    pi_star = pi.T
     mult = multiplication_matrix(b, window).mat
+    rem = None
     if kind == "shift":
         t = haar_shift_matrix(grid, window).mat
         if remainder == "displayed":
@@ -371,19 +373,17 @@ def expansion_residual(
             rem = remainder_matrix_derived(b, grid, window).mat
         else:
             raise InvalidConfigurationError(f"unknown remainder {remainder!r}")
-        four = pi @ t - t @ pi + pi_star @ t - t @ pi_star
-        if sign_order == "displayed":
-            four = -four
-        elif sign_order != "definition":
-            raise InvalidConfigurationError(f"unknown sign order {sign_order!r}")
-        rhs = four + rem
     elif kind == "multiplier":
         t = haar_multiplier_matrix(signs, grid, window).mat
-        rhs = pi @ t - t @ pi + pi_star @ t - t @ pi_star
-        if sign_order == "displayed":
-            rhs = -rhs
     else:
         raise InvalidConfigurationError(f"unknown expansion kind {kind!r}")
+    # pi t - t pi + pi* t - t pi* in two products
+    sym = pi + pi.T
+    rhs = sym @ t - t @ sym
+    if sign_order == "displayed":
+        rhs = -rhs
+    if rem is not None:
+        rhs += rem
     lhs = mult @ t - t @ mult
     resid = lhs - rhs
     # restricting the domain to the region keeps only those columns

@@ -5,6 +5,10 @@ kinds exist: an analytic callable (with an exact antiderivative where one is
 known), a step vector on the finest cells, and a finite Haar-coefficient map.
 Step and Haar kinds are exactly representable on the finest cells; analytic
 symbols are reduced to cell averages when a step view is required.
+
+A Haar coefficient <b, h_I> is computed from one set of float endpoints of I
+(`DyadicInterval.float_bounds`, built from the integers (j, k)) and one
+`split_integral` call, which integrates b over both children of I at once.
 """
 
 from __future__ import annotations
@@ -37,6 +41,10 @@ class Symbol:
 
     def integral(self, a, b) -> float:
         raise NotImplementedError
+
+    def split_integral(self, a, m, c) -> tuple[float, float]:
+        """The integrals over [a, m) and [m, c); an empty or inverted half is 0.0."""
+        return self.integral(a, m), self.integral(m, c)
 
     def eval(self, x):
         raise NotImplementedError
@@ -90,6 +98,16 @@ class StepSymbol(Symbol):
             return 0.0
         return self._prefix_at(bf) - self._prefix_at(af)
 
+    def split_integral(self, a, m, c) -> tuple[float, float]:
+        """Both halves from three prefix lookups at the points clamped into the
+        window; a clamped half is empty exactly when `integral`'s is."""
+        lo, hi = self._lo, self._hi
+        af = min(max(float(a), lo), hi)
+        mf = min(max(float(m), lo), hi)
+        cf = min(max(float(c), lo), hi)
+        pa, pm, pc = self._prefix_at(af), self._prefix_at(mf), self._prefix_at(cf)
+        return (0.0 if mf <= af else pm - pa), (0.0 if cf <= mf else pc - pm)
+
     def _prefix_at(self, t: float) -> float:
         """Integral from window.lo to t, for t inside the window."""
         pos = (t - self._lo) / self._width
@@ -129,6 +147,15 @@ class AnalyticSymbol(Symbol):
         half = 0.5 * (bf - af)
         xs = 0.5 * (af + bf) + half * nodes
         return half * float(np.sum(wts * self.fn(xs)))
+
+    def split_integral(self, a, m, c) -> tuple[float, float]:
+        """With an antiderivative F: F at a, m and c once each, one scalar call
+        per point, and the halves F(m) - F(a), F(c) - F(m)."""
+        if self.antiderivative is None:
+            return super().split_integral(a, m, c)
+        af, mf, cf = float(a), float(m), float(c)
+        fa, fm, fc = self.antiderivative(af), self.antiderivative(mf), self.antiderivative(cf)
+        return (0.0 if mf <= af else float(fm - fa)), (0.0 if cf <= mf else float(fc - fm))
 
     def cell_values(self) -> np.ndarray:
         if self._cells is None:
@@ -177,12 +204,14 @@ class HaarSymbol(StepSymbol):
 
 
 def haar_coefficient(b: Symbol, interval: DyadicInterval) -> float:
-    """<b, h_I> = |I|^(-1/2) * (integral over left child - integral over right child)."""
-    amp = 1.0 / math.sqrt(float(interval.length))
-    lm = float(interval.mid)
-    return amp * (
-        b.integral(float(interval.left), lm) - b.integral(lm, float(interval.right))
-    )
+    """<b, h_I> = |I|^(-1/2) * (integral over left child - integral over right child).
+
+    The float endpoints come once from `float_bounds`, and both child
+    integrals from one `split_integral` call.
+    """
+    amp = 1.0 / math.sqrt(math.ldexp(1.0, -interval.j))
+    lower, upper = b.split_integral(*interval.float_bounds())
+    return amp * (lower - upper)
 
 
 def haar_coefficients(
@@ -261,7 +290,7 @@ def sin_symbol(window: TruncationWindow, cycles: int = 1) -> AnalyticSymbol:
 
     def prim(x):
         x = np.asarray(x, dtype=float)
-        xc = np.clip(x, 0.0, 1.0)
+        xc = np.minimum(1.0, np.maximum(0.0, x))
         return (1.0 - np.cos(om * xc)) / om
 
     return AnalyticSymbol(window, fn, prim, lipschitz=om, name=f"sin{cycles}")
@@ -276,7 +305,7 @@ def parabola_symbol(window: TruncationWindow) -> AnalyticSymbol:
 
     def prim(x):
         x = np.asarray(x, dtype=float)
-        xc = np.clip(x, 0.0, 1.0)
+        xc = np.minimum(1.0, np.maximum(0.0, x))
         return xc**2 / 2.0 - xc**3 / 3.0
 
     return AnalyticSymbol(window, fn, prim, lipschitz=1.0, name="parabola")
@@ -297,16 +326,16 @@ def ramp_bump_symbol(window: TruncationWindow) -> AnalyticSymbol:
 
     def fn(x):
         x = np.asarray(x, dtype=float)
-        t_up = np.clip((x - up0) / w, 0.0, 1.0)
-        t_dn = np.clip((x - dn0) / w, 0.0, 1.0)
+        t_up = np.minimum(1.0, np.maximum(0.0, (x - up0) / w))
+        t_dn = np.minimum(1.0, np.maximum(0.0, (x - dn0) / w))
         return smooth(t_up) - smooth(t_dn)
 
     def prim(x):
         x = np.asarray(x, dtype=float)
-        t_up = np.clip((x - up0) / w, 0.0, 1.0)
-        t_dn = np.clip((x - dn0) / w, 0.0, 1.0)
-        lin_up = np.clip(x - up1, 0.0, None)
-        lin_dn = np.clip(x - dn1, 0.0, None)
+        t_up = np.minimum(1.0, np.maximum(0.0, (x - up0) / w))
+        t_dn = np.minimum(1.0, np.maximum(0.0, (x - dn0) / w))
+        lin_up = np.maximum(x - up1, 0.0)
+        lin_dn = np.maximum(x - dn1, 0.0)
         return (
             w * smooth_prim(t_up)
             + lin_up
@@ -326,7 +355,7 @@ def quartic_bump_symbol(window: TruncationWindow) -> AnalyticSymbol:
 
     def prim(x):
         x = np.asarray(x, dtype=float)
-        xc = np.clip(x, 0.0, 1.0)
+        xc = np.minimum(1.0, np.maximum(0.0, x))
         return 16.0 * (xc**3 / 3.0 - xc**4 / 2.0 + xc**5 / 5.0)
 
     return AnalyticSymbol(window, fn, prim, lipschitz=16.0 * 0.25, name="quartic_bump")

@@ -195,6 +195,19 @@ def _periodic_measure(u: float, v: float, period: float, width: float) -> float:
     return head + (n1 - n0 - 1) * width + tail
 
 
+def _times_power_of_two(m: float, e: float) -> float:
+    """m * 2^e for m >= 0 where 2^e alone may overflow: 0.0 when m is 0
+    (frexp gives the mantissa 0.0), inf when the product is past the float
+    range too."""
+    frac, ex = math.frexp(m)
+    x = e + ex
+    n = math.floor(x)
+    try:
+        return math.ldexp(frac * 2.0 ** (x - n), n)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class SpikedLatticeWeight(Weight):
     """Lattice-spike weight: level j in 1..levels places spikes of height
@@ -237,10 +250,10 @@ class SpikedLatticeWeight(Weight):
         for j in range(1, self.levels + 1):
             n_j = 2**j
             try:
-                height = 2.0 ** (self.growth * self.alpha * n_j)
+                height = 2.0 ** self._height_exponent(j)
             except OverflowError:
                 raise InvalidParameterError(
-                    f"spike height 2^{self.growth * self.alpha * n_j:g} of level {j} "
+                    f"spike height 2^{self._height_exponent(j):g} of level {j} "
                     "overflows a float"
                 ) from None
             width = 2.0 ** (-(self.growth + 1.0) * n_j)
@@ -251,6 +264,10 @@ class SpikedLatticeWeight(Weight):
                 )
             out.append((2.0 ** (-n_j), width, 2.0 ** (-2 * n_j - 1), height))
         return tuple(out)
+
+    def _height_exponent(self, j: int) -> float:
+        """log2 of the level-j spike height, exactly as the height is formed."""
+        return self.growth * self.alpha * 2**j
 
     @property
     def alpha(self) -> float:
@@ -278,13 +295,12 @@ class SpikedLatticeWeight(Weight):
         """Closed-form integral of w^s over [a, b), exact under level disjointness."""
         af, bf = float(a), float(b)
         total = bf - af
-        for period, width, offset, height in self._levels:
+        for j, (period, width, offset, height) in enumerate(self._levels, 1):
             m = _periodic_measure(af + offset, bf + offset, period, width)
             try:
                 total += (height**s - 1.0) * m
-            except OverflowError:  # height**s is past the float range
-                total = math.inf
-                break
+            except OverflowError:  # height**s is past the float range, m * height**s may not be
+                total += _times_power_of_two(m, s * self._height_exponent(j))
         if not math.isfinite(total):
             raise DivergedIntegralError(
                 f"spiked weight power {s} integral diverged on [{af}, {bf})",

@@ -148,10 +148,22 @@ class TestIntervals:
                 assert type(value) is Fraction, name
                 assert value == exact, (name, k)
 
-    @pytest.mark.parametrize("name", ["left", "right", "mid"])
+    @pytest.mark.parametrize("grid_id", ["standard", "third_shift"])
+    @pytest.mark.parametrize("j", [-2, 0, 5, 13])
+    def test_float_bounds_bit_equal_to_fractions(self, grid_id, j):
+        for k in (-9, -1, 0, 1, 6, 8191):
+            interval = DyadicInterval(grid_id, j, k)
+            exact = reference_geometry(interval)
+            want = tuple(float(exact[name]) for name in ("left", "mid", "right"))
+            assert interval.float_bounds() == want, k
+            assert interval.endpoints() == (want[0], want[2]), k
+
+    @pytest.mark.parametrize("name", ["left", "right", "mid", "float_bounds", "endpoints"])
     def test_unknown_grid_id_rejected(self, name):
         with pytest.raises(InvalidConfigurationError):
-            getattr(DyadicInterval("hexagonal", 3, 1), name)
+            value = getattr(DyadicInterval("hexagonal", 3, 1), name)
+            if callable(value):
+                value()
 
 
 class TestWindow:
@@ -179,6 +191,19 @@ class TestHaar:
         assert haar_eval(interval, 0.25) == 1.0
         assert haar_eval(interval, 0.75) == -1.0
         assert haar_eval(interval, 1.5) == 0.0
+
+    @pytest.mark.parametrize("grid_id", ["standard", "third_shift"])
+    def test_matches_fraction_endpoint_formula(self, grid_id):
+        for j, k in ((-2, -1), (0, 0), (5, -3), (13, 8191)):
+            interval = DyadicInterval(grid_id, j, k)
+            left, mid, right = (float(getattr(interval, n)) for n in ("left", "mid", "right"))
+            amp = 1.0 / np.sqrt(float(interval.length))
+            xs = np.array([left, mid, right, np.nextafter(mid, -np.inf), 0.5 * (left + mid)])
+            want = np.where(
+                (xs >= left) & (xs < mid), amp, np.where((xs >= mid) & (xs < right), -amp, 0.0)
+            )
+            assert haar_eval(interval, xs).tobytes() == want.tobytes()
+            assert haar_eval(interval, left) == amp
 
     def test_normalization_length_two(self):
         interval = DyadicInterval("standard", -1, 0)

@@ -359,6 +359,44 @@ class TestCommutatorAlgebra:
         assert r1.frobenius_norm == r2.frobenius_norm
         assert r1.frobenius_norm > 0.1  # the displayed form differs, measurably
 
+    @pytest.mark.parametrize(
+        "kind, remainder", [("shift", "displayed"), ("shift", "derived"), ("multiplier", None)]
+    )
+    @pytest.mark.parametrize("sign_order", ["definition", "displayed"])
+    def test_residual_matches_four_product_formula(self, kind, remainder, sign_order):
+        win = make_window(-1, 1, 0, 5)
+        b = sin_symbol(win)
+        signs = lambda iv: 1 if (iv.k + iv.j) % 2 == 0 else -1  # noqa: E731
+        pi = paraproduct_matrix(b, D0, win).mat
+        if kind == "shift":
+            t = haar_shift_matrix(D0, win).mat
+            make_rem = remainder_matrix if remainder == "displayed" else remainder_matrix_derived
+            rem = make_rem(b, D0, win).mat
+        else:
+            t = haar_multiplier_matrix(signs, D0, win).mat
+            rem = 0.0
+        four = pi @ t - t @ pi + pi.T @ t - t @ pi.T
+        if sign_order == "displayed":
+            four = -four
+        mult = multiplication_matrix(b, win).mat
+        lhs = mult @ t - t @ mult
+        i0, i1 = win.slice_of(0.0, 1.0)
+        restricted = (lhs - four - rem)[:, i0:i1]
+        res = expansion_residual(
+            b, D0, win, kind=kind, signs=signs, remainder=remainder or "displayed",
+            sign_order=sign_order,
+        )
+        assert res.lhs_norm == float(np.linalg.norm(lhs[:, i0:i1]))
+        tol = 1e-13 * res.lhs_norm
+        assert abs(res.operator_norm - np.linalg.norm(restricted, 2)) <= tol
+        assert abs(res.frobenius_norm - np.linalg.norm(restricted)) <= tol
+
+    @pytest.mark.parametrize("kind", ["shift", "multiplier"])
+    def test_unknown_sign_order_rejected(self, kind):
+        win = make_window(0, 1, 0, 3)
+        with pytest.raises(InvalidConfigurationError):
+            expansion_residual(sin_symbol(win), D0, win, kind=kind, sign_order="flipped")
+
     def test_multiplier_boundedness_surrogate(self):
         # largest singular value of the conjugated sign multiplier stays small
         # over random sign patterns for each battery weight

@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadlab.errors import DyadlabError
 from dyadlab.grids import (
@@ -242,3 +245,177 @@ class TestNonFiniteValues:
         assert isinstance(b, StepSymbol)
         assert b.coefficients == {target: 2.0}
         assert b.integral(0.5, 0.75) == pytest.approx(2.0 * math.sqrt(2.0) * 0.25, rel=1e-15)
+
+
+def bits(*xs):
+    """The IEEE bit patterns of floats, so -0.0 and 0.0 compare unequal."""
+    return tuple(struct.pack("<d", float(x)) for x in xs)
+
+
+SPLIT_WIN = make_window(-2, 2, -1, 5)
+SPLIT_W = float(SPLIT_WIN.cell_width)
+
+
+def split_symbols():
+    """One symbol of every kind on SPLIT_WIN."""
+    rng = np.random.default_rng(19)
+    bump = quartic_bump_symbol(SPLIT_WIN)
+    return {
+        "step": StepSymbol(SPLIT_WIN, rng.normal(size=SPLIT_WIN.n_cells)),
+        "haar": random_haar_symbol(SPLIT_WIN, n_terms=6, seed=3),
+        "sin": sin_symbol(SPLIT_WIN),
+        "parabola": parabola_symbol(SPLIT_WIN),
+        "ramp_bump": ramp_bump_symbol(SPLIT_WIN),
+        "quartic_bump": bump,
+        "linear": linear_symbol(SPLIT_WIN),
+        "quadrature": AnalyticSymbol(SPLIT_WIN, bump.fn, antiderivative=None, name="gl"),
+    }
+
+
+# outside the window, on both window edges, inside fractional end cells, on
+# cell edges, and on the support edges and knots of the battery
+SPLIT_POINTS = (
+    -7.0, -2.0 - SPLIT_W / 3, -2.0, -2.0 + 0.3 * SPLIT_W, -2.0 + 17.75 * SPLIT_W,
+    -0.5 * SPLIT_W, 0.0, 0.125, 0.5, 0.5 + 0.4 * SPLIT_W, 1.0,
+    2.0 - 0.1 * SPLIT_W, 2.0, 2.0 + SPLIT_W / 3, 9.0,
+)
+
+
+class TestSplitIntegral:
+    @pytest.mark.parametrize("kind", sorted(split_symbols()))
+    def test_bit_equal_to_two_integrals(self, kind):
+        b = split_symbols()[kind]
+        # every ordered triple, so inverted and empty halves are covered too
+        for a in SPLIT_POINTS:
+            for m in SPLIT_POINTS:
+                for c in SPLIT_POINTS:
+                    want = (b.integral(a, m), b.integral(m, c))
+                    assert bits(*b.split_integral(a, m, c)) == bits(*want), (a, m, c)
+
+    @pytest.mark.parametrize("kind", ["step", "haar", "quartic_bump", "ramp_bump", "quadrature"])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=-3.0, max_value=3.0, allow_nan=False), min_size=3, max_size=3
+        )
+    )
+    def test_property_ordered_points(self, kind, points):
+        a, m, c = sorted(points)
+        b = split_symbols()[kind]
+        want = (b.integral(a, m), b.integral(m, c))
+        assert bits(*b.split_integral(a, m, c)) == bits(*want)
+
+    def test_antiderivative_called_once_per_point_with_scalars(self):
+        calls = []
+
+        def prim(x):
+            calls.append(x)
+            return x * x / 2.0
+
+        b = AnalyticSymbol(SPLIT_WIN, lambda x: np.asarray(x, dtype=float), prim)
+        assert b.split_integral(0.25, 0.5, 1.0) == (0.09375, 0.375)
+        assert calls == [0.25, 0.5, 1.0]
+        assert all(type(x) is float for x in calls)
+
+
+def reference_haar_coefficient(b, interval):
+    """Fraction geometry read through float(), then two integral calls."""
+    amp = 1.0 / math.sqrt(float(interval.length))
+    lm = float(interval.mid)
+    return amp * (b.integral(float(interval.left), lm) - b.integral(lm, float(interval.right)))
+
+
+class TestHaarCoefficientReference:
+    @pytest.mark.parametrize("grid_id", ["standard", "third_shift"])
+    @pytest.mark.parametrize("j", [-2, 0, 5, 13])
+    def test_bit_equal_to_two_integral_formula(self, grid_id, j):
+        for kind, b in split_symbols().items():
+            for k in (-16384, -9, -2, -1, 0, 1, 6, 8191):
+                interval = DyadicInterval(grid_id, j, k)
+                want = reference_haar_coefficient(b, interval)
+                assert bits(haar_coefficient(b, interval)) == bits(want), (kind, k)
+
+    def test_enumerated_intervals_bit_equal(self):
+        b = split_symbols()["ramp_bump"]
+        for grid in (standard_grid(), third_shift_grid()):
+            for interval in enumerate_intervals(grid, SPLIT_WIN):
+                want = reference_haar_coefficient(b, interval)
+                assert bits(haar_coefficient(b, interval)) == bits(want), interval
+
+
+def reference_battery():
+    """The battery's fn and antiderivative as written with np.clip."""
+    om = 2.0 * math.pi
+    up0, up1, dn0, dn1, w = 0.125, 0.375, 0.625, 0.875, 0.25
+
+    def on_unit(x, f):
+        x = np.asarray(x, dtype=float)
+        return np.where((x >= 0) & (x < 1), f(x), 0.0)
+
+    def clamped(f):
+        def prim(x):
+            return f(np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
+
+        return prim
+
+    def ramp_fn(x):
+        x = np.asarray(x, dtype=float)
+        t_up = np.clip((x - up0) / w, 0.0, 1.0)
+        t_dn = np.clip((x - dn0) / w, 0.0, 1.0)
+        return (3.0 * t_up**2 - 2.0 * t_up**3) - (3.0 * t_dn**2 - 2.0 * t_dn**3)
+
+    def ramp_prim(x):
+        x = np.asarray(x, dtype=float)
+        t_up = np.clip((x - up0) / w, 0.0, 1.0)
+        t_dn = np.clip((x - dn0) / w, 0.0, 1.0)
+        lin_up = np.clip(x - up1, 0.0, None)
+        lin_dn = np.clip(x - dn1, 0.0, None)
+        return (
+            w * (t_up**3 - 0.5 * t_up**4) + lin_up - w * (t_dn**3 - 0.5 * t_dn**4) - lin_dn
+        )
+
+    return {
+        "sin": (
+            lambda x: on_unit(x, lambda v: np.sin(om * v)),
+            clamped(lambda xc: (1.0 - np.cos(om * xc)) / om),
+        ),
+        "parabola": (
+            lambda x: on_unit(x, lambda v: v * (1.0 - v)),
+            clamped(lambda xc: xc**2 / 2.0 - xc**3 / 3.0),
+        ),
+        "ramp_bump": (ramp_fn, ramp_prim),
+        "quartic_bump": (
+            lambda x: on_unit(x, lambda v: 16.0 * v**2 * (1.0 - v) ** 2),
+            clamped(lambda xc: 16.0 * (xc**3 / 3.0 - xc**4 / 2.0 + xc**5 / 5.0)),
+        ),
+    }
+
+
+BATTERY = {
+    "sin": sin_symbol,
+    "parabola": parabola_symbol,
+    "ramp_bump": ramp_bump_symbol,
+    "quartic_bump": quartic_bump_symbol,
+}
+CLAMP_POINTS = (
+    -0.0, 0.0, 0, 1, 1.0, 0.125, 0.375, 0.625, 0.875, 0.5, -1.0, 2.0,
+    math.nextafter(1.0, 0.0), 5e-324, -5e-324, math.inf, -math.inf, math.nan,
+)
+
+
+class TestBatteryClamps:
+    @pytest.mark.parametrize("name", sorted(BATTERY))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bit_equal_to_clip_reference(self, name):
+        b = BATTERY[name](WIN)
+        for got_fn, want_fn in zip((b.fn, b.antiderivative), reference_battery()[name]):
+            inputs = [*CLAMP_POINTS, np.float64(-0.0), np.array(CLAMP_POINTS, dtype=float),
+                      np.array([-0.0]), np.tile(np.array(CLAMP_POINTS, dtype=float), 5)]
+            for x in inputs:
+                got, want = got_fn(x), want_fn(x)
+                assert type(got) is type(want), x
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), x
+
+    def test_nan_propagates(self):
+        for make in BATTERY.values():
+            assert math.isnan(make(WIN).antiderivative(math.nan))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -213,10 +214,29 @@ class TestSpikedWeight:
             SpikedLatticeWeight(r=100, levels=6, growth=31)  # width 2^-2048
 
     def test_overflowing_power_diverges(self):
-        w = SpikedLatticeWeight(2, 4, 60).power(2.0)  # height^2 = 2^1440
+        # height^3 = 2^2160 and the level-4 spikes on [0, 1) carry 2^1200 in all
+        w = SpikedLatticeWeight(2, 4, 60).power(3.0)
         with pytest.raises(DivergedIntegralError) as info:
             w.integral(0, 1)
         assert info.value.interval == (0.0, 1.0)
+
+    @pytest.mark.parametrize("s", [2.0, 2.5])
+    @pytest.mark.parametrize("a, b, spikes", [(0.0, 1.0, None), (0.3, 0.30001, (0, 0, 0, 1))])
+    def test_overflowing_height_with_finite_mass(self, s, a, b, spikes):
+        # level n = 2^j has height 2^(45 n) and width 2^(-61 n); height^s
+        # overflows on level 4 (n = 16), but m * height^s is finite
+        w = SpikedLatticeWeight(2, 4, 60)
+        exact = Fraction(b) - Fraction(a)
+        for j in range(1, 5):
+            n = 2**j
+            count = 2**n if spikes is None else spikes[j - 1]  # level-j spikes in [a, b)
+            exact += count * (Fraction(2) ** int(45 * s * n) - 1) / Fraction(2) ** (61 * n)
+        assert w.power(s).integral(a, b) == pytest.approx(float(exact), rel=1e-12)
+
+    def test_overflowing_height_without_spikes(self):
+        # no spike of any level starts in [0.3, 0.300002): the total is its length
+        w = SpikedLatticeWeight(2, 4, 60).power(2.0)
+        assert w.integral(0.3, 0.300002) == 0.300002 - 0.3
 
     def test_power_weight_exponent_validation(self):
         with pytest.raises(InvalidParameterError):
