@@ -107,10 +107,9 @@ class DyadicInterval:
 
     @property
     def left_child(self) -> "DyadicInterval":
-        # Child translation follows from matching exact endpoints across scales.
-        offset = 0
-        if self.grid_id == THIRD_SHIFT:
-            offset = -1 if self.j % 2 else 1
+        # Matching left endpoints, 3k' + t(j+1) = 6k + 2t(j), and t(j+1) = -t(j)
+        # give k' = 2k + t(j).
+        offset = _shift_thirds(self.grid_id, self.j)
         return DyadicInterval(self.grid_id, self.j + 1, 2 * self.k + offset)
 
     @property
@@ -124,10 +123,7 @@ class DyadicInterval:
 
     @property
     def parent(self) -> "DyadicInterval":
-        offset = 0
-        if self.grid_id == THIRD_SHIFT:
-            offset = -1 if (self.j - 1) % 2 else 1
-        k = (self.k - offset) // 2
+        k = (self.k - _shift_thirds(self.grid_id, self.j - 1)) // 2
         return DyadicInterval(self.grid_id, self.j - 1, k)
 
     @property
@@ -199,17 +195,41 @@ class TruncationWindow:
     def contains_interval(self, left: Fraction, right: Fraction) -> bool:
         return self.lo <= left and right <= self.hi
 
+    @cached_property
+    def _lo_cells(self) -> int:
+        """lo * 2^j_max, an integer because lo is a multiple of 2^-j_min."""
+        return int(self.lo / self.cell_width)
+
     def cell_slice(self, interval: DyadicInterval) -> tuple[int, int]:
-        """Indices [i0, i1) of the finest cells tiling a cell-aligned interval."""
-        return self.slice_of(interval.left, interval.right)
+        """Indices [i0, i1) of the finest cells tiling a cell-aligned interval.
+
+        A standard interval (j, k) with j <= j_max starts at cell
+        i0 = (k << (j_max - j)) - lo * 2^j_max and covers i1 - i0 = 2^(j_max - j)
+        cells, in integer arithmetic only.  Third-shift intervals, intervals
+        finer than a cell and unknown grid ids are never cell-aligned, and an
+        interval outside the window has no cells in it: all of these raise
+        InvalidConfigurationError.
+        """
+        shift = self.j_max - interval.j
+        if _shift_thirds(interval.grid_id, interval.j) != 0 or shift < 0:
+            raise InvalidConfigurationError(f"{interval.label()} is not cell-aligned")
+        i0 = (interval.k << shift) - self._lo_cells
+        return self._inside(i0, i0 + (1 << shift), interval.label())
 
     def slice_of(self, left: Fraction, right: Fraction) -> tuple[int, int]:
+        """Indices [i0, i1) of the finest cells tiling [left, right), which
+        must be cell-aligned and inside the window."""
         w = self.cell_width
         i0 = (Fraction(left) - self.lo) / w
         i1 = (Fraction(right) - self.lo) / w
         if i0.denominator != 1 or i1.denominator != 1:
             raise InvalidConfigurationError("endpoints not aligned to the cell lattice")
-        return int(i0), int(i1)
+        return self._inside(int(i0), int(i1), f"[{left}, {right})")
+
+    def _inside(self, i0: int, i1: int, what: str) -> tuple[int, int]:
+        if not 0 <= i0 <= i1 <= self.n_cells:
+            raise InvalidConfigurationError(f"{what} is not a cell range inside the window")
+        return i0, i1
 
 
 def make_window(lo, hi, j_min: int, j_max: int) -> TruncationWindow:

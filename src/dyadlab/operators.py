@@ -2,14 +2,20 @@
 
 Basis vectors are e_i = |cell|^(-1/2) * indicator(cell_i); entries are
 <T e_j, e_i> in unweighted L2.  Paraproduct, Haar multiplier, dyadic shift,
-and multiplication matrices are finite sums of exact cellwise products; the
-Hilbert transform matrix comes from the closed-form primitive
+and multiplication matrices are finite sums of exact cellwise products.  Each
+Haar term of the paraproduct, multiplier, shift and remainders touches only
+the I x I block of its interval, so it is written there: the block's cell
+range comes from integer (j, k) arithmetic (`TruncationWindow.cell_slice`),
+and h_I is the local vector +-1/sqrt(cells) on I's cells (`_local_haar`).
+The Hilbert transform matrix comes from the closed-form primitive
 G(t) = t (ln|t| - 1), which renders every cell-pair principal value finite
-(diagonal entries vanish by antisymmetry).  Haar-expansion operators act as
-stated on the resolvable Haar span and as zero on its orthogonal complement;
-the sign multiplier additionally keeps the unresolved coarse averages fixed so
-that the all-plus pattern is the identity.  Assembly loops run in enumeration
-order, which makes every matrix bit-reproducible.
+(diagonal entries vanish by antisymmetry); a box integral depends only on the
+cell lag i - j, so H is the Toeplitz matrix of 2N - 1 box values.
+Haar-expansion operators act as stated on the resolvable Haar span and as
+zero on its orthogonal complement; the sign multiplier additionally keeps the
+unresolved coarse averages fixed so that the all-plus pattern is the
+identity.  Assembly loops run in enumeration order, which makes every matrix
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidConfigurationError, InvalidMatrixError
 from .grids import (
@@ -109,28 +116,27 @@ def _haar_scales(window: TruncationWindow, grid: DyadicGrid, max_scale: int):
     ]
 
 
-def _haar_unit_vector(interval: DyadicInterval, window: TruncationWindow) -> np.ndarray:
-    """Haar function in orthonormal cell coordinates (unit l2 vector)."""
+def _local_haar(interval: DyadicInterval, window: TruncationWindow):
+    """(i0, i1, h): the cells [i0, i1) of I and h_I in orthonormal cell
+    coordinates on those cells only, +1/sqrt(cells) then -1/sqrt(cells)."""
     i0, i1 = window.cell_slice(interval)
-    m0, _ = window.cell_slice(interval.right_child)
-    v = np.zeros(window.n_cells)
     cells = i1 - i0
+    if cells < 2:
+        raise InvalidConfigurationError(f"Haar function of {interval.label()} is unresolvable")
     amp = 1.0 / math.sqrt(cells)
-    v[i0:m0] = amp
-    v[m0:i1] = -amp
-    return v
+    h = np.full(cells, amp)
+    h[cells // 2 :] = -amp
+    return i0, i1, h
 
 
 def coarse_unit_vectors(window: TruncationWindow) -> list[np.ndarray]:
-    """Orthonormal indicators of the coarsest-scale intervals."""
+    """Orthonormal indicators of the coarsest-scale intervals, which tile the
+    window with 2^(j_max - j_min) cells each."""
+    step = 1 << (window.j_max - window.j_min)
     out = []
-    grid = DyadicGrid("standard")
-    for interval in enumerate_intervals(grid, window):
-        if interval.j != window.j_min:
-            continue
-        i0, i1 = window.cell_slice(interval)
+    for i0 in range(0, window.n_cells, step):
         v = np.zeros(window.n_cells)
-        v[i0:i1] = 1.0 / math.sqrt(i1 - i0)
+        v[i0 : i0 + step] = 1.0 / math.sqrt(step)
         out.append(v)
     return out
 
@@ -148,8 +154,8 @@ def paraproduct_matrix(
         if bh == 0.0:
             continue
         i0, i1 = window.cell_slice(interval)
-        m0, _ = window.cell_slice(interval.right_child)
-        length = float(interval.length)
+        m0 = (i0 + i1) // 2
+        length = math.ldexp(1.0, -interval.j)
         amp = 1.0 / math.sqrt(length)
         # row pattern: h_I at cells times sqrt(width); column: width/|I| * sqrt(width)/width
         col = math.sqrt(width) / length
@@ -181,7 +187,11 @@ def haar_multiplier_matrix(
         sign_of = signs
     else:
         mapping = dict(signs)
-        sign_of = lambda interval: mapping[interval]
+
+        def sign_of(interval):
+            if interval not in mapping:
+                raise InvalidConfigurationError(f"sign pattern has no entry for {interval.label()}")
+            return mapping[interval]
     n = window.n_cells
     mat = np.zeros((n, n))
     for interval in _haar_scales(window, grid, window.j_max - 1):
@@ -190,12 +200,12 @@ def haar_multiplier_matrix(
             raise InvalidConfigurationError(
                 f"sign pattern must map to +/-1; got {s} on {interval.label()}"
             )
-        h = _haar_unit_vector(interval, window)
-        i0, i1 = window.cell_slice(interval)
-        mat[i0:i1, i0:i1] += s * np.outer(h[i0:i1], h[i0:i1])
-    for v in coarse_unit_vectors(window):
-        nz = np.nonzero(v)[0]
-        mat[np.ix_(nz, nz)] += np.outer(v[nz], v[nz])
+        i0, i1, h = _local_haar(interval, window)
+        mat[i0:i1, i0:i1] += s * np.outer(h, h)
+    step = 1 << (window.j_max - window.j_min)  # cells per coarsest interval
+    amp = 1.0 / math.sqrt(step)
+    for i0 in range(0, n, step):
+        mat[i0 : i0 + step, i0 : i0 + step] += amp * amp
     return OperatorMatrix(mat, window, name="haar_multiplier")
 
 
@@ -207,11 +217,11 @@ def haar_shift_matrix(grid: DyadicGrid, window: TruncationWindow) -> OperatorMat
     n = window.n_cells
     mat = np.zeros((n, n))
     for interval in _haar_scales(window, grid, window.j_max - 2):
-        h = _haar_unit_vector(interval, window)
-        lc, rc = interval.children
-        out = (_haar_unit_vector(lc, window) - _haar_unit_vector(rc, window)) / math.sqrt(2.0)
-        i0, i1 = window.cell_slice(interval)
-        mat[i0:i1, i0:i1] += np.outer(out[i0:i1], h[i0:i1])
+        i0, i1, h = _local_haar(interval, window)
+        # both children carry the same local pattern, on I's two halves
+        _, _, hc = _local_haar(interval.left_child, window)
+        out = np.concatenate((hc, -hc)) / math.sqrt(2.0)
+        mat[i0:i1, i0:i1] += np.outer(out, h)
     return OperatorMatrix(mat, window, name="haar_shift")
 
 
@@ -225,14 +235,18 @@ def hilbert_primitive(t: np.ndarray) -> np.ndarray:
 
 def hilbert_matrix(window: TruncationWindow) -> OperatorMatrix:
     """Entries <H e_j, e_i> = |cell|^-1 * box integral of 1/(x-y), all pairs
-    finite in the principal-value sense; antisymmetric with zero diagonal."""
-    edges = window.cell_edges()
+    finite in the principal-value sense; antisymmetric with zero diagonal.
+
+    The box integral over cell_i x cell_j depends on d = i - j only, so G is
+    evaluated at the 2N+1 lags d * width and the 2N-1 box values fill a
+    Toeplitz matrix."""
+    n = window.n_cells
     width = float(window.cell_width)
-    g = hilbert_primitive(edges[:, None] - edges[None, :])
-    # box integral over cell_i x cell_j: G(b-c) - G(a-c) - G(b-d) + G(a-d)
-    # with [a,b) the x-cell (rows) and [c,d) the y-cell (columns)
-    box = g[1:, :-1] - g[:-1, :-1] - g[1:, 1:] + g[:-1, 1:]
-    mat = box / width
+    g = hilbert_primitive(np.arange(-n, n + 1) * width)
+    # G((d+1)w) - G(dw) - G(dw) + G((d-1)w): with [a,b) the x-cell and [c,d)
+    # the y-cell, G(b-c) - G(a-c) - G(b-d) + G(a-d); entry d + n - 1 for lag d
+    box = (g[2:] - g[1:-1] - g[1:-1] + g[:-2]) / width
+    mat = sliding_window_view(box[::-1], n)[::-1].copy()
     np.fill_diagonal(mat, 0.0)
     return OperatorMatrix(mat, window, name="hilbert")
 
@@ -267,14 +281,6 @@ def weight_conjugate(t: OperatorMatrix, lam: Weight, mu: Weight) -> OperatorMatr
     )
 
 
-def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    if a.window != b.window:
-        raise InvalidConfigurationError("commutator needs matrices on one basis")
-    return OperatorMatrix(
-        a.mat @ b.mat - b.mat @ a.mat, a.window, name=f"[{a.name},{b.name}]"
-    )
-
-
 def multiplication_commutator(b: Symbol, t: OperatorMatrix) -> OperatorMatrix:
     """[M_b, T] assembled without forming products: entries (b_i - b_j) T_ij."""
     vals = b.cell_values()
@@ -282,24 +288,32 @@ def multiplication_commutator(b: Symbol, t: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(mat, t.window, name=f"[mult,{t.name}]")
 
 
-def remainder_matrix(b: Symbol, grid: DyadicGrid, window: TruncationWindow) -> OperatorMatrix:
-    """Sum over resolvable I of (b_hat(I) / |I|^1/2) * (k_I outer h_I) with
-    k_I = h_(right child) - h_(left child); the part of the shift commutator
-    that is not a paraproduct composition."""
+def _remainder(
+    b: Symbol, grid: DyadicGrid, window: TruncationWindow, child_signs, scale: float, name: str
+) -> OperatorMatrix:
+    """Sum over resolvable I of (b_hat(I) / sqrt(scale |I|)) *
+    ((s_l h_(left child) + s_r h_(right child)) outer h_I)."""
     _require_standard(grid, "remainder assembly")
     n = window.n_cells
     mat = np.zeros((n, n))
+    s_left, s_right = child_signs
     for interval in _haar_scales(window, grid, window.j_max - 2):
         bh = haar_coefficient(b, interval)
         if bh == 0.0:
             continue
-        lc, rc = interval.children
-        k_vec = _haar_unit_vector(rc, window) - _haar_unit_vector(lc, window)
-        h = _haar_unit_vector(interval, window)
-        i0, i1 = window.cell_slice(interval)
-        coeff = bh / math.sqrt(float(interval.length))
-        mat[i0:i1, i0:i1] += coeff * np.outer(k_vec[i0:i1], h[i0:i1])
-    return OperatorMatrix(mat, window, name="shift_remainder")
+        i0, i1, h = _local_haar(interval, window)
+        _, _, hc = _local_haar(interval.left_child, window)
+        out = np.concatenate((s_left * hc, s_right * hc))
+        coeff = bh / math.sqrt(scale * math.ldexp(1.0, -interval.j))
+        mat[i0:i1, i0:i1] += coeff * np.outer(out, h)
+    return OperatorMatrix(mat, window, name=name)
+
+
+def remainder_matrix(b: Symbol, grid: DyadicGrid, window: TruncationWindow) -> OperatorMatrix:
+    """Sum over resolvable I of (b_hat(I) / |I|^1/2) * (k_I outer h_I) with
+    k_I = h_(right child) - h_(left child); the part of the shift commutator
+    that is not a paraproduct composition."""
+    return _remainder(b, grid, window, (-1.0, 1.0), 1.0, "shift_remainder")
 
 
 def remainder_matrix_derived(
@@ -308,26 +322,16 @@ def remainder_matrix_derived(
     """The remainder that direct dyadic algebra produces for the truncated
     system: sum of (b_hat(I) / sqrt(2 |I|)) * ((h_left + h_right) outer h_I).
     With it the six-term expansion closes exactly for step symbols."""
-    _require_standard(grid, "remainder assembly")
-    n = window.n_cells
-    mat = np.zeros((n, n))
-    for interval in _haar_scales(window, grid, window.j_max - 2):
-        bh = haar_coefficient(b, interval)
-        if bh == 0.0:
-            continue
-        lc, rc = interval.children
-        out = _haar_unit_vector(lc, window) + _haar_unit_vector(rc, window)
-        h = _haar_unit_vector(interval, window)
-        i0, i1 = window.cell_slice(interval)
-        coeff = bh / math.sqrt(2.0 * float(interval.length))
-        mat[i0:i1, i0:i1] += coeff * np.outer(out[i0:i1], h[i0:i1])
-    return OperatorMatrix(mat, window, name="shift_remainder_derived")
+    return _remainder(b, grid, window, (1.0, 1.0), 2.0, "shift_remainder_derived")
 
 
 def k_vector(interval: DyadicInterval, window: TruncationWindow) -> np.ndarray:
     """k_I = h_(right child) - h_(left child) in orthonormal cell coordinates."""
-    lc, rc = interval.children
-    return _haar_unit_vector(rc, window) - _haar_unit_vector(lc, window)
+    v = np.zeros(window.n_cells)
+    for child, sign in zip(interval.children, (-1.0, 1.0)):
+        i0, i1, h = _local_haar(child, window)
+        v[i0:i1] = sign * h
+    return v
 
 
 @dataclass
@@ -362,17 +366,18 @@ def expansion_residual(
     """
     if sign_order not in ("definition", "displayed"):
         raise InvalidConfigurationError(f"unknown sign order {sign_order!r}")
+    if remainder not in ("displayed", "derived"):
+        raise InvalidConfigurationError(f"unknown remainder {remainder!r}")
+    # restricting the domain to the region keeps only those columns
+    i0, i1 = window.slice_of(*region)
     pi = paraproduct_matrix(b, grid, window).mat
-    mult = multiplication_matrix(b, window).mat
     rem = None
     if kind == "shift":
         t = haar_shift_matrix(grid, window).mat
         if remainder == "displayed":
             rem = remainder_matrix(b, grid, window).mat
-        elif remainder == "derived":
-            rem = remainder_matrix_derived(b, grid, window).mat
         else:
-            raise InvalidConfigurationError(f"unknown remainder {remainder!r}")
+            rem = remainder_matrix_derived(b, grid, window).mat
     elif kind == "multiplier":
         t = haar_multiplier_matrix(signs, grid, window).mat
     else:
@@ -384,10 +389,10 @@ def expansion_residual(
         rhs = -rhs
     if rem is not None:
         rhs += rem
-    lhs = mult @ t - t @ mult
+    # [M_b, T] entrywise: equal to mult @ t - t @ mult, whose sums add exact zeros
+    vals = b.cell_values()
+    lhs = vals[:, None] * t - t * vals[None, :]
     resid = lhs - rhs
-    # restricting the domain to the region keeps only those columns
-    i0, i1 = window.slice_of(*region)
     restricted = resid[:, i0:i1]
     sig = np.linalg.svd(restricted, compute_uv=False)
     return ExpansionResidual(

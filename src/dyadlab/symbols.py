@@ -379,10 +379,20 @@ def random_haar_symbol(
     seed: int = 0,
     scale_range: tuple[int, int] = (1, 5),
 ) -> HaarSymbol:
-    """Seeded random finite Haar sum supported in [0, 1)."""
-    rng = np.random.default_rng(seed)
+    """Seeded random finite Haar sum supported in [0, 1).
+
+    Draws n_terms distinct intervals [k 2^-j, (k+1) 2^-j) with j in
+    scale_range, capped at j_max - 1; raises InvalidParameterError when the
+    range holds fewer than n_terms of them."""
     j_lo, j_hi = scale_range
     j_hi = min(j_hi, window.j_max - 1)
+    # scales j_lo..j_hi hold 2^j_lo + ... + 2^j_hi intervals of [0, 1)
+    if not 0 <= j_lo <= j_hi or n_terms > (2 << j_hi) - (1 << j_lo):
+        raise InvalidParameterError(
+            f"scales {j_lo}..{j_hi} (capped at j_max - 1) hold fewer than "
+            f"{n_terms} intervals of [0, 1)"
+        )
+    rng = np.random.default_rng(seed)
     coeffs: dict[DyadicInterval, float] = {}
     while len(coeffs) < n_terms:
         j = int(rng.integers(j_lo, j_hi + 1))

@@ -1,6 +1,8 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
 
 from dyadlab.errors import CoverNotFoundError, InvalidConfigurationError
 from dyadlab.grids import (
@@ -158,7 +160,13 @@ class TestIntervals:
             assert interval.float_bounds() == want, k
             assert interval.endpoints() == (want[0], want[2]), k
 
-    @pytest.mark.parametrize("name", ["left", "right", "mid", "float_bounds", "endpoints"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "left", "right", "mid", "float_bounds", "endpoints",
+            "left_child", "right_child", "children", "parent",
+        ],
+    )
     def test_unknown_grid_id_rejected(self, name):
         with pytest.raises(InvalidConfigurationError):
             value = getattr(DyadicInterval("hexagonal", 3, 1), name)
@@ -183,6 +191,58 @@ class TestWindow:
         mids = [float(window.lo + i * w + w / 2) for i in range(window.n_cells)]
         assert np.array_equal(window.cell_edges(), np.array(edges))
         assert np.array_equal(window.cell_midpoints(), np.array(mids))
+
+
+def reference_cell_slice(window, interval):
+    """Cell range from exact Fraction endpoints, as `slice_of` computes it."""
+    i0 = (interval.left - window.lo) / window.cell_width
+    i1 = (interval.right - window.lo) / window.cell_width
+    if i0.denominator != 1 or i1.denominator != 1:
+        raise InvalidConfigurationError("not aligned")
+    if not 0 <= i0 <= i1 <= window.n_cells:
+        raise InvalidConfigurationError("leaves the window")
+    return int(i0), int(i1)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InvalidConfigurationError as exc:
+        return type(exc)
+
+
+class TestCellSlice:
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_integer_rule_matches_fractions(self, window):
+        ks = (-16384, -4097, -64, -9, -1, 0, 1, 3, 6, 255, 1024, 8191, 16384)
+        hits = 0
+        for grid_id in ("standard", "third_shift", "hexagonal"):
+            for j in range(-4, 16):
+                # the fixed translations plus both window edges at this scale
+                edges = [math.floor(e * Fraction(2) ** j) for e in (window.lo, window.hi)]
+                for k in ks + tuple(e + d for e in edges for d in (-2, -1, 0, 1)):
+                    interval = DyadicInterval(grid_id, j, k)
+                    want = outcome(reference_cell_slice, window, interval)
+                    assert outcome(window.cell_slice, interval) == want, interval
+                    hits += isinstance(want, tuple)
+        assert hits >= 4 * (window.j_max - window.j_min + 1)
+
+    def test_outside_window_rejected(self):
+        w = default_window(7)
+        assert w.cell_slice(DyadicInterval("standard", -2, -1)) == (0, 512)
+        for interval in (DyadicInterval("standard", -2, -2), DyadicInterval("standard", 0, 4)):
+            with pytest.raises(InvalidConfigurationError, match="inside the window"):
+                w.cell_slice(interval)
+
+    @pytest.mark.parametrize("bounds", [(-10, 1), (0, 5), (-5, -4), (1, 0)])
+    def test_slice_of_outside_window_rejected(self, bounds):
+        with pytest.raises(InvalidConfigurationError):
+            default_window(7).slice_of(*bounds)
+
+    def test_slice_of_whole_window(self):
+        w = default_window(7)
+        assert w.slice_of(-4, 4) == (0, w.n_cells)
+        assert w.slice_of(Fraction(1, 128), 1.0) == (513, 640)
 
 
 class TestHaar:

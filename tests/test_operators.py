@@ -31,6 +31,7 @@ from dyadlab.operators import (
 from dyadlab.symbols import (
     HaarSymbol,
     StepSymbol,
+    haar_coefficient,
     linear_symbol,
     random_haar_symbol,
     sin_symbol,
@@ -451,3 +452,229 @@ class TestFiniteEntries:
         t = OperatorMatrix(np.full((WIN.n_cells, WIN.n_cells), 1e300), WIN)
         with np.errstate(over="ignore"), pytest.raises(InvalidMatrixError):
             weight_conjugate(t, ConstantWeight(1e100), ConstantWeight(1e-100))
+
+
+# Reference copies of the former dense assembly: every Haar function as a full
+# N-vector, every cell range from exact Fraction endpoints.
+def old_haar_unit_vector(interval, window):
+    i0, i1 = window.slice_of(interval.left, interval.right)
+    m0, _ = window.slice_of(interval.right_child.left, interval.right_child.right)
+    v = np.zeros(window.n_cells)
+    amp = 1.0 / math.sqrt(i1 - i0)
+    v[i0:m0] = amp
+    v[m0:i1] = -amp
+    return v
+
+
+def old_scales(window, max_scale):
+    return [iv for iv in enumerate_intervals(D0, window) if iv.j <= max_scale]
+
+
+def old_coarse_unit_vectors(window):
+    out = []
+    for interval in enumerate_intervals(D0, window):
+        if interval.j != window.j_min:
+            continue
+        i0, i1 = window.slice_of(interval.left, interval.right)
+        v = np.zeros(window.n_cells)
+        v[i0:i1] = 1.0 / math.sqrt(i1 - i0)
+        out.append(v)
+    return out
+
+
+def old_paraproduct(b, window):
+    n = window.n_cells
+    width = float(window.cell_width)
+    mat = np.zeros((n, n))
+    for interval in old_scales(window, window.j_max - 1):
+        bh = haar_coefficient(b, interval)
+        if bh == 0.0:
+            continue
+        i0, i1 = window.slice_of(interval.left, interval.right)
+        m0, _ = window.slice_of(interval.right_child.left, interval.right_child.right)
+        length = float(interval.length)
+        amp = 1.0 / math.sqrt(length)
+        col = math.sqrt(width) / length
+        row_top = amp * math.sqrt(width)
+        mat[i0:m0, i0:i1] += bh * row_top * col
+        mat[m0:i1, i0:i1] -= bh * row_top * col
+    return mat
+
+
+def old_multiplier(sign_of, window):
+    n = window.n_cells
+    mat = np.zeros((n, n))
+    for interval in old_scales(window, window.j_max - 1):
+        h = old_haar_unit_vector(interval, window)
+        i0, i1 = window.slice_of(interval.left, interval.right)
+        mat[i0:i1, i0:i1] += sign_of(interval) * np.outer(h[i0:i1], h[i0:i1])
+    for v in old_coarse_unit_vectors(window):
+        nz = np.nonzero(v)[0]
+        mat[np.ix_(nz, nz)] += np.outer(v[nz], v[nz])
+    return mat
+
+
+def old_shift(window):
+    n = window.n_cells
+    mat = np.zeros((n, n))
+    for interval in old_scales(window, window.j_max - 2):
+        h = old_haar_unit_vector(interval, window)
+        lc, rc = interval.children
+        out = (old_haar_unit_vector(lc, window) - old_haar_unit_vector(rc, window)) / math.sqrt(2.0)
+        i0, i1 = window.slice_of(interval.left, interval.right)
+        mat[i0:i1, i0:i1] += np.outer(out[i0:i1], h[i0:i1])
+    return mat
+
+
+def old_k_vector(interval, window):
+    lc, rc = interval.children
+    return old_haar_unit_vector(rc, window) - old_haar_unit_vector(lc, window)
+
+
+def old_remainder(b, window, derived):
+    n = window.n_cells
+    mat = np.zeros((n, n))
+    for interval in old_scales(window, window.j_max - 2):
+        bh = haar_coefficient(b, interval)
+        if bh == 0.0:
+            continue
+        lc, rc = interval.children
+        if derived:
+            out = old_haar_unit_vector(lc, window) + old_haar_unit_vector(rc, window)
+            coeff = bh / math.sqrt(2.0 * float(interval.length))
+        else:
+            out = old_k_vector(interval, window)
+            coeff = bh / math.sqrt(float(interval.length))
+        h = old_haar_unit_vector(interval, window)
+        i0, i1 = window.slice_of(interval.left, interval.right)
+        mat[i0:i1, i0:i1] += coeff * np.outer(out[i0:i1], h[i0:i1])
+    return mat
+
+
+def dense_hilbert(window):
+    edges = window.cell_edges()
+    g = hilbert_primitive(edges[:, None] - edges[None, :])
+    mat = (g[1:, :-1] - g[:-1, :-1] - g[1:, 1:] + g[:-1, 1:]) / float(window.cell_width)
+    np.fill_diagonal(mat, 0.0)
+    return mat
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def checkerboard(interval):
+    return 1 if (interval.j + interval.k) % 2 == 0 else -1
+
+
+STRUCTURE_WINDOWS = [
+    pytest.param(make_window(-4, 4, -2, 6), id="j_min=-2"),
+    pytest.param(make_window(-3, -1, 0, 6), id="negative_lo"),
+    pytest.param(make_window(2, 4, 1, 6), id="lo=2"),
+]
+
+
+def structure_symbols(window):
+    rng = np.random.default_rng(17)
+    return [
+        sin_symbol(window),
+        linear_symbol(window),
+        StepSymbol(window, rng.normal(size=window.n_cells)),
+    ]
+
+
+class TestStructuredAssembly:
+    @pytest.mark.parametrize("window", STRUCTURE_WINDOWS)
+    def test_haar_operators_bit_equal_to_dense_builders(self, window):
+        assert_bits_equal(haar_shift_matrix(D0, window).mat, old_shift(window))
+        for signs, sign_of in ((1, lambda iv: 1), (-1, lambda iv: -1), (checkerboard, checkerboard)):
+            assert_bits_equal(haar_multiplier_matrix(signs, D0, window).mat, old_multiplier(sign_of, window))
+        pattern = {iv: checkerboard(iv) for iv in enumerate_intervals(D0, window)}
+        assert_bits_equal(haar_multiplier_matrix(pattern, D0, window).mat, old_multiplier(checkerboard, window))
+        assert_bits_equal(coarse_unit_vectors(window), old_coarse_unit_vectors(window))
+        for interval in old_scales(window, window.j_max - 2):
+            assert_bits_equal(k_vector(interval, window), old_k_vector(interval, window))
+
+    @pytest.mark.parametrize("window", STRUCTURE_WINDOWS)
+    def test_symbol_operators_bit_equal_to_dense_builders(self, window):
+        for b in structure_symbols(window):
+            assert_bits_equal(paraproduct_matrix(b, D0, window).mat, old_paraproduct(b, window))
+            assert_bits_equal(remainder_matrix(b, D0, window).mat, old_remainder(b, window, False))
+            assert_bits_equal(
+                remainder_matrix_derived(b, D0, window).mat, old_remainder(b, window, True)
+            )
+
+    @pytest.mark.parametrize("window", STRUCTURE_WINDOWS)
+    @pytest.mark.parametrize("kind, remainder", [("shift", "displayed"), ("shift", "derived"), ("multiplier", "displayed")])
+    def test_residual_bit_equal_to_matrix_products(self, window, kind, remainder):
+        region = (float(window.lo), float(window.lo) + 1.0)
+        for b in structure_symbols(window):
+            pi = old_paraproduct(b, window)
+            if kind == "shift":
+                t = old_shift(window)
+                rem = old_remainder(b, window, remainder == "derived")
+            else:
+                t = old_multiplier(checkerboard, window)
+            sym = pi + pi.T
+            rhs = sym @ t - t @ sym
+            if kind == "shift":
+                rhs += rem
+            mult = multiplication_matrix(b, window).mat
+            lhs = mult @ t - t @ mult
+            i0, i1 = window.slice_of(*region)
+            restricted = (lhs - rhs)[:, i0:i1]
+            res = expansion_residual(
+                b, D0, window, kind=kind, signs=checkerboard, region=region, remainder=remainder
+            )
+            assert res.operator_norm == float(np.linalg.svd(restricted, compute_uv=False)[0])
+            assert res.frobenius_norm == float(np.linalg.norm(restricted))
+            assert res.lhs_norm == float(np.linalg.norm(lhs[:, i0:i1]))
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            make_window(0, 1, 0, 2),
+            make_window(-4, 4, -2, 2),
+            make_window(2, 4, 1, 8),
+            make_window(-1, 1, 0, 10),
+        ],
+        ids=["N=4", "j_min=-2", "lo=2", "N=2048"],
+    )
+    def test_toeplitz_hilbert_bit_equal_to_dense_primitive(self, window):
+        assert_bits_equal(hilbert_matrix(window).mat, dense_hilbert(window))
+
+
+class TestBadAssemblyInput:
+    def test_unknown_remainder_rejected_for_every_kind(self):
+        win = make_window(0, 1, 0, 3)
+        for kind in ("shift", "multiplier"):
+            with pytest.raises(InvalidConfigurationError, match="unknown remainder"):
+                expansion_residual(sin_symbol(win), D0, win, kind=kind, remainder="bogus")
+
+    @pytest.mark.parametrize("region", [(-10.0, 1.0), (0.0, 5.0), (1.0, 0.0), (0.1, 1.0)])
+    def test_region_outside_window_rejected(self, region):
+        win = make_window(-4, 4, -2, 4)
+        with pytest.raises(InvalidConfigurationError):
+            expansion_residual(sin_symbol(win), D0, win, region=region)
+
+    def test_sign_mapping_missing_an_interval_rejected(self):
+        pattern = {iv: 1 for iv in enumerate_intervals(D0, WIN)}
+        missing = DyadicInterval("standard", 3, 5)
+        del pattern[missing]
+        with pytest.raises(InvalidConfigurationError, match=missing.label()):
+            haar_multiplier_matrix(pattern, D0, WIN)
+
+    @pytest.mark.parametrize(
+        "interval",
+        [
+            DyadicInterval("standard", WIN.j_max - 1, 0),  # children finer than a Haar pair
+            DyadicInterval("standard", 1, 2),  # outside the window
+            DyadicInterval("third_shift", 1, 0),
+        ],
+    )
+    def test_k_vector_rejects_unresolvable_interval(self, interval):
+        with pytest.raises(InvalidConfigurationError):
+            k_vector(interval, WIN)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadlab.errors import DyadlabError
+from dyadlab.errors import DyadlabError, InvalidConfigurationError, InvalidParameterError
 from dyadlab.grids import (
     DyadicInterval,
+    default_window,
     enumerate_intervals,
     make_window,
     standard_grid,
@@ -182,6 +183,12 @@ class TestMedian:
             assert above <= float(q.length) / 2 + 1e-15
 
 
+    @pytest.mark.parametrize("interval", [DyadicInterval("standard", 0, 1), DyadicInterval("standard", 2, -1)])
+    def test_interval_outside_window_rejected(self, interval):
+        with pytest.raises(InvalidConfigurationError, match="inside the window"):
+            median_value(linear_symbol(WIN), interval)
+
+
 class TestMedianSplit:
     def test_linear_split_is_left_right(self):
         w = make_window(0, 1, 0, 6)
@@ -225,6 +232,49 @@ class TestMedianSplit:
             for i in e_set:
                 for k in f_set:
                     assert abs(vals[i] - split.alpha) <= abs(vals[i] - vals[k]) + 1e-15
+
+
+def reference_random_haar_coefficients(window, n_terms, seed, scale_range):
+    """The draw loop of `random_haar_symbol`, for valid inputs."""
+    rng = np.random.default_rng(seed)
+    j_lo, j_hi = scale_range[0], min(scale_range[1], window.j_max - 1)
+    coeffs = {}
+    while len(coeffs) < n_terms:
+        j = int(rng.integers(j_lo, j_hi + 1))
+        k = int(rng.integers(0, 2**j))
+        coeffs[DyadicInterval("standard", j, k)] = float(rng.normal())
+    return coeffs
+
+
+class TestRandomHaarSymbol:
+    @pytest.mark.parametrize(
+        "window, n_terms, scale_range",
+        [
+            (default_window(7), 8, (1, 5)),
+            (default_window(4), 8, (1, 5)),
+            (default_window(3), 6, (1, 5)),  # every interval of scales 1..2
+            (WIN, 10, (0, 3)),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 7, 31337])
+    def test_draws_unchanged(self, window, n_terms, scale_range, seed):
+        b = random_haar_symbol(window, n_terms=n_terms, seed=seed, scale_range=scale_range)
+        want = reference_random_haar_coefficients(window, n_terms, seed, scale_range)
+        assert list(b.coefficients.items()) == list(want.items())
+
+    @pytest.mark.parametrize(
+        "window, n_terms, scale_range",
+        [
+            (default_window(2), 8, (1, 5)),  # scale 1 only: two intervals
+            (default_window(3), 7, (1, 5)),
+            (default_window(7), 8, (4, 2)),
+            (default_window(7), 8, (7, 9)),  # capped at j_max - 1 = 6
+            (default_window(7), 1, (-1, 3)),
+        ],
+    )
+    def test_too_few_intervals_rejected(self, window, n_terms, scale_range):
+        with pytest.raises(InvalidParameterError):
+            random_haar_symbol(window, n_terms=n_terms, scale_range=scale_range)
 
 
 class TestNonFiniteValues:
