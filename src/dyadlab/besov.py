@@ -4,11 +4,14 @@ at p=2 by tensor quadrature, weighted dyadic BMO, and finite-scale VMO tails.
 Dyadic norms sum (|b_hat(I)| |I|^1/2 / nu(I))^p over enumerated intervals;
 the second and third forms replace the nu factor by the equivalent weighted
 expressions built from lam and mu integrals.  The three forms, BMO and the VMO
-tails read one interval table per (grid, window).  The continuous p=2 norm is
-the double integral of |b(x)-b(y)|^2 / (x-y)^2 * lam(x) / mu(y) over the window
-square, with near-diagonal cell pairs handled by one extra subdivision and the
-Lipschitz difference-quotient bound.  All reductions run in enumeration order,
-so results do not depend on thread count.
+tails read one interval table per (grid, window), and compute over the whole
+table at once: Haar coefficients from `haar_coefficients`, weight brackets
+from `Weight.integrals`, BMO's mean oscillations from one (rows, cells) block
+per cell span, and the square form's subtree sums one level at a time.  The
+continuous p=2 norm is the double integral of |b(x)-b(y)|^2 / (x-y)^2 *
+lam(x) / mu(y) over the window square, with near-diagonal cell pairs handled
+by one extra subdivision and the Lipschitz difference-quotient bound.  All
+reductions run in enumeration order, so results do not depend on thread count.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ from .grids import (
     IntervalTable,
     TruncationWindow,
     enumerate_intervals,
+    grid_shift,
     interval_table,
 )
-from .symbols import Symbol, haar_coefficient
+from .symbols import Symbol, haar_coefficients
 from .weights import BloomWeight, ConstantWeight, Weight
 
 
@@ -83,8 +87,7 @@ def _bracket(weights: BloomWeight | Weight, form: int, table: IntervalTable) -> 
 
 def _haar_terms(b: Symbol, table: IntervalTable) -> np.ndarray:
     """|b_hat(I)| |I|^-1/2 per table row, the bracket-free factor of each term."""
-    bh = np.array([haar_coefficient(b, interval) for interval in table.intervals])
-    return np.abs(bh) / np.sqrt(table.length)
+    return np.abs(haar_coefficients(b, table)) / np.sqrt(table.length)
 
 
 def dyadic_besov_norm(
@@ -313,20 +316,56 @@ class BmoReport:
     argmax_square: str
 
 
-def _abs_deviation_integral(
-    vals: np.ndarray, edges: np.ndarray, a: float, c: float, width: float
-) -> float:
-    """Integral over [a, c) of |b - avg_[a,c) b| for the step view `vals` of
-    b on the cells between `edges` (each `width` wide), exact with
-    fractional end cells."""
+def _abs_deviation_integrals(
+    vals: np.ndarray, edges: np.ndarray, width: float, a: np.ndarray, c: np.ndarray
+) -> np.ndarray:
+    """Row i: the integral over [a[i], c[i]) of |b - avg_[a[i],c[i]) b| for the
+    step view `vals` of b on the cells between `edges` (each `width` wide),
+    exact with fractional end cells; cells outside the edges are dropped.
+
+    Rows that meet the same number of cells are gathered into one
+    (rows, cells) block, so work and memory stay O(rows x cells); each row of
+    a block is summed as a slice of its own cells would be.
+    """
     # every cell i0 <= i < i1 meets [a, c) in positive length: each edge minus
     # lo is a float, so rounding (a - lo) or (c - lo) never crosses an edge
-    i0 = max(0, math.floor((a - edges[0]) / width))
-    i1 = min(len(vals), math.ceil((c - edges[0]) / width))
-    cov = np.minimum(c, edges[i0 + 1 : i1 + 1]) - np.maximum(a, edges[i0:i1])
-    v = vals[i0:i1]
-    avg = float(np.sum(v * cov) / np.sum(cov))
-    return float(np.sum(np.abs(v - avg) * cov))
+    i0 = np.maximum(0, np.floor((a - edges[0]) / width)).astype(np.intp)
+    i1 = np.minimum(len(vals), np.ceil((c - edges[0]) / width)).astype(np.intp)
+    span = i1 - i0
+    out = np.empty(len(span))
+    for cells in np.unique(span).tolist():
+        rows = np.flatnonzero(span == cells)
+        idx = i0[rows, None] + np.arange(cells)
+        cov = np.minimum(c[rows, None], edges[idx + 1]) - np.maximum(a[rows, None], edges[idx])
+        v = vals[idx]
+        avg = np.sum(v * cov, axis=1) / np.sum(cov, axis=1)
+        out[rows] = np.sum(np.abs(v - avg[:, None]) * cov, axis=1)
+    return out
+
+
+def _subtree_sums(terms: np.ndarray, table: IntervalTable, grid: DyadicGrid) -> np.ndarray:
+    """Row i: terms[i] plus the terms of every descendant of row i in the
+    table, a table of `grid`'s intervals.  Levels are summed finest first, and
+    each row adds its left child's sum, then its right child's.  Child rows
+    are matched on the integer keys: the children of (j, k) are
+    (j + 1, 2k + t) and (j + 1, 2k + t + 1), t = 3 * grid_shift(j)."""
+    j = np.array([interval.j for interval in table.intervals], dtype=int)
+    k = np.array([interval.k for interval in table.intervals], dtype=int)
+    sums = terms.copy()
+    levels = np.unique(j).tolist()
+    for level in reversed(levels):
+        kids = np.flatnonzero(j == level + 1)
+        if kids.size == 0:
+            continue
+        order = np.argsort(k[kids], kind="stable")
+        kid_k = k[kids][order]
+        rows = np.flatnonzero(j == level)
+        first = 2 * k[rows] + int(3 * grid_shift(grid.shift_rule, level))
+        for want in (first, first + 1):
+            at = np.minimum(np.searchsorted(kid_k, want), kid_k.size - 1)
+            hit = kid_k[at] == want
+            sums[rows[hit]] += sums[kids[order[at[hit]]]]
+    return sums
 
 
 def weighted_bmo_dyadic(
@@ -343,27 +382,17 @@ def weighted_bmo_dyadic(
     """
     table = interval_table(enumerate_intervals(grid, window))
     lo, hi = table.left, table.right
-    vals, edges, width = b.cell_values(), window.cell_edges(), float(window.cell_width)
-    deviation = np.array(
-        [
-            _abs_deviation_integral(vals, edges, a, c, width)
-            for a, c in zip(lo.tolist(), hi.tolist())
-        ]
+    deviation = _abs_deviation_integrals(
+        b.cell_values(), window.cell_edges(), float(window.cell_width), lo, hi
     )
     # deviation / nu(I), with nu(I) read through the form-1 bracket |I| / nu(I)
     sup_avg, arg_avg = _sup(deviation * _bracket(pair, 1, table) / table.length, table)
 
     # square form, accumulated bottom-up over the interval tree
     mu_inv = pair.mu.inv().integrals(lo, hi)
-    bh = np.array([haar_coefficient(b, interval) for interval in table.intervals])
+    bh = haar_coefficients(b, table)
     s_term = bh * bh * mu_inv * mu_inv * pair.lam.integrals(lo, hi) / table.length**3
-    row = {interval: i for i, interval in enumerate(table.intervals)}
-    subtree = s_term.copy()
-    for i in sorted(range(len(table)), key=lambda i: -table.intervals[i].j):
-        for child in table.intervals[i].children:
-            if child in row:
-                subtree[i] += subtree[row[child]]
-    sup_sq, arg_sq = _sup(subtree / mu_inv, table)
+    sup_sq, arg_sq = _sup(_subtree_sums(s_term, table, grid) / mu_inv, table)
     return BmoReport(sup_avg, sup_sq, arg_avg, arg_sq)
 
 

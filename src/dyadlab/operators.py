@@ -7,6 +7,8 @@ Haar term of the paraproduct, multiplier, shift and remainders touches only
 the I x I block of its interval, so it is written there: the block's cell
 range comes from integer (j, k) arithmetic (`TruncationWindow.cell_slice`),
 and h_I is the local vector +-1/sqrt(cells) on I's cells (`_local_haar`).
+The coefficients b_hat(I) come from one `haar_coefficients` table per
+matrix, and one per expansion, which the paraproduct and the remainder share.
 The Hilbert transform matrix comes from the closed-form primitive
 G(t) = t (ln|t| - 1), which renders every cell-pair principal value finite
 (diagonal entries vanish by antisymmetry); a box integral depends only on the
@@ -34,8 +36,9 @@ from .grids import (
     DyadicInterval,
     TruncationWindow,
     enumerate_intervals,
+    interval_table,
 )
-from .symbols import Symbol, haar_coefficient
+from .symbols import Symbol, haar_coefficients
 from .weights import Weight
 
 UNWEIGHTED = "unweighted"
@@ -141,16 +144,28 @@ def coarse_unit_vectors(window: TruncationWindow) -> list[np.ndarray]:
     return out
 
 
+def _coefficients(
+    b: Symbol, grid: DyadicGrid, window: TruncationWindow, max_scale: int
+) -> tuple[tuple[DyadicInterval, ...], list[float]]:
+    """The enumerated intervals of scale <= max_scale and b's Haar
+    coefficient on each, from one `haar_coefficients` table."""
+    table = interval_table(_haar_scales(window, grid, max_scale))
+    return table.intervals, haar_coefficients(b, table).tolist()
+
+
 def paraproduct_matrix(
     b: Symbol, grid: DyadicGrid, window: TruncationWindow
 ) -> OperatorMatrix:
     """Sum over enumerated resolvable I of b_hat(I) * (h_I outer avg_I)."""
     _require_standard(grid, "paraproduct assembly")
+    return _paraproduct(*_coefficients(b, grid, window, window.j_max - 1), window)
+
+
+def _paraproduct(intervals, coefficients, window: TruncationWindow) -> OperatorMatrix:
     n = window.n_cells
     width = float(window.cell_width)
     mat = np.zeros((n, n))
-    for interval in _haar_scales(window, grid, window.j_max - 1):
-        bh = haar_coefficient(b, interval)
+    for interval, bh in zip(intervals, coefficients):
         if bh == 0.0:
             continue
         i0, i1 = window.cell_slice(interval)
@@ -289,17 +304,15 @@ def multiplication_commutator(b: Symbol, t: OperatorMatrix) -> OperatorMatrix:
 
 
 def _remainder(
-    b: Symbol, grid: DyadicGrid, window: TruncationWindow, child_signs, scale: float, name: str
+    intervals, coefficients, window: TruncationWindow, child_signs, scale: float, name: str
 ) -> OperatorMatrix:
-    """Sum over resolvable I of (b_hat(I) / sqrt(scale |I|)) *
+    """Sum over the given I of scale <= j_max - 2 of (b_hat(I) / sqrt(scale |I|)) *
     ((s_l h_(left child) + s_r h_(right child)) outer h_I)."""
-    _require_standard(grid, "remainder assembly")
     n = window.n_cells
     mat = np.zeros((n, n))
     s_left, s_right = child_signs
-    for interval in _haar_scales(window, grid, window.j_max - 2):
-        bh = haar_coefficient(b, interval)
-        if bh == 0.0:
+    for interval, bh in zip(intervals, coefficients):
+        if bh == 0.0 or interval.j > window.j_max - 2:
             continue
         i0, i1, h = _local_haar(interval, window)
         _, _, hc = _local_haar(interval.left_child, window)
@@ -309,11 +322,17 @@ def _remainder(
     return OperatorMatrix(mat, window, name=name)
 
 
+# (child signs, scale, name) of the two remainders
+_DISPLAYED = ((-1.0, 1.0), 1.0, "shift_remainder")
+_DERIVED = ((1.0, 1.0), 2.0, "shift_remainder_derived")
+
+
 def remainder_matrix(b: Symbol, grid: DyadicGrid, window: TruncationWindow) -> OperatorMatrix:
     """Sum over resolvable I of (b_hat(I) / |I|^1/2) * (k_I outer h_I) with
     k_I = h_(right child) - h_(left child); the part of the shift commutator
     that is not a paraproduct composition."""
-    return _remainder(b, grid, window, (-1.0, 1.0), 1.0, "shift_remainder")
+    _require_standard(grid, "remainder assembly")
+    return _remainder(*_coefficients(b, grid, window, window.j_max - 2), window, *_DISPLAYED)
 
 
 def remainder_matrix_derived(
@@ -322,7 +341,8 @@ def remainder_matrix_derived(
     """The remainder that direct dyadic algebra produces for the truncated
     system: sum of (b_hat(I) / sqrt(2 |I|)) * ((h_left + h_right) outer h_I).
     With it the six-term expansion closes exactly for step symbols."""
-    return _remainder(b, grid, window, (1.0, 1.0), 2.0, "shift_remainder_derived")
+    _require_standard(grid, "remainder assembly")
+    return _remainder(*_coefficients(b, grid, window, window.j_max - 2), window, *_DERIVED)
 
 
 def k_vector(interval: DyadicInterval, window: TruncationWindow) -> np.ndarray:
@@ -370,14 +390,15 @@ def expansion_residual(
         raise InvalidConfigurationError(f"unknown remainder {remainder!r}")
     # restricting the domain to the region keeps only those columns
     i0, i1 = window.slice_of(*region)
-    pi = paraproduct_matrix(b, grid, window).mat
+    _require_standard(grid, "paraproduct assembly")
+    # one coefficient table serves the paraproduct and the remainder
+    coefficients = _coefficients(b, grid, window, window.j_max - 1)
+    pi = _paraproduct(*coefficients, window).mat
     rem = None
     if kind == "shift":
         t = haar_shift_matrix(grid, window).mat
-        if remainder == "displayed":
-            rem = remainder_matrix(b, grid, window).mat
-        else:
-            rem = remainder_matrix_derived(b, grid, window).mat
+        form = _DISPLAYED if remainder == "displayed" else _DERIVED
+        rem = _remainder(*coefficients, window, *form).mat
     elif kind == "multiplier":
         t = haar_multiplier_matrix(signs, grid, window).mat
     else:

@@ -9,6 +9,11 @@ symbols are reduced to cell averages when a step view is required.
 A Haar coefficient <b, h_I> is computed from one set of float endpoints of I
 (`DyadicInterval.float_bounds`, built from the integers (j, k)) and one
 `split_integral` call, which integrates b over both children of I at once.
+`haar_coefficients(b, table)` gives the coefficients of every row of an
+`IntervalTable`: a step symbol evaluates its prefix sums on the table's
+left/mid/right arrays in one pass, with the same bits as the per-interval
+path; any other symbol makes one `haar_coefficient` call per row, so its
+antiderivative is still evaluated on scalars and rounds as before.
 """
 
 from __future__ import annotations
@@ -22,10 +27,9 @@ import numpy as np
 from .errors import InvalidConfigurationError, InvalidParameterError
 from .grids import (
     GAUSS_LEGENDRE_32,
-    DyadicGrid,
     DyadicInterval,
+    IntervalTable,
     TruncationWindow,
-    enumerate_intervals,
     haar_cell_values,
 )
 
@@ -108,11 +112,24 @@ class StepSymbol(Symbol):
         pa, pm, pc = self._prefix_at(af), self._prefix_at(mf), self._prefix_at(cf)
         return (0.0 if mf <= af else pm - pa), (0.0 if cf <= mf else pc - pm)
 
+    def split_integrals(self, a, m, c) -> tuple[np.ndarray, np.ndarray]:
+        """`split_integral` row by row over arrays of points, with the same bits."""
+        af, mf, cf = (np.clip(x, self._lo, self._hi) for x in (a, m, c))
+        pa, pm, pc = self._prefix_at_each(af), self._prefix_at_each(mf), self._prefix_at_each(cf)
+        return np.where(mf <= af, 0.0, pm - pa), np.where(cf <= mf, 0.0, pc - pm)
+
     def _prefix_at(self, t: float) -> float:
         """Integral from window.lo to t, for t inside the window."""
         pos = (t - self._lo) / self._width
         i = max(min(math.floor(pos), self._n - 1), 0)
         return self._prefix[i] + self._values[i] * (pos - i) * self._width
+
+    def _prefix_at_each(self, t: np.ndarray) -> np.ndarray:
+        """`_prefix_at` of every point of the array t."""
+        pos = (t - self._lo) / self._width
+        i = np.clip(np.floor(pos), 0, self._n - 1)
+        k = i.astype(np.intp)
+        return self._prefix[k] + self._values[k] * (pos - i) * self._width
 
 
 class AnalyticSymbol(Symbol):
@@ -214,14 +231,17 @@ def haar_coefficient(b: Symbol, interval: DyadicInterval) -> float:
     return amp * (lower - upper)
 
 
-def haar_coefficients(
-    b: Symbol, grid: DyadicGrid, window: TruncationWindow
-) -> dict[DyadicInterval, float]:
-    """Coefficients over every enumerated interval, in enumeration order."""
-    return {
-        interval: haar_coefficient(b, interval)
-        for interval in enumerate_intervals(grid, window)
-    }
+def haar_coefficients(b: Symbol, table: IntervalTable) -> np.ndarray:
+    """`haar_coefficient(b, interval)` of every table row, with the same bits.
+
+    A step symbol takes both child integrals of every row from one
+    `split_integrals` pass over the table's float geometry; any other symbol
+    makes one `haar_coefficient` call per row.
+    """
+    if not isinstance(b, StepSymbol):
+        return np.array([haar_coefficient(b, interval) for interval in table.intervals], dtype=float)
+    lower, upper = b.split_integrals(table.left, table.mid, table.right)
+    return (1.0 / np.sqrt(table.length)) * (lower - upper)
 
 
 def _cells_of(window: TruncationWindow, interval: DyadicInterval) -> tuple[int, int]:

@@ -2,9 +2,15 @@
 
 Weight kinds carry closed-form integrals wherever the kind admits one
 (constant, power, spiked-lattice, and powers thereof); a composite fallback
-uses Gauss-Legendre quadrature.  A BloomWeight bundles a source weight mu and
-a target weight lam together with the derived intermediary nu = sqrt(mu/lam).
-Weights are immutable; every method is pure and safe for concurrent use.
+uses Gauss-Legendre quadrature.  `Weight.integrals(lo, hi)` integrates a whole
+table of intervals at once: the closed-form kinds do it with array operations
+that round exactly as their scalar `integral` does, so both give the same
+bits, and the quadrature kind makes one scalar call per row.  The spiked
+kinds have the table path only; their scalar integral is a one-row table.
+Every integral, scalar or table, rejects a bound that is not finite with
+InvalidParameterError.  A BloomWeight bundles a source weight mu and a target
+weight lam together with the derived intermediary nu = sqrt(mu/lam).  Weights
+are immutable; every method is pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -28,6 +34,25 @@ from .grids import (
     enumerate_intervals,
     interval_table,
 )
+
+
+def _finite_bounds(lo, hi):
+    """(lo, hi) as floats, or as float arrays when either is an array; raises
+    InvalidParameterError naming the first interval [lo, hi) with a bound
+    that is not finite.  Every weight integral checks its bounds here."""
+    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
+        lo, hi = float(lo), float(hi)
+        if math.isfinite(lo) and math.isfinite(hi):
+            return lo, hi
+        a, b = lo, hi
+    else:
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        if finite.all():
+            return lo, hi
+        i = int(np.argmin(finite))
+        a, b = float(lo[i]), float(hi[i])
+    raise InvalidParameterError(f"interval [{a}, {b}) has a bound that is not finite")
 
 
 @dataclass(frozen=True)
@@ -58,8 +83,13 @@ class Weight:
         raise NotImplementedError
 
     def integrals(self, lo, hi) -> np.ndarray:
-        """Integrals over the intervals [lo[i], hi[i]), one `integral` call each."""
-        pairs = zip(np.asarray(lo, dtype=float).tolist(), np.asarray(hi, dtype=float).tolist())
+        """Integrals over the intervals [lo[i], hi[i]), row i equal bit for
+        bit to `integral(lo[i], hi[i])`."""
+        return self._integrals(*_finite_bounds(lo, hi))
+
+    def _integrals(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The table path on finite bounds; by default one `integral` call per row."""
+        pairs = zip(lo.tolist(), hi.tolist())
         return np.array([self.integral(a, b) for a, b in pairs], dtype=float)
 
     def _reciprocal(self) -> "Weight":
@@ -86,7 +116,10 @@ class Weight:
         return self.eval(x)
 
     def average(self, a, b) -> float:
-        return self.integral(a, b) / (float(b) - float(a))
+        af, bf = _finite_bounds(a, b)
+        if not bf > af:
+            raise InvalidParameterError(f"average over [{af}, {bf}) needs a positive length")
+        return self.integral(af, bf) / (bf - af)
 
     def cell_averages(self, window: TruncationWindow) -> np.ndarray:
         """True averages of w over the window's cells, for a dual weight too
@@ -127,7 +160,11 @@ class ConstantWeight(Weight):
         return np.full_like(np.asarray(x, dtype=float), self.value) if np.ndim(x) else self.value
 
     def integral(self, a, b) -> float:
-        return self.value * (float(b) - float(a))
+        af, bf = _finite_bounds(a, b)
+        return self.value * (bf - af)
+
+    def _integrals(self, lo, hi):
+        return self.value * (hi - lo)
 
     def _reciprocal(self) -> "ConstantWeight":
         return ConstantWeight(1.0 / self.value)
@@ -164,12 +201,25 @@ class PowerWeight(Weight):
     def integral(self, a, b) -> float:
         # antiderivative of |t|^alpha is sign(t) |t|^(1+alpha) / (1+alpha)
         alpha = self.exponent
-        ta, tb = float(a) - self.center, float(b) - self.center
+        af, bf = _finite_bounds(a, b)
+        ta, tb = af - self.center, bf - self.center
 
         def prim(t):
             return math.copysign(abs(t) ** (1.0 + alpha), t) / (1.0 + alpha)
 
         return self.coeff * (prim(tb) - prim(ta))
+
+    def _integrals(self, lo, hi):
+        e = 1.0 + self.exponent
+
+        def prim(x):
+            t = x - self.center
+            # numpy's array power may round differently from the float `**`
+            # of `integral`, so each |t|^(1+alpha) takes the float `**`
+            mag = np.fromiter((y**e for y in np.abs(t).tolist()), float, len(t))
+            return np.copysign(mag, t) / e
+
+        return self.coeff * (prim(hi) - prim(lo))
 
     def _reciprocal(self) -> "PowerWeight":
         return PowerWeight(-self.exponent, self.center, 1.0 / self.coeff)
@@ -181,18 +231,19 @@ class PowerWeight(Weight):
         return PowerWeight(alpha, self.center, self.coeff**s)
 
 
-def _periodic_measure(u: float, v: float, period: float, width: float) -> float:
-    """Lebesgue measure of [u, v) intersected with union_k [k*period, k*period + width)."""
-    if v <= u:
-        return 0.0
-    n0 = math.floor(u / period)
-    n1 = math.floor(v / period)
-    if n0 == n1:
-        return max(0.0, min(v - n0 * period, width) - max(u - n0 * period, 0.0))
-    head = max(0.0, width - max(u - n0 * period, 0.0))
-    head = min(head, width)
-    tail = max(0.0, min(v - n1 * period, width))
-    return head + (n1 - n0 - 1) * width + tail
+def _periodic_measure(u: np.ndarray, v: np.ndarray, period: float, width: float) -> np.ndarray:
+    """Row i: the Lebesgue measure of [u[i], v[i]) intersected with
+    union_k [k*period, k*period + width); 0.0 for an empty or inverted row."""
+    n0 = np.floor(u / period)
+    n1 = np.floor(v / period)
+    start = np.maximum(u - n0 * period, 0.0)
+    # [u, v) within one period
+    inside = np.maximum(0.0, np.minimum(v - n0 * period, width) - start)
+    # [u, v) across periods: the rest of u's spike, whole spikes, v's spike
+    head = np.minimum(np.maximum(0.0, width - start), width)
+    tail = np.maximum(0.0, np.minimum(v - n1 * period, width))
+    across = head + (n1 - n0 - 1.0) * width + tail
+    return np.where(v <= u, 0.0, np.where(n0 == n1, inside, across))
 
 
 def _times_power_of_two(m: float, e: float) -> float:
@@ -293,23 +344,35 @@ class SpikedLatticeWeight(Weight):
 
     def integral_power(self, a, b, s: float) -> float:
         """Closed-form integral of w^s over [a, b), exact under level disjointness."""
-        af, bf = float(a), float(b)
-        total = bf - af
-        for j, (period, width, offset, height) in enumerate(self._levels, 1):
-            m = _periodic_measure(af + offset, bf + offset, period, width)
-            try:
-                total += (height**s - 1.0) * m
-            except OverflowError:  # height**s is past the float range, m * height**s may not be
-                total += _times_power_of_two(m, s * self._height_exponent(j))
-        if not math.isfinite(total):
+        af, bf = _finite_bounds(a, b)
+        return float(self._integral_powers(np.array([af]), np.array([bf]), s)[0])
+
+    def _integral_powers(self, lo: np.ndarray, hi: np.ndarray, s: float) -> np.ndarray:
+        """`integral_power` of every row [lo[i], hi[i]); raises
+        DivergedIntegralError naming the first row whose integral is not finite."""
+        total = hi - lo
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, (period, width, offset, height) in enumerate(self._levels, 1):
+                m = _periodic_measure(lo + offset, hi + offset, period, width)
+                try:
+                    total = total + (height**s - 1.0) * m
+                except OverflowError:  # height**s is past the float range, m * height**s may not be
+                    e = s * self._height_exponent(j)
+                    total = total + np.array([_times_power_of_two(x, e) for x in m.tolist()])
+        diverged = ~np.isfinite(total)
+        if diverged.any():
+            i = int(np.argmax(diverged))
+            a, b = float(lo[i]), float(hi[i])
             raise DivergedIntegralError(
-                f"spiked weight power {s} integral diverged on [{af}, {bf})",
-                (af, bf),
+                f"spiked weight power {s} integral diverged on [{a}, {b})", (a, b)
             )
         return total
 
     def integral(self, a, b) -> float:
         return self.integral_power(a, b, 1.0)
+
+    def _integrals(self, lo, hi):
+        return self._integral_powers(lo, hi, 1.0)
 
     def _reciprocal(self) -> "Weight":
         return _PowerOfSpiked(self, -1.0, 1.0)
@@ -336,6 +399,9 @@ class _PowerOfSpiked(Weight):
     def integral(self, a, b) -> float:
         return self.scale * self.base.integral_power(a, b, self.s)
 
+    def _integrals(self, lo, hi):
+        return self.scale * self.base._integral_powers(lo, hi, self.s)
+
     def _reciprocal(self) -> "Weight":
         return _PowerOfSpiked(self.base, -self.s, 1.0 / self.scale)
 
@@ -360,7 +426,7 @@ class QuadratureWeight(Weight):
         return self.fn(np.asarray(x, dtype=float))
 
     def integral(self, a, b) -> float:
-        af, bf = float(a), float(b)
+        af, bf = _finite_bounds(a, b)
         if bf <= af:
             return 0.0
         nodes, wts = GAUSS_LEGENDRE_32
@@ -487,7 +553,10 @@ def a2_constant(
     grids: Sequence[DyadicGrid] | None = None,
     seed: int = 90210,
 ) -> A2Report:
-    """sup over the family of avg(w) * avg(1/w); always >= 1 by AM-GM."""
+    """sup over the family of avg(w) * avg(1/w); always >= 1 by AM-GM.
+
+    Every family interval [a, b) needs finite ends with a < b; the first one
+    that has not raises InvalidParameterError."""
     if family is None:
         if grids is None:
             from .grids import standard_grid, third_shift_grid
@@ -500,6 +569,10 @@ def a2_constant(
     if not family:
         raise InvalidConfigurationError("empty interval family")
     lo, hi = np.asarray(family, dtype=float).T
+    bad = ~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo))
+    if bad.any():
+        a, b = family[int(np.argmax(bad))]
+        raise InvalidParameterError(f"family interval [{a}, {b}) is empty or not finite")
     ell = hi - lo
     pa = w.integrals(lo, hi) / ell
     pb = w.inv().integrals(lo, hi) / ell
@@ -519,7 +592,7 @@ def doubling_ratio(w: Weight, interval: tuple[float, float], s: float) -> float:
     """w(sI) / (s * w(I)) for the concentric dilate sI, s > 1."""
     if s <= 1:
         raise InvalidParameterError("dilation factor must exceed 1")
-    a, b = float(interval[0]), float(interval[1])
+    a, b = _finite_bounds(*interval)
     c = 0.5 * (a + b)
     half = 0.5 * (b - a) * s
     big = w.integral(c - half, c + half)

@@ -5,6 +5,18 @@ per-interval calls it counts (`haar_coefficient`, the interval geometry
 properties, the scalar weight integrals) and the repeat ratios it reports.
 A library change that breaks one of those pins fails here, not only when the
 benchmark runs.
+
+The tracer counts calls, not table rows, so a tiny ratio_sweep pass must
+still make scalar calls, and three scalar paths stay for that:
+
+- `Weight.cell_averages` makes one scalar `integral` call per cell, which
+  gives `weights.integral_calls` and, repeated across cases that share a
+  window and pair, `weights.repeat_frac`.
+- `QuadratureWeight` keeps the per-row loop of `Weight.integrals`, which
+  gives `weights.quadrature_calls`.
+- `haar_coefficients` of an analytic symbol makes one `haar_coefficient`
+  call per row, which gives `symbols.haar_coeff_calls` and keeps the
+  antiderivative on scalars, so its rounding is unchanged.
 """
 
 import subprocess

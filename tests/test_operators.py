@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dyadlab import operators, symbols
 from dyadlab.errors import DegenerateWeightError, InvalidConfigurationError, InvalidMatrixError
 from dyadlab.grids import (
     DyadicInterval,
@@ -632,6 +633,32 @@ class TestStructuredAssembly:
             assert res.operator_norm == float(np.linalg.svd(restricted, compute_uv=False)[0])
             assert res.frobenius_norm == float(np.linalg.norm(restricted))
             assert res.lhs_norm == float(np.linalg.norm(lhs[:, i0:i1]))
+
+    @pytest.mark.parametrize("kind", ["shift", "multiplier"])
+    def test_expansion_reads_each_coefficient_once(self, kind, monkeypatch):
+        window = make_window(-4, 4, -2, 6)
+        resolvable = len(old_scales(window, window.j_max - 1))
+        scalar_calls, tables = [], []
+        scalar, table_path = symbols.haar_coefficient, symbols.haar_coefficients
+
+        def counted_scalar(b, interval):
+            scalar_calls.append(interval)
+            return scalar(b, interval)
+
+        def counted_table(b, table):
+            tables.append(len(table))
+            return table_path(b, table)
+
+        monkeypatch.setattr(symbols, "haar_coefficient", counted_scalar)
+        monkeypatch.setattr(operators, "haar_coefficients", counted_table)
+        for b in structure_symbols(window):
+            scalar_calls.clear()
+            tables.clear()
+            expansion_residual(b, D0, window, kind=kind, signs=checkerboard, region=(0.0, 1.0))
+            assert tables == [resolvable]
+            # a step symbol reads the table in one pass, an analytic one per row
+            assert len(scalar_calls) == (0 if isinstance(b, StepSymbol) else resolvable)
+            assert len(set(scalar_calls)) == len(scalar_calls)
 
     @pytest.mark.parametrize(
         "window",

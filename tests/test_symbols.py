@@ -11,6 +11,7 @@ from dyadlab.grids import (
     DyadicInterval,
     default_window,
     enumerate_intervals,
+    interval_table,
     make_window,
     standard_grid,
     third_shift_grid,
@@ -38,14 +39,15 @@ class TestHaarCoefficients:
     def test_single_haar_symbol_reproduces_itself(self):
         target = DyadicInterval("standard", 2, 1)
         b = HaarSymbol(WIN, {target: 1.0})
-        coeffs = haar_coefficients(b, standard_grid(), WIN)
-        for interval, c in coeffs.items():
+        table = interval_table(enumerate_intervals(standard_grid(), WIN))
+        for interval, c in zip(table.intervals, haar_coefficients(b, table).tolist()):
             want = 1.0 if interval == target else 0.0
             assert c == pytest.approx(want, abs=1e-13)
 
     def test_constant_symbol_all_zero(self):
         b = StepSymbol(WIN, np.full(WIN.n_cells, 3.7))
-        for c in haar_coefficients(b, standard_grid(), WIN).values():
+        table = interval_table(enumerate_intervals(standard_grid(), WIN))
+        for c in haar_coefficients(b, table).tolist():
             assert c == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_symbol_unit_interval(self):
@@ -71,8 +73,8 @@ class TestHaarCoefficients:
 
     def test_parseval_on_haar_span(self):
         b = random_haar_symbol(WIN, n_terms=10, seed=42)
-        coeffs = haar_coefficients(b, standard_grid(), WIN)
-        total = sum(c * c for c in coeffs.values())
+        table = interval_table(enumerate_intervals(standard_grid(), WIN))
+        total = sum(c * c for c in haar_coefficients(b, table).tolist())
         assert total == pytest.approx(b.l2_norm() ** 2, rel=1e-12)
 
 

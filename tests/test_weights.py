@@ -302,3 +302,62 @@ class TestVectorIntegrals:
         assert got.shape == (40,)
         assert np.array_equal(got, [w.integral(a, b) for a, b in zip(lo, hi)])
         assert np.array_equal(w.inv().integrals(lo, hi), [w.inv().integral(a, b) for a, b in zip(lo, hi)])
+
+
+NONFINITE_WEIGHTS = [
+    ConstantWeight(2.0),
+    PowerWeight(0.5),
+    pathological_weight(2, 3, 9),
+    pathological_weight(2, 3, 9).inv(),
+    pathological_weight(2, 3, 9).power(1.25),
+    QuadratureWeight(lambda x: 1.0 + np.abs(x), "1+|x|"),
+]
+
+
+class TestNonFiniteBounds:
+    @pytest.mark.parametrize("w", NONFINITE_WEIGHTS, ids=lambda w: w.label)
+    @pytest.mark.parametrize(
+        "a, b", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0)]
+    )
+    def test_scalar_integral_raises(self, w, a, b):
+        with pytest.raises(InvalidParameterError, match="not finite"):
+            w.integral(a, b)
+
+    @pytest.mark.parametrize("w", NONFINITE_WEIGHTS, ids=lambda w: w.label)
+    def test_table_names_first_bad_row(self, w):
+        lo = np.array([0.0, 0.25, math.nan, -math.inf])
+        hi = np.array([0.5, math.inf, 1.0, 0.0])
+        with pytest.raises(InvalidParameterError, match=r"\[0\.25, inf\)"):
+            w.integrals(lo, hi)
+
+    def test_spiked_power_and_doubling(self):
+        with pytest.raises(InvalidParameterError):
+            pathological_weight(2, 3, 9).integral_power(0.0, math.inf, 2.0)
+        with pytest.raises(InvalidParameterError):
+            doubling_ratio(PowerWeight(0.5), (0.0, math.nan), 2.0)
+
+
+class TestDegenerateIntervals:
+    @pytest.mark.parametrize(
+        "family, bad",
+        [
+            ([(0.2, 0.1)], "[0.2, 0.1)"),
+            ([(0.0, 0.5), (0.1, 0.1)], "[0.1, 0.1)"),
+            ([(0.0, 0.5), (0.25, math.inf), (0.3, 0.2)], "[0.25, inf)"),
+            ([(math.nan, 0.5)], "[nan, 0.5)"),
+        ],
+    )
+    def test_a2_rejects_bad_family_interval(self, family, bad):
+        win = make_window(0, 1, 0, 6)
+        with pytest.raises(InvalidParameterError) as info:
+            a2_constant(PowerWeight(0.25), win, family=family)
+        assert bad in str(info.value)
+
+    @pytest.mark.parametrize("a, b", [(0.3, 0.3), (0.5, 0.25), (0.0, math.nan)])
+    def test_average_needs_positive_finite_length(self, a, b):
+        with pytest.raises(InvalidParameterError):
+            PowerWeight(0.5).average(a, b)
+
+    def test_average_on_an_interval(self):
+        w = PowerWeight(0.5)
+        assert w.average(0.0, 0.5) == w.integral(0.0, 0.5) / 0.5
