@@ -289,13 +289,22 @@ def _float_bounds(k, t, length):
 
 
 def interval_table(intervals: Iterable[DyadicInterval]) -> IntervalTable:
-    """The table of `intervals`, typically `enumerate_intervals(grid, window)`."""
+    """The table of `intervals`, typically `enumerate_intervals(grid, window)`.
+
+    Scales, translations and grid ids are read into arrays in one pass each,
+    and the shift thirds are set once per distinct grid id; an unknown grid
+    id raises InvalidConfigurationError."""
     intervals = tuple(intervals)
-    k = np.empty(len(intervals))
-    t = np.empty(len(intervals))
-    j = np.empty(len(intervals), dtype=int)
-    for i, iv in enumerate(intervals):
-        j[i], k[i], t[i] = iv.j, iv.k, _shift_thirds(iv.grid_id, iv.j)
+    n = len(intervals)
+    j = np.fromiter((iv.j for iv in intervals), dtype=int, count=n)
+    k = np.fromiter((iv.k for iv in intervals), dtype=float, count=n)
+    grid_ids = np.fromiter((iv.grid_id for iv in intervals), dtype=object, count=n)
+    t = np.empty(n)
+    for grid_id in set(grid_ids):
+        # a grid's shift depends on the parity of the scale only
+        even, odd = _shift_thirds(grid_id, 0), _shift_thirds(grid_id, 1)
+        rows = grid_ids == grid_id
+        t[rows] = np.where(j[rows] % 2, odd, even)
     length = np.ldexp(1.0, -j)
     left, mid, right = _float_bounds(k, t, length)
     for arr in (left, mid, right, length):

@@ -383,13 +383,20 @@ def expansion_residual(
     sign_order="definition" orders each composition by [b, T] f = b T f - T(bf);
     sign_order="displayed" flips the four composition terms.  The identity is
     never asserted; the restricted residual is measured and reported.
+
+    Restricting the domain to the region keeps only its columns, so only
+    those are formed: the two products against the column block of S (or
+    T_eps) and of pi + pi*, and the column blocks of [M_b, T] and of the
+    residual.  The paraproduct, the remainder and S (or T_eps) are still
+    assembled whole.  A region with no cell raises InvalidConfigurationError.
     """
     if sign_order not in ("definition", "displayed"):
         raise InvalidConfigurationError(f"unknown sign order {sign_order!r}")
     if remainder not in ("displayed", "derived"):
         raise InvalidConfigurationError(f"unknown remainder {remainder!r}")
-    # restricting the domain to the region keeps only those columns
     i0, i1 = window.slice_of(*region)
+    if i1 <= i0:
+        raise InvalidConfigurationError(f"region [{region[0]}, {region[1]}) has no cell")
     _require_standard(grid, "paraproduct assembly")
     # one coefficient table serves the paraproduct and the remainder
     coefficients = _coefficients(b, grid, window, window.j_max - 1)
@@ -403,23 +410,23 @@ def expansion_residual(
         t = haar_multiplier_matrix(signs, grid, window).mat
     else:
         raise InvalidConfigurationError(f"unknown expansion kind {kind!r}")
-    # pi t - t pi + pi* t - t pi* in two products
+    # pi t - t pi + pi* t - t pi* in two products, on the region's columns
     sym = pi + pi.T
-    rhs = sym @ t - t @ sym
+    cols = t[:, i0:i1]
+    rhs = sym @ cols - t @ sym[:, i0:i1]
     if sign_order == "displayed":
         rhs = -rhs
     if rem is not None:
-        rhs += rem
+        rhs += rem[:, i0:i1]
     # [M_b, T] entrywise: equal to mult @ t - t @ mult, whose sums add exact zeros
     vals = b.cell_values()
-    lhs = vals[:, None] * t - t * vals[None, :]
+    lhs = vals[:, None] * cols - cols * vals[None, i0:i1]
     resid = lhs - rhs
-    restricted = resid[:, i0:i1]
-    sig = np.linalg.svd(restricted, compute_uv=False)
+    sig = np.linalg.svd(resid, compute_uv=False)
     return ExpansionResidual(
-        operator_norm=float(sig[0]) if sig.size else 0.0,
-        frobenius_norm=float(np.linalg.norm(restricted)),
-        lhs_norm=float(np.linalg.norm(lhs[:, i0:i1])),
+        operator_norm=float(sig[0]),
+        frobenius_norm=float(np.linalg.norm(resid)),
+        lhs_norm=float(np.linalg.norm(lhs)),
         region=region,
         kind=kind,
     )

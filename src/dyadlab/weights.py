@@ -529,21 +529,49 @@ def interval_family(
     """Dyadic intervals of the given grids plus seeded random intervals.
 
     Random lengths run from one finest cell up to a quarter of the window, so
-    the family never probes below the resolved scale.
+    the family never probes below the resolved scale.  The pairs are the rows
+    of the two bound arrays that `a2_constant` reads directly.
     """
-    fam: list[tuple[float, float]] = []
-    for grid in grids:
-        table = interval_table(enumerate_intervals(grid, window))
-        fam.extend(zip(table.left.tolist(), table.right.tolist()))
+    lo, hi = _family_bounds(window, grids, n_random, seed)
+    return list(zip(lo.tolist(), hi.tolist()))
+
+
+def _family_bounds(
+    window: TruncationWindow, grids: Sequence[DyadicGrid], n_random: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (lo, hi) arrays of `interval_family`: each grid's interval table,
+    then the random intervals, drawn one scalar `rng.uniform` at a time."""
+    tables = [interval_table(enumerate_intervals(grid, window)) for grid in grids]
     rng = np.random.default_rng(seed)
     lo_f, hi_f = float(window.lo), float(window.hi)
     min_len = float(window.cell_width)
     max_len = float(window.span) / 4.0
+    starts: list[float] = []
+    ends: list[float] = []
     for _ in range(n_random):
         ell = math.exp(rng.uniform(math.log(min_len), math.log(max_len)))
         a = rng.uniform(lo_f, hi_f - ell)
-        fam.append((a, a + ell))
-    return fam
+        starts.append(a)
+        ends.append(a + ell)
+    lo = np.concatenate([table.left for table in tables] + [np.array(starts, dtype=float)])
+    hi = np.concatenate([table.right for table in tables] + [np.array(ends, dtype=float)])
+    return lo, hi
+
+
+def _user_family_bounds(family: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) arrays of a family given as pairs (a, b); raises
+    InvalidParameterError naming the first entry that is not a pair of numbers."""
+    lo, hi = [], []
+    for entry in family:
+        try:
+            a, b = entry
+            lo.append(float(a))
+            hi.append(float(b))
+        except (TypeError, ValueError):
+            raise InvalidParameterError(
+                f"family entry {entry!r} is not an interval (a, b)"
+            ) from None
+    return np.array(lo, dtype=float), np.array(hi, dtype=float)
 
 
 def a2_constant(
@@ -555,37 +583,41 @@ def a2_constant(
 ) -> A2Report:
     """sup over the family of avg(w) * avg(1/w); always >= 1 by AM-GM.
 
-    Every family interval [a, b) needs finite ends with a < b; the first one
-    that has not raises InvalidParameterError."""
+    The default family is that of `interval_family`, read as two bound arrays
+    and never formed as pairs.  A user family must hold pairs (a, b) of
+    numbers, and every interval [a, b) needs finite ends with a < b; the
+    first entry that breaks either rule raises InvalidParameterError."""
     if family is None:
         if grids is None:
             from .grids import standard_grid, third_shift_grid
 
             grids = (standard_grid(), third_shift_grid())
-        family = interval_family(window, grids, seed=seed)
+        lo, hi = _family_bounds(window, grids, 1000, seed)
         family_label = "dyadic(both grids)+random(1000)"
     else:
+        lo, hi = _user_family_bounds(family)
         family_label = "user"
-    if not family:
+    if not lo.size:
         raise InvalidConfigurationError("empty interval family")
-    lo, hi = np.asarray(family, dtype=float).T
     bad = ~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo))
     if bad.any():
-        a, b = family[int(np.argmax(bad))]
-        raise InvalidParameterError(f"family interval [{a}, {b}) is empty or not finite")
+        i = int(np.argmax(bad))
+        raise InvalidParameterError(
+            f"family interval [{float(lo[i])}, {float(hi[i])}) is empty or not finite"
+        )
     ell = hi - lo
     pa = w.integrals(lo, hi) / ell
     pb = w.inv().integrals(lo, hi) / ell
     bad = ~(np.isfinite(pa) & np.isfinite(pb))
     if bad.any():
-        a, b = family[int(np.argmax(bad))]
+        i = int(np.argmax(bad))
+        a, b = float(lo[i]), float(hi[i])
         raise DivergedIntegralError(
             f"non-integrable weight {w.label} on [{a}, {b})", (a, b)
         )
     prod = pa * pb
     best = int(np.argmax(prod))
-    a, b = family[best]
-    return A2Report(float(prod[best]), (a, b), len(family), family_label)
+    return A2Report(float(prod[best]), (float(lo[best]), float(hi[best])), lo.size, family_label)
 
 
 def doubling_ratio(w: Weight, interval: tuple[float, float], s: float) -> float:

@@ -366,3 +366,29 @@ class TestIntervalTable:
     def test_unknown_grid_rule_rejected(self):
         with pytest.raises(InvalidConfigurationError):
             interval_table([DyadicInterval("hexagonal", 0, 0)])
+
+    def test_mixed_list_bit_equal_to_float_bounds(self):
+        """Both grids, scales out of order and a repeated interval: each row is
+        its interval's own float_bounds(), whatever the rows around it."""
+        intervals = [
+            DyadicInterval(THIRD_SHIFT, 3, -5),
+            DyadicInterval("standard", -2, 1),
+            DyadicInterval(THIRD_SHIFT, -1, 0),
+            DyadicInterval("standard", 7, -300),
+            DyadicInterval(THIRD_SHIFT, 3, -5),
+            DyadicInterval(THIRD_SHIFT, 10, 4097),
+            DyadicInterval("standard", 0, 2),
+            DyadicInterval(THIRD_SHIFT, -2, -1),
+        ]
+        table = interval_table(intervals)
+        assert table.intervals == tuple(intervals)
+        for i, interval in enumerate(intervals):
+            left, mid, right = interval.float_bounds()
+            row = (table.left[i], table.mid[i], table.right[i], table.length[i])
+            want = (left, mid, right, math.ldexp(1.0, -interval.j))
+            assert [float(x).hex() for x in row] == [x.hex() for x in want], interval.label()
+        empty = interval_table([])
+        assert len(empty) == 0
+        assert all(getattr(empty, name).shape == (0,) for name in ("left", "mid", "right", "length"))
+        with pytest.raises(InvalidConfigurationError):
+            interval_table(intervals + [DyadicInterval("hexagonal", 1, 0)])

@@ -634,6 +634,39 @@ class TestStructuredAssembly:
             assert res.frobenius_norm == float(np.linalg.norm(restricted))
             assert res.lhs_norm == float(np.linalg.norm(lhs[:, i0:i1]))
 
+    @pytest.mark.parametrize("sign_order", ["definition", "displayed"])
+    @pytest.mark.parametrize("region", [(0.0, 1.0), (-1.0, 2.0)])
+    @pytest.mark.parametrize("kind, remainder", [("shift", "displayed"), ("shift", "derived"), ("multiplier", "displayed")])
+    def test_interior_region_bit_equal_to_full_products(self, kind, remainder, region, sign_order):
+        """Regions away from window.lo, both sign orders: every field equals the
+        full N x N residual restricted to the region's columns."""
+        window = make_window(-4, 4, -2, 5)
+        i0, i1 = window.slice_of(*region)
+        for b in structure_symbols(window):
+            pi = old_paraproduct(b, window)
+            t = old_shift(window) if kind == "shift" else old_multiplier(checkerboard, window)
+            sym = pi + pi.T
+            rhs = sym @ t - t @ sym
+            if sign_order == "displayed":
+                rhs = -rhs
+            if kind == "shift":
+                rhs += old_remainder(b, window, remainder == "derived")
+            mult = multiplication_matrix(b, window).mat
+            lhs = mult @ t - t @ mult
+            restricted = (lhs - rhs)[:, i0:i1]
+            res = expansion_residual(
+                b, D0, window, kind=kind, signs=checkerboard, region=region,
+                remainder=remainder, sign_order=sign_order,
+            )
+            want = (
+                float(np.linalg.svd(restricted, compute_uv=False)[0]),
+                float(np.linalg.norm(restricted)),
+                float(np.linalg.norm(lhs[:, i0:i1])),
+            )
+            got = (res.operator_norm, res.frobenius_norm, res.lhs_norm)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+            assert (res.region, res.kind) == (region, kind)
+
     @pytest.mark.parametrize("kind", ["shift", "multiplier"])
     def test_expansion_reads_each_coefficient_once(self, kind, monkeypatch):
         window = make_window(-4, 4, -2, 6)
@@ -686,6 +719,13 @@ class TestBadAssemblyInput:
         win = make_window(-4, 4, -2, 4)
         with pytest.raises(InvalidConfigurationError):
             expansion_residual(sin_symbol(win), D0, win, region=region)
+
+    @pytest.mark.parametrize("kind", ["shift", "multiplier"])
+    @pytest.mark.parametrize("region", [(0.0, 0.0), (-4.0, -4.0), (4.0, 4.0)])
+    def test_empty_region_rejected(self, kind, region):
+        win = make_window(-4, 4, -2, 4)
+        with pytest.raises(InvalidConfigurationError, match="has no cell"):
+            expansion_residual(sin_symbol(win), D0, win, kind=kind, region=region)
 
     def test_sign_mapping_missing_an_interval_rejected(self):
         pattern = {iv: 1 for iv in enumerate_intervals(D0, WIN)}

@@ -58,6 +58,16 @@ class TestA2:
         assert rep.constant == pytest.approx(best, rel=1e-12)
         assert rep.constant >= 1.0
 
+    @pytest.mark.parametrize("w", [PowerWeight(0.5), pathological_weight(2.0, 3, 9.0)], ids=["power", "spiked"])
+    def test_default_family_is_interval_family(self, w):
+        win = make_window(-4, 4, -2, 6)
+        fam = interval_family(win, (standard_grid(), third_shift_grid()), seed=7)
+        default = a2_constant(w, win, seed=7)
+        given_family = a2_constant(w, win, family=fam)
+        assert default.constant.hex() == given_family.constant.hex()
+        assert default.argmax_interval == given_family.argmax_interval
+        assert default.family_size == given_family.family_size == len(fam)
+
     def test_symmetry_under_inversion(self):
         win = make_window(-1, 1, 0, 6)
         fam = interval_family(win, (standard_grid(),), n_random=200, seed=3)
@@ -352,6 +362,22 @@ class TestDegenerateIntervals:
         with pytest.raises(InvalidParameterError) as info:
             a2_constant(PowerWeight(0.25), win, family=family)
         assert bad in str(info.value)
+
+    @pytest.mark.parametrize(
+        "family, bad",
+        [
+            pytest.param([(0.0, 0.25, 0.5), (0.5, 0.75, 1.0)], "(0.0, 0.25, 0.5)", id="triples"),
+            pytest.param([(0.25,), (0.5,)], "(0.25,)", id="singletons"),
+            pytest.param([(0.0, 0.5), (0.1, 0.2, 0.3), (0.4,)], "(0.1, 0.2, 0.3)", id="ragged"),
+            pytest.param([(0.0, 0.5), 0.75], "0.75", id="bare_number"),
+            pytest.param([(0.0, 0.5), (0.25, None)], "(0.25, None)", id="not_a_number"),
+        ],
+    )
+    def test_a2_rejects_malformed_family_entry(self, family, bad):
+        win = make_window(0, 1, 0, 6)
+        with pytest.raises(InvalidParameterError) as info:
+            a2_constant(PowerWeight(0.25), win, family=family)
+        assert f"entry {bad} is not an interval" in str(info.value)
 
     @pytest.mark.parametrize("a, b", [(0.3, 0.3), (0.5, 0.25), (0.0, math.nan)])
     def test_average_needs_positive_finite_length(self, a, b):
