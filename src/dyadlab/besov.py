@@ -4,11 +4,13 @@ at p=2 by tensor quadrature, weighted dyadic BMO, and finite-scale VMO tails.
 Dyadic norms sum (|b_hat(I)| |I|^1/2 / nu(I))^p over enumerated intervals;
 the second and third forms replace the nu factor by the equivalent weighted
 expressions built from lam and mu integrals.  The three forms, BMO and the VMO
-tails read one interval table per (grid, window), and compute over the whole
+tails read one `interval_table(grid, window)`, and compute over the whole
 table at once: Haar coefficients from `haar_coefficients`, weight brackets
 from `Weight.integrals`, BMO's mean oscillations from one (rows, cells) block
-per cell span, and the square form's subtree sums one level at a time.  The
-continuous p=2 norm is the double integral of |b(x)-b(y)|^2 / (x-y)^2 *
+per cell span, and the square form's subtree sums one level at a time, matched
+on the table's integer j and k columns.  Row labels come from those columns;
+interval objects are built only for the rows `interval_form_ratios` returns.
+The continuous p=2 norm is the double integral of |b(x)-b(y)|^2 / (x-y)^2 *
 lam(x) / mu(y) over the window square, with near-diagonal cell pairs handled
 by one extra subdivision and the Lipschitz difference-quotient bound.  All
 reductions run in enumeration order, so results do not depend on thread count.
@@ -80,7 +82,7 @@ def _bracket(weights: BloomWeight | Weight, form: int, table: IntervalTable) -> 
     if bad.any():
         i = int(np.argmax(bad))
         raise DegenerateWeightError(
-            f"form {form} weight bracket is {q[i]!r} on {table.intervals[i].label()}"
+            f"form {form} weight bracket is {q[i]!r} on {table.label(i)}"
         )
     return q
 
@@ -104,12 +106,12 @@ def dyadic_besov_norm(
         raise InvalidParameterError("p must lie in (0, inf)")
     if form not in (1, 2, 3):
         raise InvalidConfigurationError(f"unknown form {form}")
-    table = interval_table(enumerate_intervals(grid, window))
+    table = interval_table(grid, window)
     q = _bracket(weights, form, table)
     terms = (_haar_terms(b, table) * q) ** p
     return NormReport(
         value=math.fsum(terms) ** (1.0 / p),
-        contributions=[(iv.label(), t) for iv, t in zip(table.intervals, terms.tolist())],
+        contributions=list(zip(table.labels(), terms.tolist())),
         params={"p": p, "form": form, "grid": grid.grid_id},
     )
 
@@ -128,13 +130,15 @@ def interval_form_ratios(
 ) -> tuple[list[IntervalFormRow], float]:
     """Per-interval values of the three equivalent weight brackets and the
     worst pairwise ratio across all enumerated intervals."""
-    table = interval_table(enumerate_intervals(grid, window))
+    table = interval_table(grid, window)
     q1, q2, q3 = (_bracket(pair, form, table) for form in (1, 2, 3))
     # q2 |I| is (lam(I) mu^-1(I))^1/2 exactly, as |I| is a power of two
     cs_gap = q2 * table.length - pair.nu.inv().integrals(table.left, table.right)
     qs = np.stack([q1, q2, q3])
     worst = float(np.max(qs.max(axis=0) / qs.min(axis=0), initial=1.0))
-    columns = (table.intervals, q1.tolist(), q2.tolist(), q3.tolist(), cs_gap.tolist())
+    # each returned row carries its interval object, in table order
+    intervals = enumerate_intervals(grid, window)
+    columns = (intervals, q1.tolist(), q2.tolist(), q3.tolist(), cs_gap.tolist())
     return [IntervalFormRow(*row) for row in zip(*columns)], worst
 
 
@@ -157,7 +161,14 @@ def continuous_energy(
     cell are split once and the touching half-pairs are replaced by the
     Lipschitz difference-quotient bound, whose total mass is returned as the
     error estimate.  Returns (value, error_estimate, per-x-cell totals).
+    For p <= 1 the near-diagonal |x-y|^(p-2) is not integrable, so p must be
+    finite and exceed 1, and `nodes` must be at least 1; either raises
+    InvalidParameterError otherwise.
     """
+    if not 1.0 < p < math.inf:
+        raise InvalidParameterError(f"p must lie in (1, inf); got {p!r}")
+    if nodes < 1:
+        raise InvalidParameterError(f"nodes must be at least 1; got {nodes!r}")
     if not b.is_lipschitz:
         raise InvalidConfigurationError(
             "continuous energy needs a Lipschitz symbol; jump symbols diverge"
@@ -343,14 +354,13 @@ def _abs_deviation_integrals(
     return out
 
 
-def _subtree_sums(terms: np.ndarray, table: IntervalTable, grid: DyadicGrid) -> np.ndarray:
+def _subtree_sums(terms: np.ndarray, table: IntervalTable) -> np.ndarray:
     """Row i: terms[i] plus the terms of every descendant of row i in the
-    table, a table of `grid`'s intervals.  Levels are summed finest first, and
-    each row adds its left child's sum, then its right child's.  Child rows
-    are matched on the integer keys: the children of (j, k) are
-    (j + 1, 2k + t) and (j + 1, 2k + t + 1), t = 3 * grid_shift(j)."""
-    j = np.array([interval.j for interval in table.intervals], dtype=int)
-    k = np.array([interval.k for interval in table.intervals], dtype=int)
+    table.  Levels are summed finest first, and each row adds its left
+    child's sum, then its right child's.  Child rows are matched on the
+    integer columns: the children of (j, k) are (j + 1, 2k + t) and
+    (j + 1, 2k + t + 1), t = 3 * grid_shift(j)."""
+    j, k = table.j, table.k
     sums = terms.copy()
     levels = np.unique(j).tolist()
     for level in reversed(levels):
@@ -360,7 +370,7 @@ def _subtree_sums(terms: np.ndarray, table: IntervalTable, grid: DyadicGrid) -> 
         order = np.argsort(k[kids], kind="stable")
         kid_k = k[kids][order]
         rows = np.flatnonzero(j == level)
-        first = 2 * k[rows] + int(3 * grid_shift(grid.shift_rule, level))
+        first = 2 * k[rows] + int(3 * grid_shift(table.grid_id, level))
         for want in (first, first + 1):
             at = np.minimum(np.searchsorted(kid_k, want), kid_k.size - 1)
             hit = kid_k[at] == want
@@ -380,7 +390,7 @@ def weighted_bmo_dyadic(
     oscillation; the square form takes sup over K of the mu^-1(K)-normalized
     sum of squared coefficient terms over enumerated descendants of K.
     """
-    table = interval_table(enumerate_intervals(grid, window))
+    table = interval_table(grid, window)
     lo, hi = table.left, table.right
     deviation = _abs_deviation_integrals(
         b.cell_values(), window.cell_edges(), float(window.cell_width), lo, hi
@@ -392,7 +402,7 @@ def weighted_bmo_dyadic(
     mu_inv = pair.mu.inv().integrals(lo, hi)
     bh = haar_coefficients(b, table)
     s_term = bh * bh * mu_inv * mu_inv * pair.lam.integrals(lo, hi) / table.length**3
-    sup_sq, arg_sq = _sup(_subtree_sums(s_term, table, grid) / mu_inv, table)
+    sup_sq, arg_sq = _sup(_subtree_sums(s_term, table) / mu_inv, table)
     return BmoReport(sup_avg, sup_sq, arg_avg, arg_sq)
 
 
@@ -403,7 +413,7 @@ def _sup(values: np.ndarray, table: IntervalTable) -> tuple[float, str]:
     best = float(np.max(positive, initial=0.0))
     if best == 0.0:
         return 0.0, ""
-    return best, table.intervals[int(np.argmax(positive))].label()
+    return best, table.label(int(np.argmax(positive)))
 
 
 @dataclass
@@ -437,7 +447,7 @@ def vmo_tail_report(
         center = float(window.lo + window.span / 2)
     if ladder is None:
         ladder = [2.0 ** (-j) for j in range(window.j_min, window.j_max + 1)]
-    table = interval_table(enumerate_intervals(grid, window))
+    table = interval_table(grid, window)
     terms = (_haar_terms(b, table) * _bracket(weights, 1, table)) ** 2
     # fsum rounds each partial sum once, so tails over nested sets stay monotone
     rows = [

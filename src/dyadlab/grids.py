@@ -4,8 +4,15 @@ Intervals are identified by (grid_id, scale j, translation k); each endpoint is
 an exact Fraction built in one step from integers, left = (3k + t) 2^-j / 3
 with t = 3 * grid_shift, so no floating accumulation ever enters the geometry.
 Two grid families are supported: the standard grid and its one-third shift,
-where the scale-j translation is (-1)^j * 2^-j / 3.  All types are immutable
-and every operation is pure, so concurrent reads are safe.
+where the scale-j translation is (-1)^j * 2^-j / 3.
+
+`interval_table(grid, window)` is the one enumeration of a grid's intervals
+inside a window: each scale contributes one range of translations, and the
+table holds the integer j and k of every row with its float left, mid,
+right and length, built as arrays without an interval object per row.
+`enumerate_intervals` is the object view of the same rows, for callers that
+hand intervals on.  All types are immutable and every operation is pure, so
+concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -14,11 +21,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import CoverNotFoundError, InvalidConfigurationError
+from .errors import CoverNotFoundError, InvalidConfigurationError, InvalidParameterError
 
 STANDARD = "standard"
 THIRD_SHIFT = "third_shift"
@@ -136,7 +143,7 @@ class DyadicInterval:
         return self.left <= other.left and other.right <= self.right
 
     def label(self) -> str:
-        return f"{self.grid_id}:j={self.j}:k={self.k}"
+        return _label(self.grid_id, self.j, self.k)
 
 
 @dataclass(frozen=True)
@@ -210,11 +217,19 @@ class TruncationWindow:
         interval outside the window has no cells in it: all of these raise
         InvalidConfigurationError.
         """
-        shift = self.j_max - interval.j
-        if _shift_thirds(interval.grid_id, interval.j) != 0 or shift < 0:
-            raise InvalidConfigurationError(f"{interval.label()} is not cell-aligned")
-        i0 = (interval.k << shift) - self._lo_cells
-        return self._inside(i0, i0 + (1 << shift), interval.label())
+        return self._cell_range(interval.grid_id, interval.j, interval.k)
+
+    def cell_slices(self, table: IntervalTable) -> list[tuple[int, int]]:
+        """`cell_slice` of the interval of every table row, read off the
+        integer columns."""
+        return [self._cell_range(table.grid_id, j, k) for j, k in zip(table.j.tolist(), table.k.tolist())]
+
+    def _cell_range(self, grid_id: str, j: int, k: int) -> tuple[int, int]:
+        shift = self.j_max - j
+        if _shift_thirds(grid_id, j) != 0 or shift < 0:
+            raise InvalidConfigurationError(f"{_label(grid_id, j, k)} is not cell-aligned")
+        i0 = (k << shift) - self._lo_cells
+        return self._inside(i0, i0 + (1 << shift), _label(grid_id, j, k))
 
     def slice_of(self, left: Fraction, right: Fraction) -> tuple[int, int]:
         """Indices [i0, i1) of the finest cells tiling [left, right), which
@@ -232,8 +247,18 @@ class TruncationWindow:
         return i0, i1
 
 
+def _exact(x, what: str) -> Fraction:
+    """x as an exact Fraction; a value with none (nan, inf) raises
+    InvalidParameterError."""
+    try:
+        return Fraction(x)
+    except (OverflowError, ValueError):
+        raise InvalidParameterError(f"{what} {x!r} is not a finite number") from None
+
+
 def make_window(lo, hi, j_min: int, j_max: int) -> TruncationWindow:
-    return TruncationWindow(Fraction(lo), Fraction(hi), int(j_min), int(j_max))
+    lo, hi = _exact(lo, "window end"), _exact(hi, "window end")
+    return TruncationWindow(lo, hi, int(j_min), int(j_max))
 
 
 def default_window(j_max: int = 7) -> TruncationWindow:
@@ -242,39 +267,53 @@ def default_window(j_max: int = 7) -> TruncationWindow:
 
 
 def enumerate_intervals(grid: DyadicGrid, window: TruncationWindow) -> list[DyadicInterval]:
-    """All grid intervals fully inside the window, scale-major then left-to-right.
+    """All grid intervals fully inside the window, scale-major then left-to-right:
+    the rows of `interval_table(grid, window)` as interval objects."""
+    return interval_table(grid, window).intervals()
 
-    Intervals protruding outside the window are dropped.
-    """
-    out: list[DyadicInterval] = []
-    for j in range(window.j_min, window.j_max + 1):
-        # [left, right) = [3k + t, 3k + 3 + t) * 2^-j / 3 lies in [lo, hi)
-        # exactly when 3k + t >= lo * 3 * 2^j and 3k + 3 + t <= hi * 3 * 2^j
-        t = _shift_thirds(grid.shift_rule, j)
-        scale = 3 * Fraction(2) ** j
-        k_min = math.ceil((window.lo * scale - t) / 3)
-        k_max = math.floor((window.hi * scale - 3 - t) / 3)
-        out += [DyadicInterval(grid.grid_id, j, k) for k in range(k_min, k_max + 1)]
-    return out
+
+def _label(grid_id: str, j: int, k: int) -> str:
+    """The label of interval (j, k) of grid `grid_id`, for objects and table rows alike."""
+    return f"{grid_id}:j={j}:k={k}"
 
 
 @dataclass(frozen=True)
 class IntervalTable:
-    """Intervals with their float geometry as arrays, row i for intervals[i].
+    """The intervals of one grid inside one window as read-only columns, one
+    row per interval, scale-major then left to right.
 
-    Every entry equals float() of the exact Fraction value: left is
-    (3k + t) 2^-j / 3 with t = 3 * grid_shift in {0, 1, -1}, an exact product
-    followed by one correctly rounded division, and likewise for mid and right.
+    j and k are each row's integer scale and translation.  Every float entry
+    equals float() of the exact Fraction value: left is (3k + t) 2^-j / 3 with
+    t = 3 * grid_shift in {0, 1, -1}, an exact product followed by one
+    correctly rounded division, and likewise for mid and right.
     """
 
-    intervals: tuple[DyadicInterval, ...]
+    grid_id: str
+    j: np.ndarray
+    k: np.ndarray
     left: np.ndarray
     mid: np.ndarray
     right: np.ndarray
     length: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.intervals)
+        return len(self.j)
+
+    def __getitem__(self, rows: slice) -> "IntervalTable":
+        """The table of the rows in the slice `rows`."""
+        columns = (self.j, self.k, self.left, self.mid, self.right, self.length)
+        return IntervalTable(self.grid_id, *(column[rows] for column in columns))
+
+    def label(self, row: int) -> str:
+        return _label(self.grid_id, int(self.j[row]), int(self.k[row]))
+
+    def labels(self) -> list[str]:
+        """Every row's `DyadicInterval.label`."""
+        return [_label(self.grid_id, j, k) for j, k in zip(self.j.tolist(), self.k.tolist())]
+
+    def intervals(self) -> list[DyadicInterval]:
+        """The rows as interval objects."""
+        return [DyadicInterval(self.grid_id, j, k) for j, k in zip(self.j.tolist(), self.k.tolist())]
 
 
 def _float_bounds(k, t, length):
@@ -288,28 +327,41 @@ def _float_bounds(k, t, length):
     return left, mid, right
 
 
-def interval_table(intervals: Iterable[DyadicInterval]) -> IntervalTable:
-    """The table of `intervals`, typically `enumerate_intervals(grid, window)`.
+# Translations up to this size keep 6k + 3 + 2t, and so every float column, exact.
+_EXACT_K = 2**50
 
-    Scales, translations and grid ids are read into arrays in one pass each,
-    and the shift thirds are set once per distinct grid id; an unknown grid
-    id raises InvalidConfigurationError."""
-    intervals = tuple(intervals)
-    n = len(intervals)
-    j = np.fromiter((iv.j for iv in intervals), dtype=int, count=n)
-    k = np.fromiter((iv.k for iv in intervals), dtype=float, count=n)
-    grid_ids = np.fromiter((iv.grid_id for iv in intervals), dtype=object, count=n)
-    t = np.empty(n)
-    for grid_id in set(grid_ids):
-        # a grid's shift depends on the parity of the scale only
-        even, odd = _shift_thirds(grid_id, 0), _shift_thirds(grid_id, 1)
-        rows = grid_ids == grid_id
-        t[rows] = np.where(j[rows] % 2, odd, even)
+
+def interval_table(grid: DyadicGrid, window: TruncationWindow) -> IntervalTable:
+    """Every interval of `grid` fully inside `window`, scale-major then left to
+    right; intervals protruding outside the window are dropped.
+
+    Each scale contributes one range of translations, and the columns are
+    built from those ranges with array operations only.  A window so far from
+    0 that a translation reaches 2^50 raises InvalidConfigurationError, as
+    its float geometry could not be exact."""
+    ts, ks = [], []
+    for j in range(window.j_min, window.j_max + 1):
+        # [left, right) = [3k + t, 3k + 3 + t) * 2^-j / 3 lies in [lo, hi)
+        # exactly when 3k + t >= lo * 3 * 2^j and 3k + 3 + t <= hi * 3 * 2^j
+        t = _shift_thirds(grid.shift_rule, j)
+        scale = 3 * Fraction(2) ** j
+        k_min = math.ceil((window.lo * scale - t) / 3)
+        k_max = math.floor((window.hi * scale - 3 - t) / 3)
+        if max(abs(k_min), abs(k_max)) >= _EXACT_K:
+            raise InvalidConfigurationError(
+                f"scale-{j} translations of the window reach 2^50; its float geometry is not exact"
+            )
+        ts.append(t)
+        ks.append(np.arange(k_min, k_max + 1, dtype=np.int64))
+    counts = [len(k) for k in ks]
+    j = np.repeat(np.arange(window.j_min, window.j_max + 1, dtype=np.int64), counts)
+    t = np.repeat(ts, counts)
+    k = np.concatenate(ks)
     length = np.ldexp(1.0, -j)
     left, mid, right = _float_bounds(k, t, length)
-    for arr in (left, mid, right, length):
+    for arr in (j, k, left, mid, right, length):
         arr.flags.writeable = False
-    return IntervalTable(intervals, left, mid, right, length)
+    return IntervalTable(grid.grid_id, j, k, left, mid, right, length)
 
 
 # The one Gauss-Legendre rule of the package: 32 nodes and weights on [-1, 1].
@@ -361,14 +413,15 @@ def find_cover(
     |Q| <= max_ratio * (hi - lo).
 
     Scales are scanned from fine to coarse; raises CoverNotFoundError when no
-    grid interval of admissible size contains the target.
+    grid interval of admissible size contains the target, and
+    InvalidParameterError when lo, hi or max_ratio is not finite.
     """
-    lo_f = Fraction(lo)
-    hi_f = Fraction(hi)
+    lo_f = _exact(lo, "target end")
+    hi_f = _exact(hi, "target end")
     if hi_f <= lo_f:
         raise InvalidConfigurationError("empty target interval")
     length = hi_f - lo_f
-    budget = length * Fraction(max_ratio).limit_denominator(10**9)
+    budget = length * _exact(max_ratio, "max_ratio").limit_denominator(10**9)
     j_fine = -_floor_log2_at_least(length)
     # scan |Q| = 2^-j ascending from the first scale >= length
     j = j_fine

@@ -5,10 +5,12 @@ Basis vectors are e_i = |cell|^(-1/2) * indicator(cell_i); entries are
 and multiplication matrices are finite sums of exact cellwise products.  Each
 Haar term of the paraproduct, multiplier, shift and remainders touches only
 the I x I block of its interval, so it is written there: the block's cell
-range comes from integer (j, k) arithmetic (`TruncationWindow.cell_slice`),
-and h_I is the local vector +-1/sqrt(cells) on I's cells (`_local_haar`).
-The coefficients b_hat(I) come from one `haar_coefficients` table per
-matrix, and one per expansion, which the paraproduct and the remainder share.
+range comes from the integer (j, k) columns of the grid's interval table
+(`TruncationWindow.cell_slices`), and h_I is the local vector
++-1/sqrt(cells) on I's cells (`_local_haar`).  The coefficients b_hat(I)
+come from one `haar_coefficients` call per matrix, on the table's
+scale-major prefix of resolvable rows, and one per expansion, which the
+paraproduct and the remainder share.
 The Hilbert transform matrix comes from the closed-form primitive
 G(t) = t (ln|t| - 1), which renders every cell-pair principal value finite
 (diagonal entries vanish by antisymmetry); a box integral depends only on the
@@ -34,8 +36,8 @@ from .errors import InvalidConfigurationError, InvalidMatrixError
 from .grids import (
     DyadicGrid,
     DyadicInterval,
+    IntervalTable,
     TruncationWindow,
-    enumerate_intervals,
     interval_table,
 )
 from .symbols import Symbol, haar_coefficients
@@ -109,27 +111,21 @@ def _require_standard(grid: DyadicGrid, what: str) -> None:
         )
 
 
-def _haar_scales(window: TruncationWindow, grid: DyadicGrid, max_scale: int):
-    """Enumerated intervals whose Haar functions are resolvable (and, for the
-    shift, whose grandchildren are too)."""
-    return [
-        interval
-        for interval in enumerate_intervals(grid, window)
-        if interval.j <= max_scale
-    ]
+def _haar_rows(window: TruncationWindow, grid: DyadicGrid, max_scale: int) -> IntervalTable:
+    """The table rows of scale <= max_scale, a scale-major prefix: the
+    intervals whose Haar functions are resolvable (and, for the shift, whose
+    grandchildren are too)."""
+    table = interval_table(grid, window)
+    return table[: int(np.searchsorted(table.j, max_scale, side="right"))]
 
 
-def _local_haar(interval: DyadicInterval, window: TruncationWindow):
-    """(i0, i1, h): the cells [i0, i1) of I and h_I in orthonormal cell
-    coordinates on those cells only, +1/sqrt(cells) then -1/sqrt(cells)."""
-    i0, i1 = window.cell_slice(interval)
-    cells = i1 - i0
-    if cells < 2:
-        raise InvalidConfigurationError(f"Haar function of {interval.label()} is unresolvable")
+def _local_haar(cells: int) -> np.ndarray:
+    """h_I in orthonormal cell coordinates on I's cells only, +1/sqrt(cells)
+    then -1/sqrt(cells)."""
     amp = 1.0 / math.sqrt(cells)
     h = np.full(cells, amp)
     h[cells // 2 :] = -amp
-    return i0, i1, h
+    return h
 
 
 def coarse_unit_vectors(window: TruncationWindow) -> list[np.ndarray]:
@@ -146,11 +142,11 @@ def coarse_unit_vectors(window: TruncationWindow) -> list[np.ndarray]:
 
 def _coefficients(
     b: Symbol, grid: DyadicGrid, window: TruncationWindow, max_scale: int
-) -> tuple[tuple[DyadicInterval, ...], list[float]]:
-    """The enumerated intervals of scale <= max_scale and b's Haar
-    coefficient on each, from one `haar_coefficients` table."""
-    table = interval_table(_haar_scales(window, grid, max_scale))
-    return table.intervals, haar_coefficients(b, table).tolist()
+) -> tuple[IntervalTable, list[float]]:
+    """The table rows of scale <= max_scale and b's Haar coefficient on
+    each, from one `haar_coefficients` call."""
+    rows = _haar_rows(window, grid, max_scale)
+    return rows, haar_coefficients(b, rows).tolist()
 
 
 def paraproduct_matrix(
@@ -161,16 +157,15 @@ def paraproduct_matrix(
     return _paraproduct(*_coefficients(b, grid, window, window.j_max - 1), window)
 
 
-def _paraproduct(intervals, coefficients, window: TruncationWindow) -> OperatorMatrix:
+def _paraproduct(rows: IntervalTable, coefficients, window: TruncationWindow) -> OperatorMatrix:
     n = window.n_cells
     width = float(window.cell_width)
     mat = np.zeros((n, n))
-    for interval, bh in zip(intervals, coefficients):
+    for (i0, i1), bh in zip(window.cell_slices(rows), coefficients):
         if bh == 0.0:
             continue
-        i0, i1 = window.cell_slice(interval)
         m0 = (i0 + i1) // 2
-        length = math.ldexp(1.0, -interval.j)
+        length = (i1 - i0) * width
         amp = 1.0 / math.sqrt(length)
         # row pattern: h_I at cells times sqrt(width); column: width/|I| * sqrt(width)/width
         col = math.sqrt(width) / length
@@ -209,13 +204,14 @@ def haar_multiplier_matrix(
             return mapping[interval]
     n = window.n_cells
     mat = np.zeros((n, n))
-    for interval in _haar_scales(window, grid, window.j_max - 1):
+    rows = _haar_rows(window, grid, window.j_max - 1)
+    for interval, (i0, i1) in zip(rows.intervals(), window.cell_slices(rows)):
         s = sign_of(interval)
         if s not in (-1, 1):
             raise InvalidConfigurationError(
                 f"sign pattern must map to +/-1; got {s} on {interval.label()}"
             )
-        i0, i1, h = _local_haar(interval, window)
+        h = _local_haar(i1 - i0)
         mat[i0:i1, i0:i1] += s * np.outer(h, h)
     step = 1 << (window.j_max - window.j_min)  # cells per coarsest interval
     amp = 1.0 / math.sqrt(step)
@@ -231,12 +227,11 @@ def haar_shift_matrix(grid: DyadicGrid, window: TruncationWindow) -> OperatorMat
     _require_standard(grid, "dyadic shift assembly")
     n = window.n_cells
     mat = np.zeros((n, n))
-    for interval in _haar_scales(window, grid, window.j_max - 2):
-        i0, i1, h = _local_haar(interval, window)
+    for i0, i1 in window.cell_slices(_haar_rows(window, grid, window.j_max - 2)):
         # both children carry the same local pattern, on I's two halves
-        _, _, hc = _local_haar(interval.left_child, window)
+        hc = _local_haar((i1 - i0) // 2)
         out = np.concatenate((hc, -hc)) / math.sqrt(2.0)
-        mat[i0:i1, i0:i1] += np.outer(out, h)
+        mat[i0:i1, i0:i1] += np.outer(out, _local_haar(i1 - i0))
     return OperatorMatrix(mat, window, name="haar_shift")
 
 
@@ -304,21 +299,22 @@ def multiplication_commutator(b: Symbol, t: OperatorMatrix) -> OperatorMatrix:
 
 
 def _remainder(
-    intervals, coefficients, window: TruncationWindow, child_signs, scale: float, name: str
+    rows: IntervalTable, coefficients, window: TruncationWindow, child_signs, scale: float, name: str
 ) -> OperatorMatrix:
-    """Sum over the given I of scale <= j_max - 2 of (b_hat(I) / sqrt(scale |I|)) *
+    """Sum over the given rows I of scale <= j_max - 2 of (b_hat(I) / sqrt(scale |I|)) *
     ((s_l h_(left child) + s_r h_(right child)) outer h_I)."""
     n = window.n_cells
     mat = np.zeros((n, n))
     s_left, s_right = child_signs
-    for interval, bh in zip(intervals, coefficients):
-        if bh == 0.0 or interval.j > window.j_max - 2:
+    width = float(window.cell_width)
+    for (i0, i1), bh in zip(window.cell_slices(rows), coefficients):
+        # scale <= j_max - 2: each child holds a Haar pair of cells
+        if bh == 0.0 or i1 - i0 < 4:
             continue
-        i0, i1, h = _local_haar(interval, window)
-        _, _, hc = _local_haar(interval.left_child, window)
+        hc = _local_haar((i1 - i0) // 2)
         out = np.concatenate((s_left * hc, s_right * hc))
-        coeff = bh / math.sqrt(scale * math.ldexp(1.0, -interval.j))
-        mat[i0:i1, i0:i1] += coeff * np.outer(out, h)
+        coeff = bh / math.sqrt(scale * (i1 - i0) * width)
+        mat[i0:i1, i0:i1] += coeff * np.outer(out, _local_haar(i1 - i0))
     return OperatorMatrix(mat, window, name=name)
 
 
@@ -349,8 +345,10 @@ def k_vector(interval: DyadicInterval, window: TruncationWindow) -> np.ndarray:
     """k_I = h_(right child) - h_(left child) in orthonormal cell coordinates."""
     v = np.zeros(window.n_cells)
     for child, sign in zip(interval.children, (-1.0, 1.0)):
-        i0, i1, h = _local_haar(child, window)
-        v[i0:i1] = sign * h
+        i0, i1 = window.cell_slice(child)
+        if i1 - i0 < 2:
+            raise InvalidConfigurationError(f"Haar function of {child.label()} is unresolvable")
+        v[i0:i1] = sign * _local_haar(i1 - i0)
     return v
 
 

@@ -31,7 +31,6 @@ from .grids import (
     GAUSS_LEGENDRE_32,
     DyadicGrid,
     TruncationWindow,
-    enumerate_intervals,
     interval_table,
 )
 
@@ -186,8 +185,10 @@ class PowerWeight(Weight):
             raise InvalidParameterError(
                 "power weight exponent must lie in (-1, 1) for local integrability of w and 1/w"
             )
-        if not self.coeff > 0:
-            raise InvalidParameterError("power weight coefficient must be positive")
+        if not 0 < self.coeff < math.inf:
+            raise InvalidParameterError("power weight coefficient must be positive and finite")
+        if not math.isfinite(self.center):
+            raise InvalidParameterError("power weight center must be finite")
 
     @property
     def label(self) -> str:
@@ -418,6 +419,10 @@ class QuadratureWeight(Weight):
     name: str = "composite"
     seg_len: float = 0.125
 
+    def __post_init__(self):
+        if not 0 < self.seg_len < math.inf:
+            raise InvalidParameterError("quadrature segment length must be positive and finite")
+
     @property
     def label(self) -> str:
         return self.name
@@ -541,7 +546,7 @@ def _family_bounds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (lo, hi) arrays of `interval_family`: each grid's interval table,
     then the random intervals, drawn one scalar `rng.uniform` at a time."""
-    tables = [interval_table(enumerate_intervals(grid, window)) for grid in grids]
+    tables = [interval_table(grid, window) for grid in grids]
     rng = np.random.default_rng(seed)
     lo_f, hi_f = float(window.lo), float(window.hi)
     min_len = float(window.cell_width)
@@ -656,12 +661,17 @@ def reverse_holder_exponent(
     grid: DyadicGrid | None = None,
 ) -> ReverseHolderReport:
     """Largest ladder exponent r with [avg_I w^(r/2)]^(2/r) <= cap * avg_I w
-    uniformly over enumerated dyadic intervals; None when no rung qualifies."""
+    uniformly over enumerated dyadic intervals; None when no rung qualifies.
+    Every rung and the cap must be finite and positive, or
+    InvalidParameterError is raised."""
+    for value in (*ladder, cap):
+        if not 0 < value < math.inf:
+            raise InvalidParameterError(f"rungs and cap must be finite and positive; got {value!r}")
     if grid is None:
         from .grids import standard_grid
 
         grid = standard_grid()
-    table = interval_table(enumerate_intervals(grid, window))
+    table = interval_table(grid, window)
     ell = table.right - table.left
     avg = w.integrals(table.left, table.right) / ell
     per: dict[float, float] = {}

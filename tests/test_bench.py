@@ -17,6 +17,11 @@ still make scalar calls, and three scalar paths stay for that:
 - `haar_coefficients` of an analytic symbol makes one `haar_coefficient`
   call per row, which gives `symbols.haar_coeff_calls` and keeps the
   antiderivative on scalars, so its rounding is unchanged.
+
+The tracer also rebinds `enumerate_intervals` in every module that imports
+it, and the self-test checks that `besov.enumerate_intervals` is such a
+binding: `interval_form_ratios` takes its row objects from it, and the
+calls give `grids.enumerate_repeat_frac`.
 """
 
 import subprocess

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dyadlab.errors import DyadlabError, InvalidConfigurationError
+from dyadlab.errors import DyadlabError, InvalidConfigurationError, InvalidParameterError
 from dyadlab.besov import (
     _abs_deviation_integrals,
     continuous_besov_norm_p2,
+    continuous_energy,
     dyadic_besov_norm,
     intersection_norm,
     interval_form_ratios,
@@ -161,6 +162,31 @@ class TestContinuous:
         b = sin_symbol(WIN)
         rep = continuous_besov_norm_p2(b, PowerWeight(0.25), PowerWeight(-0.25), WIN)
         assert rep.value > 0
+
+
+ONE = ConstantWeight(1.0)
+
+
+class TestContinuousBadInput:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda b: continuous_energy(b, 1.0, ONE, ONE, WIN),  # 0 / 0 in the bound
+            lambda b: continuous_energy(b, 0.5, ONE, ONE, WIN),
+            lambda b: continuous_energy(b, math.nan, ONE, ONE, WIN),
+            lambda b: continuous_energy(b, math.inf, ONE, ONE, WIN),
+            lambda b: continuous_energy(b, 2.0, ONE, ONE, WIN, nodes=0),
+            lambda b: peller_energy(b, 1.0, WIN),
+            lambda b: peller_energy(b, math.nan, WIN),
+            lambda b: peller_energy(b, 2.0, WIN, nodes=-1),
+            lambda b: continuous_besov_norm_p2(b, ONE, ONE, WIN, nodes=0),
+        ],
+        ids=["p=1", "p=0.5", "p=nan", "p=inf", "nodes=0", "peller p=1", "peller p=nan",
+             "peller nodes=-1", "norm nodes=0"],
+    )
+    def test_rejected(self, call):
+        with pytest.raises(InvalidParameterError):
+            call(linear_symbol(WIN))
 
 
 class TestIntersection:

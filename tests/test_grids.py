@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dyadlab.errors import CoverNotFoundError, InvalidConfigurationError
+from dyadlab.errors import CoverNotFoundError, InvalidConfigurationError, InvalidParameterError
 from dyadlab.grids import (
     THIRD_SHIFT,
     DyadicInterval,
@@ -355,40 +355,95 @@ class TestIntervalTable:
         ids=["negative_j_min", "cell_cap"],
     )
     def test_bit_equal_to_fraction_geometry(self, grid, window):
+        table = interval_table(grid, window)
         intervals = enumerate_intervals(grid, window)
-        table = interval_table(intervals)
-        assert table.intervals == tuple(intervals)
         assert len(table) == len(intervals)
         for name in ("left", "mid", "right", "length"):
             exact = np.array([float(getattr(iv, name)) for iv in intervals])
             assert np.array_equal(getattr(table, name), exact), name
 
-    def test_unknown_grid_rule_rejected(self):
-        with pytest.raises(InvalidConfigurationError):
-            interval_table([DyadicInterval("hexagonal", 0, 0)])
+    @GRIDS
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_columns_and_labels_match_enumeration(self, grid, window):
+        table = interval_table(grid, window)
+        intervals = reference_enumeration(grid, window)
+        assert table.grid_id == grid.grid_id
+        assert table.j.tolist() == [iv.j for iv in intervals]
+        assert table.k.tolist() == [iv.k for iv in intervals]
+        assert table.labels() == [iv.label() for iv in intervals]
+        assert [table.label(i) for i in range(len(table))] == table.labels()
+        assert table.intervals() == intervals
+        head = table[:5]
+        assert head.labels() == table.labels()[:5]
+        assert np.array_equal(head.mid, table.mid[:5])
 
-    def test_mixed_list_bit_equal_to_float_bounds(self):
-        """Both grids, scales out of order and a repeated interval: each row is
-        its interval's own float_bounds(), whatever the rows around it."""
-        intervals = [
-            DyadicInterval(THIRD_SHIFT, 3, -5),
-            DyadicInterval("standard", -2, 1),
-            DyadicInterval(THIRD_SHIFT, -1, 0),
-            DyadicInterval("standard", 7, -300),
-            DyadicInterval(THIRD_SHIFT, 3, -5),
-            DyadicInterval(THIRD_SHIFT, 10, 4097),
-            DyadicInterval("standard", 0, 2),
-            DyadicInterval(THIRD_SHIFT, -2, -1),
-        ]
-        table = interval_table(intervals)
-        assert table.intervals == tuple(intervals)
-        for i, interval in enumerate(intervals):
-            left, mid, right = interval.float_bounds()
-            row = (table.left[i], table.mid[i], table.right[i], table.length[i])
-            want = (left, mid, right, math.ldexp(1.0, -interval.j))
-            assert [float(x).hex() for x in row] == [x.hex() for x in want], interval.label()
-        empty = interval_table([])
-        assert len(empty) == 0
-        assert all(getattr(empty, name).shape == (0,) for name in ("left", "mid", "right", "length"))
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_cell_slices_match_cell_slice(self, window):
+        table = interval_table(standard_grid(), window)
+        assert window.cell_slices(table) == [window.cell_slice(iv) for iv in table.intervals()]
+        with pytest.raises(InvalidConfigurationError, match="not cell-aligned"):
+            window.cell_slices(interval_table(third_shift_grid(), window))
+
+    def test_builds_no_interval_objects(self, monkeypatch):
+        built = []
+        init = DyadicInterval.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(DyadicInterval, "__init__", counted)
+        for grid in (standard_grid(), third_shift_grid()):
+            table = interval_table(grid, default_window(7))
+            table.labels()
+            table[:10]
+        assert built == []
+        assert len(enumerate_intervals(standard_grid(), default_window(2))) == len(built) > 0
+
+    def test_unknown_grid_rule_rejected(self):
+        grid = standard_grid()
+        object.__setattr__(grid, "shift_rule", "hexagonal")  # past the constructor's check
         with pytest.raises(InvalidConfigurationError):
-            interval_table(intervals + [DyadicInterval("hexagonal", 1, 0)])
+            interval_table(grid, default_window(2))
+
+    def test_rows_bit_equal_to_float_bounds(self):
+        """Both grids, coarse and fine scales, and windows on either side of 0:
+        each row is its interval's own float_bounds()."""
+        for grid in (standard_grid(), third_shift_grid()):
+            for window in (make_window(-4, 6, -1, 4), make_window(Fraction(1, 2), 3, 1, 6)):
+                table = interval_table(grid, window)
+                for i, interval in enumerate(table.intervals()):
+                    left, mid, right = interval.float_bounds()
+                    row = (table.left[i], table.mid[i], table.right[i], table.length[i])
+                    want = (left, mid, right, math.ldexp(1.0, -interval.j))
+                    assert [float(x).hex() for x in row] == [x.hex() for x in want], interval.label()
+        # scale 0 of the shifted grid is [1/3, 4/3), which leaves [0, 1)
+        empty = interval_table(third_shift_grid(), make_window(0, 1, 0, 0))
+        assert len(empty) == 0 and empty.labels() == []
+        names = ("j", "k", "left", "mid", "right", "length")
+        assert all(getattr(empty, name).shape == (0,) for name in names)
+
+    def test_far_window_rejected(self):
+        # translations of 2^60 have no exact float geometry
+        with pytest.raises(InvalidConfigurationError, match="2\\^50"):
+            interval_table(standard_grid(), make_window(2**60, 2**60 + 1, 0, 3))
+
+
+class TestNonFiniteEntryPoints:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: make_window(math.nan, 1, 0, 2),
+            lambda: make_window(0, math.inf, 0, 2),
+            lambda: make_window(-math.inf, 0, 0, 2),
+            lambda: find_cover(math.nan, 0.5, (standard_grid(),), default_window(4)),
+            lambda: find_cover(0.25, math.inf, (standard_grid(),), default_window(4)),
+            lambda: find_cover(0.25, 0.5, (standard_grid(),), default_window(4), max_ratio=math.nan),
+            lambda: find_cover(0.25, 0.5, (standard_grid(),), default_window(4), max_ratio=math.inf),
+        ],
+        ids=["window nan", "window inf", "window -inf", "cover nan", "cover inf",
+             "ratio nan", "ratio inf"],
+    )
+    def test_rejected(self, call):
+        with pytest.raises(InvalidParameterError):
+            call()

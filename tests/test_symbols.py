@@ -39,14 +39,14 @@ class TestHaarCoefficients:
     def test_single_haar_symbol_reproduces_itself(self):
         target = DyadicInterval("standard", 2, 1)
         b = HaarSymbol(WIN, {target: 1.0})
-        table = interval_table(enumerate_intervals(standard_grid(), WIN))
-        for interval, c in zip(table.intervals, haar_coefficients(b, table).tolist()):
+        table = interval_table(standard_grid(), WIN)
+        for interval, c in zip(table.intervals(), haar_coefficients(b, table).tolist()):
             want = 1.0 if interval == target else 0.0
             assert c == pytest.approx(want, abs=1e-13)
 
     def test_constant_symbol_all_zero(self):
         b = StepSymbol(WIN, np.full(WIN.n_cells, 3.7))
-        table = interval_table(enumerate_intervals(standard_grid(), WIN))
+        table = interval_table(standard_grid(), WIN)
         for c in haar_coefficients(b, table).tolist():
             assert c == pytest.approx(0.0, abs=1e-12)
 
@@ -73,7 +73,7 @@ class TestHaarCoefficients:
 
     def test_parseval_on_haar_span(self):
         b = random_haar_symbol(WIN, n_terms=10, seed=42)
-        table = interval_table(enumerate_intervals(standard_grid(), WIN))
+        table = interval_table(standard_grid(), WIN)
         total = sum(c * c for c in haar_coefficients(b, table).tolist())
         assert total == pytest.approx(b.l2_norm() ** 2, rel=1e-12)
 
@@ -88,6 +88,20 @@ class TestStepIntegral:
         c = 6.0 * width
         want = 0.5 * width * vals[3] + width * (vals[4] + vals[5])
         assert b.integral(a, c) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda b: b.integral(math.nan, 1.0),
+            lambda b: b.integral(0.0, math.nan),
+            lambda b: b.split_integral(0.0, math.nan, 1.0),
+            lambda b: b.split_integrals(np.array([0.0, 0.5]), np.array([0.5, math.nan]), np.ones(2)),
+        ],
+        ids=["integral a", "integral b", "split m", "table row"],
+    )
+    def test_nan_bound_rejected(self, call):
+        with pytest.raises(InvalidParameterError):
+            call(StepSymbol(WIN, np.ones(WIN.n_cells)))
 
     def test_outside_window_clipped(self):
         b = StepSymbol(WIN, np.ones(WIN.n_cells))

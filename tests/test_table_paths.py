@@ -40,10 +40,6 @@ def bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.int64)
 
 
-def table_of(grid, window):
-    return interval_table(enumerate_intervals(grid, window))
-
-
 class TestStepCoefficients:
     @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: g.grid_id)
     @pytest.mark.parametrize(
@@ -52,20 +48,20 @@ class TestStepCoefficients:
         ids=["j4", "j7", "j9", "jmin-2"],
     )
     def test_equal_to_haar_coefficient(self, grid, window):
-        table = table_of(grid, window)
+        table = interval_table(grid, window)
         rng = np.random.default_rng(window.j_max)
         for b in (
             random_haar_symbol(window, seed=window.j_max),
             StepSymbol(window, rng.normal(size=window.n_cells)),
         ):
-            want = [haar_coefficient(b, interval) for interval in table.intervals]
+            want = [haar_coefficient(b, interval) for interval in table.intervals()]
             assert np.array_equal(bits(haar_coefficients(b, table)), bits(want))
 
     def test_analytic_symbol_row_by_row(self):
         window = make_window(0, 1, 0, 6)
-        table = table_of(third_shift_grid(), window)
+        table = interval_table(third_shift_grid(), window)
         b = quartic_bump_symbol(window)
-        want = [haar_coefficient(b, interval) for interval in table.intervals]
+        want = [haar_coefficient(b, interval) for interval in table.intervals()]
         assert np.array_equal(bits(haar_coefficients(b, table)), bits(want))
 
 
@@ -158,12 +154,12 @@ def reference_deviation(vals, edges, width, a, c) -> float:
     return float(np.sum(np.abs(v - avg) * cov))
 
 
-def reference_subtree(terms, table):
+def reference_subtree(terms, intervals):
     """Finest rows first; each row adds its children's sums, looked up by interval."""
-    row = {interval: i for i, interval in enumerate(table.intervals)}
+    row = {interval: i for i, interval in enumerate(intervals)}
     out = terms.copy()
-    for i in sorted(range(len(table)), key=lambda i: -table.intervals[i].j):
-        for child in table.intervals[i].children:
+    for i in sorted(range(len(intervals)), key=lambda i: -intervals[i].j):
+        for child in intervals[i].children:
             if child in row:
                 out[i] += out[row[child]]
     return out
@@ -174,7 +170,7 @@ class TestBmoTables:
     @pytest.mark.parametrize("j_max", [4, 7, 9])
     def test_deviation_equal_to_per_row_loop(self, grid, j_max):
         window = default_window(j_max)
-        table = table_of(grid, window)
+        table = interval_table(grid, window)
         vals = np.random.default_rng(j_max).normal(size=window.n_cells)
         edges, width = window.cell_edges(), float(window.cell_width)
         got = _abs_deviation_integrals(vals, edges, width, table.left, table.right)
@@ -188,7 +184,8 @@ class TestBmoTables:
     @pytest.mark.parametrize("j_max", [4, 7])
     def test_subtree_sums_equal_to_per_row_loop(self, grid, j_max):
         window = default_window(j_max)
-        table = table_of(grid, window)
+        table = interval_table(grid, window)
         terms = np.random.default_rng(j_max).exponential(size=len(table))
-        got = _subtree_sums(terms, table, grid)
-        assert np.array_equal(bits(got), bits(reference_subtree(terms, table)))
+        got = _subtree_sums(terms, table)
+        want = reference_subtree(terms, enumerate_intervals(grid, window))
+        assert np.array_equal(bits(got), bits(want))

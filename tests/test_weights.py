@@ -293,6 +293,23 @@ class TestReverseHolder:
         assert n_spiked < n_flat
 
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"ladder": (0.0,)},
+            {"ladder": (2.5, math.nan)},
+            {"ladder": (math.inf,)},
+            {"ladder": (-2.0,)},
+            {"cap": math.nan},
+            {"cap": math.inf},
+        ],
+        ids=["rung 0", "rung nan", "rung inf", "rung -2", "cap nan", "cap inf"],
+    )
+    def test_bad_rung_or_cap_rejected(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            reverse_holder_exponent(ConstantWeight(1.0), make_window(0, 1, 0, 3), **kwargs)
+
+
 class TestVectorIntegrals:
     @pytest.mark.parametrize(
         "w",
@@ -345,6 +362,25 @@ class TestNonFiniteBounds:
             pathological_weight(2, 3, 9).integral_power(0.0, math.inf, 2.0)
         with pytest.raises(InvalidParameterError):
             doubling_ratio(PowerWeight(0.5), (0.0, math.nan), 2.0)
+
+
+class TestBadWeightParameters:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PowerWeight(0.5, center=math.inf),
+            lambda: PowerWeight(0.5, center=math.nan),
+            lambda: PowerWeight(0.5, coeff=math.inf),
+            lambda: QuadratureWeight(np.exp, seg_len=0.0),
+            lambda: QuadratureWeight(np.exp, seg_len=math.nan),
+            lambda: QuadratureWeight(np.exp, seg_len=-1.0),
+            lambda: QuadratureWeight(np.exp, seg_len=math.inf),
+        ],
+        ids=["center inf", "center nan", "coeff inf", "seg 0", "seg nan", "seg -1", "seg inf"],
+    )
+    def test_rejected(self, make):
+        with pytest.raises(InvalidParameterError):
+            make()
 
 
 class TestDegenerateIntervals:
