@@ -10,10 +10,13 @@ from `Weight.integrals`, BMO's mean oscillations from one (rows, cells) block
 per cell span, and the square form's subtree sums one level at a time, matched
 on the table's integer j and k columns.  Row labels come from those columns;
 interval objects are built only for the rows `interval_form_ratios` returns.
-The continuous p=2 norm is the double integral of |b(x)-b(y)|^2 / (x-y)^2 *
-lam(x) / mu(y) over the window square, with near-diagonal cell pairs handled
-by one extra subdivision and the Lipschitz difference-quotient bound.  All
-reductions run in enumeration order, so results do not depend on thread count.
+The continuous energy is the double integral of |b(x)-b(y)|^p / (x-y)^2 *
+lam(x) / mu(y) over the window square, and its square root at p=2 is the
+continuous norm.  Separated cell pairs take tensor Gauss-Legendre in row
+blocks; near-diagonal cell pairs are split once into half cells and computed
+as 12 arrays over the cells, one per cell lag and half-cell pair, where the
+touching half-pairs take the Lipschitz difference-quotient bound.  All
+reductions run in a fixed order, so results do not depend on thread count.
 """
 
 from __future__ import annotations
@@ -157,10 +160,13 @@ def continuous_energy(
     """Double integral of |b(x)-b(y)|^p / |x-y|^2 * lam(x) * mu^-1(y) over the
     window square.
 
-    Separated cell pairs use tensor Gauss-Legendre; cell pairs closer than one
-    cell are split once and the touching half-pairs are replaced by the
-    Lipschitz difference-quotient bound, whose total mass is returned as the
-    error estimate.  Returns (value, error_estimate, per-x-cell totals).
+    Separated cell pairs use tensor Gauss-Legendre.  Cell pairs closer than one
+    cell are split once into half cells and computed as 12 arrays over the
+    cells, one per cell lag d in {-1, 0, 1} and half-cell pair (hx, hy).  A
+    half-pair whose offset 2d + hy - hx is at most one half cell touches or
+    overlaps, and takes the Lipschitz difference-quotient bound, whose total
+    mass is returned as the error estimate; the other half-pairs take tensor
+    Gauss-Legendre.  Returns (value, error_estimate, per-x-cell totals).
     For p <= 1 the near-diagonal |x-y|^(p-2) is not integrable, so p must be
     finite and exceed 1, and `nodes` must be at least 1; either raises
     InvalidParameterError otherwise.
@@ -197,7 +203,6 @@ def continuous_energy(
 
     per_cell = np.zeros(n)
     block = max(1, 262144 // (n * nodes) + 1)
-    npts = n * nodes
     cell_of = np.repeat(np.arange(n), nodes)
     for i0 in range(0, n, block):
         i1 = min(n, i0 + block)
@@ -211,61 +216,48 @@ def continuous_energy(
         contrib = integrand * lam_x[r0:r1, None] * mu_y[None, :]
         per_cell[i0:i1] += np.add.reduceat(contrib.sum(axis=1), np.arange(0, (i1 - i0) * nodes, nodes))
 
-    # near-diagonal pairs: one subdivision, touching half-pairs -> Lipschitz bound
-    lip_mass = 0.0
-    for i in range(n):
-        for j in (i - 1, i, i + 1):
-            if j < 0 or j >= n:
-                continue
-            for hx in range(2):
-                ax = edges[i] + hx * half
-                bx = ax + half
-                for hy in range(2):
-                    ay = edges[j] + hy * half
-                    by = ay + half
-                    touching = not (bx <= ay or by <= ax) or bx == ay or by == ax
-                    if touching:
-                        c = _lip_bound(lip, p, lam, mu_inv, ax, bx, ay, by)
-                        lip_mass += c
-                        per_cell[i] += c
-                    else:
-                        xm = 0.5 * (ax + bx) + 0.25 * width * gx
-                        ym = 0.5 * (ay + by) + 0.25 * width * gx
-                        wq = 0.25 * width * gw
-                        dxh = xm[:, None] - ym[None, :]
-                        dfh = np.abs(
-                            np.asarray(b.eval(xm))[:, None] - np.asarray(b.eval(ym))[None, :]
-                        )
-                        integ = dfh**p / (dxh * dxh)
-                        c = float(
-                            np.sum(
-                                integ
-                                * (np.asarray(lam.eval(xm)) * wq)[:, None]
-                                * (np.asarray(mu_inv.eval(ym)) * wq)[None, :]
-                            )
-                        )
-                        per_cell[i] += c
-    return float(np.sum(per_cell)), lip_mass, per_cell
-
-
-def _lip_bound(
-    lip: float, p: float, lam: Weight, mu_inv: Weight, ax, bx, ay, by
-) -> float:
-    """Upper bound for the energy on a touching half-cell pair."""
-    if p == 2.0:
-        return lip**2 * lam.integral(ax, bx) * mu_inv.integral(ay, by)
-    if p > 2.0:
-        diam = max(bx, by) - min(ax, ay)
-        return lip**p * diam ** (p - 2.0) * lam.integral(ax, bx) * mu_inv.integral(ay, by)
-    # p < 2, constant weights only: the |x-y|^(p-2) factor integrates exactly
-    lam_val = lam.eval(0.5 * (ax + bx))
-    mu_val = mu_inv.eval(0.5 * (ay + by))
+    # near-diagonal pairs: half cell X = 2i + hx spans [ah[X], bh[X]), with
+    # Gauss nodes xh[X] and the lam, mu^-1 quadrature weights there
+    ah = (edges[:-1, None] + np.array([0.0, half])).ravel()
+    bh = ah + half
+    xh = (0.5 * (ah + bh))[:, None] + 0.25 * width * gx
+    wq = 0.25 * width * gw
+    fh = np.asarray(b.eval(xh), dtype=float)
+    lam_h = np.asarray(lam.eval(xh), dtype=float) * wq
+    mu_h = np.asarray(mu_inv.eval(xh), dtype=float) * wq
+    lam_int, mu_int = lam.integrals(ah, bh), mu_inv.integrals(ah, bh)
 
     def prim(t):
         return abs(t) ** p / (p * (p - 1.0))
 
-    box = prim(bx - ay) - prim(ax - ay) - prim(bx - by) + prim(ax - by)
-    return lip**p * float(lam_val) * float(mu_val) * box
+    # the 12 combinations of cell lag d and half cells (hx, hy); cell edges
+    # are exact floats, so the half-cell offset o of y from x decides whether
+    # the pair touches or overlaps (|o| <= 1).  mass holds the Lipschitz
+    # bounds, one column per combination
+    mass = np.zeros((n, 12))
+    combos = [(d, hx, hy) for d in (-1, 0, 1) for hx in (0, 1) for hy in (0, 1)]
+    for col, (d, hx, hy) in enumerate(combos):
+        i0, i1 = max(0, -d), min(n, n - d)
+        o = 2 * d + hy - hx
+        x = 2 * np.arange(i0, i1) + hx
+        y = x + o
+        if abs(o) > 1:  # separated half cells: tensor Gauss-Legendre
+            dx = xh[x][:, :, None] - xh[y][:, None, :]
+            df = np.abs(fh[x][:, :, None] - fh[y][:, None, :])
+            pairs = df**p / (dx * dx) * lam_h[x][:, :, None] * mu_h[y][:, None, :]
+            per_cell[i0:i1] += pairs.reshape(i1 - i0, nodes * nodes).sum(axis=1)
+            continue
+        if p < 2.0:
+            # constant weights only: the |x-y|^(p-2) factor integrates exactly
+            box = prim((1 - o) * half) - prim(o * half) - prim(o * half) + prim((1 + o) * half)
+            mass[i0:i1, col] = lip**p * lam.value * mu_inv.value * box
+        else:
+            # the pair's diameter to the power p - 2, exactly 1 at p = 2
+            diam = (1 + abs(o)) * half
+            mass[i0:i1, col] = lip**p * diam ** (p - 2.0) * lam_int[x] * mu_int[y]
+        per_cell[i0:i1] += mass[i0:i1, col]
+    # the error estimate adds the bounds one at a time, cell by cell
+    return float(np.sum(per_cell)), float(np.cumsum(mass)[-1]), per_cell
 
 
 def continuous_besov_norm_p2(
@@ -303,14 +295,13 @@ def intersection_norm(
     window: TruncationWindow,
     p: float = 2.0,
 ) -> NormReport:
-    """Sum of the two dyadic norms, one per grid."""
+    """Sum of the two dyadic norms, one per grid; each contribution keeps its
+    row label, which starts with the row's grid id."""
     r0 = dyadic_besov_norm(b, weights, p, grid0, window, form=1)
     r1 = dyadic_besov_norm(b, weights, p, grid1, window, form=1)
-    contributions = [(f"{grid0.grid_id}:{k}", v) for k, v in r0.contributions]
-    contributions += [(f"{grid1.grid_id}:{k}", v) for k, v in r1.contributions]
     return NormReport(
         value=r0.value + r1.value,
-        contributions=contributions,
+        contributions=r0.contributions + r1.contributions,
         params={"p": p, "grids": (grid0.grid_id, grid1.grid_id)},
     )
 

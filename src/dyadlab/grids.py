@@ -65,9 +65,6 @@ class DyadicGrid:
     def grid_id(self) -> str:
         return self.shift_rule
 
-    def interval(self, j: int, k: int) -> "DyadicInterval":
-        return DyadicInterval(self.shift_rule, j, k)
-
 
 def standard_grid() -> DyadicGrid:
     return DyadicGrid(STANDARD)

@@ -238,13 +238,6 @@ def haar_coefficients(b: Symbol, table: IntervalTable) -> np.ndarray:
     return (1.0 / np.sqrt(table.length)) * (lower - upper)
 
 
-def _cells_of(window: TruncationWindow, interval: DyadicInterval) -> tuple[int, int]:
-    i0, i1 = window.cell_slice(interval)
-    if i1 <= i0:
-        raise InvalidConfigurationError(f"{interval.label()} resolves to no cells")
-    return i0, i1
-
-
 def median_value(b: Symbol, interval: DyadicInterval) -> float:
     """A median of the step view of b over a cell-aligned interval.
 
@@ -252,7 +245,7 @@ def median_value(b: Symbol, interval: DyadicInterval) -> float:
     admissible medians form an interval the midpoint is taken, which
     fixes the tie deterministically.
     """
-    i0, i1 = _cells_of(b.window, interval)
+    i0, i1 = b.window.cell_slice(interval)
     vals = np.sort(b.cell_values()[i0:i1])
     k = len(vals)
     lo = vals[(k + 1) // 2 - 1]
@@ -279,8 +272,8 @@ class MedianSplit:
 def median_split(b: Symbol, q: DyadicInterval, q_hat: DyadicInterval) -> MedianSplit:
     alpha = median_value(b, q_hat)
     vals = b.cell_values()
-    q0, q1 = _cells_of(b.window, q)
-    h0, h1 = _cells_of(b.window, q_hat)
+    q0, q1 = b.window.cell_slice(q)
+    h0, h1 = b.window.cell_slice(q_hat)
     q_idx = np.arange(q0, q1)
     h_idx = np.arange(h0, h1)
     e1 = q_idx[vals[q0:q1] < alpha]

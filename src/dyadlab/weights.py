@@ -54,6 +54,14 @@ def _finite_bounds(lo, hi):
     raise InvalidParameterError(f"interval [{a}, {b}) has a bound that is not finite")
 
 
+def _float_power(x: float, s: float) -> float:
+    """x**s by the float `**`; raises InvalidParameterError when it overflows."""
+    try:
+        return x**s
+    except OverflowError:
+        raise InvalidParameterError(f"{x!r} ** {s!r} overflows a float") from None
+
+
 @dataclass(frozen=True)
 class Weight:
     """Base class: positive function with pointwise evaluation and interval
@@ -169,7 +177,7 @@ class ConstantWeight(Weight):
         return ConstantWeight(1.0 / self.value)
 
     def power(self, s: float) -> "ConstantWeight":
-        return ConstantWeight(self.value**s)
+        return ConstantWeight(_float_power(self.value, s))
 
 
 @dataclass(frozen=True)
@@ -229,7 +237,7 @@ class PowerWeight(Weight):
         alpha = self.exponent * s
         if not -1.0 < alpha < 1.0:
             raise InvalidParameterError(f"power {s} leaves the integrable range")
-        return PowerWeight(alpha, self.center, self.coeff**s)
+        return PowerWeight(alpha, self.center, _float_power(self.coeff, s))
 
 
 def _periodic_measure(u: np.ndarray, v: np.ndarray, period: float, width: float) -> np.ndarray:
@@ -407,7 +415,7 @@ class _PowerOfSpiked(Weight):
         return _PowerOfSpiked(self.base, -self.s, 1.0 / self.scale)
 
     def power(self, t: float) -> "Weight":
-        return _PowerOfSpiked(self.base, self.s * t, self.scale**t)
+        return _PowerOfSpiked(self.base, self.s * t, _float_power(self.scale, t))
 
 
 @dataclass(frozen=True)
@@ -545,21 +553,22 @@ def _family_bounds(
     window: TruncationWindow, grids: Sequence[DyadicGrid], n_random: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (lo, hi) arrays of `interval_family`: each grid's interval table,
-    then the random intervals, drawn one scalar `rng.uniform` at a time."""
+    then the random intervals.  Row k of the random intervals draws a
+    log-uniform length, then a uniform start, as the two scalar calls
+    `rng.uniform(log(min_len), log(max_len))` and `rng.uniform(lo, hi - ell)`
+    would: the same stream, read as one (n_random, 2) array, and the same
+    arithmetic low + (high - low) * u.  Each exp takes `math.exp`, since
+    numpy's may round differently."""
     tables = [interval_table(grid, window) for grid in grids]
-    rng = np.random.default_rng(seed)
+    u = np.random.default_rng(seed).random((n_random, 2))
     lo_f, hi_f = float(window.lo), float(window.hi)
-    min_len = float(window.cell_width)
-    max_len = float(window.span) / 4.0
-    starts: list[float] = []
-    ends: list[float] = []
-    for _ in range(n_random):
-        ell = math.exp(rng.uniform(math.log(min_len), math.log(max_len)))
-        a = rng.uniform(lo_f, hi_f - ell)
-        starts.append(a)
-        ends.append(a + ell)
-    lo = np.concatenate([table.left for table in tables] + [np.array(starts, dtype=float)])
-    hi = np.concatenate([table.right for table in tables] + [np.array(ends, dtype=float)])
+    log_min = math.log(float(window.cell_width))
+    log_max = math.log(float(window.span) / 4.0)
+    log_ell = log_min + (log_max - log_min) * u[:, 0]
+    ell = np.fromiter((math.exp(v) for v in log_ell.tolist()), float, n_random)
+    starts = lo_f + ((hi_f - ell) - lo_f) * u[:, 1]
+    lo = np.concatenate([table.left for table in tables] + [starts])
+    hi = np.concatenate([table.right for table in tables] + [starts + ell])
     return lo, hi
 
 

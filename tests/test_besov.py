@@ -17,6 +17,7 @@ from dyadlab.besov import (
 )
 from dyadlab.grids import (
     DyadicInterval,
+    default_window,
     enumerate_intervals,
     make_window,
     standard_grid,
@@ -27,6 +28,9 @@ from dyadlab.symbols import (
     StepSymbol,
     haar_coefficient,
     linear_symbol,
+    parabola_symbol,
+    quartic_bump_symbol,
+    ramp_bump_symbol,
     random_haar_symbol,
     sin_symbol,
 )
@@ -35,6 +39,7 @@ from dyadlab.weights import (
     ConstantWeight,
     PowerWeight,
     QuadratureWeight,
+    product_weight,
     unweighted_pair,
 )
 
@@ -158,6 +163,14 @@ class TestContinuous:
         got = peller_energy(b, 1.5, WIN)
         assert got == pytest.approx(8.0 / 3.0, rel=5e-3)
 
+    @pytest.mark.parametrize("j_max", [3, 5])
+    def test_linear_p3_brackets_closed_form(self, j_max):
+        # |x - y|^(p-2) over the unit square integrates to 1/3 at p = 3; the
+        # value is an upper bound, and removing the Lipschitz mass undershoots
+        win = make_window(0, 1, 0, j_max)
+        value, estimate, _ = continuous_energy(linear_symbol(win), 3.0, ONE, ONE, win)
+        assert value - estimate <= 1.0 / 3.0 <= value
+
     def test_weighted_energy_positive(self):
         b = sin_symbol(WIN)
         rep = continuous_besov_norm_p2(b, PowerWeight(0.25), PowerWeight(-0.25), WIN)
@@ -202,6 +215,13 @@ class TestIntersection:
         r0 = dyadic_besov_norm(b, pair, 2.0, D0, WIN)
         r1 = dyadic_besov_norm(b, pair, 2.0, D1, WIN)
         assert r.value == pytest.approx(r0.value + r1.value, rel=1e-14)
+
+    def test_labels_are_row_labels(self):
+        rep = intersection_norm(sin_symbol(WIN), unweighted_pair(), D0, D1, WIN)
+        labels = [label for label, _ in rep.contributions]
+        rows = enumerate_intervals(D0, WIN) + enumerate_intervals(D1, WIN)
+        assert labels == [interval.label() for interval in rows]
+        assert len(set(labels)) == len(labels)
 
     def test_dyadic_below_continuous_one_sided(self):
         b = sin_symbol(WIN)
@@ -325,3 +345,119 @@ class TestSharedBracket:
         pair = BloomWeight(ConstantWeight(1.0), lam)
         with np.errstate(divide="ignore"), pytest.raises(DyadlabError):
             dyadic_besov_norm(sin_symbol(WIN), pair, 2.0, D0, WIN, form=form)
+
+
+# Reference copy of the former continuous energy: the near-diagonal half-cell
+# pairs visited one at a time, touching decided on float endpoints, and the
+# Lipschitz bound taken from scalar `eval` and `integral` calls.
+def old_continuous_energy(b, p, lam, mu, window, nodes=4):
+    lip = float(b.lipschitz)
+    n = window.n_cells
+    width = float(window.cell_width)
+    edges = window.cell_edges()
+    mu_inv = mu.inv()
+    gx, gw = np.polynomial.legendre.leggauss(nodes)
+    half = 0.5 * width
+    centers = window.cell_midpoints()
+    xs = (centers[:, None] + half * gx[None, :]).ravel()
+    ws = np.tile(0.5 * width * gw, n)
+    fx = np.asarray(b.eval(xs), dtype=float)
+    lam_x = np.asarray(lam.eval(xs), dtype=float) * ws
+    mu_y = np.asarray(mu_inv.eval(xs), dtype=float) * ws
+    per_cell = np.zeros(n)
+    block = max(1, 262144 // (n * nodes) + 1)
+    cell_of = np.repeat(np.arange(n), nodes)
+    for i0 in range(0, n, block):
+        i1 = min(n, i0 + block)
+        r0, r1 = i0 * nodes, i1 * nodes
+        dx = xs[r0:r1, None] - xs[None, :]
+        df = np.abs(fx[r0:r1, None] - fx[None, :])
+        cells_r = cell_of[r0:r1]
+        sep = np.abs(cells_r[:, None] - cell_of[None, :]) >= 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            integrand = np.where(sep, df**p / (dx * dx), 0.0)
+        contrib = integrand * lam_x[r0:r1, None] * mu_y[None, :]
+        per_cell[i0:i1] += np.add.reduceat(contrib.sum(axis=1), np.arange(0, (i1 - i0) * nodes, nodes))
+    lip_mass = 0.0
+    for i in range(n):
+        for j in (i - 1, i, i + 1):
+            if j < 0 or j >= n:
+                continue
+            for hx in range(2):
+                ax = edges[i] + hx * half
+                bx = ax + half
+                for hy in range(2):
+                    ay = edges[j] + hy * half
+                    by = ay + half
+                    touching = not (bx <= ay or by <= ax) or bx == ay or by == ax
+                    if touching:
+                        c = old_lip_bound(lip, p, lam, mu_inv, ax, bx, ay, by)
+                        lip_mass += c
+                        per_cell[i] += c
+                    else:
+                        xm = 0.5 * (ax + bx) + 0.25 * width * gx
+                        ym = 0.5 * (ay + by) + 0.25 * width * gx
+                        wq = 0.25 * width * gw
+                        dxh = xm[:, None] - ym[None, :]
+                        dfh = np.abs(
+                            np.asarray(b.eval(xm))[:, None] - np.asarray(b.eval(ym))[None, :]
+                        )
+                        integ = dfh**p / (dxh * dxh)
+                        c = float(
+                            np.sum(
+                                integ
+                                * (np.asarray(lam.eval(xm)) * wq)[:, None]
+                                * (np.asarray(mu_inv.eval(ym)) * wq)[None, :]
+                            )
+                        )
+                        per_cell[i] += c
+    return float(np.sum(per_cell)), lip_mass, per_cell
+
+
+def old_lip_bound(lip, p, lam, mu_inv, ax, bx, ay, by):
+    if p == 2.0:
+        return lip**2 * lam.integral(ax, bx) * mu_inv.integral(ay, by)
+    if p > 2.0:
+        diam = max(bx, by) - min(ax, ay)
+        return lip**p * diam ** (p - 2.0) * lam.integral(ax, bx) * mu_inv.integral(ay, by)
+    lam_val = lam.eval(0.5 * (ax + bx))
+    mu_val = mu_inv.eval(0.5 * (ay + by))
+
+    def prim(t):
+        return abs(t) ** p / (p * (p - 1.0))
+
+    box = prim(bx - ay) - prim(ax - ay) - prim(bx - by) + prim(ax - by)
+    return lip**p * float(lam_val) * float(mu_val) * box
+
+
+ENERGY_WEIGHTS = {
+    "constant": (ConstantWeight(2.0), ConstantWeight(0.3)),
+    "power": (PowerWeight(-0.3, 1.0 / 3.0), PowerWeight(0.5, 1.0 / 3.0)),
+    # distinct centres, so each product is a quadrature weight
+    "quadrature": (
+        product_weight(PowerWeight(0.25, 0.25), PowerWeight(-0.2)),
+        product_weight(PowerWeight(0.3), PowerWeight(-0.15, 0.6)),
+    ),
+}
+ENERGY_CASES = [
+    pytest.param(kind, p, id=f"{kind}-p={p:g}")
+    for kind in ENERGY_WEIGHTS
+    for p in ((1.5, 2.0, 3.0) if kind == "constant" else (2.0, 3.0))
+]
+
+
+class TestContinuousEnergyArrays:
+    @pytest.mark.parametrize("window", [make_window(-1, 2, 0, 3), default_window(5)], ids=["N=24", "N=256"])
+    @pytest.mark.parametrize(
+        "make", [sin_symbol, parabola_symbol, ramp_bump_symbol, quartic_bump_symbol, linear_symbol],
+        ids=["sin", "parabola", "ramp_bump", "quartic_bump", "linear"],
+    )
+    @pytest.mark.parametrize("kind, p", ENERGY_CASES)
+    def test_bit_equal_to_scalar_loop(self, kind, p, make, window):
+        b = make(window)
+        lam, mu = ENERGY_WEIGHTS[kind]
+        value, estimate, per_cell = continuous_energy(b, p, lam, mu, window)
+        old_value, old_estimate, old_per_cell = old_continuous_energy(b, p, lam, mu, window)
+        assert value.hex() == old_value.hex()
+        assert estimate.hex() == old_estimate.hex()
+        assert per_cell.tobytes() == old_per_cell.tobytes()

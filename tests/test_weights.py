@@ -24,6 +24,7 @@ from dyadlab.weights import (
     doubling_ratio,
     interval_family,
     pathological_weight,
+    product_weight,
     reverse_holder_exponent,
 )
 
@@ -67,6 +68,22 @@ class TestA2:
         assert default.constant.hex() == given_family.constant.hex()
         assert default.argmax_interval == given_family.argmax_interval
         assert default.family_size == given_family.family_size == len(fam)
+
+    @pytest.mark.parametrize("seed", [0, 1, 90210, 12345])
+    @pytest.mark.parametrize("j_max", [4, 7, 9, 10])
+    def test_random_intervals_bit_equal_to_scalar_draws(self, j_max, seed):
+        win = make_window(-4, 4, -2, j_max)
+        # reference: one scalar `rng.uniform` per length and per start
+        rng = np.random.default_rng(seed)
+        lo_f, hi_f = float(win.lo), float(win.hi)
+        log_min, log_max = math.log(float(win.cell_width)), math.log(float(win.span) / 4.0)
+        want = []
+        for _ in range(1000):
+            ell = math.exp(rng.uniform(log_min, log_max))
+            a = rng.uniform(lo_f, hi_f - ell)
+            want.append((a.hex(), (a + ell).hex()))
+        got = interval_family(win, (), seed=seed)
+        assert [(a.hex(), b.hex()) for a, b in got] == want
 
     def test_symmetry_under_inversion(self):
         win = make_window(-1, 1, 0, 6)
@@ -380,6 +397,21 @@ class TestBadWeightParameters:
     )
     def test_rejected(self, make):
         with pytest.raises(InvalidParameterError):
+            make()
+
+
+class TestOverflowingPower:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PowerWeight(0.5, coeff=1e300).power(1.9),
+            lambda: ConstantWeight(1e300).power(2.0),
+            lambda: product_weight(ConstantWeight(1e300), pathological_weight(2, 3, 9)).power(2.0),
+        ],
+        ids=["power", "constant", "scaled spiked"],
+    )
+    def test_rejected(self, make):
+        with pytest.raises(InvalidParameterError, match="overflows"):
             make()
 
 
