@@ -136,9 +136,6 @@ class DyadicInterval:
         lc, rc = parent.children
         return rc if self == lc else lc
 
-    def contains(self, other: "DyadicInterval") -> bool:
-        return self.left <= other.left and other.right <= self.right
-
     def label(self) -> str:
         return _label(self.grid_id, self.j, self.k)
 

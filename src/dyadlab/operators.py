@@ -4,13 +4,15 @@ Basis vectors are e_i = |cell|^(-1/2) * indicator(cell_i); entries are
 <T e_j, e_i> in unweighted L2.  Paraproduct, Haar multiplier, dyadic shift,
 and multiplication matrices are finite sums of exact cellwise products.  Each
 Haar term of the paraproduct, multiplier, shift and remainders touches only
-the I x I block of its interval, so it is written there: the block's cell
-range comes from the integer (j, k) columns of the grid's interval table
-(`TruncationWindow.cell_slices`), and h_I is the local vector
-+-1/sqrt(cells) on I's cells (`_local_haar`).  The coefficients b_hat(I)
-come from one `haar_coefficients` call per matrix, on the table's
-scale-major prefix of resolvable rows, and one per expansion, which the
-paraproduct and the remainder share.
+the I x I block of its interval, so it is written there.  The intervals of
+one scale are consecutive translations that tile the window, so their blocks
+are disjoint and lie along the diagonal: each scale is written at once,
+through one strided view of its c x c diagonal blocks (c cells per
+interval; the first block's cells come from `TruncationWindow.cell_slices`),
+and h_I is the local vector +-1/sqrt(c) on I's cells (`_local_haar`).  The
+coefficients b_hat(I) come from one `haar_coefficients` call per matrix, on
+the table's scale-major prefix of resolvable rows, and one per expansion,
+which the paraproduct and the remainder share.
 The Hilbert transform matrix comes from the closed-form primitive
 G(t) = t (ln|t| - 1), which renders every cell-pair principal value finite
 (diagonal entries vanish by antisymmetry); a box integral depends only on the
@@ -18,8 +20,9 @@ cell lag i - j, so H is the Toeplitz matrix of 2N - 1 box values.
 Haar-expansion operators act as stated on the resolvable Haar span and as
 zero on its orthogonal complement; the sign multiplier additionally keeps the
 unresolved coarse averages fixed so that the all-plus pattern is the
-identity.  Assembly loops run in enumeration order, which makes every matrix
-bit-reproducible.
+identity.  Scales are written coarsest first and every entry lies in at most
+one block per scale, so each entry receives its terms in enumeration order,
+one addition each, which makes every matrix bit-reproducible.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import InvalidConfigurationError, InvalidMatrixError
 from .grids import (
@@ -64,9 +67,7 @@ class OperatorMatrix:
             raise InvalidConfigurationError(
                 f"matrix shape {self.mat.shape} does not match {n} cells"
             )
-        # min and max propagate NaN and inf without an N x N mask
-        if not (np.isfinite(self.mat.min()) and np.isfinite(self.mat.max())):
-            raise InvalidMatrixError(f"{self.name} contains non-finite entries")
+        _require_finite(self.mat, self.name)
 
     @property
     def n(self) -> int:
@@ -103,6 +104,12 @@ class OperatorMatrix:
             fh.write("\n".join(lines) + "\n")
 
 
+def _require_finite(mat: np.ndarray, name: str) -> None:
+    # min and max propagate NaN and inf without an N x N mask
+    if not (np.isfinite(mat.min()) and np.isfinite(mat.max())):
+        raise InvalidMatrixError(f"{name} contains non-finite entries")
+
+
 def _require_standard(grid: DyadicGrid, what: str) -> None:
     if grid.grid_id != "standard":
         raise InvalidConfigurationError(
@@ -117,6 +124,24 @@ def _haar_rows(window: TruncationWindow, grid: DyadicGrid, max_scale: int) -> In
     grandchildren are too)."""
     table = interval_table(grid, window)
     return table[: int(np.searchsorted(table.j, max_scale, side="right"))]
+
+
+def _scale_runs(rows: IntervalTable, window: TruncationWindow):
+    """(first row, end row, first cell, cells per interval) of each scale of
+    the scale-major rows.  A scale's rows are consecutive translations, so
+    their cell ranges follow one another from the first row's."""
+    cuts = [0, *(np.flatnonzero(np.diff(rows.j)) + 1).tolist(), len(rows)]
+    for r0, r1 in zip(cuts, cuts[1:]):
+        i0, i1 = window.cell_slices(rows[r0 : r0 + 1])[0]
+        yield r0, r1, i0, i1 - i0
+
+
+def _diagonal_blocks(mat: np.ndarray, i0: int, count: int, cells: int, col0: int = 0) -> np.ndarray:
+    """Writable (count, cells, cells) view of the blocks on cells
+    [i0 + m cells, i0 + (m + 1) cells) x the same, m < count, of a matrix
+    whose column 0 is cell col0."""
+    rs, cs = mat.strides
+    return as_strided(mat[i0:, i0 - col0 :], (count, cells, cells), (cells * (rs + cs), rs, cs))
 
 
 def _local_haar(cells: int) -> np.ndarray:
@@ -142,11 +167,11 @@ def coarse_unit_vectors(window: TruncationWindow) -> list[np.ndarray]:
 
 def _coefficients(
     b: Symbol, grid: DyadicGrid, window: TruncationWindow, max_scale: int
-) -> tuple[IntervalTable, list[float]]:
+) -> tuple[IntervalTable, np.ndarray]:
     """The table rows of scale <= max_scale and b's Haar coefficient on
     each, from one `haar_coefficients` call."""
     rows = _haar_rows(window, grid, max_scale)
-    return rows, haar_coefficients(b, rows).tolist()
+    return rows, haar_coefficients(b, rows)
 
 
 def paraproduct_matrix(
@@ -161,17 +186,18 @@ def _paraproduct(rows: IntervalTable, coefficients, window: TruncationWindow) ->
     n = window.n_cells
     width = float(window.cell_width)
     mat = np.zeros((n, n))
-    for (i0, i1), bh in zip(window.cell_slices(rows), coefficients):
-        if bh == 0.0:
-            continue
-        m0 = (i0 + i1) // 2
-        length = (i1 - i0) * width
+    for r0, r1, i0, cells in _scale_runs(rows, window):
+        length = cells * width
         amp = 1.0 / math.sqrt(length)
         # row pattern: h_I at cells times sqrt(width); column: width/|I| * sqrt(width)/width
         col = math.sqrt(width) / length
         row_top = amp * math.sqrt(width)
-        mat[i0:m0, i0:i1] += bh * row_top * col
-        mat[m0:i1, i0:i1] -= bh * row_top * col
+        bh = coefficients[r0:r1]
+        nz = np.flatnonzero(bh)  # rows with b_hat(I) = 0 add nothing
+        value = (bh[nz] * row_top * col)[:, None, None]
+        blocks = _diagonal_blocks(mat, i0, r1 - r0, cells)
+        blocks[nz, : cells // 2] += value
+        blocks[nz, cells // 2 :] -= value
     return OperatorMatrix(mat, window, name="paraproduct")
 
 
@@ -202,21 +228,25 @@ def haar_multiplier_matrix(
             if interval not in mapping:
                 raise InvalidConfigurationError(f"sign pattern has no entry for {interval.label()}")
             return mapping[interval]
-    n = window.n_cells
-    mat = np.zeros((n, n))
     rows = _haar_rows(window, grid, window.j_max - 1)
-    for interval, (i0, i1) in zip(rows.intervals(), window.cell_slices(rows)):
+    # every row's sign is read and checked, in enumeration order, before any write
+    row_signs = []
+    for interval in rows.intervals():
         s = sign_of(interval)
         if s not in (-1, 1):
             raise InvalidConfigurationError(
                 f"sign pattern must map to +/-1; got {s} on {interval.label()}"
             )
-        h = _local_haar(i1 - i0)
-        mat[i0:i1, i0:i1] += s * np.outer(h, h)
+        row_signs.append(s)
+    row_signs = np.array(row_signs, dtype=float)
+    n = window.n_cells
+    mat = np.zeros((n, n))
+    for r0, r1, i0, cells in _scale_runs(rows, window):
+        h = _local_haar(cells)
+        _diagonal_blocks(mat, i0, r1 - r0, cells)[...] += row_signs[r0:r1, None, None] * np.outer(h, h)
     step = 1 << (window.j_max - window.j_min)  # cells per coarsest interval
     amp = 1.0 / math.sqrt(step)
-    for i0 in range(0, n, step):
-        mat[i0 : i0 + step, i0 : i0 + step] += amp * amp
+    _diagonal_blocks(mat, 0, n // step, step)[...] += amp * amp
     return OperatorMatrix(mat, window, name="haar_multiplier")
 
 
@@ -227,11 +257,11 @@ def haar_shift_matrix(grid: DyadicGrid, window: TruncationWindow) -> OperatorMat
     _require_standard(grid, "dyadic shift assembly")
     n = window.n_cells
     mat = np.zeros((n, n))
-    for i0, i1 in window.cell_slices(_haar_rows(window, grid, window.j_max - 2)):
+    for r0, r1, i0, cells in _scale_runs(_haar_rows(window, grid, window.j_max - 2), window):
         # both children carry the same local pattern, on I's two halves
-        hc = _local_haar((i1 - i0) // 2)
+        hc = _local_haar(cells // 2)
         out = np.concatenate((hc, -hc)) / math.sqrt(2.0)
-        mat[i0:i1, i0:i1] += np.outer(out, _local_haar(i1 - i0))
+        _diagonal_blocks(mat, i0, r1 - r0, cells)[...] += np.outer(out, _local_haar(cells))
     return OperatorMatrix(mat, window, name="haar_shift")
 
 
@@ -299,28 +329,46 @@ def multiplication_commutator(b: Symbol, t: OperatorMatrix) -> OperatorMatrix:
 
 
 def _remainder(
-    rows: IntervalTable, coefficients, window: TruncationWindow, child_signs, scale: float, name: str
-) -> OperatorMatrix:
-    """Sum over the given rows I of scale <= j_max - 2 of (b_hat(I) / sqrt(scale |I|)) *
-    ((s_l h_(left child) + s_r h_(right child)) outer h_I)."""
-    n = window.n_cells
-    mat = np.zeros((n, n))
+    rows: IntervalTable,
+    coefficients: np.ndarray,
+    window: TruncationWindow,
+    child_signs,
+    scale: float,
+    columns: tuple[int, int],
+) -> np.ndarray:
+    """Columns [c0, c1) of the sum over the given rows I of scale <= j_max - 2
+    of (b_hat(I) / sqrt(scale |I|)) * ((s_l h_(left child) + s_r h_(right child)) outer h_I).
+
+    Only the blocks that meet those columns are written, into a buffer that
+    spans their columns (a coarse block holds the finer blocks inside it)."""
+    c0, c1 = columns
     s_left, s_right = child_signs
     width = float(window.cell_width)
-    for (i0, i1), bh in zip(window.cell_slices(rows), coefficients):
-        # scale <= j_max - 2: each child holds a Haar pair of cells
-        if bh == 0.0 or i1 - i0 < 4:
+    runs = []
+    for r0, r1, i0, cells in _scale_runs(rows, window):
+        if cells < 4:  # scale j_max - 1: its children hold no Haar pair of cells
             continue
-        hc = _local_haar((i1 - i0) // 2)
+        # blocks m0 <= m < m1 of this scale meet columns [c0, c1)
+        m0 = max(0, (c0 - i0) // cells)
+        m1 = min(r1 - r0, -(-(c1 - i0) // cells))
+        runs.append((r0 + m0, r0 + m1, i0 + m0 * cells, cells))
+    lo = min([c0] + [i0 for _, _, i0, _ in runs])
+    hi = max([c1] + [i0 + (r1 - r0) * cells for r0, r1, i0, cells in runs])
+    mat = np.zeros((window.n_cells, hi - lo))
+    for r0, r1, i0, cells in runs:
+        hc = _local_haar(cells // 2)
         out = np.concatenate((s_left * hc, s_right * hc))
-        coeff = bh / math.sqrt(scale * (i1 - i0) * width)
-        mat[i0:i1, i0:i1] += coeff * np.outer(out, _local_haar(i1 - i0))
-    return OperatorMatrix(mat, window, name=name)
+        bh = coefficients[r0:r1]
+        nz = np.flatnonzero(bh)  # rows with b_hat(I) = 0 add nothing
+        coeff = bh[nz] / math.sqrt(scale * cells * width)
+        blocks = _diagonal_blocks(mat, i0, r1 - r0, cells, lo)
+        blocks[nz] += coeff[:, None, None] * np.outer(out, _local_haar(cells))
+    return mat[:, c0 - lo : c1 - lo]
 
 
-# (child signs, scale, name) of the two remainders
-_DISPLAYED = ((-1.0, 1.0), 1.0, "shift_remainder")
-_DERIVED = ((1.0, 1.0), 2.0, "shift_remainder_derived")
+# (child signs, scale) of the two remainders
+_DISPLAYED = ((-1.0, 1.0), 1.0)
+_DERIVED = ((1.0, 1.0), 2.0)
 
 
 def remainder_matrix(b: Symbol, grid: DyadicGrid, window: TruncationWindow) -> OperatorMatrix:
@@ -328,7 +376,8 @@ def remainder_matrix(b: Symbol, grid: DyadicGrid, window: TruncationWindow) -> O
     k_I = h_(right child) - h_(left child); the part of the shift commutator
     that is not a paraproduct composition."""
     _require_standard(grid, "remainder assembly")
-    return _remainder(*_coefficients(b, grid, window, window.j_max - 2), window, *_DISPLAYED)
+    mat = _remainder(*_coefficients(b, grid, window, window.j_max - 2), window, *_DISPLAYED, (0, window.n_cells))
+    return OperatorMatrix(mat, window, name="shift_remainder")
 
 
 def remainder_matrix_derived(
@@ -338,7 +387,8 @@ def remainder_matrix_derived(
     system: sum of (b_hat(I) / sqrt(2 |I|)) * ((h_left + h_right) outer h_I).
     With it the six-term expansion closes exactly for step symbols."""
     _require_standard(grid, "remainder assembly")
-    return _remainder(*_coefficients(b, grid, window, window.j_max - 2), window, *_DERIVED)
+    mat = _remainder(*_coefficients(b, grid, window, window.j_max - 2), window, *_DERIVED, (0, window.n_cells))
+    return OperatorMatrix(mat, window, name="shift_remainder_derived")
 
 
 def k_vector(interval: DyadicInterval, window: TruncationWindow) -> np.ndarray:
@@ -350,6 +400,26 @@ def k_vector(interval: DyadicInterval, window: TruncationWindow) -> np.ndarray:
             raise InvalidConfigurationError(f"Haar function of {child.label()} is unresolvable")
         v[i0:i1] = sign * _local_haar(i1 - i0)
     return v
+
+
+# Side of the square tiles of `_symmetrized`: a pair of 128 x 128 float tiles fits in L2.
+_TILE = 128
+
+
+def _symmetrized(pi: np.ndarray) -> np.ndarray:
+    """pi + pi.T, added tile by tile so that the transposed operand is read
+    in cache-sized pieces instead of with stride N.  Addition commutes, so
+    the sum is exactly symmetric: each tile on or above the diagonal is
+    added once, and its transpose is copied to the mirror tile."""
+    n = len(pi)
+    sym = np.empty_like(pi)
+    for r in range(0, n, _TILE):
+        for c in range(r, n, _TILE):
+            tile = sym[r : r + _TILE, c : c + _TILE]
+            np.add(pi[r : r + _TILE, c : c + _TILE], pi[c : c + _TILE, r : r + _TILE].T, out=tile)
+            if c != r:
+                sym[c : c + _TILE, r : r + _TILE] = tile.T
+    return sym
 
 
 @dataclass
@@ -384,9 +454,10 @@ def expansion_residual(
 
     Restricting the domain to the region keeps only its columns, so only
     those are formed: the two products against the column block of S (or
-    T_eps) and of pi + pi*, and the column blocks of [M_b, T] and of the
-    residual.  The paraproduct, the remainder and S (or T_eps) are still
-    assembled whole.  A region with no cell raises InvalidConfigurationError.
+    T_eps) and of pi + pi*, the remainder's blocks that meet those columns,
+    and the column blocks of [M_b, T] and of the residual.  The paraproduct
+    and S (or T_eps) are still assembled whole.  A region with no cell
+    raises InvalidConfigurationError.
     """
     if sign_order not in ("definition", "displayed"):
         raise InvalidConfigurationError(f"unknown sign order {sign_order!r}")
@@ -403,19 +474,20 @@ def expansion_residual(
     if kind == "shift":
         t = haar_shift_matrix(grid, window).mat
         form = _DISPLAYED if remainder == "displayed" else _DERIVED
-        rem = _remainder(*coefficients, window, *form).mat
+        rem = _remainder(*coefficients, window, *form, (i0, i1))
+        _require_finite(rem, "shift remainder")
     elif kind == "multiplier":
         t = haar_multiplier_matrix(signs, grid, window).mat
     else:
         raise InvalidConfigurationError(f"unknown expansion kind {kind!r}")
     # pi t - t pi + pi* t - t pi* in two products, on the region's columns
-    sym = pi + pi.T
+    sym = _symmetrized(pi)
     cols = t[:, i0:i1]
     rhs = sym @ cols - t @ sym[:, i0:i1]
     if sign_order == "displayed":
         rhs = -rhs
     if rem is not None:
-        rhs += rem[:, i0:i1]
+        rhs += rem
     # [M_b, T] entrywise: equal to mult @ t - t @ mult, whose sums add exact zeros
     vals = b.cell_values()
     lhs = vals[:, None] * cols - cols * vals[None, i0:i1]

@@ -214,7 +214,7 @@ class PowerWeight(Weight):
         ta, tb = af - self.center, bf - self.center
 
         def prim(t):
-            return math.copysign(abs(t) ** (1.0 + alpha), t) / (1.0 + alpha)
+            return math.copysign(_float_power(abs(t), 1.0 + alpha), t) / (1.0 + alpha)
 
         return self.coeff * (prim(tb) - prim(ta))
 
@@ -223,9 +223,14 @@ class PowerWeight(Weight):
 
         def prim(x):
             t = x - self.center
-            # numpy's array power may round differently from the float `**`
-            # of `integral`, so each |t|^(1+alpha) takes the float `**`
-            mag = np.fromiter((y**e for y in np.abs(t).tolist()), float, len(t))
+            # np.float_power calls libm pow once per element, as the float `**`
+            # of `integral` does; np.power (and array `**`) takes a SIMD kernel
+            # that rounds differently on about 5% of values
+            with np.errstate(over="ignore"):
+                mag = np.float_power(np.abs(t), e)
+            if not np.isfinite(mag.max(initial=0.0)):
+                bad = float(np.abs(t)[np.argmax(np.isinf(mag))])
+                raise InvalidParameterError(f"{bad!r} ** {e!r} overflows a float")
             return np.copysign(mag, t) / e
 
         return self.coeff * (prim(hi) - prim(lo))
@@ -397,6 +402,12 @@ class _PowerOfSpiked(Weight):
     base: SpikedLatticeWeight
     s: float
     scale: float = 1.0
+
+    def __post_init__(self):
+        if not 0 < self.scale < math.inf:
+            raise InvalidParameterError(
+                f"spiked weight scale {self.scale!r} must be positive and finite"
+            )
 
     @property
     def label(self) -> str:

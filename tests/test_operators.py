@@ -7,6 +7,7 @@ from dyadlab import operators, symbols
 from dyadlab.errors import DegenerateWeightError, InvalidConfigurationError, InvalidMatrixError
 from dyadlab.grids import (
     DyadicInterval,
+    default_window,
     enumerate_intervals,
     make_window,
     standard_grid,
@@ -33,7 +34,9 @@ from dyadlab.symbols import (
     HaarSymbol,
     StepSymbol,
     haar_coefficient,
+    haar_coefficients,
     linear_symbol,
+    quartic_bump_symbol,
     random_haar_symbol,
     sin_symbol,
 )
@@ -635,7 +638,7 @@ class TestStructuredAssembly:
             assert res.lhs_norm == float(np.linalg.norm(lhs[:, i0:i1]))
 
     @pytest.mark.parametrize("sign_order", ["definition", "displayed"])
-    @pytest.mark.parametrize("region", [(0.0, 1.0), (-1.0, 2.0)])
+    @pytest.mark.parametrize("region", [(0.0, 1.0), (-1.0, 2.0), (3.5, 4.0)])
     @pytest.mark.parametrize("kind, remainder", [("shift", "displayed"), ("shift", "derived"), ("multiplier", "displayed")])
     def test_interior_region_bit_equal_to_full_products(self, kind, remainder, region, sign_order):
         """Regions away from window.lo, both sign orders: every field equals the
@@ -745,3 +748,169 @@ class TestBadAssemblyInput:
     def test_k_vector_rejects_unresolvable_interval(self, interval):
         with pytest.raises(InvalidConfigurationError):
             k_vector(interval, WIN)
+
+
+# Reference copies of the former per-row assembly: one np.outer and one
+# slice-add per interval, in enumeration order, on the cell ranges of
+# `TruncationWindow.cell_slices`.
+def per_row_paraproduct(rows, coefficients, window):
+    n = window.n_cells
+    width = float(window.cell_width)
+    mat = np.zeros((n, n))
+    for (i0, i1), bh in zip(window.cell_slices(rows), coefficients.tolist()):
+        if bh == 0.0:
+            continue
+        m0 = (i0 + i1) // 2
+        length = (i1 - i0) * width
+        amp = 1.0 / math.sqrt(length)
+        col = math.sqrt(width) / length
+        row_top = amp * math.sqrt(width)
+        mat[i0:m0, i0:i1] += bh * row_top * col
+        mat[m0:i1, i0:i1] -= bh * row_top * col
+    return mat
+
+
+def per_row_remainder(rows, coefficients, window, child_signs, scale):
+    n = window.n_cells
+    mat = np.zeros((n, n))
+    s_left, s_right = child_signs
+    width = float(window.cell_width)
+    for (i0, i1), bh in zip(window.cell_slices(rows), coefficients.tolist()):
+        if bh == 0.0 or i1 - i0 < 4:
+            continue
+        hc = operators._local_haar((i1 - i0) // 2)
+        out = np.concatenate((s_left * hc, s_right * hc))
+        coeff = bh / math.sqrt(scale * (i1 - i0) * width)
+        mat[i0:i1, i0:i1] += coeff * np.outer(out, operators._local_haar(i1 - i0))
+    return mat
+
+
+def per_row_multiplier(sign_of, window):
+    n = window.n_cells
+    mat = np.zeros((n, n))
+    rows = operators._haar_rows(window, D0, window.j_max - 1)
+    for interval, (i0, i1) in zip(rows.intervals(), window.cell_slices(rows)):
+        s = sign_of(interval)
+        if s not in (-1, 1):
+            raise InvalidConfigurationError(
+                f"sign pattern must map to +/-1; got {s} on {interval.label()}"
+            )
+        h = operators._local_haar(i1 - i0)
+        mat[i0:i1, i0:i1] += s * np.outer(h, h)
+    step = 1 << (window.j_max - window.j_min)
+    amp = 1.0 / math.sqrt(step)
+    for i0 in range(0, n, step):
+        mat[i0 : i0 + step, i0 : i0 + step] += amp * amp
+    return mat
+
+
+def per_row_shift(window):
+    n = window.n_cells
+    mat = np.zeros((n, n))
+    for i0, i1 in window.cell_slices(operators._haar_rows(window, D0, window.j_max - 2)):
+        hc = operators._local_haar((i1 - i0) // 2)
+        out = np.concatenate((hc, -hc)) / math.sqrt(2.0)
+        mat[i0:i1, i0:i1] += np.outer(out, operators._local_haar(i1 - i0))
+    return mat
+
+
+SCALE_WINDOWS = [
+    pytest.param(default_window(4), id="default4"),
+    pytest.param(default_window(7), id="default7"),
+    pytest.param(default_window(9), id="default9"),
+    pytest.param(make_window(-1, 2, 0, 5), id="lo=-1"),
+    pytest.param(make_window(2, 6, -1, 6), id="lo=2"),
+]
+
+
+def sparse_haar_symbol(window):
+    """A Haar symbol on every third resolvable interval, a third of them with
+    an explicit zero coefficient, so most rows' coefficients are zero."""
+    rows = operators._haar_rows(window, D0, window.j_max - 1).intervals()
+    rng = np.random.default_rng(window.j_max)
+    coeffs = {iv: (0.0 if i % 9 == 0 else float(rng.normal())) for i, iv in enumerate(rows) if i % 3 == 0}
+    return HaarSymbol(window, coeffs)
+
+
+def coefficient_symbols(window):
+    """random_haar where the window holds [0, 1), quartic_bump, and a Haar
+    symbol whose rows include zero coefficients."""
+    out = [quartic_bump_symbol(window), sparse_haar_symbol(window)]
+    if window.lo <= 0 and window.hi >= 1:
+        out.append(random_haar_symbol(window, seed=window.j_max))
+    return out
+
+
+class TestScaleAssembly:
+    """Every Haar operator equals the former per-row assembly bit for bit."""
+
+    @pytest.mark.parametrize("window", SCALE_WINDOWS)
+    def test_paraproduct_and_remainders(self, window):
+        symbols_ = coefficient_symbols(window)
+        if window.n_cells > 1024:  # one symbol at N = 4096 keeps the test small
+            symbols_ = symbols_[-1:]
+        rows1 = operators._haar_rows(window, D0, window.j_max - 1)
+        rows2 = operators._haar_rows(window, D0, window.j_max - 2)
+        for b in symbols_:
+            c1, c2 = haar_coefficients(b, rows1), haar_coefficients(b, rows2)
+            assert_bits_equal(paraproduct_matrix(b, D0, window).mat, per_row_paraproduct(rows1, c1, window))
+            assert_bits_equal(
+                remainder_matrix(b, D0, window).mat, per_row_remainder(rows2, c2, window, (-1.0, 1.0), 1.0)
+            )
+            assert_bits_equal(
+                remainder_matrix_derived(b, D0, window).mat,
+                per_row_remainder(rows2, c2, window, (1.0, 1.0), 2.0),
+            )
+
+    @pytest.mark.parametrize("window", SCALE_WINDOWS)
+    def test_shift_and_multiplier(self, window):
+        assert_bits_equal(haar_shift_matrix(D0, window).mat, per_row_shift(window))
+        mapping = {iv: -checkerboard(iv) for iv in enumerate_intervals(D0, window)}
+        patterns = [
+            (1, lambda iv: 1),
+            (-1, lambda iv: -1),
+            (checkerboard, checkerboard),
+            (mapping, mapping.__getitem__),
+        ]
+        if window.n_cells > 1024:
+            patterns = patterns[2:3]
+        for signs, sign_of in patterns:
+            assert_bits_equal(haar_multiplier_matrix(signs, D0, window).mat, per_row_multiplier(sign_of, window))
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    def test_symmetrized_partial_tiles(self, n):
+        rng = np.random.default_rng(n)
+        pi = rng.normal(size=(n, n)) * rng.choice([0.0, -0.0, 1.0, 1e-300], size=(n, n))
+        assert_bits_equal(operators._symmetrized(pi), pi + pi.T)
+
+    @pytest.mark.parametrize("bad", [0, 2, -1.5, None], ids=["zero", "two", "fraction", "none"])
+    def test_bad_sign_named_on_first_bad_row(self, bad):
+        rows = enumerate_intervals(D0, WIN)
+        bad_rows = {rows[5], rows[9]}
+        seen = []
+
+        def sign_of(interval):
+            seen.append(interval)
+            return bad if interval in bad_rows else 1
+
+        with pytest.raises(InvalidConfigurationError) as info:
+            haar_multiplier_matrix(sign_of, D0, WIN)
+        assert str(info.value) == f"sign pattern must map to +/-1; got {bad} on {rows[5].label()}"
+        # every row up to the first bad one is read, in enumeration order, and no further
+        assert seen == rows[:6]
+
+    def test_missing_entry_named_on_first_missing_row(self):
+        rows = enumerate_intervals(D0, WIN)
+        pattern = {iv: 1 for iv in rows}
+        del pattern[rows[12]], pattern[rows[4]]
+        with pytest.raises(InvalidConfigurationError) as info:
+            haar_multiplier_matrix(pattern, D0, WIN)
+        assert str(info.value) == f"sign pattern has no entry for {rows[4].label()}"
+
+    def test_bad_sign_before_missing_entry(self):
+        rows = enumerate_intervals(D0, WIN)
+        pattern = {iv: 1 for iv in rows}
+        pattern[rows[3]] = 0
+        del pattern[rows[7]]
+        with pytest.raises(InvalidConfigurationError, match=f"got 0 on {rows[3].label()}"):
+            haar_multiplier_matrix(pattern, D0, WIN)

@@ -19,6 +19,7 @@ from dyadlab.weights import (
     PowerWeight,
     QuadratureWeight,
     SpikedLatticeWeight,
+    _PowerOfSpiked,
     a2_constant,
     derive_intermediary,
     doubling_ratio,
@@ -455,3 +456,94 @@ class TestDegenerateIntervals:
     def test_average_on_an_interval(self):
         w = PowerWeight(0.5)
         assert w.average(0.0, 0.5) == w.integral(0.0, 0.5) / 0.5
+
+
+class TestSpikedScale:
+    def test_underflowing_scale_rejected(self):
+        # (1e-300)^2 underflows to 0.0, whose dual would divide by zero
+        with pytest.raises(InvalidParameterError, match=r"scale 0\.0 must be positive and finite"):
+            product_weight(ConstantWeight(1e-300), pathological_weight(2, 3, 9)).power(2.0)
+
+    def test_overflowing_scale_rejected(self):
+        # 1e300 * 1e300 overflows to inf, which would integrate to inf
+        inner = product_weight(ConstantWeight(1e300), pathological_weight(2, 3, 9))
+        with pytest.raises(InvalidParameterError, match=r"scale inf must be positive and finite"):
+            product_weight(ConstantWeight(1e300), inner)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
+    def test_direct_construction_rejected(self, scale):
+        with pytest.raises(InvalidParameterError, match="must be positive and finite"):
+            _PowerOfSpiked(pathological_weight(2, 3, 9), 2.0, scale)
+
+    def test_representable_scale_kept(self):
+        w = product_weight(ConstantWeight(1e-150), pathological_weight(2, 3, 9)).power(2.0)
+        assert w.scale == 1e-150**2.0
+        assert 0.0 < w.integral(0.0, 1.0) < math.inf
+        assert 0.0 < w.inv().integral(0.0, 1.0) < math.inf
+
+
+# Offsets (a, b) from the centre of a row [center + a, center + b).
+STRADDLING = st.tuples(st.floats(-2.0, 0.0), st.floats(0.0, 2.0))
+NEAR_CENTER = st.tuples(st.floats(-1e-12, 1e-12), st.floats(-1e-12, 1e-12))
+FAR_FROM_CENTER = st.tuples(st.floats(5.0, 50.0), st.floats(0.0, 10.0), st.sampled_from([-1.0, 1.0])).map(
+    lambda r: (r[2] * r[0], r[2] * (r[0] + r[1]))
+)
+
+
+class TestPowerIntegralRows:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        exponent=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+        center=st.floats(-2.0, 2.0),
+        coeff=st.floats(1e-3, 1e3),
+        dual=st.booleans(),
+        rows=st.lists(st.one_of(STRADDLING, NEAR_CENTER, FAR_FROM_CENTER), min_size=1, max_size=24),
+    )
+    def test_integrals_equal_scalar_integral(self, exponent, center, coeff, dual, rows):
+        w = PowerWeight(exponent, center, coeff)
+        if dual:
+            w = w.inv()
+        lo = np.array([center + a for a, _ in rows])
+        hi = np.array([center + b for _, b in rows])
+        want = [w.integral(a, b).hex() for a, b in zip(lo.tolist(), hi.tolist())]
+        assert [x.hex() for x in w.integrals(lo, hi).tolist()] == want
+
+
+# 1 + alpha of the benchmark pairs' power weights, their duals, the
+# intermediary nu and its dual, and powers that the diagnostics take
+FLOAT_POWER_EXPONENTS = (1.5, 0.7, 1.4, 0.6, 0.5, 1.3, 0.85, 1.25, 1.15, 0.75, 1.0 / 3.0, 1.9, 0.1)
+
+
+class TestFloatPowerGuard:
+    def test_float_power_is_the_float_pow(self):
+        """`PowerWeight.integrals` is bit-equal to `integral` only while
+        np.float_power calls libm pow per element, as the float `**` does."""
+        rng = np.random.default_rng(0)
+        x = np.concatenate(
+            [
+                rng.uniform(0.0, 1e-12, 2000),
+                rng.uniform(0.0, 1.0, 2000),
+                rng.uniform(0.0, 10.0, 2000),
+                [0.0, 1.0, 2.0, 2.0**-1074, 1e-300],
+            ]
+        )
+        for e in FLOAT_POWER_EXPONENTS:
+            got = np.float_power(x, e).view(np.int64)
+            want = np.array([y**e for y in x.tolist()]).view(np.int64)
+            differ = int(np.count_nonzero(got != want))
+            assert differ == 0, (
+                f"np.float_power(x, {e!r}) differs from the float ** on {differ} of {len(x)} "
+                f"values under numpy {np.__version__}: numpy no longer calls libm pow per "
+                "element, so PowerWeight.integrals is no longer bit-equal to PowerWeight.integral"
+            )
+
+
+class TestOverflowingPowerIntegral:
+    def test_scalar_integral_rejected(self):
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            PowerWeight(0.5).integral(0.0, 1e250)
+
+    def test_table_names_the_overflowing_bound(self):
+        w = PowerWeight(0.5, center=0.0)
+        with pytest.raises(InvalidParameterError, match=r"1e\+250 \*\* 1\.5 overflows"):
+            w.integrals(np.array([0.0, 0.0, 0.0]), np.array([1.0, 1e250, 1e260]))
