@@ -111,10 +111,10 @@ def dyadic_besov_norm(
         raise InvalidConfigurationError(f"unknown form {form}")
     table = interval_table(grid, window)
     q = _bracket(weights, form, table)
-    terms = ((_haar_terms(b, table) * q) ** p).tolist()
+    terms = (_haar_terms(b, table) * q) ** p
     return NormReport(
         value=math.fsum(terms) ** (1.0 / p),
-        contributions=list(zip(table.labels(), terms)),
+        contributions=list(zip(table.labels(), terms.tolist())),
         params={"p": p, "form": form, "grid": grid.grid_id},
     )
 
@@ -440,15 +440,14 @@ def vmo_tail_report(
         ladder = [2.0 ** (-j) for j in range(window.j_min, window.j_max + 1)]
     table = interval_table(grid, window)
     terms = (_haar_terms(b, table) * _bracket(weights, 1, table)) ** 2
-    # fsum rounds each partial sum once, so tails over nested sets stay
-    # monotone; it reads a list of Python floats faster than numpy scalars
+    # fsum rounds each partial sum once, so tails over nested sets stay monotone
     rows = [
         VmoTailRow(
             radius,
-            math.fsum(terms[table.length < radius].tolist()),
-            math.fsum(terms[table.length > radius].tolist()),
-            math.fsum(terms[(table.right <= center - radius) | (table.left >= center + radius)].tolist()),
+            math.fsum(terms[table.length < radius]),
+            math.fsum(terms[table.length > radius]),
+            math.fsum(terms[(table.right <= center - radius) | (table.left >= center + radius)]),
         )
         for radius in ladder
     ]
-    return VmoTailReport(rows, math.fsum(terms.tolist()), center)
+    return VmoTailReport(rows, math.fsum(terms), center)

@@ -67,7 +67,9 @@ class OperatorMatrix:
             raise InvalidConfigurationError(
                 f"matrix shape {self.mat.shape} does not match {n} cells"
             )
-        _require_finite(self.mat, self.name)
+        # min and max propagate NaN and inf without an N x N mask
+        if not (np.isfinite(self.mat.min()) and np.isfinite(self.mat.max())):
+            raise InvalidMatrixError(f"{self.name} contains non-finite entries")
 
     @property
     def n(self) -> int:
@@ -104,12 +106,6 @@ class OperatorMatrix:
             fh.write("\n".join(lines) + "\n")
 
 
-def _require_finite(mat: np.ndarray, name: str) -> None:
-    # min and max propagate NaN and inf without an N x N mask
-    if not (np.isfinite(mat.min()) and np.isfinite(mat.max())):
-        raise InvalidMatrixError(f"{name} contains non-finite entries")
-
-
 def _require_standard(grid: DyadicGrid, what: str) -> None:
     if grid.grid_id != "standard":
         raise InvalidConfigurationError(
@@ -129,19 +125,21 @@ def _haar_rows(window: TruncationWindow, grid: DyadicGrid, max_scale: int) -> In
 def _scale_runs(rows: IntervalTable, window: TruncationWindow):
     """(first row, end row, first cell, cells per interval) of each scale of
     the scale-major rows.  A scale's rows are consecutive translations, so
-    their cell ranges follow one another from the first row's."""
+    their cell ranges follow one another from the first row's.  An empty
+    table has no scale."""
+    if len(rows) == 0:
+        return
     cuts = [0, *(np.flatnonzero(np.diff(rows.j)) + 1).tolist(), len(rows)]
     for r0, r1 in zip(cuts, cuts[1:]):
         i0, i1 = window.cell_slices(rows[r0 : r0 + 1])[0]
         yield r0, r1, i0, i1 - i0
 
 
-def _diagonal_blocks(mat: np.ndarray, i0: int, count: int, cells: int, col0: int = 0) -> np.ndarray:
+def _diagonal_blocks(mat: np.ndarray, i0: int, count: int, cells: int) -> np.ndarray:
     """Writable (count, cells, cells) view of the blocks on cells
-    [i0 + m cells, i0 + (m + 1) cells) x the same, m < count, of a matrix
-    whose column 0 is cell col0."""
+    [i0 + m cells, i0 + (m + 1) cells) x the same, m < count."""
     rs, cs = mat.strides
-    return as_strided(mat[i0:, i0 - col0 :], (count, cells, cells), (cells * (rs + cs), rs, cs))
+    return as_strided(mat[i0:, i0:], (count, cells, cells), (cells * (rs + cs), rs, cs))
 
 
 def _local_haar(cells: int) -> np.ndarray:
@@ -329,46 +327,31 @@ def multiplication_commutator(b: Symbol, t: OperatorMatrix) -> OperatorMatrix:
 
 
 def _remainder(
-    rows: IntervalTable,
-    coefficients: np.ndarray,
-    window: TruncationWindow,
-    child_signs,
-    scale: float,
-    columns: tuple[int, int],
-) -> np.ndarray:
-    """Columns [c0, c1) of the sum over the given rows I of scale <= j_max - 2
-    of (b_hat(I) / sqrt(scale |I|)) * ((s_l h_(left child) + s_r h_(right child)) outer h_I).
-
-    Only the blocks that meet those columns are written, into a buffer that
-    spans their columns (a coarse block holds the finer blocks inside it)."""
-    c0, c1 = columns
+    rows: IntervalTable, coefficients: np.ndarray, window: TruncationWindow, child_signs, scale: float, name: str
+) -> OperatorMatrix:
+    """Sum over the given rows I of scale <= j_max - 2 of (b_hat(I) / sqrt(scale |I|)) *
+    ((s_l h_(left child) + s_r h_(right child)) outer h_I)."""
+    n = window.n_cells
+    mat = np.zeros((n, n))
     s_left, s_right = child_signs
     width = float(window.cell_width)
-    runs = []
     for r0, r1, i0, cells in _scale_runs(rows, window):
-        if cells < 4:  # scale j_max - 1: its children hold no Haar pair of cells
+        # scale <= j_max - 2: each child holds a Haar pair of cells
+        if cells < 4:
             continue
-        # blocks m0 <= m < m1 of this scale meet columns [c0, c1)
-        m0 = max(0, (c0 - i0) // cells)
-        m1 = min(r1 - r0, -(-(c1 - i0) // cells))
-        runs.append((r0 + m0, r0 + m1, i0 + m0 * cells, cells))
-    lo = min([c0] + [i0 for _, _, i0, _ in runs])
-    hi = max([c1] + [i0 + (r1 - r0) * cells for r0, r1, i0, cells in runs])
-    mat = np.zeros((window.n_cells, hi - lo))
-    for r0, r1, i0, cells in runs:
         hc = _local_haar(cells // 2)
         out = np.concatenate((s_left * hc, s_right * hc))
         bh = coefficients[r0:r1]
         nz = np.flatnonzero(bh)  # rows with b_hat(I) = 0 add nothing
         coeff = bh[nz] / math.sqrt(scale * cells * width)
-        blocks = _diagonal_blocks(mat, i0, r1 - r0, cells, lo)
+        blocks = _diagonal_blocks(mat, i0, r1 - r0, cells)
         blocks[nz] += coeff[:, None, None] * np.outer(out, _local_haar(cells))
-    return mat[:, c0 - lo : c1 - lo]
+    return OperatorMatrix(mat, window, name=name)
 
 
-# (child signs, scale) of the two remainders
-_DISPLAYED = ((-1.0, 1.0), 1.0)
-_DERIVED = ((1.0, 1.0), 2.0)
+# (child signs, scale, name) of the two remainders
+_DISPLAYED = ((-1.0, 1.0), 1.0, "shift_remainder")
+_DERIVED = ((1.0, 1.0), 2.0, "shift_remainder_derived")
 
 
 def remainder_matrix(b: Symbol, grid: DyadicGrid, window: TruncationWindow) -> OperatorMatrix:
@@ -376,8 +359,7 @@ def remainder_matrix(b: Symbol, grid: DyadicGrid, window: TruncationWindow) -> O
     k_I = h_(right child) - h_(left child); the part of the shift commutator
     that is not a paraproduct composition."""
     _require_standard(grid, "remainder assembly")
-    mat = _remainder(*_coefficients(b, grid, window, window.j_max - 2), window, *_DISPLAYED, (0, window.n_cells))
-    return OperatorMatrix(mat, window, name="shift_remainder")
+    return _remainder(*_coefficients(b, grid, window, window.j_max - 2), window, *_DISPLAYED)
 
 
 def remainder_matrix_derived(
@@ -387,8 +369,7 @@ def remainder_matrix_derived(
     system: sum of (b_hat(I) / sqrt(2 |I|)) * ((h_left + h_right) outer h_I).
     With it the six-term expansion closes exactly for step symbols."""
     _require_standard(grid, "remainder assembly")
-    mat = _remainder(*_coefficients(b, grid, window, window.j_max - 2), window, *_DERIVED, (0, window.n_cells))
-    return OperatorMatrix(mat, window, name="shift_remainder_derived")
+    return _remainder(*_coefficients(b, grid, window, window.j_max - 2), window, *_DERIVED)
 
 
 def k_vector(interval: DyadicInterval, window: TruncationWindow) -> np.ndarray:
@@ -454,10 +435,9 @@ def expansion_residual(
 
     Restricting the domain to the region keeps only its columns, so only
     those are formed: the two products against the column block of S (or
-    T_eps) and of pi + pi*, the remainder's blocks that meet those columns,
-    and the column blocks of [M_b, T] and of the residual.  The paraproduct
-    and S (or T_eps) are still assembled whole.  A region with no cell
-    raises InvalidConfigurationError.
+    T_eps) and of pi + pi*, and the column blocks of [M_b, T] and of the
+    residual.  The paraproduct, the remainder and S (or T_eps) are still
+    assembled whole.  A region with no cell raises InvalidConfigurationError.
     """
     if sign_order not in ("definition", "displayed"):
         raise InvalidConfigurationError(f"unknown sign order {sign_order!r}")
@@ -474,8 +454,7 @@ def expansion_residual(
     if kind == "shift":
         t = haar_shift_matrix(grid, window).mat
         form = _DISPLAYED if remainder == "displayed" else _DERIVED
-        rem = _remainder(*coefficients, window, *form, (i0, i1))
-        _require_finite(rem, "shift remainder")
+        rem = _remainder(*coefficients, window, *form).mat
     elif kind == "multiplier":
         t = haar_multiplier_matrix(signs, grid, window).mat
     else:
@@ -487,7 +466,7 @@ def expansion_residual(
     if sign_order == "displayed":
         rhs = -rhs
     if rem is not None:
-        rhs += rem
+        rhs += rem[:, i0:i1]
     # [M_b, T] entrywise: equal to mult @ t - t @ mult, whose sums add exact zeros
     vals = b.cell_values()
     lhs = vals[:, None] * cols - cols * vals[None, i0:i1]

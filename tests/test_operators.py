@@ -578,6 +578,9 @@ STRUCTURE_WINDOWS = [
     pytest.param(make_window(-4, 4, -2, 6), id="j_min=-2"),
     pytest.param(make_window(-3, -1, 0, 6), id="negative_lo"),
     pytest.param(make_window(2, 4, 1, 6), id="lo=2"),
+    # empty Haar row tables: no remainder or shift scale, and no Haar scale at all
+    pytest.param(make_window(0, 1, 0, 1), id="two-scales"),
+    pytest.param(make_window(0, 4, 0, 0), id="one-scale"),
 ]
 
 
@@ -820,6 +823,9 @@ SCALE_WINDOWS = [
     pytest.param(default_window(9), id="default9"),
     pytest.param(make_window(-1, 2, 0, 5), id="lo=-1"),
     pytest.param(make_window(2, 6, -1, 6), id="lo=2"),
+    # one scale below the finest, and no Haar scale at all: empty row tables
+    pytest.param(make_window(0, 1, 0, 1), id="two-scales"),
+    pytest.param(make_window(0, 4, 0, 0), id="one-scale"),
 ]
 
 
@@ -833,10 +839,11 @@ def sparse_haar_symbol(window):
 
 
 def coefficient_symbols(window):
-    """random_haar where the window holds [0, 1), quartic_bump, and a Haar
-    symbol whose rows include zero coefficients."""
+    """random_haar where the window holds [0, 1) and scales enough for its
+    eight terms, quartic_bump, and a Haar symbol whose rows include zero
+    coefficients."""
     out = [quartic_bump_symbol(window), sparse_haar_symbol(window)]
-    if window.lo <= 0 and window.hi >= 1:
+    if window.lo <= 0 and window.hi >= 1 and window.j_max >= 4:
         out.append(random_haar_symbol(window, seed=window.j_max))
     return out
 
