@@ -14,8 +14,12 @@ A Haar coefficient <b, h_I> is computed from one set of float endpoints of I
 left/mid/right arrays in one `split_integrals` pass, whose one-row case is
 also its scalar `integral` and `split_integral`, so both paths give the same
 bits; any other symbol makes one `haar_coefficient` call per row, on the
-row's interval object, so its antiderivative is still evaluated on scalars
-and rounds as before.
+row's interval object.  An analytic symbol's `split_integral` calls its
+antiderivative once, on the array [left, mid, right], and its `integral` is
+the one-row case.  The battery antiderivatives round on an array exactly as
+on each point alone: powers of 3 and more are taken with `np.float_power`,
+which calls libm `pow` per element as the float `**` does, where an array
+`**` takes a SIMD kernel that rounds differently.
 """
 
 from __future__ import annotations
@@ -149,24 +153,33 @@ class AnalyticSymbol(Symbol):
         return self.fn(np.asarray(x, dtype=float))
 
     def integral(self, a, b) -> float:
-        af, bf = float(a), float(b)
-        if bf <= af:
-            return 0.0
-        if self.antiderivative is not None:
-            return float(self.antiderivative(bf) - self.antiderivative(af))
-        nodes, wts = GAUSS_LEGENDRE_32
-        half = 0.5 * (bf - af)
-        xs = 0.5 * (af + bf) + half * nodes
-        return half * float(np.sum(wts * self.fn(xs)))
+        """The one-row case of `split_integral`."""
+        return self.split_integral(a, b, b)[0]
 
     def split_integral(self, a, m, c) -> tuple[float, float]:
-        """With an antiderivative F: F at a, m and c once each, one scalar call
-        per point, and the halves F(m) - F(a), F(c) - F(m)."""
-        if self.antiderivative is None:
-            return super().split_integral(a, m, c)
+        """With an antiderivative F: one call of F on the float64 array
+        [a, m, c], and the halves F(m) - F(a), F(c) - F(m).  Without one:
+        32-node Gauss-Legendre on each half.  A NaN bound, or a bound that is
+        not finite for the quadrature, raises InvalidParameterError."""
         af, mf, cf = float(a), float(m), float(c)
-        fa, fm, fc = self.antiderivative(af), self.antiderivative(mf), self.antiderivative(cf)
-        return (0.0 if mf <= af else float(fm - fa)), (0.0 if cf <= mf else float(fc - fm))
+        if math.isnan(af) or math.isnan(mf) or math.isnan(cf):
+            raise InvalidParameterError("an integration bound is NaN")
+        if self.antiderivative is None:
+            if not (math.isfinite(af) and math.isfinite(mf) and math.isfinite(cf)):
+                raise InvalidParameterError("quadrature needs finite integration bounds")
+            return self._gauss_legendre(af, mf), self._gauss_legendre(mf, cf)
+        pts = np.array((af, mf, cf))
+        fa, fm, fc = np.asarray(self.antiderivative(pts), dtype=float).tolist()
+        return (0.0 if mf <= af else fm - fa), (0.0 if cf <= mf else fc - fm)
+
+    def _gauss_legendre(self, a: float, b: float) -> float:
+        """32-node Gauss-Legendre over [a, b); 0.0 when it is empty or inverted."""
+        if b <= a:
+            return 0.0
+        nodes, wts = GAUSS_LEGENDRE_32
+        half = 0.5 * (b - a)
+        xs = 0.5 * (a + b) + half * nodes
+        return half * float(np.sum(wts * self.fn(xs)))
 
     def cell_values(self) -> np.ndarray:
         if self._cells is None:
@@ -230,7 +243,8 @@ def haar_coefficients(b: Symbol, table: IntervalTable) -> np.ndarray:
 
     A step symbol takes both child integrals of every row from one
     `split_integrals` pass over the table's float geometry; any other symbol
-    makes one `haar_coefficient` call per row.
+    makes one `haar_coefficient` call per row, whose `split_integral` call
+    evaluates an analytic symbol's antiderivative on one 3-point array.
     """
     if not isinstance(b, StepSymbol):
         return np.array([haar_coefficient(b, interval) for interval in table.intervals()], dtype=float)
@@ -313,7 +327,7 @@ def parabola_symbol(window: TruncationWindow) -> AnalyticSymbol:
     def prim(x):
         x = np.asarray(x, dtype=float)
         xc = np.minimum(1.0, np.maximum(0.0, x))
-        return xc**2 / 2.0 - xc**3 / 3.0
+        return xc**2 / 2.0 - np.float_power(xc, 3) / 3.0
 
     return AnalyticSymbol(window, fn, prim, lipschitz=1.0, name="parabola")
 
@@ -324,12 +338,11 @@ def ramp_bump_symbol(window: TruncationWindow) -> AnalyticSymbol:
     up0, up1 = 0.125, 0.375
     dn0, dn1 = 0.625, 0.875
     w = up1 - up0
+    # ramp starts and ends on a trailing axis: index 0 is up, 1 is down
+    starts, ends = np.array([up0, dn0]), np.array([up1, dn1])
 
     def smooth(t):
         return 3.0 * t**2 - 2.0 * t**3
-
-    def smooth_prim(t):
-        return t**3 - 0.5 * t**4
 
     def fn(x):
         x = np.asarray(x, dtype=float)
@@ -338,17 +351,11 @@ def ramp_bump_symbol(window: TruncationWindow) -> AnalyticSymbol:
         return smooth(t_up) - smooth(t_dn)
 
     def prim(x):
-        x = np.asarray(x, dtype=float)
-        t_up = np.minimum(1.0, np.maximum(0.0, (x - up0) / w))
-        t_dn = np.minimum(1.0, np.maximum(0.0, (x - dn0) / w))
-        lin_up = np.maximum(x - up1, 0.0)
-        lin_dn = np.maximum(x - dn1, 0.0)
-        return (
-            w * smooth_prim(t_up)
-            + lin_up
-            - w * smooth_prim(t_dn)
-            - lin_dn
-        )
+        x = np.asarray(x, dtype=float)[..., None]
+        t = np.minimum(1.0, np.maximum(0.0, (x - starts) / w))
+        curve = w * (np.float_power(t, 3) - 0.5 * np.float_power(t, 4))
+        lin = np.maximum(x - ends, 0.0)
+        return curve[..., 0] + lin[..., 0] - curve[..., 1] - lin[..., 1]
 
     return AnalyticSymbol(window, fn, prim, lipschitz=1.5 / w, name="ramp_bump")
 
@@ -360,10 +367,14 @@ def quartic_bump_symbol(window: TruncationWindow) -> AnalyticSymbol:
         x = np.asarray(x, dtype=float)
         return np.where((x >= 0) & (x < 1), 16.0 * x**2 * (1.0 - x) ** 2, 0.0)
 
+    # the terms x^3 / 3, x^4 / 2 and x^5 / 5 of the antiderivative on a trailing axis
+    exps, divs = np.array([3.0, 4.0, 5.0]), np.array([3.0, 2.0, 5.0])
+
     def prim(x):
         x = np.asarray(x, dtype=float)
         xc = np.minimum(1.0, np.maximum(0.0, x))
-        return 16.0 * (xc**3 / 3.0 - xc**4 / 2.0 + xc**5 / 5.0)
+        terms = np.float_power(xc[..., None], exps) / divs
+        return 16.0 * (terms[..., 0] - terms[..., 1] + terms[..., 2])
 
     return AnalyticSymbol(window, fn, prim, lipschitz=16.0 * 0.25, name="quartic_bump")
 

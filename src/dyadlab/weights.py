@@ -182,7 +182,10 @@ class ConstantWeight(Weight):
 
 @dataclass(frozen=True)
 class PowerWeight(Weight):
-    """w(x) = coeff * |x - center|^exponent.  A2 membership needs |exponent| < 1."""
+    """w(x) = coeff * |x - center|^exponent.  A2 membership needs |exponent| < 1.
+
+    An integral that overflows a float, scalar or table, raises
+    InvalidParameterError."""
 
     exponent: float
     center: float = 1.0 / 3.0
@@ -216,7 +219,10 @@ class PowerWeight(Weight):
         def prim(t):
             return math.copysign(_float_power(abs(t), 1.0 + alpha), t) / (1.0 + alpha)
 
-        return self.coeff * (prim(tb) - prim(ta))
+        out = self.coeff * (prim(tb) - prim(ta))
+        if not math.isfinite(out):
+            raise InvalidParameterError(f"integral of {self.label} over [{af}, {bf}) overflows a float")
+        return out
 
     def _integrals(self, lo, hi):
         e = 1.0 + self.exponent
@@ -233,7 +239,15 @@ class PowerWeight(Weight):
                 raise InvalidParameterError(f"{bad!r} ** {e!r} overflows a float")
             return np.copysign(mag, t) / e
 
-        return self.coeff * (prim(hi) - prim(lo))
+        with np.errstate(over="ignore"):
+            out = self.coeff * (prim(hi) - prim(lo))
+        finite = np.isfinite(out)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise InvalidParameterError(
+                f"integral of {self.label} over [{float(lo[i])}, {float(hi[i])}) overflows a float"
+            )
+        return out
 
     def _reciprocal(self) -> "PowerWeight":
         return PowerWeight(-self.exponent, self.center, 1.0 / self.coeff)

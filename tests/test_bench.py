@@ -15,8 +15,9 @@ still make scalar calls, and three scalar paths stay for that:
 - `QuadratureWeight` keeps the per-row loop of `Weight.integrals`, which
   gives `weights.quadrature_calls`.
 - `haar_coefficients` of an analytic symbol makes one `haar_coefficient`
-  call per row, which gives `symbols.haar_coeff_calls` and keeps the
-  antiderivative on scalars, so its rounding is unchanged.
+  call per row, which gives `symbols.haar_coeff_calls`; the call stays for
+  that count.  Each call evaluates the antiderivative once, on a 3-point
+  array, and its bits are those of the former three scalar evaluations.
 
 The tracer also rebinds `enumerate_intervals` in every module that imports
 it, and the self-test checks that `besov.enumerate_intervals` is such a

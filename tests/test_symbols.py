@@ -371,7 +371,7 @@ class TestSplitIntegral:
         want = (b.integral(a, m), b.integral(m, c))
         assert bits(*b.split_integral(a, m, c)) == bits(*want)
 
-    def test_antiderivative_called_once_per_point_with_scalars(self):
+    def test_antiderivative_called_once_on_a_float64_array(self):
         calls = []
 
         def prim(x):
@@ -379,9 +379,54 @@ class TestSplitIntegral:
             return x * x / 2.0
 
         b = AnalyticSymbol(SPLIT_WIN, lambda x: np.asarray(x, dtype=float), prim)
-        assert b.split_integral(0.25, 0.5, 1.0) == (0.09375, 0.375)
-        assert calls == [0.25, 0.5, 1.0]
-        assert all(type(x) is float for x in calls)
+        assert b.split_integral(0.25, 0.5, 1) == (0.09375, 0.375)
+        assert len(calls) == 1
+        (x,) = calls
+        assert type(x) is np.ndarray and x.dtype == np.float64
+        assert x.tolist() == [0.25, 0.5, 1.0]
+
+
+ANALYTIC_KINDS = ["sin", "parabola", "ramp_bump", "quartic_bump", "linear", "quadrature"]
+
+
+class TestAnalyticBounds:
+    @pytest.mark.parametrize("kind", ANALYTIC_KINDS)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda b: b.integral(math.nan, 1.0),
+            lambda b: b.integral(0.0, math.nan),
+            lambda b: b.split_integral(0.0, math.nan, 1.0),
+            lambda b: b.split_integral(math.nan, 0.5, 0.25),
+        ],
+        ids=["integral a", "integral b", "split m", "split a inverted"],
+    )
+    def test_nan_bound_rejected(self, kind, call):
+        with pytest.raises(InvalidParameterError):
+            call(split_symbols()[kind])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda b: b.integral(0.0, math.inf),
+            lambda b: b.integral(-math.inf, 0.0),
+            lambda b: b.split_integral(0.0, 0.5, math.inf),
+        ],
+        ids=["integral b", "integral a", "split c"],
+    )
+    def test_quadrature_rejects_infinite_bound(self, call):
+        with pytest.raises(InvalidParameterError):
+            call(split_symbols()["quadrature"])
+
+    @pytest.mark.parametrize("kind", ["sin", "parabola", "quartic_bump"])
+    def test_infinite_bound_is_clamped_to_the_support(self, kind):
+        b = split_symbols()[kind]
+        want = b.integral(0.0, 1.0)
+        assert math.isfinite(want)
+        for lo, hi in ((-math.inf, math.inf), (0.0, math.inf), (-math.inf, 1.0)):
+            assert bits(b.integral(lo, hi)) == bits(want), (lo, hi)
+        halves = (b.integral(0.0, 0.5), b.integral(0.5, 1.0))
+        assert bits(*b.split_integral(-math.inf, 0.5, math.inf)) == bits(*halves)
 
 
 def reference_haar_coefficient(b, interval):
@@ -485,3 +530,26 @@ class TestBatteryClamps:
     def test_nan_propagates(self):
         for make in BATTERY.values():
             assert math.isnan(make(WIN).antiderivative(math.nan))
+
+
+ALL_BATTERY = {**BATTERY, "linear": linear_symbol}
+
+
+class TestBatteryOnArrays:
+    """A battery antiderivative on an array rounds as on each point alone, so
+    `split_integral`'s one array call keeps the bits of scalar evaluation."""
+
+    @pytest.mark.parametrize("name", sorted(ALL_BATTERY))
+    def test_table_points_bit_equal_to_per_point(self, name):
+        for j_max in range(4, 9):
+            window = default_window(j_max)
+            prim = ALL_BATTERY[name](window).antiderivative
+            for grid in (standard_grid(), third_shift_grid()):
+                table = interval_table(grid, window)
+                pts = np.concatenate([table.left, table.mid, table.right])
+                got = np.asarray(prim(pts), dtype=float)
+                # each distinct point once, keyed by its bits
+                keys, inverse = np.unique(pts.view(np.int64), return_inverse=True)
+                per_point = np.array([float(prim(x)) for x in keys.view(np.float64).tolist()])
+                differ = np.flatnonzero(got.view(np.int64) != per_point[inverse].view(np.int64))
+                assert differ.size == 0, (j_max, grid.grid_id, differ.size, pts[differ[:3]])

@@ -547,3 +547,13 @@ class TestOverflowingPowerIntegral:
         w = PowerWeight(0.5, center=0.0)
         with pytest.raises(InvalidParameterError, match=r"1e\+250 \*\* 1\.5 overflows"):
             w.integrals(np.array([0.0, 0.0, 0.0]), np.array([1.0, 1e250, 1e260]))
+
+    def test_scalar_integral_times_coeff_rejected(self):
+        # the power 1e10 ** 1.5 is finite; only the product with coeff overflows
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            PowerWeight(0.5, coeff=1e300).integral(0.0, 1e10)
+
+    def test_table_names_the_row_whose_product_overflows(self):
+        w = PowerWeight(0.5, coeff=1e300)
+        with pytest.raises(InvalidParameterError, match=r"\[0\.0, 10000000000\.0\) overflows"):
+            w.integrals(np.array([0.0, 0.0]), np.array([1.0, 1e10]))
