@@ -221,7 +221,9 @@ class PowerWeight(Weight):
 
         out = self.coeff * (prim(tb) - prim(ta))
         if not math.isfinite(out):
-            raise InvalidParameterError(f"integral of {self.label} over [{af}, {bf}) overflows a float")
+            raise InvalidParameterError(
+                f"integral of {self.label} over [{af}, {bf}) overflows a float"
+            )
         return out
 
     def _integrals(self, lo, hi):
