@@ -23,6 +23,11 @@ unresolved coarse averages fixed so that the all-plus pattern is the
 identity.  Scales are written coarsest first and every entry lies in at most
 one block per scale, so each entry receives its terms in enumeration order,
 one addition each, which makes every matrix bit-reproducible.
+Every interval lies inside one coarsest interval, so the Haar operators
+(paraproduct, multiplier with its coarse averages, shift, remainders) are
+block diagonal over the coarsest intervals: each entry outside those
+2^(j_max - j_min)-cell diagonal blocks is exactly 0.0.  `expansion_residual`
+relies on this to work only on the blocks its region meets.
 """
 
 from __future__ import annotations
@@ -436,8 +441,16 @@ def expansion_residual(
     Restricting the domain to the region keeps only its columns, so only
     those are formed: the two products against the column block of S (or
     T_eps) and of pi + pi*, and the column blocks of [M_b, T] and of the
-    residual.  The paraproduct, the remainder and S (or T_eps) are still
-    assembled whole.  A region with no cell raises InvalidConfigurationError.
+    residual.  Every factor is block diagonal over the coarsest intervals,
+    so those columns are zero outside the blocks the region meets.  The
+    paraproduct, the remainder and S (or T_eps) are therefore assembled on
+    the coarsest intervals the region meets, as a window of their own, and
+    the products run there.  The result is the same operator; only the
+    rounding of the products and of the SVD can differ from whole-window
+    products, and a region that meets every block is computed on the whole
+    window.  The multiplier expansion reads and checks `signs` only on the
+    intervals inside those blocks.  A region with no cell raises
+    InvalidConfigurationError.
     """
     if sign_order not in ("definition", "displayed"):
         raise InvalidConfigurationError(f"unknown sign order {sign_order!r}")
@@ -447,16 +460,24 @@ def expansion_residual(
     if i1 <= i0:
         raise InvalidConfigurationError(f"region [{region[0]}, {region[1]}) has no cell")
     _require_standard(grid, "paraproduct assembly")
+    # the coarsest intervals the region meets, as a window of their cells
+    step = 1 << (window.j_max - window.j_min)
+    c0, c1 = i0 // step * step, -(-i1 // step) * step
+    width = window.cell_width
+    blocks = TruncationWindow(
+        window.lo + c0 * width, window.lo + c1 * width, window.j_min, window.j_max
+    )
+    i0, i1 = i0 - c0, i1 - c0
     # one coefficient table serves the paraproduct and the remainder
-    coefficients = _coefficients(b, grid, window, window.j_max - 1)
-    pi = _paraproduct(*coefficients, window).mat
+    coefficients = _coefficients(b, grid, blocks, blocks.j_max - 1)
+    pi = _paraproduct(*coefficients, blocks).mat
     rem = None
     if kind == "shift":
-        t = haar_shift_matrix(grid, window).mat
+        t = haar_shift_matrix(grid, blocks).mat
         form = _DISPLAYED if remainder == "displayed" else _DERIVED
-        rem = _remainder(*coefficients, window, *form).mat
+        rem = _remainder(*coefficients, blocks, *form).mat
     elif kind == "multiplier":
-        t = haar_multiplier_matrix(signs, grid, window).mat
+        t = haar_multiplier_matrix(signs, grid, blocks).mat
     else:
         raise InvalidConfigurationError(f"unknown expansion kind {kind!r}")
     # pi t - t pi + pi* t - t pi* in two products, on the region's columns
@@ -468,7 +489,7 @@ def expansion_residual(
     if rem is not None:
         rhs += rem[:, i0:i1]
     # [M_b, T] entrywise: equal to mult @ t - t @ mult, whose sums add exact zeros
-    vals = b.cell_values()
+    vals = b.cell_values()[c0:c1]
     lhs = vals[:, None] * cols - cols * vals[None, i0:i1]
     resid = lhs - rhs
     sig = np.linalg.svd(resid, compute_uv=False)

@@ -159,8 +159,10 @@ class AnalyticSymbol(Symbol):
     def split_integral(self, a, m, c) -> tuple[float, float]:
         """With an antiderivative F: one call of F on the float64 array
         [a, m, c], and the halves F(m) - F(a), F(c) - F(m).  Without one:
-        32-node Gauss-Legendre on each half.  A NaN bound, or a bound that is
-        not finite for the quadrature, raises InvalidParameterError."""
+        32-node Gauss-Legendre on each half.  A NaN bound, a bound that is
+        not finite for the quadrature, or a half whose integral is not finite
+        (an infinite bound of a symbol without compact support) raises
+        InvalidParameterError."""
         af, mf, cf = float(a), float(m), float(c)
         if math.isnan(af) or math.isnan(mf) or math.isnan(cf):
             raise InvalidParameterError("an integration bound is NaN")
@@ -170,7 +172,10 @@ class AnalyticSymbol(Symbol):
             return self._gauss_legendre(af, mf), self._gauss_legendre(mf, cf)
         pts = np.array((af, mf, cf))
         fa, fm, fc = np.asarray(self.antiderivative(pts), dtype=float).tolist()
-        return (0.0 if mf <= af else fm - fa), (0.0 if cf <= mf else fc - fm)
+        lower, upper = (0.0 if mf <= af else fm - fa), (0.0 if cf <= mf else fc - fm)
+        if not (math.isfinite(lower) and math.isfinite(upper)):
+            raise InvalidParameterError(f"integral of {self.name} over [{af}, {cf}) is not finite")
+        return lower, upper
 
     def _gauss_legendre(self, a: float, b: float) -> float:
         """32-node Gauss-Legendre over [a, b); 0.0 when it is empty or inverted."""
@@ -332,6 +337,11 @@ def parabola_symbol(window: TruncationWindow) -> AnalyticSymbol:
     return AnalyticSymbol(window, fn, prim, lipschitz=1.0, name="parabola")
 
 
+# A point far past ramp_bump's support, at which its antiderivative is still
+# exact: every term is a multiple of 2^-3 below 2^50.
+_FAR = 2.0**40
+
+
 def ramp_bump_symbol(window: TruncationWindow) -> AnalyticSymbol:
     """Smoothed step: cubic ramp up on [1/8, 3/8], plateau, ramp down on
     [5/8, 7/8].  Continuous with Lipschitz constant 6."""
@@ -351,7 +361,9 @@ def ramp_bump_symbol(window: TruncationWindow) -> AnalyticSymbol:
         return smooth(t_up) - smooth(t_dn)
 
     def prim(x):
-        x = np.asarray(x, dtype=float)[..., None]
+        # F is constant past the ramps; capping x far past them keeps an
+        # infinite bound from forming inf - inf and leaves F below the cap as it was
+        x = np.minimum(np.asarray(x, dtype=float), _FAR)[..., None]
         t = np.minimum(1.0, np.maximum(0.0, (x - starts) / w))
         curve = w * (np.float_power(t, 3) - 0.5 * np.float_power(t, 4))
         lin = np.maximum(x - ends, 0.0)

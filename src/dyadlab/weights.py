@@ -54,6 +54,18 @@ def _finite_bounds(lo, hi):
     raise InvalidParameterError(f"interval [{a}, {b}) has a bound that is not finite")
 
 
+def _no_overflow(out, lo, hi, label: str):
+    """out, the table integrals of the weight `label` over [lo, hi); raises
+    InvalidParameterError naming the first interval whose integral overflows
+    a float."""
+    finite = np.isfinite(out)
+    if finite.all():
+        return out
+    i = int(np.argmin(np.ravel(finite)))
+    a, b = (float(np.broadcast_to(x, np.shape(out)).ravel()[i]) for x in (lo, hi))
+    raise InvalidParameterError(f"integral of {label} over [{a}, {b}) overflows a float")
+
+
 def _float_power(x: float, s: float) -> float:
     """x**s by the float `**`; raises InvalidParameterError when it overflows."""
     try:
@@ -153,6 +165,9 @@ class Weight:
 
 @dataclass(frozen=True)
 class ConstantWeight(Weight):
+    """w(x) = value.  An integral that overflows a float, scalar or table,
+    raises InvalidParameterError."""
+
     value: float = 1.0
 
     def __post_init__(self):
@@ -168,10 +183,17 @@ class ConstantWeight(Weight):
 
     def integral(self, a, b) -> float:
         af, bf = _finite_bounds(a, b)
-        return self.value * (bf - af)
+        out = self.value * (bf - af)
+        if not math.isfinite(out):
+            raise InvalidParameterError(
+                f"integral of {self.label} over [{af}, {bf}) overflows a float"
+            )
+        return out
 
     def _integrals(self, lo, hi):
-        return self.value * (hi - lo)
+        with np.errstate(over="ignore"):
+            out = self.value * (hi - lo)
+        return _no_overflow(out, lo, hi, self.label)
 
     def _reciprocal(self) -> "ConstantWeight":
         return ConstantWeight(1.0 / self.value)
@@ -243,13 +265,7 @@ class PowerWeight(Weight):
 
         with np.errstate(over="ignore"):
             out = self.coeff * (prim(hi) - prim(lo))
-        finite = np.isfinite(out)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise InvalidParameterError(
-                f"integral of {self.label} over [{float(lo[i])}, {float(hi[i])}) overflows a float"
-            )
-        return out
+        return _no_overflow(out, lo, hi, self.label)
 
     def _reciprocal(self) -> "PowerWeight":
         return PowerWeight(-self.exponent, self.center, 1.0 / self.coeff)

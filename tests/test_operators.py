@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -574,6 +575,15 @@ def checkerboard(interval):
     return 1 if (interval.j + interval.k) % 2 == 0 else -1
 
 
+def coarsest_blocks(window, region):
+    """The window of the coarsest intervals that the region meets, and its
+    first and end cell in `window`."""
+    coarse = Fraction(2) ** -window.j_min
+    lo = math.floor(Fraction(region[0]) / coarse) * coarse
+    hi = math.ceil(Fraction(region[1]) / coarse) * coarse
+    return (make_window(lo, hi, window.j_min, window.j_max), *window.slice_of(lo, hi))
+
+
 STRUCTURE_WINDOWS = [
     pytest.param(make_window(-4, 4, -2, 6), id="j_min=-2"),
     pytest.param(make_window(-3, -1, 0, 6), id="negative_lo"),
@@ -617,21 +627,24 @@ class TestStructuredAssembly:
     @pytest.mark.parametrize("window", STRUCTURE_WINDOWS)
     @pytest.mark.parametrize("kind, remainder", [("shift", "displayed"), ("shift", "derived"), ("multiplier", "displayed")])
     def test_residual_bit_equal_to_matrix_products(self, window, kind, remainder):
+        """Every field equals the dense products on the coarsest intervals the
+        region meets, restricted to the region's columns."""
         region = (float(window.lo), float(window.lo) + 1.0)
+        sub, c0, c1 = coarsest_blocks(window, region)
         for b in structure_symbols(window):
-            pi = old_paraproduct(b, window)
+            pi = old_paraproduct(b, sub)
             if kind == "shift":
-                t = old_shift(window)
-                rem = old_remainder(b, window, remainder == "derived")
+                t = old_shift(sub)
+                rem = old_remainder(b, sub, remainder == "derived")
             else:
-                t = old_multiplier(checkerboard, window)
+                t = old_multiplier(checkerboard, sub)
             sym = pi + pi.T
             rhs = sym @ t - t @ sym
             if kind == "shift":
                 rhs += rem
-            mult = multiplication_matrix(b, window).mat
+            mult = np.diag(b.cell_values()[c0:c1])
             lhs = mult @ t - t @ mult
-            i0, i1 = window.slice_of(*region)
+            i0, i1 = sub.slice_of(*region)
             restricted = (lhs - rhs)[:, i0:i1]
             res = expansion_residual(
                 b, D0, window, kind=kind, signs=checkerboard, region=region, remainder=remainder
@@ -645,19 +658,21 @@ class TestStructuredAssembly:
     @pytest.mark.parametrize("kind, remainder", [("shift", "displayed"), ("shift", "derived"), ("multiplier", "displayed")])
     def test_interior_region_bit_equal_to_full_products(self, kind, remainder, region, sign_order):
         """Regions away from window.lo, both sign orders: every field equals the
-        full N x N residual restricted to the region's columns."""
+        dense residual on the coarsest intervals the region meets, restricted
+        to the region's columns."""
         window = make_window(-4, 4, -2, 5)
-        i0, i1 = window.slice_of(*region)
+        sub, c0, c1 = coarsest_blocks(window, region)
+        i0, i1 = sub.slice_of(*region)
         for b in structure_symbols(window):
-            pi = old_paraproduct(b, window)
-            t = old_shift(window) if kind == "shift" else old_multiplier(checkerboard, window)
+            pi = old_paraproduct(b, sub)
+            t = old_shift(sub) if kind == "shift" else old_multiplier(checkerboard, sub)
             sym = pi + pi.T
             rhs = sym @ t - t @ sym
             if sign_order == "displayed":
                 rhs = -rhs
             if kind == "shift":
-                rhs += old_remainder(b, window, remainder == "derived")
-            mult = multiplication_matrix(b, window).mat
+                rhs += old_remainder(b, sub, remainder == "derived")
+            mult = np.diag(b.cell_values()[c0:c1])
             lhs = mult @ t - t @ mult
             restricted = (lhs - rhs)[:, i0:i1]
             res = expansion_residual(
@@ -676,7 +691,8 @@ class TestStructuredAssembly:
     @pytest.mark.parametrize("kind", ["shift", "multiplier"])
     def test_expansion_reads_each_coefficient_once(self, kind, monkeypatch):
         window = make_window(-4, 4, -2, 6)
-        resolvable = len(old_scales(window, window.j_max - 1))
+        # the region [0, 1) meets the coarsest interval [0, 4) only
+        resolvable = len(old_scales(make_window(0, 4, -2, 6), window.j_max - 1))
         scalar_calls, tables = [], []
         scalar, table_path = symbols.haar_coefficient, symbols.haar_coefficients
 
@@ -711,6 +727,128 @@ class TestStructuredAssembly:
     )
     def test_toeplitz_hilbert_bit_equal_to_dense_primitive(self, window):
         assert_bits_equal(hilbert_matrix(window).mat, dense_hilbert(window))
+
+
+# Four coarsest intervals of length 2: [-4, -2), [-2, 0), [0, 2), [2, 4).
+BLOCKS_WINDOW = make_window(-4, 4, -1, 5)
+EXPANSIONS = [("shift", "displayed"), ("shift", "derived"), ("multiplier", "displayed")]
+
+
+def whole_window_residual(b, window, kind, remainder, sign_order, region):
+    """(operator, Frobenius, lhs) norms of the full N x N products, restricted
+    to the region's columns."""
+    pi = paraproduct_matrix(b, D0, window).mat
+    if kind == "shift":
+        t = haar_shift_matrix(D0, window).mat
+        make_rem = remainder_matrix if remainder == "displayed" else remainder_matrix_derived
+        rem = make_rem(b, D0, window).mat
+    else:
+        t = haar_multiplier_matrix(checkerboard, D0, window).mat
+        rem = 0.0
+    sym = pi + pi.T
+    rhs = sym @ t - t @ sym
+    if sign_order == "displayed":
+        rhs = -rhs
+    rhs = rhs + rem
+    mult = multiplication_matrix(b, window).mat
+    lhs = mult @ t - t @ mult
+    i0, i1 = window.slice_of(*region)
+    restricted = (lhs - rhs)[:, i0:i1]
+    return (
+        float(np.linalg.svd(restricted, compute_uv=False)[0]),
+        float(np.linalg.norm(restricted)),
+        float(np.linalg.norm(lhs[:, i0:i1])),
+    )
+
+
+def off_block_diagonal(window):
+    """Mask of the entries outside the coarsest intervals' diagonal blocks."""
+    block = np.arange(window.n_cells) >> (window.j_max - window.j_min)
+    return block[:, None] != block[None, :]
+
+
+class TestCoarsestBlocks:
+    """The Haar operators are block diagonal over the coarsest intervals, and
+    the expansion residual works on the blocks its region meets."""
+
+    @pytest.mark.parametrize(
+        "window", [*STRUCTURE_WINDOWS, pytest.param(default_window(7), id="default7")]
+    )
+    def test_haar_operators_vanish_off_the_coarsest_blocks(self, window):
+        off = off_block_diagonal(window)
+        mats = [haar_shift_matrix(D0, window).mat]
+        mats += [haar_multiplier_matrix(signs, D0, window).mat for signs in (1, -1, checkerboard)]
+        for b in structure_symbols(window):
+            mats += [
+                paraproduct_matrix(b, D0, window).mat,
+                remainder_matrix(b, D0, window).mat,
+                remainder_matrix_derived(b, D0, window).mat,
+            ]
+        for mat in mats:
+            outside = mat[off]
+            assert np.array_equal(outside, np.zeros_like(outside))
+            assert not np.signbit(outside).any()
+
+    @pytest.mark.parametrize("sign_order", ["definition", "displayed"])
+    @pytest.mark.parametrize("kind, remainder", EXPANSIONS)
+    @pytest.mark.parametrize(
+        "region",
+        [(0.5, 1.0), (-1.0, 0.5), (-4.0, -3.0), (3.5, 4.0), (1.0, 4.0)],
+        ids=["one-block", "straddles", "touches-lo", "touches-hi", "straddles-to-hi"],
+    )
+    def test_residual_close_to_whole_window_products(self, region, kind, remainder, sign_order):
+        window = BLOCKS_WINDOW
+        for b in structure_symbols(window):
+            res = expansion_residual(
+                b, D0, window, kind=kind, signs=checkerboard, region=region,
+                remainder=remainder, sign_order=sign_order,
+            )
+            op, frob, lhs = whole_window_residual(b, window, kind, remainder, sign_order, region)
+            assert abs(res.lhs_norm - lhs) <= 1e-15 * lhs
+            tol = 1e-12 * max(1.0, lhs)
+            assert abs(res.operator_norm - op) <= tol
+            assert abs(res.frobenius_norm - frob) <= tol
+
+    @pytest.mark.parametrize("kind, remainder", EXPANSIONS)
+    @pytest.mark.parametrize("region", [(-4.0, 4.0), (-3.5, 3.5)], ids=["whole", "meets-every-block"])
+    def test_region_meeting_every_block_bit_equal_to_whole_window(self, region, kind, remainder):
+        window = BLOCKS_WINDOW
+        for b in structure_symbols(window):
+            res = expansion_residual(
+                b, D0, window, kind=kind, signs=checkerboard, region=region, remainder=remainder
+            )
+            want = whole_window_residual(b, window, kind, remainder, "definition", region)
+            got = (res.operator_norm, res.frobenius_norm, res.lhs_norm)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_signs_read_only_in_the_region_blocks(self):
+        window, region = BLOCKS_WINDOW, (0.5, 1.0)
+        sub, _, _ = coarsest_blocks(window, region)
+        pattern = {iv: checkerboard(iv) for iv in enumerate_intervals(D0, sub)}
+        seen = []
+
+        def sign_of(interval):
+            seen.append(interval)
+            return checkerboard(interval)
+
+        b = sin_symbol(window)
+        full = expansion_residual(b, D0, window, kind="multiplier", signs=sign_of, region=region)
+        assert seen == operators._haar_rows(sub, D0, sub.j_max - 1).intervals()
+        # a mapping that covers only the blocks' intervals is accepted
+        partial = expansion_residual(b, D0, window, kind="multiplier", signs=pattern, region=region)
+        assert partial == full
+        # while the multiplier itself still checks every row
+        with pytest.raises(InvalidConfigurationError, match="has no entry"):
+            haar_multiplier_matrix(pattern, D0, window)
+
+    def test_bad_sign_in_the_region_blocks_named(self):
+        window, region = BLOCKS_WINDOW, (0.5, 1.0)
+        sub, _, _ = coarsest_blocks(window, region)
+        pattern = {iv: checkerboard(iv) for iv in enumerate_intervals(D0, sub)}
+        bad = DyadicInterval("standard", 3, 5)  # [5/8, 3/4), inside the block [0, 2)
+        pattern[bad] = 0
+        with pytest.raises(InvalidConfigurationError, match=f"got 0 on {bad.label()}"):
+            expansion_residual(sin_symbol(window), D0, window, kind="multiplier", signs=pattern, region=region)
 
 
 class TestBadAssemblyInput:

@@ -418,7 +418,7 @@ class TestAnalyticBounds:
         with pytest.raises(InvalidParameterError):
             call(split_symbols()["quadrature"])
 
-    @pytest.mark.parametrize("kind", ["sin", "parabola", "quartic_bump"])
+    @pytest.mark.parametrize("kind", ["sin", "parabola", "ramp_bump", "quartic_bump"])
     def test_infinite_bound_is_clamped_to_the_support(self, kind):
         b = split_symbols()[kind]
         want = b.integral(0.0, 1.0)
@@ -427,6 +427,27 @@ class TestAnalyticBounds:
             assert bits(b.integral(lo, hi)) == bits(want), (lo, hi)
         halves = (b.integral(0.0, 0.5), b.integral(0.5, 1.0))
         assert bits(*b.split_integral(-math.inf, 0.5, math.inf)) == bits(*halves)
+
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda b: b.integral(0.0, math.inf),
+            lambda b: b.integral(-math.inf, 0.0),
+            lambda b: b.integral(-math.inf, math.inf),
+            lambda b: b.split_integral(0.0, 0.5, math.inf),
+        ],
+        ids=["integral b", "integral a", "integral both", "split c"],
+    )
+    def test_unbounded_support_rejects_infinite_bound(self, call):
+        with pytest.raises(InvalidParameterError, match="integral of linear over .* is not finite"):
+            call(linear_symbol(SPLIT_WIN))
+
+    def test_ramp_bump_is_constant_far_past_its_support(self):
+        prim = ramp_bump_symbol(SPLIT_WIN).antiderivative
+        far = np.array([1.0, 2.0**40, 2.0**60, 1e300, math.inf])
+        assert prim(far).tolist() == [0.5] * len(far)
+        assert prim(np.array([-math.inf, -1e300, 0.0])).tolist() == [0.0] * 3
 
 
 def reference_haar_coefficient(b, interval):
@@ -476,7 +497,7 @@ def reference_battery():
         return (3.0 * t_up**2 - 2.0 * t_up**3) - (3.0 * t_dn**2 - 2.0 * t_dn**3)
 
     def ramp_prim(x):
-        x = np.asarray(x, dtype=float)
+        x = np.clip(np.asarray(x, dtype=float), None, 2.0**40)
         t_up = np.clip((x - up0) / w, 0.0, 1.0)
         t_dn = np.clip((x - dn0) / w, 0.0, 1.0)
         lin_up = np.clip(x - up1, 0.0, None)

@@ -557,3 +557,24 @@ class TestOverflowingPowerIntegral:
         w = PowerWeight(0.5, coeff=1e300)
         with pytest.raises(InvalidParameterError, match=r"\[0\.0, 10000000000\.0\) overflows"):
             w.integrals(np.array([0.0, 0.0]), np.array([1.0, 1e10]))
+
+
+class TestOverflowingConstantIntegral:
+    def test_scalar_integral_rejected(self):
+        with pytest.raises(InvalidParameterError, match=r"const\(1e\+300\) over \[0\.0, 10000000000\.0\) overflows"):
+            ConstantWeight(1e300).integral(0.0, 1e10)
+
+    def test_table_names_the_row_whose_product_overflows(self):
+        w = ConstantWeight(1e300)
+        with pytest.raises(InvalidParameterError, match=r"\[0\.0, 10000000000\.0\) overflows"):
+            w.integrals(np.array([0.0, 0.0, 0.0]), np.array([1.0, 1e10, 1e20]))
+        with pytest.raises(InvalidParameterError, match=r"\[0\.0, 10000000000\.0\) overflows"):
+            w.integrals([0.0], [1e10])
+
+    def test_overflowing_length_rejected(self):
+        # the length hi - lo itself overflows, on both paths
+        w = ConstantWeight(1.0)
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            w.integral(-1e308, 1e308)
+        with pytest.raises(InvalidParameterError, match=r"\[-1e\+308, 1e\+308\) overflows"):
+            w.integrals(np.array([0.0, -1e308]), np.array([1.0, 1e308]))
