@@ -173,8 +173,8 @@ def continuous_energy(
     """
     if not 1.0 < p < math.inf:
         raise InvalidParameterError(f"p must lie in (1, inf); got {p!r}")
-    if nodes < 1:
-        raise InvalidParameterError(f"nodes must be at least 1; got {nodes!r}")
+    if not (isinstance(nodes, (int, np.integer)) and nodes >= 1):
+        raise InvalidParameterError(f"nodes must be an integer of at least 1; got {nodes!r}")
     if not b.is_lipschitz:
         raise InvalidConfigurationError(
             "continuous energy needs a Lipschitz symbol; jump symbols diverge"
@@ -433,11 +433,13 @@ def vmo_tail_report(
     """Finite-scale surrogate for the three vanishing-oscillation limits:
     partial sums of squared form-1 contributions restricted to |I| < a,
     |I| > a, and I disjoint from the ball B(center, a), tabulated over a
-    ladder of radii."""
+    ladder of radii.  A NaN center or radius raises InvalidParameterError."""
     if center is None:
         center = float(window.lo + window.span / 2)
     if ladder is None:
         ladder = [2.0 ** (-j) for j in range(window.j_min, window.j_max + 1)]
+    if math.isnan(center) or any(math.isnan(radius) for radius in ladder):
+        raise InvalidParameterError("VMO tail center and radii must not be NaN")
     table = interval_table(grid, window)
     terms = (_haar_terms(b, table) * _bracket(weights, 1, table)) ** 2
     # fsum rounds each partial sum once, so tails over nested sets stay monotone

@@ -105,10 +105,6 @@ class DyadicInterval:
             self.k, _shift_thirds(self.grid_id, self.j), math.ldexp(1.0, -self.j)
         )
 
-    def endpoints(self) -> tuple[float, float]:
-        left, _, right = self.float_bounds()
-        return left, right
-
     @property
     def left_child(self) -> "DyadicInterval":
         # Matching left endpoints, 3k' + t(j+1) = 6k + 2t(j), and t(j+1) = -t(j)
@@ -226,11 +222,11 @@ class TruncationWindow:
         return self._inside(i0, i0 + (1 << shift), _label(grid_id, j, k))
 
     def slice_of(self, left: Fraction, right: Fraction) -> tuple[int, int]:
-        """Indices [i0, i1) of the finest cells tiling [left, right), which
-        must be cell-aligned and inside the window."""
+        """Indices [i0, i1) of the finest cells tiling [left, right), whose
+        ends must be finite, cell-aligned and inside the window."""
         w = self.cell_width
-        i0 = (Fraction(left) - self.lo) / w
-        i1 = (Fraction(right) - self.lo) / w
+        i0 = (_exact(left, "range end") - self.lo) / w
+        i1 = (_exact(right, "range end") - self.lo) / w
         if i0.denominator != 1 or i1.denominator != 1:
             raise InvalidConfigurationError("endpoints not aligned to the cell lattice")
         return self._inside(int(i0), int(i1), f"[{left}, {right})")
@@ -252,7 +248,10 @@ def _exact(x, what: str) -> Fraction:
 
 def make_window(lo, hi, j_min: int, j_max: int) -> TruncationWindow:
     lo, hi = _exact(lo, "window end"), _exact(hi, "window end")
-    return TruncationWindow(lo, hi, int(j_min), int(j_max))
+    scales = [_exact(j, "scale") for j in (j_min, j_max)]
+    if any(j.denominator != 1 for j in scales):
+        raise InvalidParameterError(f"scales {j_min!r} and {j_max!r} must be integers")
+    return TruncationWindow(lo, hi, *map(int, scales))
 
 
 def default_window(j_max: int = 7) -> TruncationWindow:
@@ -360,22 +359,6 @@ def interval_table(grid: DyadicGrid, window: TruncationWindow) -> IntervalTable:
 
 # The one Gauss-Legendre rule of the package: 32 nodes and weights on [-1, 1].
 GAUSS_LEGENDRE_32 = np.polynomial.legendre.leggauss(32)
-
-
-def haar_eval(interval: DyadicInterval, x) -> np.ndarray | float:
-    """Haar function of the interval: +|I|^-1/2 on the left child, -|I|^-1/2
-    on the right child, 0 outside.  Mean zero, unit L2 norm."""
-    amp = 1.0 / np.sqrt(math.ldexp(1.0, -interval.j))
-    left, mid, right = interval.float_bounds()
-    xv = np.asarray(x, dtype=float)
-    vals = np.where(
-        (xv >= left) & (xv < mid),
-        amp,
-        np.where((xv >= mid) & (xv < right), -amp, 0.0),
-    )
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(vals)
-    return vals
 
 
 def haar_cell_values(interval: DyadicInterval, window: TruncationWindow) -> np.ndarray:

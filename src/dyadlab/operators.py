@@ -9,10 +9,10 @@ one scale are consecutive translations that tile the window, so their blocks
 are disjoint and lie along the diagonal: each scale is written at once,
 through one strided view of its c x c diagonal blocks (c cells per
 interval; the first block's cells come from `TruncationWindow.cell_slices`),
-and h_I is the local vector +-1/sqrt(c) on I's cells (`_local_haar`).  The
-coefficients b_hat(I) come from one `haar_coefficients` call per matrix, on
-the table's scale-major prefix of resolvable rows, and one per expansion,
-which the paraproduct and the remainder share.
+and h_I is the local vector +-1/sqrt(c) on I's cells (`_local_haar`).  Each
+builder reads the table's scale-major prefix of resolvable rows, with one
+`haar_coefficients` call for b_hat(I); an expansion builds one such table and
+call, which its paraproduct, remainder and shift or multiplier all read.
 The Hilbert transform matrix comes from the closed-form primitive
 G(t) = t (ln|t| - 1), which renders every cell-pair principal value finite
 (diagonal entries vanish by antisymmetry); a box integral depends only on the
@@ -33,7 +33,6 @@ relies on this to work only on the blocks its region meets.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -75,33 +74,6 @@ class OperatorMatrix:
         # min and max propagate NaN and inf without an N x N mask
         if not (np.isfinite(self.mat.min()) and np.isfinite(self.mat.max())):
             raise InvalidMatrixError(f"{self.name} contains non-finite entries")
-
-    @property
-    def n(self) -> int:
-        return self.mat.shape[0]
-
-    def to_binary(self, path) -> None:
-        """Header (N, j_max, lo, hi) as little-endian 8-byte floats, then the
-        row-major entries as 8-byte floats."""
-        with open(path, "wb") as fh:
-            fh.write(
-                struct.pack(
-                    "<4d",
-                    float(self.n),
-                    float(self.window.j_max),
-                    float(self.window.lo),
-                    float(self.window.hi),
-                )
-            )
-            fh.write(np.ascontiguousarray(self.mat, dtype="<f8").tobytes())
-
-    @staticmethod
-    def read_binary(path) -> tuple[np.ndarray, dict]:
-        with open(path, "rb") as fh:
-            n, j_max, lo, hi = struct.unpack("<4d", fh.read(32))
-            n = int(n)
-            data = np.frombuffer(fh.read(), dtype="<f8").reshape(n, n)
-        return data, {"n": n, "j_max": int(j_max), "lo": lo, "hi": hi}
 
     def to_csv(self, path) -> None:
         lines = []
@@ -156,33 +128,13 @@ def _local_haar(cells: int) -> np.ndarray:
     return h
 
 
-def coarse_unit_vectors(window: TruncationWindow) -> list[np.ndarray]:
-    """Orthonormal indicators of the coarsest-scale intervals, which tile the
-    window with 2^(j_max - j_min) cells each."""
-    step = 1 << (window.j_max - window.j_min)
-    out = []
-    for i0 in range(0, window.n_cells, step):
-        v = np.zeros(window.n_cells)
-        v[i0 : i0 + step] = 1.0 / math.sqrt(step)
-        out.append(v)
-    return out
-
-
-def _coefficients(
-    b: Symbol, grid: DyadicGrid, window: TruncationWindow, max_scale: int
-) -> tuple[IntervalTable, np.ndarray]:
-    """The table rows of scale <= max_scale and b's Haar coefficient on
-    each, from one `haar_coefficients` call."""
-    rows = _haar_rows(window, grid, max_scale)
-    return rows, haar_coefficients(b, rows)
-
-
 def paraproduct_matrix(
     b: Symbol, grid: DyadicGrid, window: TruncationWindow
 ) -> OperatorMatrix:
     """Sum over enumerated resolvable I of b_hat(I) * (h_I outer avg_I)."""
     _require_standard(grid, "paraproduct assembly")
-    return _paraproduct(*_coefficients(b, grid, window, window.j_max - 1), window)
+    rows = _haar_rows(window, grid, window.j_max - 1)
+    return _paraproduct(rows, haar_coefficients(b, rows), window)
 
 
 def _paraproduct(rows: IntervalTable, coefficients, window: TruncationWindow) -> OperatorMatrix:
@@ -217,21 +169,27 @@ def haar_multiplier_matrix(
     window: TruncationWindow,
 ) -> OperatorMatrix:
     """Sign multiplier: diagonal +/-1 on the resolvable Haar span, identity on
-    the unresolved coarse averages."""
+    the unresolved coarse averages.  `signs` is one sign, a callable or a
+    mapping of intervals to signs, or InvalidConfigurationError is raised."""
     _require_standard(grid, "sign multiplier assembly")
+    return _multiplier(signs, _haar_rows(window, grid, window.j_max - 1), window)
+
+
+def _multiplier(signs, rows: IntervalTable, window: TruncationWindow) -> OperatorMatrix:
     if isinstance(signs, int):
-        fixed = signs
-        sign_of = lambda interval: fixed
+        sign_of = lambda interval: signs
     elif callable(signs):
         sign_of = signs
     else:
-        mapping = dict(signs)
+        try:
+            mapping = dict(signs)
+        except (TypeError, ValueError):
+            raise InvalidConfigurationError(f"sign pattern {signs!r} is no int, callable or mapping") from None
 
         def sign_of(interval):
             if interval not in mapping:
                 raise InvalidConfigurationError(f"sign pattern has no entry for {interval.label()}")
             return mapping[interval]
-    rows = _haar_rows(window, grid, window.j_max - 1)
     # every row's sign is read and checked, in enumeration order, before any write
     row_signs = []
     for interval in rows.intervals():
@@ -258,9 +216,16 @@ def haar_shift_matrix(grid: DyadicGrid, window: TruncationWindow) -> OperatorMat
     every interval whose children's Haar functions are resolvable; zero on the
     orthogonal complement."""
     _require_standard(grid, "dyadic shift assembly")
+    return _shift(_haar_rows(window, grid, window.j_max - 2), window)
+
+
+def _shift(rows: IntervalTable, window: TruncationWindow) -> OperatorMatrix:
     n = window.n_cells
     mat = np.zeros((n, n))
-    for r0, r1, i0, cells in _scale_runs(_haar_rows(window, grid, window.j_max - 2), window):
+    for r0, r1, i0, cells in _scale_runs(rows, window):
+        # scale <= j_max - 2: each child holds a Haar pair of cells
+        if cells < 4:
+            continue
         # both children carry the same local pattern, on I's two halves
         hc = _local_haar(cells // 2)
         out = np.concatenate((hc, -hc)) / math.sqrt(2.0)
@@ -364,7 +329,8 @@ def remainder_matrix(b: Symbol, grid: DyadicGrid, window: TruncationWindow) -> O
     k_I = h_(right child) - h_(left child); the part of the shift commutator
     that is not a paraproduct composition."""
     _require_standard(grid, "remainder assembly")
-    return _remainder(*_coefficients(b, grid, window, window.j_max - 2), window, *_DISPLAYED)
+    rows = _haar_rows(window, grid, window.j_max - 2)
+    return _remainder(rows, haar_coefficients(b, rows), window, *_DISPLAYED)
 
 
 def remainder_matrix_derived(
@@ -374,18 +340,8 @@ def remainder_matrix_derived(
     system: sum of (b_hat(I) / sqrt(2 |I|)) * ((h_left + h_right) outer h_I).
     With it the six-term expansion closes exactly for step symbols."""
     _require_standard(grid, "remainder assembly")
-    return _remainder(*_coefficients(b, grid, window, window.j_max - 2), window, *_DERIVED)
-
-
-def k_vector(interval: DyadicInterval, window: TruncationWindow) -> np.ndarray:
-    """k_I = h_(right child) - h_(left child) in orthonormal cell coordinates."""
-    v = np.zeros(window.n_cells)
-    for child, sign in zip(interval.children, (-1.0, 1.0)):
-        i0, i1 = window.cell_slice(child)
-        if i1 - i0 < 2:
-            raise InvalidConfigurationError(f"Haar function of {child.label()} is unresolvable")
-        v[i0:i1] = sign * _local_haar(i1 - i0)
-    return v
+    rows = _haar_rows(window, grid, window.j_max - 2)
+    return _remainder(rows, haar_coefficients(b, rows), window, *_DERIVED)
 
 
 # Side of the square tiles of `_symmetrized`: a pair of 128 x 128 float tiles fits in L2.
@@ -444,13 +400,14 @@ def expansion_residual(
     residual.  Every factor is block diagonal over the coarsest intervals,
     so those columns are zero outside the blocks the region meets.  The
     paraproduct, the remainder and S (or T_eps) are therefore assembled on
-    the coarsest intervals the region meets, as a window of their own, and
-    the products run there.  The result is the same operator; only the
-    rounding of the products and of the SVD can differ from whole-window
-    products, and a region that meets every block is computed on the whole
-    window.  The multiplier expansion reads and checks `signs` only on the
-    intervals inside those blocks.  A region with no cell raises
-    InvalidConfigurationError.
+    the coarsest intervals the region meets, as a window of their own, from
+    one table of its resolvable rows, and the products run there.  The
+    result is the same operator; only the rounding of the products and of
+    the SVD can differ from whole-window products, and a region that meets
+    every block is computed on the whole window.  The multiplier expansion
+    reads and checks `signs` only on the intervals inside those blocks.  A
+    region with no cell raises InvalidConfigurationError, one with a bound
+    that is not a finite number InvalidParameterError.
     """
     if sign_order not in ("definition", "displayed"):
         raise InvalidConfigurationError(f"unknown sign order {sign_order!r}")
@@ -468,16 +425,17 @@ def expansion_residual(
         window.lo + c0 * width, window.lo + c1 * width, window.j_min, window.j_max
     )
     i0, i1 = i0 - c0, i1 - c0
-    # one coefficient table serves the paraproduct and the remainder
-    coefficients = _coefficients(b, grid, blocks, blocks.j_max - 1)
-    pi = _paraproduct(*coefficients, blocks).mat
+    # one table of the resolvable rows serves every factor
+    rows = _haar_rows(blocks, grid, blocks.j_max - 1)
+    coefficients = haar_coefficients(b, rows)
+    pi = _paraproduct(rows, coefficients, blocks).mat
     rem = None
     if kind == "shift":
-        t = haar_shift_matrix(grid, blocks).mat
+        t = _shift(rows, blocks).mat
         form = _DISPLAYED if remainder == "displayed" else _DERIVED
-        rem = _remainder(*coefficients, blocks, *form).mat
+        rem = _remainder(rows, coefficients, blocks, *form).mat
     elif kind == "multiplier":
-        t = haar_multiplier_matrix(signs, grid, blocks).mat
+        t = _multiplier(signs, rows, blocks).mat
     else:
         raise InvalidConfigurationError(f"unknown expansion kind {kind!r}")
     # pi t - t pi + pi* t - t pi* in two products, on the region's columns

@@ -63,11 +63,6 @@ class Symbol:
     def is_lipschitz(self) -> bool:
         return self.lipschitz is not None
 
-    def l2_norm(self) -> float:
-        width = float(self.window.cell_width)
-        v = self.cell_values()
-        return math.sqrt(float(np.sum(v * v)) * width)
-
 
 class StepSymbol(Symbol):
     """Cellwise-constant symbol given by its finite values on the finest cells."""
@@ -94,10 +89,14 @@ class StepSymbol(Symbol):
         return self._values
 
     def eval(self, x):
+        """0.0 outside the window, at +-inf too; a NaN point raises InvalidParameterError."""
         xv = np.asarray(x, dtype=float)
-        idx = np.floor((xv - self._lo) / self._width).astype(int)
-        inside = (idx >= 0) & (idx < self._n)
-        out = np.where(inside, self._values[np.clip(idx, 0, self._n - 1)], 0.0)
+        if np.isnan(xv).any():
+            raise InvalidParameterError("an evaluation point is NaN")
+        # the cell index stays a float, so +-inf never reaches the int cast
+        pos = np.floor((xv - self._lo) / self._width)
+        inside = (pos >= 0) & (pos < self._n)
+        out = np.where(inside, self._values[np.where(inside, pos, 0.0).astype(np.intp)], 0.0)
         return float(out) if np.ndim(x) == 0 else out
 
     def integral(self, a, b) -> float:
@@ -142,6 +141,8 @@ class AnalyticSymbol(Symbol):
         lipschitz: float | None = None,
         name: str = "analytic",
     ):
+        if lipschitz is not None and not 0 <= lipschitz < math.inf:
+            raise InvalidParameterError(f"Lipschitz constant {lipschitz!r} must be finite and not negative")
         self.window = window
         self.fn = fn
         self.antiderivative = antiderivative
@@ -308,6 +309,8 @@ def median_split(b: Symbol, q: DyadicInterval, q_hat: DyadicInterval) -> MedianS
 
 def sin_symbol(window: TruncationWindow, cycles: int = 1) -> AnalyticSymbol:
     """sin(2 pi cycles x) on [0, 1), zero outside; continuous at both ends."""
+    if not (isinstance(cycles, (int, np.integer)) and cycles >= 1):
+        raise InvalidParameterError(f"cycles must be a positive integer; got {cycles!r}")
     om = 2.0 * math.pi * cycles
 
     def fn(x):

@@ -6,7 +6,8 @@ uses Gauss-Legendre quadrature.  `Weight.integrals(lo, hi)` integrates a whole
 table of intervals at once: the closed-form kinds do it with array operations
 that round exactly as their scalar `integral` does, so both give the same
 bits, and the quadrature kind makes one scalar call per row.  The spiked
-kinds have the table path only; their scalar integral is a one-row table.
+kind, scale * base^s in one class, has the table path only; its scalar
+integral is a one-row table.
 Every integral, scalar or table, rejects a bound that is not finite with
 InvalidParameterError.  A BloomWeight bundles a source weight mu and a target
 weight lam together with the derived intermediary nu = sqrt(mu/lam).  Weights
@@ -16,7 +17,7 @@ are immutable; every method is pure and safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -310,19 +311,22 @@ class SpikedLatticeWeight(Weight):
     """Lattice-spike weight: level j in 1..levels places spikes of height
     2^(growth * alpha * n_j) and width 2^(-(growth+1) * n_j) on the lattice of
     period 2^(-n_j), n_j = 2^j, each lattice shifted left by 2^(-2*n_j - 1);
-    alpha = (1 + 1/r) / 2.  The weight is the pointwise max over levels, and 1
-    off every spike.
+    alpha = (1 + 1/r) / 2.  The base weight is the pointwise max over levels,
+    and 1 off every spike; the weight is scale * base^s.
 
     Its r-th power integrates to something that blows up in `levels` while the
     A2 statistic over interval families at ordinary scales stays flat.  Closed
     form integrals of any power rely on the spike sets of distinct levels
     being disjoint, which holds exactly when 2^(levels-1) <= growth + 1; the
-    constructor enforces that regime.
+    constructor enforces that regime.  Powers, duals and scalar multiples
+    change only s and the scale, which must be positive and finite.
     """
 
     r: float
     levels: int
     growth: float
+    s: float = 1.0
+    scale: float = 1.0
 
     def __post_init__(self):
         if not self.r > 1:
@@ -339,6 +343,8 @@ class SpikedLatticeWeight(Weight):
                 "spike levels overlap when 2^(levels-1) > growth+1; "
                 "closed-form integrals would be wrong in that regime"
             )
+        if not 0 < self.scale < math.inf:
+            raise InvalidParameterError(f"spiked weight scale {self.scale!r} must be positive and finite")
         # a frozen dataclass: the derived level table is set once, here
         object.__setattr__(self, "_levels", self._level_table())
 
@@ -372,30 +378,27 @@ class SpikedLatticeWeight(Weight):
 
     @property
     def label(self) -> str:
-        return f"spiked(r={self.r:g},J={self.levels},A={self.growth:g})"
+        base = f"spiked(r={self.r:g},J={self.levels},A={self.growth:g})"
+        if self.s == 1.0 and self.scale == 1.0:
+            return base
+        return f"{base}^{self.s:g}" + ("" if self.scale == 1.0 else f"*{self.scale:g}")
 
     def level_params(self) -> tuple[tuple[float, float, float, float], ...]:
-        """(period, width, offset, height) per level."""
+        """(period, width, offset, height) per level of the base weight."""
         return self._levels
 
     def eval(self, x):
+        """scale * base^s; the power is the float `**` on a scalar x."""
         xv = np.asarray(x, dtype=float)
         out = np.ones_like(xv)
         for period, width, offset, height in self._levels:
             on_spike = np.mod(xv + offset, period) < width
             out = np.where(on_spike, np.maximum(out, height), out)
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
-
-    def integral_power(self, a, b, s: float) -> float:
-        """Closed-form integral of w^s over [a, b), exact under level disjointness."""
-        af, bf = _finite_bounds(a, b)
-        return float(self._integral_powers(np.array([af]), np.array([bf]), s)[0])
+        return self.scale * (float(out) if np.ndim(x) == 0 else out) ** self.s
 
     def _integral_powers(self, lo: np.ndarray, hi: np.ndarray, s: float) -> np.ndarray:
-        """`integral_power` of every row [lo[i], hi[i]); raises
-        DivergedIntegralError naming the first row whose integral is not finite."""
+        """The integral of base^s over each row [lo[i], hi[i]), exact for disjoint levels;
+        raises DivergedIntegralError naming the first row whose integral is not finite."""
         total = hi - lo
         with np.errstate(over="ignore", invalid="ignore"):
             for j, (period, width, offset, height) in enumerate(self._levels, 1):
@@ -415,50 +418,16 @@ class SpikedLatticeWeight(Weight):
         return total
 
     def integral(self, a, b) -> float:
-        return self.integral_power(a, b, 1.0)
+        return float(self.integrals([a], [b])[0])
 
     def _integrals(self, lo, hi):
-        return self._integral_powers(lo, hi, 1.0)
+        return self.scale * self._integral_powers(lo, hi, self.s)
 
-    def _reciprocal(self) -> "Weight":
-        return _PowerOfSpiked(self, -1.0, 1.0)
+    def _reciprocal(self) -> "SpikedLatticeWeight":
+        return replace(self, s=-self.s, scale=1.0 / self.scale)
 
-    def power(self, s: float) -> "Weight":
-        if s == 1.0:
-            return self
-        return _PowerOfSpiked(self, s, 1.0)
-
-
-@dataclass(frozen=True)
-class _PowerOfSpiked(Weight):
-    base: SpikedLatticeWeight
-    s: float
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.scale < math.inf:
-            raise InvalidParameterError(
-                f"spiked weight scale {self.scale!r} must be positive and finite"
-            )
-
-    @property
-    def label(self) -> str:
-        return f"{self.base.label}^{self.s:g}" + ("" if self.scale == 1.0 else f"*{self.scale:g}")
-
-    def eval(self, x):
-        return self.scale * self.base.eval(x) ** self.s
-
-    def integral(self, a, b) -> float:
-        return self.scale * self.base.integral_power(a, b, self.s)
-
-    def _integrals(self, lo, hi):
-        return self.scale * self.base._integral_powers(lo, hi, self.s)
-
-    def _reciprocal(self) -> "Weight":
-        return _PowerOfSpiked(self.base, -self.s, 1.0 / self.scale)
-
-    def power(self, t: float) -> "Weight":
-        return _PowerOfSpiked(self.base, self.s * t, _float_power(self.scale, t))
+    def power(self, t: float) -> "SpikedLatticeWeight":
+        return replace(self, s=self.s * t, scale=_float_power(self.scale, t))
 
 
 @dataclass(frozen=True)
@@ -533,10 +502,8 @@ def _scaled(w: Weight, c: float) -> Weight:
         return ConstantWeight(c * w.value)
     if isinstance(w, PowerWeight):
         return PowerWeight(w.exponent, w.center, c * w.coeff)
-    if isinstance(w, _PowerOfSpiked):
-        return _PowerOfSpiked(w.base, w.s, c * w.scale)
     if isinstance(w, SpikedLatticeWeight):
-        return _PowerOfSpiked(w, 1.0, c)
+        return replace(w, scale=c * w.scale)
     return QuadratureWeight(lambda x: c * w.eval(x), f"{c:g}*{w.label}")
 
 
@@ -675,20 +642,6 @@ def a2_constant(
     prod = pa * pb
     best = int(np.argmax(prod))
     return A2Report(float(prod[best]), (float(lo[best]), float(hi[best])), lo.size, family_label)
-
-
-def doubling_ratio(w: Weight, interval: tuple[float, float], s: float) -> float:
-    """w(sI) / (s * w(I)) for the concentric dilate sI, s > 1."""
-    if s <= 1:
-        raise InvalidParameterError("dilation factor must exceed 1")
-    a, b = _finite_bounds(*interval)
-    c = 0.5 * (a + b)
-    half = 0.5 * (b - a) * s
-    big = w.integral(c - half, c + half)
-    small = w.integral(a, b)
-    if small <= 0:
-        raise DegenerateWeightError(f"{w.label} has nonpositive mass on [{a}, {b})")
-    return big / (s * small)
 
 
 def pathological_weight(r: float, levels: int, growth: float) -> SpikedLatticeWeight:

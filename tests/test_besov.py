@@ -193,9 +193,11 @@ class TestContinuousBadInput:
             lambda b: peller_energy(b, math.nan, WIN),
             lambda b: peller_energy(b, 2.0, WIN, nodes=-1),
             lambda b: continuous_besov_norm_p2(b, ONE, ONE, WIN, nodes=0),
+            lambda b: continuous_energy(b, 2.0, ONE, ONE, WIN, nodes=2.5),
+            lambda b: continuous_energy(b, 2.0, ONE, ONE, WIN, nodes=4.0),
         ],
         ids=["p=1", "p=0.5", "p=nan", "p=inf", "nodes=0", "peller p=1", "peller p=nan",
-             "peller nodes=-1", "norm nodes=0"],
+             "peller nodes=-1", "norm nodes=0", "nodes=2.5", "nodes=4.0"],
     )
     def test_rejected(self, call):
         with pytest.raises(InvalidParameterError):
@@ -319,6 +321,14 @@ class TestVmoTails:
         far = [rep.rows[i].far_field for i in order]
         assert all(a <= b_ + 1e-15 for a, b_ in zip(small, small[1:]))
         assert all(a >= b_ - 1e-15 for a, b_ in zip(far, far[1:]))
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"center": math.nan}, {"ladder": [0.25, math.nan]}], ids=["center", "radius"]
+    )
+    def test_nan_center_or_radius_rejected(self, kwargs):
+        b = random_haar_symbol(WIN, n_terms=8, seed=12)
+        with pytest.raises(InvalidParameterError, match="NaN"):
+            vmo_tail_report(b, ConstantWeight(1.0), D0, WIN, **kwargs)
 
 
 class TestSharedBracket:

@@ -13,7 +13,6 @@ from dyadlab.grids import (
     find_cover,
     grid_shift,
     haar_cell_values,
-    haar_eval,
     interval_table,
     make_window,
     standard_grid,
@@ -158,12 +157,11 @@ class TestIntervals:
             exact = reference_geometry(interval)
             want = tuple(float(exact[name]) for name in ("left", "mid", "right"))
             assert interval.float_bounds() == want, k
-            assert interval.endpoints() == (want[0], want[2]), k
 
     @pytest.mark.parametrize(
         "name",
         [
-            "left", "right", "mid", "float_bounds", "endpoints",
+            "left", "right", "mid", "float_bounds",
             "left_child", "right_child", "children", "parent",
         ],
     )
@@ -246,29 +244,6 @@ class TestCellSlice:
 
 
 class TestHaar:
-    def test_sign_convention_unit_interval(self):
-        interval = DyadicInterval("standard", 0, 0)
-        assert haar_eval(interval, 0.25) == 1.0
-        assert haar_eval(interval, 0.75) == -1.0
-        assert haar_eval(interval, 1.5) == 0.0
-
-    @pytest.mark.parametrize("grid_id", ["standard", "third_shift"])
-    def test_matches_fraction_endpoint_formula(self, grid_id):
-        for j, k in ((-2, -1), (0, 0), (5, -3), (13, 8191)):
-            interval = DyadicInterval(grid_id, j, k)
-            left, mid, right = (float(getattr(interval, n)) for n in ("left", "mid", "right"))
-            amp = 1.0 / np.sqrt(float(interval.length))
-            xs = np.array([left, mid, right, np.nextafter(mid, -np.inf), 0.5 * (left + mid)])
-            want = np.where(
-                (xs >= left) & (xs < mid), amp, np.where((xs >= mid) & (xs < right), -amp, 0.0)
-            )
-            assert haar_eval(interval, xs).tobytes() == want.tobytes()
-            assert haar_eval(interval, left) == amp
-
-    def test_normalization_length_two(self):
-        interval = DyadicInterval("standard", -1, 0)
-        assert haar_eval(interval, 0.5) == pytest.approx(1 / np.sqrt(2), abs=1e-15)
-
     def test_mean_zero_unit_norm_cellwise(self):
         # cancellation is exact; the square of an odd-scale amplitude carries
         # one ulp of sqrt(2) rounding, hence 1e-15 on the norm
@@ -440,10 +415,21 @@ class TestNonFiniteEntryPoints:
             lambda: find_cover(0.25, math.inf, (standard_grid(),), default_window(4)),
             lambda: find_cover(0.25, 0.5, (standard_grid(),), default_window(4), max_ratio=math.nan),
             lambda: find_cover(0.25, 0.5, (standard_grid(),), default_window(4), max_ratio=math.inf),
+            lambda: default_window(4).slice_of(math.nan, 1.0),
+            lambda: default_window(4).slice_of(0.0, math.inf),
+            lambda: make_window(0, 1, 0, math.nan),
         ],
         ids=["window nan", "window inf", "window -inf", "cover nan", "cover inf",
-             "ratio nan", "ratio inf"],
+             "ratio nan", "ratio inf", "slice nan", "slice inf", "scale nan"],
     )
     def test_rejected(self, call):
         with pytest.raises(InvalidParameterError):
             call()
+
+    @pytest.mark.parametrize("j_min, j_max", [(0, 5.5), (0.5, 5), (Fraction(1, 2), 5)])
+    def test_scale_that_is_not_an_integer_rejected(self, j_min, j_max):
+        with pytest.raises(InvalidParameterError, match="must be integers"):
+            make_window(0, 1, j_min, j_max)
+
+    def test_integral_float_scale_kept(self):
+        assert make_window(0, 1, 0.0, 5.0) == make_window(0, 1, 0, 5)

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from dyadlab import operators, symbols
-from dyadlab.errors import DegenerateWeightError, InvalidConfigurationError, InvalidMatrixError
+from dyadlab.errors import (
+    DegenerateWeightError,
+    InvalidConfigurationError,
+    InvalidMatrixError,
+    InvalidParameterError,
+)
 from dyadlab.grids import (
     DyadicInterval,
     default_window,
@@ -16,13 +21,11 @@ from dyadlab.grids import (
 )
 from dyadlab.operators import (
     OperatorMatrix,
-    coarse_unit_vectors,
     expansion_residual,
     haar_multiplier_matrix,
     haar_shift_matrix,
     hilbert_matrix,
     hilbert_primitive,
-    k_vector,
     multiplication_commutator,
     multiplication_matrix,
     paraproduct_adjoint_matrix,
@@ -120,7 +123,7 @@ class TestHaarMultiplier:
         h = haar_fn_coeffs(interval, WIN)
         assert np.allclose(t.mat @ h, -h, atol=1e-12)
         # coarse averages stay fixed
-        for v in coarse_unit_vectors(WIN):
+        for v in old_coarse_unit_vectors(WIN):
             assert np.allclose(t.mat @ v, v, atol=1e-12)
 
     def test_involution(self):
@@ -307,14 +310,6 @@ class TestCommutatorAlgebra:
         c = multiplication_commutator(b, t)
         assert np.all(c.mat == 0.0)
 
-    def test_k_vector_geometry(self):
-        # k_vector already lives in orthonormal cell coordinates
-        interval = DyadicInterval("standard", 1, 1)
-        k = k_vector(interval, WIN)
-        h = haar_fn_coeffs(interval, WIN)
-        assert np.sum(k * k) == pytest.approx(2.0, abs=1e-12)
-        assert np.sum(k * h) == pytest.approx(0.0, abs=1e-14)
-
     def test_kernel_identity_weighted_hilbert_commutator(self):
         # conjugated commutator entries equal the direct cell formula exactly
         win = make_window(0, 1, 0, 5)
@@ -422,17 +417,6 @@ class TestCommutatorAlgebra:
 
 
 class TestExport:
-    def test_binary_round_trip(self, tmp_path):
-        b = random_haar_symbol(WIN, n_terms=4, seed=9)
-        pi = paraproduct_matrix(b, D0, WIN)
-        path = tmp_path / "pi.bin"
-        pi.to_binary(path)
-        data, meta = OperatorMatrix.read_binary(path)
-        assert meta["n"] == WIN.n_cells
-        assert meta["j_max"] == WIN.j_max
-        assert (meta["lo"], meta["hi"]) == (0.0, 1.0)
-        assert np.array_equal(data, pi.mat)
-
     def test_csv_export(self, tmp_path):
         win = make_window(0, 1, 0, 2)
         h = hilbert_matrix(win)
@@ -611,9 +595,6 @@ class TestStructuredAssembly:
             assert_bits_equal(haar_multiplier_matrix(signs, D0, window).mat, old_multiplier(sign_of, window))
         pattern = {iv: checkerboard(iv) for iv in enumerate_intervals(D0, window)}
         assert_bits_equal(haar_multiplier_matrix(pattern, D0, window).mat, old_multiplier(checkerboard, window))
-        assert_bits_equal(coarse_unit_vectors(window), old_coarse_unit_vectors(window))
-        for interval in old_scales(window, window.j_max - 2):
-            assert_bits_equal(k_vector(interval, window), old_k_vector(interval, window))
 
     @pytest.mark.parametrize("window", STRUCTURE_WINDOWS)
     def test_symbol_operators_bit_equal_to_dense_builders(self, window):
@@ -714,6 +695,24 @@ class TestStructuredAssembly:
             # a step symbol reads the table in one pass, an analytic one per row
             assert len(scalar_calls) == (0 if isinstance(b, StepSymbol) else resolvable)
             assert len(set(scalar_calls)) == len(scalar_calls)
+
+    @pytest.mark.parametrize("kind", ["shift", "multiplier"])
+    def test_expansion_builds_one_interval_table(self, kind, monkeypatch):
+        """The paraproduct, the remainder and the shift or multiplier read
+        one table of the region's blocks."""
+        window = make_window(-4, 4, -2, 6)
+        built = []
+        table_of = operators.interval_table
+
+        def counted(grid, win):
+            built.append(win)
+            return table_of(grid, win)
+
+        monkeypatch.setattr(operators, "interval_table", counted)
+        for b in structure_symbols(window):
+            built.clear()
+            expansion_residual(b, D0, window, kind=kind, signs=checkerboard, region=(0.0, 1.0))
+            assert built == [make_window(0, 4, -2, 6)]
 
     @pytest.mark.parametrize(
         "window",
@@ -878,17 +877,19 @@ class TestBadAssemblyInput:
         with pytest.raises(InvalidConfigurationError, match=missing.label()):
             haar_multiplier_matrix(pattern, D0, WIN)
 
-    @pytest.mark.parametrize(
-        "interval",
-        [
-            DyadicInterval("standard", WIN.j_max - 1, 0),  # children finer than a Haar pair
-            DyadicInterval("standard", 1, 2),  # outside the window
-            DyadicInterval("third_shift", 1, 0),
-        ],
-    )
-    def test_k_vector_rejects_unresolvable_interval(self, interval):
-        with pytest.raises(InvalidConfigurationError):
-            k_vector(interval, WIN)
+    @pytest.mark.parametrize("region", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0)])
+    def test_region_bound_not_finite_rejected(self, region):
+        win = make_window(-4, 4, -2, 4)
+        with pytest.raises(InvalidParameterError, match="not a finite number"):
+            expansion_residual(sin_symbol(win), D0, win, region=region)
+
+    @pytest.mark.parametrize("signs", [1.0, "+-", None], ids=["float", "string", "none"])
+    def test_sign_pattern_of_no_kind_rejected(self, signs):
+        win = make_window(-4, 4, -2, 4)
+        with pytest.raises(InvalidConfigurationError, match="is no int, callable or mapping"):
+            haar_multiplier_matrix(signs, D0, win)
+        with pytest.raises(InvalidConfigurationError, match="is no int, callable or mapping"):
+            expansion_residual(sin_symbol(win), D0, win, kind="multiplier", signs=signs)
 
 
 # Reference copies of the former per-row assembly: one np.outer and one

@@ -1,11 +1,11 @@
-"""The package metadata in pyproject.toml points only at code that exists."""
+"""The package metadata in pyproject.toml points only at code that exists, and
+every module of the package uses each name it imports."""
 
+import ast
 import importlib
 from pathlib import Path
 
 import pytest
-
-tomllib = pytest.importorskip("tomllib")  # Python 3.11+; the project allows 3.10
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -13,6 +13,7 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 def test_console_script_targets_resolve():
     """Each [project.scripts] target `module:attr` imports and names a callable,
     so an installed command does not fail at start-up."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+; the project allows 3.10
     scripts = tomllib.loads(PYPROJECT.read_text())["project"].get("scripts", {})
     for name, target in scripts.items():
         module_name, _, attr_path = target.partition(":")
@@ -20,3 +21,42 @@ def test_console_script_targets_resolve():
         for attr in attr_path.split("."):
             obj = getattr(obj, attr)
         assert callable(obj), f"{name} = {target!r} is not callable"
+
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "dyadlab"
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds in the module, with its line; `from
+    __future__` imports bind no name."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, including those of string annotations."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = [node.annotation for node in ast.walk(tree) if isinstance(node, (ast.arg, ast.AnnAssign))]
+    annotations += [node.returns for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                expr = ast.parse(node.value, mode="eval")
+                used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return used
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    """A name a module imports is read somewhere in that module, so a
+    deletion cannot leave a dead import behind."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = {name: line for name, line in _imported_names(tree).items() if name not in _used_names(tree)}
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

@@ -64,18 +64,19 @@ class TestHaarCoefficients:
             got = haar_coefficient(b, interval)
             xs = np.linspace(float(interval.left), float(interval.right), 40001)[:-1]
             mids = xs + (xs[1] - xs[0]) / 2.0
-            from dyadlab.grids import haar_eval
-
-            riemann = np.mean(b.eval(mids) * haar_eval(interval, mids)) * float(
-                interval.length
-            )
+            left, mid, right = interval.float_bounds()
+            amp = 1.0 / math.sqrt(right - left)
+            h = np.where(mids < mid, amp, -amp)  # every midpoint lies in [left, right)
+            riemann = np.mean(b.eval(mids) * h) * float(interval.length)
             assert got == pytest.approx(riemann, abs=5e-4)
 
     def test_parseval_on_haar_span(self):
         b = random_haar_symbol(WIN, n_terms=10, seed=42)
         table = interval_table(standard_grid(), WIN)
         total = sum(c * c for c in haar_coefficients(b, table).tolist())
-        assert total == pytest.approx(b.l2_norm() ** 2, rel=1e-12)
+        v = b.cell_values()
+        l2_norm = math.sqrt(float(np.sum(v * v)) * float(WIN.cell_width))
+        assert total == pytest.approx(l2_norm**2, rel=1e-12)
 
 
 class TestStepIntegral:
@@ -311,6 +312,45 @@ class TestNonFiniteValues:
         assert isinstance(b, StepSymbol)
         assert b.coefficients == {target: 2.0}
         assert b.integral(0.5, 0.75) == pytest.approx(2.0 * math.sqrt(2.0) * 0.25, rel=1e-15)
+
+
+class TestBadSymbolInput:
+    @pytest.mark.parametrize("cycles", [0, -1, 1.5, 2.0, None])
+    def test_sin_cycles_must_be_a_positive_integer(self, cycles):
+        with pytest.raises(InvalidParameterError, match="cycles must be a positive integer"):
+            sin_symbol(WIN, cycles=cycles)
+
+    def test_sin_cycles_numpy_integer_kept(self):
+        assert np.array_equal(sin_symbol(WIN, np.int64(3)).cell_values(), sin_symbol(WIN, 3).cell_values())
+
+    @pytest.mark.parametrize("lip", [-1.0, -2.0 * math.pi, math.nan, math.inf])
+    def test_analytic_lipschitz_must_be_finite_and_not_negative(self, lip):
+        with pytest.raises(InvalidParameterError, match="Lipschitz constant"):
+            AnalyticSymbol(WIN, np.sin, np.cos, lipschitz=lip)
+
+    def test_step_eval_is_zero_at_infinity(self):
+        b = StepSymbol(WIN, np.arange(1.0, WIN.n_cells + 1.0))
+        assert b.eval(math.inf) == 0.0 and b.eval(-math.inf) == 0.0
+        got = b.eval(np.array([-math.inf, 0.5, math.inf, 1e300, -1e300]))
+        assert got.tolist() == [0.0, b.eval(0.5), 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("x", [math.nan, np.array([0.25, math.nan])], ids=["scalar", "array"])
+    def test_step_eval_rejects_nan(self, x):
+        b = StepSymbol(WIN, np.ones(WIN.n_cells))
+        with pytest.raises(InvalidParameterError, match="NaN"):
+            b.eval(x)
+
+    def test_step_eval_finite_points_keep_their_bits(self):
+        rng = np.random.default_rng(29)
+        b = StepSymbol(WIN, rng.normal(size=WIN.n_cells))
+        edges = WIN.cell_edges()
+        xs = np.concatenate([rng.uniform(-0.5, 1.5, 2000), edges, np.nextafter(edges, -np.inf)])
+        # the former formula, on finite points only
+        lo, width, n = float(WIN.lo), float(WIN.cell_width), WIN.n_cells
+        idx = np.floor((xs - lo) / width).astype(int)
+        want = np.where((idx >= 0) & (idx < n), b.cell_values()[np.clip(idx, 0, n - 1)], 0.0)
+        assert np.asarray(b.eval(xs)).tobytes() == want.tobytes()
+        assert [b.eval(x) for x in xs[:50].tolist()] == want[:50].tolist()
 
 
 def bits(*xs):

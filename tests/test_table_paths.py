@@ -66,11 +66,11 @@ class TestStepCoefficients:
 
 
 def reference_spiked_power(w, a: float, b: float) -> float:
-    """The per-interval closed form of `_PowerOfSpiked` / `SpikedLatticeWeight`
+    """The per-interval closed form of `SpikedLatticeWeight`, scale * base^s,
     written with Python floats, one level at a time."""
-    base, s, scale = (w, 1.0, 1.0) if isinstance(w, SpikedLatticeWeight) else (w.base, w.s, w.scale)
+    s, scale = w.s, w.scale
     total = b - a
-    for j, (period, width, offset, height) in enumerate(base.level_params(), 1):
+    for j, (period, width, offset, height) in enumerate(w.level_params(), 1):
         u, v = a + offset, b + offset
         if v <= u:
             m = 0.0
@@ -85,7 +85,7 @@ def reference_spiked_power(w, a: float, b: float) -> float:
         try:
             total += (height**s - 1.0) * m
         except OverflowError:
-            total += _times_power_of_two(m, s * base.growth * base.alpha * 2**j)
+            total += _times_power_of_two(m, s * w.growth * w.alpha * 2**j)
     return scale * total
 
 

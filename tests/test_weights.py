@@ -19,10 +19,8 @@ from dyadlab.weights import (
     PowerWeight,
     QuadratureWeight,
     SpikedLatticeWeight,
-    _PowerOfSpiked,
     a2_constant,
     derive_intermediary,
-    doubling_ratio,
     interval_family,
     pathological_weight,
     product_weight,
@@ -110,29 +108,6 @@ class TestA2:
                 assert prod >= 1.0 - 1e-10
 
 
-class TestDoubling:
-    def test_flat_weight_ratio_one(self):
-        assert doubling_ratio(ConstantWeight(1.0), (0.25, 0.5), 2.0) == pytest.approx(1.0)
-
-    def test_power_weight_closed_form(self):
-        w = PowerWeight(0.5, center=0.0)
-        got = doubling_ratio(w, (1.0, 2.0), 3.0)
-        want = power_integral(0.5, 0.0, 0.0, 3.0) / (3.0 * power_integral(0.5, 0.0, 1.0, 2.0))
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_bounded_over_random_dilations(self):
-        rng = np.random.default_rng(77)
-        for alpha in (0.25, -0.25, 0.5, -0.5):
-            w = PowerWeight(alpha, center=0.0)
-            worst = 0.0
-            for _ in range(1000):
-                a = rng.uniform(-2.0, 2.0)
-                ell = 2.0 ** rng.uniform(-6, 0)
-                s = rng.uniform(1.0 + 1e-6, 8.0)
-                worst = max(worst, doubling_ratio(w, (a, a + ell), s))
-            assert worst < 8.0
-
-
 class TestIntegrals:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -208,7 +183,7 @@ class TestSpikedWeight:
         w = pathological_weight(r, 1, growth)
         period, width, offset, height = w.level_params()[0]
         delta = width / period
-        per_period = w.integral_power(-offset, -offset + period, r) / period
+        per_period = w.power(r).integral(-offset, -offset + period) / period
         lower = delta ** (-(r - 1) / 2.0)
         assert per_period >= lower
         assert per_period == pytest.approx((1 - delta) + lower, rel=1e-12)
@@ -219,7 +194,7 @@ class TestSpikedWeight:
         a2s = []
         for levels in (1, 2, 3, 4):
             w = pathological_weight(2.0, levels, 9.0)
-            integrals.append(w.integral_power(0.0, 1.0, 2.0))
+            integrals.append(w.power(2.0).integral(0.0, 1.0))
             a2s.append(a2_constant(w, win).constant)
         for prev, cur in zip(integrals, integrals[1:]):
             assert cur >= 4.0 * prev
@@ -375,11 +350,9 @@ class TestNonFiniteBounds:
         with pytest.raises(InvalidParameterError, match=r"\[0\.25, inf\)"):
             w.integrals(lo, hi)
 
-    def test_spiked_power_and_doubling(self):
+    def test_spiked_power(self):
         with pytest.raises(InvalidParameterError):
-            pathological_weight(2, 3, 9).integral_power(0.0, math.inf, 2.0)
-        with pytest.raises(InvalidParameterError):
-            doubling_ratio(PowerWeight(0.5), (0.0, math.nan), 2.0)
+            pathological_weight(2, 3, 9).power(2.0).integral(0.0, math.inf)
 
 
 class TestBadWeightParameters:
@@ -473,7 +446,7 @@ class TestSpikedScale:
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
     def test_direct_construction_rejected(self, scale):
         with pytest.raises(InvalidParameterError, match="must be positive and finite"):
-            _PowerOfSpiked(pathological_weight(2, 3, 9), 2.0, scale)
+            SpikedLatticeWeight(2, 3, 9, s=2.0, scale=scale)
 
     def test_representable_scale_kept(self):
         w = product_weight(ConstantWeight(1e-150), pathological_weight(2, 3, 9)).power(2.0)
@@ -578,3 +551,56 @@ class TestOverflowingConstantIntegral:
             w.integral(-1e308, 1e308)
         with pytest.raises(InvalidParameterError, match=r"\[-1e\+308, 1e\+308\) overflows"):
             w.integrals(np.array([0.0, -1e308]), np.array([1.0, 1e308]))
+
+
+BASE = pathological_weight(2, 3, 9)
+# powers, duals and scalar multiples of BASE, with their labels at the former
+# two-class spiked weight
+SPIKED_FAMILY = [
+    (BASE, "spiked(r=2,J=3,A=9)"),
+    (BASE.power(2.0), "spiked(r=2,J=3,A=9)^2"),
+    (BASE.power(1.25), "spiked(r=2,J=3,A=9)^1.25"),
+    (BASE.inv(), "spiked(r=2,J=3,A=9)^-1"),
+    (BASE.power(0.5).inv(), "spiked(r=2,J=3,A=9)^-0.5"),
+    (product_weight(ConstantWeight(3.0), BASE), "spiked(r=2,J=3,A=9)^1*3"),
+    (product_weight(ConstantWeight(3.0), BASE).power(0.5), "spiked(r=2,J=3,A=9)^0.5*1.73205"),
+    (product_weight(ConstantWeight(0.25), BASE.power(-0.5)).inv(), "spiked(r=2,J=3,A=9)^0.5*4"),
+]
+
+
+class TestOneSpikedClass:
+    """Powers, duals and scalar multiples of a spiked weight are spiked
+    weights with other `s` and `scale`, and evaluate as scale * base^s did."""
+
+    @pytest.mark.parametrize("w, label", SPIKED_FAMILY, ids=[label for _, label in SPIKED_FAMILY])
+    def test_eval_bit_equal_to_scale_times_base_power(self, w, label):
+        assert isinstance(w, SpikedLatticeWeight)
+        period, width, offset, _ = BASE.level_params()[2]
+        xs = np.concatenate([np.linspace(-1.0, 1.0, 1001), [-offset, -offset + width / 2.0, 1.0 / 3.0]])
+        # the parent formula: the float ** on a scalar, the array ** on an array
+        want = w.scale * BASE.eval(xs) ** w.s
+        assert np.array_equal(np.asarray(w.eval(xs)).view(np.int64), want.view(np.int64))
+        for x in xs[::50].tolist() + [-offset + width / 2.0]:
+            got, want = w.eval(x), w.scale * BASE.eval(x) ** w.s
+            assert type(got) is float and got.hex() == want.hex()
+
+    @pytest.mark.parametrize("w, label", SPIKED_FAMILY, ids=[label for _, label in SPIKED_FAMILY])
+    def test_label_unchanged(self, w, label):
+        assert w.label == label
+
+    def test_power_one_equals_the_base(self):
+        assert pathological_weight(2, 3, 9).power(1.0) == pathological_weight(2, 3, 9)
+        assert BASE.power(2.0).power(0.5) == BASE
+
+    def test_dual_negates_s_and_inverts_scale(self):
+        for w in (BASE, BASE.power(1.25), product_weight(ConstantWeight(3.0), BASE)):
+            dual = w.inv()
+            assert (dual.s, dual.scale) == (-w.s, 1.0 / w.scale)
+            assert dual.inv() is w
+
+    def test_integral_of_a_power_is_its_one_row_table(self):
+        for w, _ in SPIKED_FAMILY:
+            lo, hi = np.array([0.0, 0.3]), np.array([1.0, 0.625])
+            want = w.scale * BASE._integral_powers(lo, hi, w.s)
+            assert [w.integral(a, b) for a, b in zip(lo, hi)] == want.tolist()
+
