@@ -292,8 +292,8 @@ class IntervalTable:
     def __len__(self) -> int:
         return len(self.j)
 
-    def __getitem__(self, rows: slice) -> "IntervalTable":
-        """The table of the rows in the slice `rows`."""
+    def __getitem__(self, rows: slice | np.ndarray) -> "IntervalTable":
+        """The table of the rows that `rows`, a slice or a boolean mask, selects."""
         columns = (self.j, self.k, self.left, self.mid, self.right, self.length)
         return IntervalTable(self.grid_id, *(column[rows] for column in columns))
 

@@ -13,13 +13,25 @@ A Haar coefficient <b, h_I> is computed from one set of float endpoints of I
 `IntervalTable`: a step symbol evaluates its prefix sums on the table's
 left/mid/right arrays in one `split_integrals` pass, whose one-row case is
 also its scalar `integral` and `split_integral`, so both paths give the same
-bits; any other symbol makes one `haar_coefficient` call per row, on the
-row's interval object.  An analytic symbol's `split_integral` calls its
-antiderivative once, on the array [left, mid, right], and its `integral` is
-the one-row case.  The battery antiderivatives round on an array exactly as
-on each point alone: powers of 3 and more are taken with `np.float_power`,
-which calls libm `pow` per element as the float `**` does, where an array
-`**` takes a SIMD kernel that rounds differently.
+bits; any other symbol makes one `haar_coefficient` call per row that meets
+its support (below), on the row's interval object.  An analytic symbol's
+`split_integral` calls its antiderivative once, on the array [left, mid,
+right], and its `integral` is the one-row case.  The battery antiderivatives
+round on an array exactly as on each point alone: powers of 3 and more are
+taken with `np.float_power`, which calls libm `pow` per element as the float
+`**` does, where an array `**` takes a SIMD kernel that rounds differently.
+
+An analytic symbol may declare a `support` (s0, s1) outside which it is 0.
+A Haar function has mean zero, so a row with right <= s0 or left >= s1 has
+coefficient 0, and `haar_coefficients` gives it +0.0 with no call; interval
+objects are built only for the rows that meet the support.  The skipped
+rows' bits cannot move.  An antiderivative F is constant outside the
+support (the constructor checks F at both ends of each stretch of the window
+that lies outside it), so a call on such a row would take F(m) - F(a) and
+F(c) - F(m) of equal finite values, which are +0.0, and give
+|I|^(-1/2) * (+0.0 - +0.0) = +0.0.  Without F, the Gauss-Legendre sums of
+fn's +0.0 values there are +0.0 as well.  Every battery symbol but `linear`
+declares its support.
 """
 
 from __future__ import annotations
@@ -45,6 +57,8 @@ class Symbol:
 
     window: TruncationWindow
     lipschitz: float | None = None
+    # (s0, s1) when the symbol is 0 outside [s0, s1]
+    support: tuple[float, float] | None = None
 
     def cell_values(self) -> np.ndarray:
         raise NotImplementedError
@@ -131,7 +145,16 @@ class StepSymbol(Symbol):
 
 class AnalyticSymbol(Symbol):
     """Callable symbol; integrals use the supplied exact antiderivative when
-    available and 32-node Gauss-Legendre per cell otherwise."""
+    available and 32-node Gauss-Legendre per cell otherwise.
+
+    `support` = (s0, s1), finite with s0 < s1, states that fn is 0 outside
+    [s0, s1]; it is a fact about the function, and `haar_coefficients` gives
+    the rows that lie off it +0.0 without computing them.  With an
+    antiderivative F the constructor checks F(min(lo, s0)) == F(s0) and
+    F(s1) == F(max(hi, s1)) at the window ends lo, hi, and raises
+    InvalidConfigurationError when F moves outside the support; a bad pair
+    raises InvalidParameterError.
+    """
 
     def __init__(
         self,
@@ -140,6 +163,7 @@ class AnalyticSymbol(Symbol):
         antiderivative: Callable[[np.ndarray], np.ndarray] | None = None,
         lipschitz: float | None = None,
         name: str = "analytic",
+        support: tuple[float, float] | None = None,
     ):
         if lipschitz is not None and not 0 <= lipschitz < math.inf:
             raise InvalidParameterError(f"Lipschitz constant {lipschitz!r} must be finite and not negative")
@@ -148,7 +172,27 @@ class AnalyticSymbol(Symbol):
         self.antiderivative = antiderivative
         self.lipschitz = lipschitz
         self.name = name
+        self.support = None if support is None else self._checked_support(support)
         self._cells: np.ndarray | None = None
+
+    def _checked_support(self, support) -> tuple[float, float]:
+        try:
+            s0, s1 = (float(end) for end in support)
+        except (TypeError, ValueError):
+            raise InvalidParameterError(
+                f"support {support!r} of {self.name} is not a pair of numbers"
+            ) from None
+        if not -math.inf < s0 < s1 < math.inf:
+            raise InvalidParameterError(f"support {support!r} of {self.name} needs finite ends s0 < s1")
+        if self.antiderivative is not None:
+            lo, hi = float(self.window.lo), float(self.window.hi)
+            ends = np.array((min(lo, s0), s0, s1, max(hi, s1)))
+            f = np.asarray(self.antiderivative(ends), dtype=float)
+            if not (f[0] == f[1] and f[2] == f[3]):
+                raise InvalidConfigurationError(
+                    f"antiderivative of {self.name} is not constant outside its support ({s0}, {s1})"
+                )
+        return s0, s1
 
     def eval(self, x):
         return self.fn(np.asarray(x, dtype=float))
@@ -248,14 +292,22 @@ def haar_coefficients(b: Symbol, table: IntervalTable) -> np.ndarray:
     """`haar_coefficient(b, interval)` of every table row, with the same bits.
 
     A step symbol takes both child integrals of every row from one
-    `split_integrals` pass over the table's float geometry; any other symbol
-    makes one `haar_coefficient` call per row, whose `split_integral` call
-    evaluates an analytic symbol's antiderivative on one 3-point array.
+    `split_integrals` pass over the table's float geometry.  Any other symbol
+    makes one `haar_coefficient` call per row that meets its `support`, in
+    table order, whose `split_integral` call evaluates an analytic symbol's
+    antiderivative on one 3-point array.  A row with right <= s0 or
+    left >= s1 is +0.0, the value its call would give (see the module
+    docstring); a symbol without a support makes a call on every row.
     """
-    if not isinstance(b, StepSymbol):
-        return np.array([haar_coefficient(b, interval) for interval in table.intervals()], dtype=float)
-    lower, upper = b.split_integrals(table.left, table.mid, table.right)
-    return (1.0 / np.sqrt(table.length)) * (lower - upper)
+    if isinstance(b, StepSymbol):
+        lower, upper = b.split_integrals(table.left, table.mid, table.right)
+        return (1.0 / np.sqrt(table.length)) * (lower - upper)
+    # without a support every row meets (-inf, inf): its float ends are finite
+    s0, s1 = b.support or (-math.inf, math.inf)
+    meets = (table.right > s0) & (table.left < s1)
+    out = np.zeros(len(table))
+    out[meets] = [haar_coefficient(b, interval) for interval in table[meets].intervals()]
+    return out
 
 
 def median_value(b: Symbol, interval: DyadicInterval) -> float:
@@ -322,7 +374,7 @@ def sin_symbol(window: TruncationWindow, cycles: int = 1) -> AnalyticSymbol:
         xc = np.minimum(1.0, np.maximum(0.0, x))
         return (1.0 - np.cos(om * xc)) / om
 
-    return AnalyticSymbol(window, fn, prim, lipschitz=om, name=f"sin{cycles}")
+    return AnalyticSymbol(window, fn, prim, lipschitz=om, name=f"sin{cycles}", support=(0.0, 1.0))
 
 
 def parabola_symbol(window: TruncationWindow) -> AnalyticSymbol:
@@ -337,7 +389,7 @@ def parabola_symbol(window: TruncationWindow) -> AnalyticSymbol:
         xc = np.minimum(1.0, np.maximum(0.0, x))
         return xc**2 / 2.0 - np.float_power(xc, 3) / 3.0
 
-    return AnalyticSymbol(window, fn, prim, lipschitz=1.0, name="parabola")
+    return AnalyticSymbol(window, fn, prim, lipschitz=1.0, name="parabola", support=(0.0, 1.0))
 
 
 # A point far past ramp_bump's support, at which its antiderivative is still
@@ -372,7 +424,7 @@ def ramp_bump_symbol(window: TruncationWindow) -> AnalyticSymbol:
         lin = np.maximum(x - ends, 0.0)
         return curve[..., 0] + lin[..., 0] - curve[..., 1] - lin[..., 1]
 
-    return AnalyticSymbol(window, fn, prim, lipschitz=1.5 / w, name="ramp_bump")
+    return AnalyticSymbol(window, fn, prim, lipschitz=1.5 / w, name="ramp_bump", support=(up0, dn1))
 
 
 def quartic_bump_symbol(window: TruncationWindow) -> AnalyticSymbol:
@@ -391,7 +443,9 @@ def quartic_bump_symbol(window: TruncationWindow) -> AnalyticSymbol:
         terms = np.float_power(xc[..., None], exps) / divs
         return 16.0 * (terms[..., 0] - terms[..., 1] + terms[..., 2])
 
-    return AnalyticSymbol(window, fn, prim, lipschitz=16.0 * 0.25, name="quartic_bump")
+    return AnalyticSymbol(
+        window, fn, prim, lipschitz=16.0 * 0.25, name="quartic_bump", support=(0.0, 1.0)
+    )
 
 
 def linear_symbol(window: TruncationWindow) -> AnalyticSymbol:

@@ -388,13 +388,23 @@ class SpikedLatticeWeight(Weight):
         return self._levels
 
     def eval(self, x):
-        """scale * base^s; the power is the float `**` on a scalar x."""
+        """scale * base^s; the power is the float `**` on a scalar x.  A value
+        past the float range raises InvalidParameterError naming the point."""
         xv = np.asarray(x, dtype=float)
         out = np.ones_like(xv)
         for period, width, offset, height in self._levels:
             on_spike = np.mod(xv + offset, period) < width
             out = np.where(on_spike, np.maximum(out, height), out)
-        return self.scale * (float(out) if np.ndim(x) == 0 else out) ** self.s
+        try:
+            with np.errstate(over="ignore"):
+                value = self.scale * (float(out) if np.ndim(x) == 0 else out) ** self.s
+        except OverflowError:  # the float ** on a scalar
+            value = math.inf
+        overflowed = np.isinf(value)
+        if overflowed.any():
+            point = float(xv.flat[int(np.argmax(overflowed))])
+            raise InvalidParameterError(f"{self.label} at x = {point!r} overflows a float")
+        return value
 
     def _integral_powers(self, lo: np.ndarray, hi: np.ndarray, s: float) -> np.ndarray:
         """The integral of base^s over each row [lo[i], hi[i]), exact for disjoint levels;

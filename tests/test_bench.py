@@ -15,7 +15,8 @@ still make scalar calls, and three scalar paths stay for that:
 - `QuadratureWeight` keeps the per-row loop of `Weight.integrals`, which
   gives `weights.quadrature_calls`.
 - `haar_coefficients` of an analytic symbol makes one `haar_coefficient`
-  call per row, which gives `symbols.haar_coeff_calls`; the call stays for
+  call per row that meets the symbol's declared support (every row when it
+  declares none), which gives `symbols.haar_coeff_calls`; the call stays for
   that count.  Each call evaluates the antiderivative once, on a 3-point
   array, and its bits are those of the former three scalar evaluations.
 

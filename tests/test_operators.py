@@ -673,7 +673,8 @@ class TestStructuredAssembly:
     def test_expansion_reads_each_coefficient_once(self, kind, monkeypatch):
         window = make_window(-4, 4, -2, 6)
         # the region [0, 1) meets the coarsest interval [0, 4) only
-        resolvable = len(old_scales(make_window(0, 4, -2, 6), window.j_max - 1))
+        rows = old_scales(make_window(0, 4, -2, 6), window.j_max - 1)
+        resolvable = len(rows)
         scalar_calls, tables = [], []
         scalar, table_path = symbols.haar_coefficient, symbols.haar_coefficients
 
@@ -692,8 +693,16 @@ class TestStructuredAssembly:
             tables.clear()
             expansion_residual(b, D0, window, kind=kind, signs=checkerboard, region=(0.0, 1.0))
             assert tables == [resolvable]
-            # a step symbol reads the table in one pass, an analytic one per row
-            assert len(scalar_calls) == (0 if isinstance(b, StepSymbol) else resolvable)
+            # a step symbol reads the table in one pass, an analytic one per
+            # row that meets its support (every row when it declares none)
+            if isinstance(b, StepSymbol):
+                meeting = []
+            elif b.support is None:
+                meeting = rows
+            else:
+                s0, s1 = b.support
+                meeting = [iv for iv in rows if iv.right > s0 and iv.left < s1]
+            assert scalar_calls == meeting
             assert len(set(scalar_calls)) == len(scalar_calls)
 
     @pytest.mark.parametrize("kind", ["shift", "multiplier"])

@@ -3,9 +3,10 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dyadlab import symbols
 from dyadlab.errors import DyadlabError, InvalidConfigurationError, InvalidParameterError
 from dyadlab.grids import (
     DyadicInterval,
@@ -614,3 +615,160 @@ class TestBatteryOnArrays:
                 per_point = np.array([float(prim(x)) for x in keys.view(np.float64).tolist()])
                 differ = np.flatnonzero(got.view(np.int64) != per_point[inverse].view(np.int64))
                 assert differ.size == 0, (j_max, grid.grid_id, differ.size, pts[differ[:3]])
+
+
+def twin_without_support(b):
+    """The same fn, antiderivative and name with no declared support."""
+    return AnalyticSymbol(b.window, b.fn, b.antiderivative, lipschitz=b.lipschitz, name=b.name)
+
+
+def meets_support(table, support):
+    """Per row, whether the row meets [s0, s1], from the rows' exact Fraction ends."""
+    s0, s1 = support
+    return np.array([iv.right > s0 and iv.left < s1 for iv in table.intervals()], dtype=bool)
+
+
+def assert_skipped_rows_match_twin(b, twin, table):
+    got, want = haar_coefficients(b, table), haar_coefficients(twin, table)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    off = ~meets_support(table, b.support)
+    assert off.any()
+    assert (got[off] == 0.0).all() and not np.signbit(got[off]).any()
+
+
+DECLARED_SUPPORT = {
+    "sin": (0.0, 1.0),
+    "parabola": (0.0, 1.0),
+    "ramp_bump": (0.125, 0.875),
+    "quartic_bump": (0.0, 1.0),
+}
+
+
+class TestDeclaredSupport:
+    """Rows that lie off an analytic symbol's declared support are +0.0
+    without a `haar_coefficient` call, with the bits the call would give."""
+
+    def test_battery_declarations(self):
+        for name, make in BATTERY.items():
+            assert make(WIN).support == DECLARED_SUPPORT[name]
+        assert linear_symbol(WIN).support is None
+        assert StepSymbol(WIN, np.ones(WIN.n_cells)).support is None
+
+    @pytest.mark.parametrize("name", sorted(BATTERY))
+    def test_bit_equal_to_twin_without_support(self, name):
+        for j_max in range(4, 9):
+            window = default_window(j_max)
+            b = BATTERY[name](window)
+            for grid in (standard_grid(), third_shift_grid()):
+                assert_skipped_rows_match_twin(b, twin_without_support(b), interval_table(grid, window))
+
+    @pytest.mark.parametrize("name", ["parabola", "ramp_bump"])
+    def test_quadrature_symbol_bit_equal_to_twin(self, name):
+        for j_max in (4, 6):
+            window = default_window(j_max)
+            fn = BATTERY[name](window).fn
+            b = AnalyticSymbol(window, fn, name="gl", support=DECLARED_SUPPORT[name])
+            for grid in (standard_grid(), third_shift_grid()):
+                assert_skipped_rows_match_twin(b, AnalyticSymbol(window, fn, name="gl"), interval_table(grid, window))
+
+    @pytest.mark.parametrize("name", [*sorted(BATTERY), "linear"])
+    def test_one_call_per_row_that_meets_the_support(self, name, monkeypatch):
+        window = default_window(6)
+        b = ALL_BATTERY[name](window)
+        calls = []
+        scalar = symbols.haar_coefficient
+
+        def counted(sym, interval):
+            calls.append(interval)
+            return scalar(sym, interval)
+
+        monkeypatch.setattr(symbols, "haar_coefficient", counted)
+        for grid in (standard_grid(), third_shift_grid()):
+            table = interval_table(grid, window)
+            calls.clear()
+            haar_coefficients(b, table)
+            rows = table.intervals()
+            if b.support is not None:
+                rows = [iv for iv, meets in zip(rows, meets_support(table, b.support)) if meets]
+                assert 0 < len(rows) < len(table)
+            # in table order, each row once
+            assert calls == rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=-1, max_value=2),
+        st.integers(min_value=-3, max_value=2),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=4),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=2, unique=True),
+        st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1, max_size=5),
+    )
+    def test_clamped_polynomial_bumps(self, j_min, start, blocks, depth, where, coefs):
+        """F = P(clip(x, s0, s1)) for a random polynomial P and a random
+        support [s0, s1] inside a random window."""
+        unit = 2.0**-j_min
+        lo, hi = start * unit, (start + blocks) * unit
+        window = make_window(lo, hi, j_min, j_min + depth)
+        s0, s1 = sorted(lo + t * (hi - lo) for t in where)
+        assume(s0 < s1)
+        deriv = np.polynomial.polynomial.polyder(coefs)
+
+        def fn(x):
+            x = np.asarray(x, dtype=float)
+            return np.where((x >= s0) & (x <= s1), np.polynomial.polynomial.polyval(x, deriv), 0.0)
+
+        def prim(x):
+            return np.polynomial.polynomial.polyval(np.clip(np.asarray(x, dtype=float), s0, s1), coefs)
+
+        b = AnalyticSymbol(window, fn, prim, name="poly", support=(s0, s1))
+        twin = twin_without_support(b)
+        for grid in (standard_grid(), third_shift_grid()):
+            table = interval_table(grid, window)
+            got, want = haar_coefficients(b, table), haar_coefficients(twin, table)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+            off = ~meets_support(table, (s0, s1))
+            assert not np.signbit(got[off]).any()
+
+    @pytest.mark.parametrize("support", [
+        (math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 1.0),
+        (1.0, 0.0), (0.5, 0.5), (0.0,), (0.0, 0.5, 1.0), "ab", 5.0,
+    ], ids=["nan lo", "nan hi", "inf hi", "inf lo", "reversed", "empty", "one end",
+            "three ends", "letters", "a number"])
+    @pytest.mark.parametrize("with_antiderivative", [True, False], ids=["F", "quadrature"])
+    def test_bad_support_rejected(self, support, with_antiderivative):
+        bump = quartic_bump_symbol(WIN)
+        prim = bump.antiderivative if with_antiderivative else None
+        with pytest.raises(InvalidParameterError, match="support"):
+            AnalyticSymbol(WIN, bump.fn, prim, name="bump", support=support)
+
+    @pytest.mark.parametrize("make, support", [
+        (linear_symbol, (0.0, 1.0)),
+        (sin_symbol, (0.25, 0.75)),
+        (ramp_bump_symbol, (0.125, 0.5)),
+        (quartic_bump_symbol, (0.0625, 1.0)),
+    ], ids=["linear", "sin inner", "ramp_bump short", "quartic_bump late"])
+    def test_antiderivative_that_moves_outside_is_rejected(self, make, support):
+        b = make(default_window(5))
+        with pytest.raises(InvalidConfigurationError, match="not constant outside its support"):
+            AnalyticSymbol(b.window, b.fn, b.antiderivative, name=b.name, support=support)
+
+    def test_support_past_the_window_accepted(self):
+        b = ramp_bump_symbol(WIN)
+        wide = AnalyticSymbol(WIN, b.fn, b.antiderivative, name="ramp", support=(-10.0, 10.0))
+        assert wide.support == (-10.0, 10.0)
+        table = interval_table(standard_grid(), WIN)
+        assert haar_coefficients(wide, table).tobytes() == haar_coefficients(b, table).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(BATTERY))
+    def test_fn_is_zero_outside_the_declared_support(self, name):
+        window = default_window(5)
+        s0, s1 = DECLARED_SUPPORT[name]
+        lo, hi = float(window.lo), float(window.hi)
+        xs = [
+            math.nextafter(s0, -math.inf), math.nextafter(s1, math.inf),
+            s0 - 2.0**-20, s1 + 2.0**-20, s0 - 0.5, s1 + 0.5,
+            lo, math.nextafter(hi, -math.inf), -1.0, -1e-300, 2.0, 3.5,
+        ]
+        fn = BATTERY[name](window).fn
+        for got in (fn(np.array(xs)), np.array([fn(x) for x in xs], dtype=float)):
+            assert (got == 0.0).all() and not np.signbit(got).any(), got

@@ -604,3 +604,19 @@ class TestOneSpikedClass:
             want = w.scale * BASE._integral_powers(lo, hi, w.s)
             assert [w.integral(a, b) for a, b in zip(lo, hi)] == want.tolist()
 
+
+    def test_eval_past_the_float_range_raises(self):
+        w = SpikedLatticeWeight(2, 4, 60).power(2.0)
+        _, width, offset, _ = w.level_params()[3]
+        on_spike = 2.0**-16 - offset  # on the level-4 spike whose height^2 is past 2^1024
+        off_spike = 0.5
+        for x in (on_spike, np.array([off_spike, on_spike]), np.array([[on_spike]])):
+            with pytest.raises(InvalidParameterError, match=r"\^2 at x = 1\.52586\d*e-05 overflows"):
+                w.eval(x)
+        assert w.eval(off_spike) == 1.0
+        assert w.eval(np.array([off_spike, 1.0 / 3.0])).tolist() == [1.0, 1.0]
+        # the integrals stay finite and exact: scale * base^s over [lo, hi)
+        lo, hi = np.array([0.0, on_spike]), np.array([1.0, on_spike + width / 4.0])
+        want = SpikedLatticeWeight(2, 4, 60)._integral_powers(lo, hi, 2.0)
+        assert np.isfinite(want).all()
+        assert [w.integral(a, b) for a, b in zip(lo, hi)] == want.tolist()
