@@ -8,8 +8,9 @@ tails read one `interval_table(grid, window)`, and compute over the whole
 table at once: Haar coefficients from `haar_coefficients`, weight brackets
 from `Weight.integrals`, BMO's mean oscillations from one (rows, cells) block
 per cell span, and the square form's subtree sums one level at a time, matched
-on the table's integer j and k columns.  Row labels come from those columns;
-interval objects are built only for the rows `interval_form_ratios` returns.
+on the table's integer j and k columns.  A `NormReport` keeps its tables
+and builds row labels from those columns only when they are read; interval
+objects are built only for the rows `interval_form_ratios` returns.
 The continuous energy is the double integral of |b(x)-b(y)|^p / (x-y)^2 *
 lam(x) / mu(y) over the window square, and its square root at p=2 is the
 continuous norm.  Separated cell pairs take tensor Gauss-Legendre in row
@@ -45,14 +46,32 @@ from .weights import BloomWeight, ConstantWeight, Weight
 class NormReport:
     """A norm value with its per-item contribution table.
 
+    `terms` holds one contribution per item.  The items are the rows of
+    `tables`, in order, or the window's x-cells when there is no table.
+    Their labels, `DyadicInterval.label` from each row's j and k columns or
+    xcell_i, are built only when `labels`, `contributions` or `to_csv` reads
+    them.
+
     value >= 0, and value == 0 exactly when every contribution vanishes.
     """
 
     value: float
-    contributions: list[tuple[str, float]]
+    terms: np.ndarray
+    tables: tuple[IntervalTable, ...] = ()
     params: dict = field(default_factory=dict)
     id_label: str = "interval_id"
     error_estimate: float | None = None
+
+    def labels(self) -> list[str]:
+        """The items' labels, in order, built on each call."""
+        if not self.tables:
+            return [f"xcell_{i}" for i in range(len(self.terms))]
+        return [label for table in self.tables for label in table.labels()]
+
+    @property
+    def contributions(self) -> list[tuple[str, float]]:
+        """(label, contribution) per item, in order."""
+        return list(zip(self.labels(), self.terms.tolist()))
 
     def to_csv(self, path) -> None:
         lines = [f"{self.id_label},contribution,cumulative"]
@@ -114,7 +133,8 @@ def dyadic_besov_norm(
     terms = (_haar_terms(b, table) * q) ** p
     return NormReport(
         value=math.fsum(terms) ** (1.0 / p),
-        contributions=list(zip(table.labels(), terms.tolist())),
+        terms=terms,
+        tables=(table,),
         params={"p": p, "form": form, "grid": grid.grid_id},
     )
 
@@ -270,10 +290,9 @@ def continuous_besov_norm_p2(
     """Square root of the p=2 energy, with the near-diagonal bound mass as the
     quadrature error estimate."""
     energy, err, per_cell = continuous_energy(b, 2.0, lam, mu, window, nodes)
-    contributions = [(f"xcell_{i}", float(v)) for i, v in enumerate(per_cell)]
     return NormReport(
         value=math.sqrt(energy),
-        contributions=contributions,
+        terms=per_cell,
         params={"p": 2.0, "lam": lam.label, "mu": mu.label},
         id_label="pair_id",
         error_estimate=err,
@@ -295,13 +314,14 @@ def intersection_norm(
     window: TruncationWindow,
     p: float = 2.0,
 ) -> NormReport:
-    """Sum of the two dyadic norms, one per grid; each contribution keeps its
-    row label, which starts with the row's grid id."""
+    """Sum of the two dyadic norms, one per grid; the contributions are the
+    first grid's rows, then the second's, each labelled with its grid id."""
     r0 = dyadic_besov_norm(b, weights, p, grid0, window, form=1)
     r1 = dyadic_besov_norm(b, weights, p, grid1, window, form=1)
     return NormReport(
         value=r0.value + r1.value,
-        contributions=r0.contributions + r1.contributions,
+        terms=np.concatenate((r0.terms, r1.terms)),
+        tables=r0.tables + r1.tables,
         params={"p": p, "grids": (grid0.grid_id, grid1.grid_id)},
     )
 

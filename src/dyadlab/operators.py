@@ -16,7 +16,11 @@ call, which its paraproduct, remainder and shift or multiplier all read.
 The Hilbert transform matrix comes from the closed-form primitive
 G(t) = t (ln|t| - 1), which renders every cell-pair principal value finite
 (diagonal entries vanish by antisymmetry); a box integral depends only on the
-cell lag i - j, so H is the Toeplitz matrix of 2N - 1 box values.
+cell lag i - j, so H is the Toeplitz matrix of 2N - 1 box values, and its
+`.mat` is a read-only N x N view of those values, never copied out.  The
+commutator with a multiplication and the weight conjugation each allocate one
+N x N buffer, their result, and form it in place, so H, [b, H] and its
+conjugation hold two N x N buffers between them.
 Haar-expansion operators act as stated on the resolvable Haar span and as
 zero on its orthogonal complement; the sign multiplier additionally keeps the
 unresolved coarse averages fixed so that the all-plus pattern is the
@@ -56,7 +60,10 @@ UNWEIGHTED = "unweighted"
 @dataclass
 class OperatorMatrix:
     """Dense N x N matrix with basis metadata and weight tags; every entry is
-    finite, or construction raises InvalidMatrixError."""
+    finite, or construction raises InvalidMatrixError.
+
+    `mat` may be a read-only view (the Hilbert transform's is a view of its
+    2N - 1 Toeplitz values); copy it before writing to it."""
 
     mat: np.ndarray
     window: TruncationWindow
@@ -246,17 +253,20 @@ def hilbert_matrix(window: TruncationWindow) -> OperatorMatrix:
     finite in the principal-value sense; antisymmetric with zero diagonal.
 
     The box integral over cell_i x cell_j depends on d = i - j only, so G is
-    evaluated at the 2N+1 lags d * width and the 2N-1 box values fill a
-    Toeplitz matrix."""
+    evaluated at the 2N+1 lags d * width, and `.mat` is a read-only Toeplitz
+    view over one contiguous array of the 2N-1 box values: O(N) memory, rows
+    read forwards, and a write raises ValueError."""
     n = window.n_cells
     width = float(window.cell_width)
     g = hilbert_primitive(np.arange(-n, n + 1) * width)
     # G((d+1)w) - G(dw) - G(dw) + G((d-1)w): with [a,b) the x-cell and [c,d)
     # the y-cell, G(b-c) - G(a-c) - G(b-d) + G(a-d); entry d + n - 1 for lag d
     box = (g[2:] - g[1:-1] - g[1:-1] + g[:-2]) / width
-    mat = sliding_window_view(box[::-1], n)[::-1].copy()
-    np.fill_diagonal(mat, 0.0)
-    return OperatorMatrix(mat, window, name="hilbert")
+    box[n - 1] = 0.0  # lag 0: the principal value vanishes by antisymmetry
+    # lags[m] is the box value of lag n - 1 - m, so row i of H reads
+    # lags[n - 1 - i : 2n - 1 - i] forwards
+    lags = np.ascontiguousarray(box[::-1])
+    return OperatorMatrix(sliding_window_view(lags, n)[::-1], window, name="hilbert")
 
 
 def multiplication_matrix(b: Symbol, window: TruncationWindow) -> OperatorMatrix:
@@ -275,11 +285,14 @@ def weight_conjugate(t: OperatorMatrix, lam: Weight, mu: Weight) -> OperatorMatr
     conjugating by (lam.inv(), mu.inv()) undoes conjugating by (lam, mu),
     and conjugating T^T by (mu.inv(), lam.inv()) gives the transpose of
     conjugating T by (lam, mu).  A weight with a vanishing cell average
-    raises DegenerateWeightError.
+    raises DegenerateWeightError.  The result is formed in the one N x N
+    buffer it returns.
     """
     left = np.sqrt(lam.cell_discretization(t.window))
     right = 1.0 / np.sqrt(mu.cell_discretization(t.window))
-    mat = t.mat * left[:, None] * right[None, :]
+    # (T * l) * r, as T * l[:, None] * r[None, :] rounds, in one buffer
+    mat = t.mat * left[:, None]
+    mat *= right[None, :]
     return OperatorMatrix(
         mat,
         t.window,
@@ -290,9 +303,11 @@ def weight_conjugate(t: OperatorMatrix, lam: Weight, mu: Weight) -> OperatorMatr
 
 
 def multiplication_commutator(b: Symbol, t: OperatorMatrix) -> OperatorMatrix:
-    """[M_b, T] assembled without forming products: entries (b_i - b_j) T_ij."""
+    """[M_b, T] assembled without forming products: entries (b_i - b_j) T_ij,
+    formed in the one N x N buffer it returns."""
     vals = b.cell_values()
-    mat = (vals[:, None] - vals[None, :]) * t.mat
+    mat = np.subtract.outer(vals, vals)
+    mat *= t.mat
     return OperatorMatrix(mat, t.window, name=f"[mult,{t.name}]")
 
 

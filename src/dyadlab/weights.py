@@ -5,9 +5,11 @@ Weight kinds carry closed-form integrals wherever the kind admits one
 uses Gauss-Legendre quadrature.  `Weight.integrals(lo, hi)` integrates a whole
 table of intervals at once: the closed-form kinds do it with array operations
 that round exactly as their scalar `integral` does, so both give the same
-bits, and the quadrature kind makes one scalar call per row.  The spiked
+bits, and the quadrature kind makes one scalar call per row, which evaluates
+its function on the row's Gauss-Legendre segments 2048 at a time.  The spiked
 kind, scale * base^s in one class, has the table path only; its scalar
-integral is a one-row table.
+integral is a one-row table.  `Weight.cell_averages`, the diagonal that
+`weight_conjugate` reads, is one table call over the window's cells.
 Every integral, scalar or table, rejects a bound that is not finite with
 InvalidParameterError.  A BloomWeight bundles a source weight mu and a target
 weight lam together with the derived intermediary nu = sqrt(mu/lam).  Weights
@@ -143,13 +145,11 @@ class Weight:
 
     def cell_averages(self, window: TruncationWindow) -> np.ndarray:
         """True averages of w over the window's cells, for a dual weight too
-        (so avg(w) * avg(w.inv()) > 1 on a cell where w varies)."""
+        (so avg(w) * avg(w.inv()) > 1 on a cell where w varies): the cells'
+        table integrals over the cell width, each equal bit for bit to the
+        cell's scalar `integral` over the width."""
         edges = window.cell_edges()
-        width = float(window.cell_width)
-        vals = np.array(
-            [self.integral(edges[i], edges[i + 1]) for i in range(window.n_cells)]
-        )
-        return vals / width
+        return self.integrals(edges[:-1], edges[1:]) / float(window.cell_width)
 
     def cell_discretization(self, window: TruncationWindow) -> np.ndarray:
         """The diagonal that represents L2(w) on the window's cell step
@@ -388,9 +388,14 @@ class SpikedLatticeWeight(Weight):
         return self._levels
 
     def eval(self, x):
-        """scale * base^s; the power is the float `**` on a scalar x.  A value
-        past the float range raises InvalidParameterError naming the point."""
+        """scale * base^s; the power is the float `**` on a scalar x.  A point
+        that is not finite, or a value past the float range, raises
+        InvalidParameterError naming the point."""
         xv = np.asarray(x, dtype=float)
+        finite = np.isfinite(xv)
+        if not finite.all():
+            point = float(xv.flat[int(np.argmin(finite))])
+            raise InvalidParameterError(f"{self.label} has no value at x = {point!r}")
         out = np.ones_like(xv)
         for period, width, offset, height in self._levels:
             on_spike = np.mod(xv + offset, period) < width
@@ -440,10 +445,16 @@ class SpikedLatticeWeight(Weight):
         return replace(self, s=self.s * t, scale=_float_power(self.scale, t))
 
 
+# Segments per `fn` call in `QuadratureWeight.integral`: a (2048, 32) node
+# array is 512 KiB, however long the interval.
+_SEGMENT_BLOCK = 2048
+
+
 @dataclass(frozen=True)
 class QuadratureWeight(Weight):
     """Composite weight integrated with 32-node Gauss-Legendre on segments of
-    length at most seg_len / 2; pointwise evaluation via the callable."""
+    length at most seg_len / 2; pointwise evaluation via the callable, which
+    maps an array of points to an array of values of the same shape."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     name: str = "composite"
@@ -467,12 +478,18 @@ class QuadratureWeight(Weight):
         nodes, wts = GAUSS_LEGENDRE_32
         n_seg = max(1, int(math.ceil((bf - af) / (self.seg_len / 2.0))))
         edges = np.linspace(af, bf, n_seg + 1)
+        seg_lo, seg_hi = edges[:-1], edges[1:]
         total = 0.0
-        for i in range(n_seg):
-            lo, hi = edges[i], edges[i + 1]
+        # fn runs once per block of segments, on a (segments, 32) node array;
+        # each row sums as one segment's 32 values would, and the segments
+        # are added to the total one at a time, in order
+        for s0 in range(0, n_seg, _SEGMENT_BLOCK):
+            lo, hi = seg_lo[s0 : s0 + _SEGMENT_BLOCK], seg_hi[s0 : s0 + _SEGMENT_BLOCK]
             half = 0.5 * (hi - lo)
-            xs = 0.5 * (hi + lo) + half * nodes
-            total += half * float(np.sum(wts * self.fn(xs)))
+            xs = (0.5 * (hi + lo))[:, None] + half[:, None] * nodes
+            sums = np.sum(wts * self.fn(xs), axis=1)
+            for h, v in zip(half.tolist(), sums.tolist()):
+                total += h * v
         if not math.isfinite(total):
             raise DivergedIntegralError(
                 f"quadrature integral of {self.name} diverged on [{af}, {bf})", (af, bf)

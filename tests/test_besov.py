@@ -471,3 +471,74 @@ class TestContinuousEnergyArrays:
         assert value.hex() == old_value.hex()
         assert estimate.hex() == old_estimate.hex()
         assert per_cell.tobytes() == old_per_cell.tobytes()
+
+
+def former_csv(pairs, id_label):
+    """The CSV the former `NormReport.to_csv` wrote from its stored
+    (label, contribution) list."""
+    lines = [f"{id_label},contribution,cumulative"]
+    running = 0.0
+    for label, c in pairs:
+        running += c
+        lines.append(f"{label},{c:.11e},{running:.11e}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestLabelsOnRead:
+    """Norm reports keep the terms and the table rows' integer columns, and
+    build label strings only when they are read."""
+
+    @pytest.fixture
+    def label_calls(self, monkeypatch):
+        from dyadlab import grids
+
+        calls = []
+        label = grids._label
+
+        def counting(grid_id, j, k):
+            calls.append((grid_id, j, k))
+            return label(grid_id, j, k)
+
+        monkeypatch.setattr(grids, "_label", counting)
+        return calls
+
+    def test_norms_build_no_label(self, label_calls):
+        pair = BloomWeight(PowerWeight(0.5), PowerWeight(-0.25))
+        b = sin_symbol(WIN)
+        for form in (1, 2, 3):
+            dyadic_besov_norm(b, pair, 1.5, D0, WIN, form=form)
+        rep = intersection_norm(b, pair, D0, D1, WIN)
+        assert label_calls == []
+        want = [iv.label() for iv in enumerate_intervals(D0, WIN) + enumerate_intervals(D1, WIN)]
+        label_calls.clear()
+        assert rep.labels() == want
+        assert len(label_calls) == len(want)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_csv_bytes_equal_to_the_former_list(self, tmp_path, p):
+        pair = BloomWeight(PowerWeight(0.5), PowerWeight(-0.25))
+        b = random_haar_symbol(WIN, n_terms=5, seed=4)
+        rep = intersection_norm(b, pair, D0, D1, WIN, p)
+        r0 = dyadic_besov_norm(b, pair, p, D0, WIN)
+        r1 = dyadic_besov_norm(b, pair, p, D1, WIN)
+        rows = enumerate_intervals(D0, WIN) + enumerate_intervals(D1, WIN)
+        terms = r0.terms.tolist() + r1.terms.tolist()
+        pairs = [(iv.label(), c) for iv, c in zip(rows, terms)]
+        assert rep.contributions == pairs
+        rep.to_csv(tmp_path / "norm.csv")
+        assert (tmp_path / "norm.csv").read_bytes() == former_csv(pairs, "interval_id")
+
+    def test_continuous_csv_labels_cells(self, tmp_path):
+        b = sin_symbol(WIN)
+        rep = continuous_besov_norm_p2(b, ConstantWeight(1.0), ConstantWeight(1.0), WIN)
+        _, _, per_cell = continuous_energy(b, 2.0, ConstantWeight(1.0), ConstantWeight(1.0), WIN)
+        pairs = [(f"xcell_{i}", float(v)) for i, v in enumerate(per_cell)]
+        assert rep.contributions == pairs
+        rep.to_csv(tmp_path / "cont.csv")
+        assert (tmp_path / "cont.csv").read_bytes() == former_csv(pairs, "pair_id")
+
+    def test_value_stays_assignable(self):
+        rep = dyadic_besov_norm(sin_symbol(WIN), unweighted_pair(), 2.0, D0, WIN)
+        before = rep.value
+        rep.value *= 1.0 + 1e-9
+        assert rep.value == before * (1.0 + 1e-9)

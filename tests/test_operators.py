@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -1069,3 +1070,95 @@ class TestScaleAssembly:
         del pattern[rows[7]]
         with pytest.raises(InvalidConfigurationError, match=f"got 0 on {rows[3].label()}"):
             haar_multiplier_matrix(pattern, D0, WIN)
+
+
+def toeplitz_copy_hilbert(window):
+    """The former `hilbert_matrix` body: the Toeplitz box values copied out
+    into an N x N array, then the diagonal zeroed."""
+    n = window.n_cells
+    width = float(window.cell_width)
+    g = hilbert_primitive(np.arange(-n, n + 1) * width)
+    box = (g[2:] - g[1:-1] - g[1:-1] + g[:-2]) / width
+    mat = np.lib.stride_tricks.sliding_window_view(box[::-1], n)[::-1].copy()
+    np.fill_diagonal(mat, 0.0)
+    return mat
+
+
+# the benchmark's power pair (one centre on both sides) and a mixed pair whose
+# nu falls back to quadrature, plus duals and a spiked weight
+CONJUGATION_PAIRS = [
+    pytest.param(PowerWeight(-0.3), PowerWeight(0.5), id="power"),
+    pytest.param(PowerWeight(-0.3), PowerWeight(0.5, 0.25), id="mixed"),
+    pytest.param(PowerWeight(0.25).inv(), pathological_weight(2.0, 3, 9.0).inv(), id="duals"),
+    pytest.param(
+        QuadratureWeight(lambda x: 1.0 + np.abs(x - 1.0 / 3.0) ** 0.5, "1+|x-1/3|^0.5"),
+        ConstantWeight(2.5),
+        id="quadrature",
+    ),
+]
+
+
+class TestOneBufferPerStage:
+    """H is a read-only view of its 2N - 1 Toeplitz values, and the commutator
+    and the conjugation each form their result in one buffer, with the bits of
+    the expressions they replace."""
+
+    @pytest.mark.parametrize("window", STRUCTURE_WINDOWS)
+    def test_hilbert_bit_equal_to_toeplitz_copy(self, window):
+        assert_bits_equal(hilbert_matrix(window).mat, toeplitz_copy_hilbert(window))
+
+    def test_hilbert_is_a_read_only_view(self):
+        h = hilbert_matrix(WIN)
+        n = WIN.n_cells
+        assert not h.mat.flags.writeable
+        assert not h.mat.flags.owndata
+        # one forward row of 2N - 1 values underlies every entry
+        assert h.mat.strides[1] == h.mat.itemsize
+        assert h.mat.base is not None and np.shares_memory(h.mat[0], h.mat[-1])
+        with pytest.raises(ValueError):
+            h.mat[0, 1] = 1.0
+        with pytest.raises(ValueError):
+            h.mat *= 2.0
+        assert h.mat.shape == (n, n)
+
+    @pytest.mark.parametrize("window", STRUCTURE_WINDOWS)
+    def test_commutator_bit_equal_to_outer_difference(self, window):
+        operands = [hilbert_matrix(window), haar_shift_matrix(D0, window)]
+        for b in structure_symbols(window):
+            v = b.cell_values()
+            for t in [*operands, paraproduct_matrix(b, D0, window)]:
+                got = multiplication_commutator(b, t)
+                assert_bits_equal(got.mat, (v[:, None] - v[None, :]) * t.mat)
+                assert got.mat.flags.writeable and got.mat.flags.owndata
+
+    @pytest.mark.parametrize("window", STRUCTURE_WINDOWS)
+    @pytest.mark.parametrize("lam, mu", CONJUGATION_PAIRS)
+    def test_conjugation_bit_equal_to_two_scalings(self, window, lam, mu):
+        left = np.sqrt(lam.cell_discretization(window))
+        right = 1.0 / np.sqrt(mu.cell_discretization(window))
+        h = hilbert_matrix(window)
+        for t in (h, multiplication_commutator(sin_symbol(window), h)):
+            got = weight_conjugate(t, lam, mu)
+            assert_bits_equal(got.mat, t.mat * left[:, None] * right[None, :])
+            assert got.mat.flags.owndata
+
+    def test_dense_stages_hold_two_matrices_at_peak(self):
+        """H -> [b, H] -> its conjugation by the power pair at N = 1024 peaks
+        at about two N x N buffers (four before H became a view and the two
+        stages stopped making a temporary)."""
+        window = default_window(7)
+        n = window.n_cells
+        assert n == 1024
+        b = quartic_bump_symbol(window)
+        b.cell_values()  # cached on first use, outside the traced stages
+        lam, mu = PowerWeight(-0.3), PowerWeight(0.5)
+        tracemalloc.start()
+        try:
+            h = hilbert_matrix(window)
+            comm = multiplication_commutator(b, h)
+            conj = weight_conjugate(comm, lam, mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert conj.mat.shape == (n, n)
+        assert peak <= 2.1 * n * n * 8

@@ -11,7 +11,7 @@ from dyadlab.errors import (
     InvalidConfigurationError,
     InvalidParameterError,
 )
-from dyadlab.grids import make_window, standard_grid, third_shift_grid
+from dyadlab.grids import GAUSS_LEGENDRE_32, make_window, standard_grid, third_shift_grid
 from dyadlab.weights import (
     A2Report,
     BloomWeight,
@@ -620,3 +620,96 @@ class TestOneSpikedClass:
         want = SpikedLatticeWeight(2, 4, 60)._integral_powers(lo, hi, 2.0)
         assert np.isfinite(want).all()
         assert [w.integral(a, b) for a, b in zip(lo, hi)] == want.tolist()
+
+
+CELL_AVERAGE_KINDS = [
+    pytest.param(ConstantWeight(2.5), id="constant"),
+    pytest.param(PowerWeight(0.25), id="power"),
+    pytest.param(PowerWeight(-0.3, 1.0 / 3.0, 1.7), id="power-coeff"),
+    pytest.param(pathological_weight(2, 3, 9), id="spiked"),
+    pytest.param(pathological_weight(2, 3, 9).power(1.25), id="spiked-power"),
+    pytest.param(
+        QuadratureWeight(lambda x: 1.0 + np.abs(x - 1.0 / 3.0) ** 0.5, "1+|x-1/3|^0.5"),
+        id="quadrature",
+    ),
+    pytest.param(derive_intermediary(PowerWeight(0.5, 0.25), PowerWeight(-0.3)), id="mixed-nu"),
+]
+CELL_AVERAGE_WINDOWS = [
+    pytest.param(make_window(0, 1, 0, 5), id="unit"),
+    pytest.param(make_window(-4, 4, -2, 7), id="default7"),
+    pytest.param(make_window(-3, -1, 0, 6), id="negative_lo"),
+]
+
+
+class TestCellAverages:
+    @pytest.mark.parametrize("window", CELL_AVERAGE_WINDOWS)
+    @pytest.mark.parametrize("w", CELL_AVERAGE_KINDS)
+    def test_bit_equal_to_per_cell_scalar_integrals(self, w, window):
+        edges = window.cell_edges()
+        width = float(window.cell_width)
+        for v in (w, w.inv()):
+            want = np.array([v.integral(edges[i], edges[i + 1]) for i in range(window.n_cells)]) / width
+            got = v.cell_averages(window)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def segment_loop_integral(w, a, b):
+    """The former `QuadratureWeight.integral`: one `fn` call per segment."""
+    nodes, wts = GAUSS_LEGENDRE_32
+    n_seg = max(1, int(math.ceil((b - a) / (w.seg_len / 2.0))))
+    edges = np.linspace(a, b, n_seg + 1)
+    total = 0.0
+    for i in range(n_seg):
+        lo, hi = edges[i], edges[i + 1]
+        half = 0.5 * (hi - lo)
+        xs = 0.5 * (hi + lo) + half * nodes
+        total += half * float(np.sum(wts * w.fn(xs)))
+    return float(total)
+
+
+class TestQuadratureSegments:
+    """The segments of one integral are evaluated in one `fn` call per block
+    of segments, with the bits of one call per segment."""
+
+    MIXED_NU = derive_intermediary(PowerWeight(0.5, 0.25), PowerWeight(-0.3))
+
+    @pytest.mark.parametrize("w", [MIXED_NU, MIXED_NU.inv(), MIXED_NU.power(1.5)], ids=["nu", "dual", "power"])
+    def test_bit_equal_to_one_call_per_segment(self, w):
+        rng = np.random.default_rng(11)
+        lo = rng.uniform(-4.0, 3.0, size=300)
+        hi = lo + rng.uniform(1e-6, 7.0, size=300)
+        # one segment, whole blocks of segments, and several blocks with a partial last one
+        bounds = list(zip(lo.tolist(), hi.tolist())) + [(0.0, 0.01), (-4.0, 4.0), (-200.0, 313.0)]
+        for a, b in bounds:
+            assert w.integral(a, b).hex() == segment_loop_integral(w, a, b).hex()
+
+    def test_fn_called_once_per_block_of_segments(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x.shape)
+            return 1.0 + np.abs(x)
+
+        w = QuadratureWeight(fn, "1+|x|")
+        w.integral(0.0, 1.0)  # 16 segments of length 1/16
+        assert calls == [(16, 32)]
+        calls.clear()
+        w.integral(0.0, 400.0)  # 6400 segments
+        assert calls == [(2048, 32)] * 3 + [(256, 32)]
+
+
+class TestSpikedEvalNonFinite:
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_scalar_point_raises(self, x):
+        with pytest.raises(InvalidParameterError, match=f"no value at x = {x!r}"):
+            pathological_weight(2, 3, 9).eval(x)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_array_point_raises_naming_the_first(self, x):
+        w = pathological_weight(2, 3, 9).power(1.25)
+        for pts in (np.array([0.25, x, math.nan]), np.array([[0.5], [x]])):
+            with pytest.raises(InvalidParameterError, match=f"no value at x = {x!r}"):
+                w.eval(pts)
+            with pytest.raises(InvalidParameterError):
+                w.inv()(pts)
+        assert w.eval(np.array([0.25, 0.5])).shape == (2,)
