@@ -299,13 +299,6 @@ def continuous_besov_norm_p2(
     )
 
 
-def peller_energy(b: Symbol, p: float, window: TruncationWindow, nodes: int = 4) -> float:
-    """Unweighted point-pair energy: double integral of |b(x)-b(y)|^p / |x-y|^2."""
-    one = ConstantWeight(1.0)
-    energy, _, _ = continuous_energy(b, p, one, one, window, nodes)
-    return energy
-
-
 def intersection_norm(
     b: Symbol,
     weights: BloomWeight | Weight,

@@ -28,11 +28,3 @@ class DivergedIntegralError(DyadlabError):
 class InvalidMatrixError(DyadlabError):
     """An operator matrix contains non-finite entries."""
 
-
-class CoverNotFoundError(DyadlabError):
-    """No covering interval exists in either grid within the size budget."""
-
-    def __init__(self, message: str, lo: float = 0.0, hi: float = 0.0):
-        super().__init__(message)
-        self.lo = lo
-        self.hi = hi

@@ -21,11 +21,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
-from .errors import CoverNotFoundError, InvalidConfigurationError, InvalidParameterError
+from .errors import InvalidConfigurationError, InvalidParameterError
 
 STANDARD = "standard"
 THIRD_SHIFT = "third_shift"
@@ -116,21 +115,6 @@ class DyadicInterval:
     def right_child(self) -> "DyadicInterval":
         base = self.left_child
         return DyadicInterval(self.grid_id, self.j + 1, base.k + 1)
-
-    @property
-    def children(self) -> tuple["DyadicInterval", "DyadicInterval"]:
-        return self.left_child, self.right_child
-
-    @property
-    def parent(self) -> "DyadicInterval":
-        k = (self.k - _shift_thirds(self.grid_id, self.j - 1)) // 2
-        return DyadicInterval(self.grid_id, self.j - 1, k)
-
-    @property
-    def sibling(self) -> "DyadicInterval":
-        parent = self.parent
-        lc, rc = parent.children
-        return rc if self == lc else lc
 
     def label(self) -> str:
         return _label(self.grid_id, self.j, self.k)
@@ -377,56 +361,3 @@ def haar_cell_values(interval: DyadicInterval, window: TruncationWindow) -> np.n
     vals[i0:m0] = amp
     vals[m0:i1] = -amp
     return vals
-
-
-def find_cover(
-    lo,
-    hi,
-    grids: Sequence[DyadicGrid],
-    window: TruncationWindow,
-    max_ratio: float = 4.0,
-) -> DyadicInterval:
-    """Smallest interval Q in any of the grids with [lo, hi) inside Q and
-    |Q| <= max_ratio * (hi - lo).
-
-    Scales are scanned from fine to coarse; raises CoverNotFoundError when no
-    grid interval of admissible size contains the target, and
-    InvalidParameterError when lo, hi or max_ratio is not finite.
-    """
-    lo_f = _exact(lo, "target end")
-    hi_f = _exact(hi, "target end")
-    if hi_f <= lo_f:
-        raise InvalidConfigurationError("empty target interval")
-    length = hi_f - lo_f
-    budget = length * _exact(max_ratio, "max_ratio").limit_denominator(10**9)
-    j_fine = -_floor_log2_at_least(length)
-    # scan |Q| = 2^-j ascending from the first scale >= length
-    j = j_fine
-    while Fraction(2) ** (-j) <= budget:
-        for grid in grids:
-            scale_len = Fraction(2) ** (-j)
-            shift = grid_shift(grid.shift_rule, j) * scale_len
-            k = int((lo_f - shift) // scale_len)
-            cand = DyadicInterval(grid.grid_id, j, k)
-            if cand.left <= lo_f and hi_f <= cand.right:
-                if window.contains_interval(cand.left, cand.right):
-                    return cand
-        j -= 1
-    raise CoverNotFoundError(
-        f"no cover of [{float(lo_f)}, {float(hi_f)}) within ratio {max_ratio}",
-        float(lo_f),
-        float(hi_f),
-    )
-
-
-def _floor_log2_at_least(length: Fraction) -> int:
-    """Smallest integer m with 2^m >= length."""
-    m = 0
-    two = Fraction(2)
-    if two**m < length:
-        while two**m < length:
-            m += 1
-    else:
-        while two ** (m - 1) >= length:
-            m -= 1
-    return m

@@ -269,11 +269,6 @@ def hilbert_matrix(window: TruncationWindow) -> OperatorMatrix:
     return OperatorMatrix(sliding_window_view(lags, n)[::-1], window, name="hilbert")
 
 
-def multiplication_matrix(b: Symbol, window: TruncationWindow) -> OperatorMatrix:
-    """Diagonal matrix of the cell values (cell averages for analytic kinds)."""
-    return OperatorMatrix(np.diag(b.cell_values()), window, name="multiplication")
-
-
 def weight_conjugate(t: OperatorMatrix, lam: Weight, mu: Weight) -> OperatorMatrix:
     """diag(sqrt(d lam)) @ T @ diag(1/sqrt(d mu)), d = `Weight.cell_discretization`.
 

@@ -1,4 +1,4 @@
-"""Symbol representations and the median-split machinery.
+"""Symbol representations: analytic, step and Haar kinds, and Haar coefficients.
 
 A symbol is a locally integrable function bound to a truncation window.  Three
 kinds exist: an analytic callable (with an exact antiderivative where one is
@@ -37,7 +37,6 @@ declares its support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -308,51 +307,6 @@ def haar_coefficients(b: Symbol, table: IntervalTable) -> np.ndarray:
     out = np.zeros(len(table))
     out[meets] = [haar_coefficient(b, interval) for interval in table[meets].intervals()]
     return out
-
-
-def median_value(b: Symbol, interval: DyadicInterval) -> float:
-    """A median of the step view of b over a cell-aligned interval.
-
-    Returns m with |{b < m}| <= |Q|/2 and |{b > m}| <= |Q|/2; when the
-    admissible medians form an interval the midpoint is taken, which
-    fixes the tie deterministically.
-    """
-    i0, i1 = b.window.cell_slice(interval)
-    vals = np.sort(b.cell_values()[i0:i1])
-    k = len(vals)
-    lo = vals[(k + 1) // 2 - 1]
-    hi = vals[k // 2]
-    return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
-class MedianSplit:
-    """Cell-index decomposition around a median level alpha.
-
-    e1/e2 live in Q and use strict inequalities; f1/f2 live in Q_hat and use
-    the non-strict ones, so f1 and f2 cover Q_hat.
-    Indices are global finest-cell indices.
-    """
-
-    alpha: float
-    e1: np.ndarray
-    e2: np.ndarray
-    f1: np.ndarray
-    f2: np.ndarray
-
-
-def median_split(b: Symbol, q: DyadicInterval, q_hat: DyadicInterval) -> MedianSplit:
-    alpha = median_value(b, q_hat)
-    vals = b.cell_values()
-    q0, q1 = b.window.cell_slice(q)
-    h0, h1 = b.window.cell_slice(q_hat)
-    q_idx = np.arange(q0, q1)
-    h_idx = np.arange(h0, h1)
-    e1 = q_idx[vals[q0:q1] < alpha]
-    e2 = q_idx[vals[q0:q1] > alpha]
-    f1 = h_idx[vals[h0:h1] >= alpha]
-    f2 = h_idx[vals[h0:h1] <= alpha]
-    return MedianSplit(alpha, e1, e2, f1, f2)
 
 
 # ----------------------------------------------------------------------------

@@ -3,14 +3,14 @@
 Weight kinds carry closed-form integrals wherever the kind admits one
 (constant, power, spiked-lattice, and powers thereof); a composite fallback
 uses Gauss-Legendre quadrature.  `Weight.integrals(lo, hi)` integrates a whole
-table of intervals at once: the closed-form kinds do it with array operations
-that round exactly as their scalar `integral` does, so both give the same
-bits, and the quadrature kind makes one scalar call per row, which evaluates
-its function on the row's Gauss-Legendre segments 2048 at a time.  The spiked
-kind, scale * base^s in one class, has the table path only; its scalar
-integral is a one-row table.  `Weight.cell_averages`, the diagonal that
-`weight_conjugate` reads, is one table call over the window's cells.
-Every integral, scalar or table, rejects a bound that is not finite with
+table of intervals at once, and the scalar `integral(a, b)` is its one-row
+case.  The closed-form kinds integrate with array operations only; the
+quadrature kind, the one kind with its own scalar `integral`, makes one such
+call per row, which evaluates its function on the row's Gauss-Legendre
+segments 2048 at a time.  The spiked kind is scale * base^s in one class.
+`Weight.cell_averages`, the diagonal that `weight_conjugate` reads, is one
+table call over the window's cells.  Every integral rejects a bound that is
+not finite, and every closed-form `eval` a point that is not finite, with
 InvalidParameterError.  A BloomWeight bundles a source weight mu and a target
 weight lam together with the derived intermediary nu = sqrt(mu/lam).  Weights
 are immutable; every method is pure and safe for concurrent use.
@@ -55,6 +55,18 @@ def _finite_bounds(lo, hi):
         i = int(np.argmin(finite))
         a, b = float(lo[i]), float(hi[i])
     raise InvalidParameterError(f"interval [{a}, {b}) has a bound that is not finite")
+
+
+def _finite_points(x, w: "Weight") -> np.ndarray:
+    """x as a float array; raises InvalidParameterError naming the first point
+    that is not finite, where the weight w has no value.  The label is formed
+    only then, since `eval` runs on every quadrature block."""
+    xv = np.asarray(x, dtype=float)
+    finite = np.isfinite(xv)
+    if not finite.all():
+        point = float(xv.flat[int(np.argmin(finite))])
+        raise InvalidParameterError(f"{w.label} has no value at x = {point!r}")
+    return xv
 
 
 def _no_overflow(out, lo, hi, label: str):
@@ -102,17 +114,16 @@ class Weight:
         raise NotImplementedError
 
     def integral(self, a, b) -> float:
-        raise NotImplementedError
+        """The integral over [a, b): the one-row case of `integrals`."""
+        return float(self.integrals([a], [b])[0])
 
     def integrals(self, lo, hi) -> np.ndarray:
-        """Integrals over the intervals [lo[i], hi[i]), row i equal bit for
-        bit to `integral(lo[i], hi[i])`."""
+        """Integrals over the intervals [lo[i], hi[i])."""
         return self._integrals(*_finite_bounds(lo, hi))
 
     def _integrals(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """The table path on finite bounds; by default one `integral` call per row."""
-        pairs = zip(lo.tolist(), hi.tolist())
-        return np.array([self.integral(a, b) for a, b in pairs], dtype=float)
+        """The table path on finite bounds."""
+        raise NotImplementedError
 
     def _reciprocal(self) -> "Weight":
         """The pointwise reciprocal 1/w, built directly."""
@@ -146,8 +157,7 @@ class Weight:
     def cell_averages(self, window: TruncationWindow) -> np.ndarray:
         """True averages of w over the window's cells, for a dual weight too
         (so avg(w) * avg(w.inv()) > 1 on a cell where w varies): the cells'
-        table integrals over the cell width, each equal bit for bit to the
-        cell's scalar `integral` over the width."""
+        table integrals over the cell width."""
         edges = window.cell_edges()
         return self.integrals(edges[:-1], edges[1:]) / float(window.cell_width)
 
@@ -166,8 +176,8 @@ class Weight:
 
 @dataclass(frozen=True)
 class ConstantWeight(Weight):
-    """w(x) = value.  An integral that overflows a float, scalar or table,
-    raises InvalidParameterError."""
+    """w(x) = value.  An integral that overflows a float raises
+    InvalidParameterError."""
 
     value: float = 1.0
 
@@ -180,16 +190,8 @@ class ConstantWeight(Weight):
         return f"const({self.value:g})"
 
     def eval(self, x):
-        return np.full_like(np.asarray(x, dtype=float), self.value) if np.ndim(x) else self.value
-
-    def integral(self, a, b) -> float:
-        af, bf = _finite_bounds(a, b)
-        out = self.value * (bf - af)
-        if not math.isfinite(out):
-            raise InvalidParameterError(
-                f"integral of {self.label} over [{af}, {bf}) overflows a float"
-            )
-        return out
+        xv = _finite_points(x, self)
+        return np.full_like(xv, self.value) if xv.ndim else self.value
 
     def _integrals(self, lo, hi):
         with np.errstate(over="ignore"):
@@ -207,8 +209,7 @@ class ConstantWeight(Weight):
 class PowerWeight(Weight):
     """w(x) = coeff * |x - center|^exponent.  A2 membership needs |exponent| < 1.
 
-    An integral that overflows a float, scalar or table, raises
-    InvalidParameterError."""
+    An integral that overflows a float raises InvalidParameterError."""
 
     exponent: float
     center: float = 1.0 / 3.0
@@ -231,32 +232,17 @@ class PowerWeight(Weight):
         )
 
     def eval(self, x):
-        return self.coeff * np.abs(np.asarray(x, dtype=float) - self.center) ** self.exponent
-
-    def integral(self, a, b) -> float:
-        # antiderivative of |t|^alpha is sign(t) |t|^(1+alpha) / (1+alpha)
-        alpha = self.exponent
-        af, bf = _finite_bounds(a, b)
-        ta, tb = af - self.center, bf - self.center
-
-        def prim(t):
-            return math.copysign(_float_power(abs(t), 1.0 + alpha), t) / (1.0 + alpha)
-
-        out = self.coeff * (prim(tb) - prim(ta))
-        if not math.isfinite(out):
-            raise InvalidParameterError(
-                f"integral of {self.label} over [{af}, {bf}) overflows a float"
-            )
-        return out
+        return self.coeff * np.abs(_finite_points(x, self) - self.center) ** self.exponent
 
     def _integrals(self, lo, hi):
+        # antiderivative of |t|^alpha is sign(t) |t|^(1+alpha) / (1+alpha)
         e = 1.0 + self.exponent
 
         def prim(x):
             t = x - self.center
             # np.float_power calls libm pow once per element, as the float `**`
-            # of `integral` does; np.power (and array `**`) takes a SIMD kernel
-            # that rounds differently on about 5% of values
+            # does; np.power (and array `**`) takes a SIMD kernel that rounds
+            # differently on about 5% of values
             with np.errstate(over="ignore"):
                 mag = np.float_power(np.abs(t), e)
             if not np.isfinite(mag.max(initial=0.0)):
@@ -383,19 +369,11 @@ class SpikedLatticeWeight(Weight):
             return base
         return f"{base}^{self.s:g}" + ("" if self.scale == 1.0 else f"*{self.scale:g}")
 
-    def level_params(self) -> tuple[tuple[float, float, float, float], ...]:
-        """(period, width, offset, height) per level of the base weight."""
-        return self._levels
-
     def eval(self, x):
         """scale * base^s; the power is the float `**` on a scalar x.  A point
         that is not finite, or a value past the float range, raises
         InvalidParameterError naming the point."""
-        xv = np.asarray(x, dtype=float)
-        finite = np.isfinite(xv)
-        if not finite.all():
-            point = float(xv.flat[int(np.argmin(finite))])
-            raise InvalidParameterError(f"{self.label} has no value at x = {point!r}")
+        xv = _finite_points(x, self)
         out = np.ones_like(xv)
         for period, width, offset, height in self._levels:
             on_spike = np.mod(xv + offset, period) < width
@@ -411,9 +389,11 @@ class SpikedLatticeWeight(Weight):
             raise InvalidParameterError(f"{self.label} at x = {point!r} overflows a float")
         return value
 
-    def _integral_powers(self, lo: np.ndarray, hi: np.ndarray, s: float) -> np.ndarray:
-        """The integral of base^s over each row [lo[i], hi[i]), exact for disjoint levels;
-        raises DivergedIntegralError naming the first row whose integral is not finite."""
+    def _integrals(self, lo, hi):
+        """scale times the integral of base^s over each row [lo[i], hi[i]),
+        exact for disjoint levels; raises DivergedIntegralError naming the
+        first row where the integral of base^s is not finite."""
+        s = self.s
         total = hi - lo
         with np.errstate(over="ignore", invalid="ignore"):
             for j, (period, width, offset, height) in enumerate(self._levels, 1):
@@ -430,13 +410,7 @@ class SpikedLatticeWeight(Weight):
             raise DivergedIntegralError(
                 f"spiked weight power {s} integral diverged on [{a}, {b})", (a, b)
             )
-        return total
-
-    def integral(self, a, b) -> float:
-        return float(self.integrals([a], [b])[0])
-
-    def _integrals(self, lo, hi):
-        return self.scale * self._integral_powers(lo, hi, self.s)
+        return self.scale * total
 
     def _reciprocal(self) -> "SpikedLatticeWeight":
         return replace(self, s=-self.s, scale=1.0 / self.scale)
@@ -495,6 +469,11 @@ class QuadratureWeight(Weight):
                 f"quadrature integral of {self.name} diverged on [{af}, {bf})", (af, bf)
             )
         return total
+
+    def _integrals(self, lo, hi):
+        """One `integral` call per row."""
+        pairs = zip(lo.tolist(), hi.tolist())
+        return np.array([self.integral(a, b) for a, b in pairs], dtype=float)
 
     def _reciprocal(self) -> "Weight":
         fn = self.fn

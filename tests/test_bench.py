@@ -7,13 +7,14 @@ A library change that breaks one of those pins fails here, not only when the
 benchmark runs.
 
 The tracer counts calls, not table rows, so a tiny ratio_sweep pass must
-still make scalar calls, and three scalar paths stay for that:
+still make scalar calls, and two scalar paths stay for that:
 
-- `Weight.cell_averages` makes one scalar `integral` call per cell, which
-  gives `weights.integral_calls` and, repeated across cases that share a
-  window and pair, `weights.repeat_frac`.
-- `QuadratureWeight` keeps the per-row loop of `Weight.integrals`, which
-  gives `weights.quadrature_calls`.
+- `QuadratureWeight`, the one weight kind with its own scalar `integral`,
+  makes one such call per table row.  On a ratio_sweep pass these are the
+  rows of the mixed pair's quadrature nu; they give
+  `weights.quadrature_calls` and `weights.integral_calls`, and, repeated
+  across cases that share a window and pair, `weights.repeat_frac`.  The
+  closed-form kinds integrate tables with array operations only.
 - `haar_coefficients` of an analytic symbol makes one `haar_coefficient`
   call per row that meets the symbol's declared support (every row when it
   declares none), which gives `symbols.haar_coeff_calls`; the call stays for

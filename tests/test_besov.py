@@ -11,7 +11,6 @@ from dyadlab.besov import (
     dyadic_besov_norm,
     intersection_norm,
     interval_form_ratios,
-    peller_energy,
     vmo_tail_report,
     weighted_bmo_dyadic,
 )
@@ -157,10 +156,10 @@ class TestContinuous:
         mc = float(np.mean(vals))
         assert rep.value**2 == pytest.approx(mc, rel=0.01)
 
-    def test_peller_energy_linear_closed_form(self):
+    def test_unweighted_energy_linear_closed_form(self):
         # |x - y|^(p-2) over the unit square integrates to 8/3 at p = 3/2
         b = linear_symbol(WIN)
-        got = peller_energy(b, 1.5, WIN)
+        got, _, _ = continuous_energy(b, 1.5, ONE, ONE, WIN)
         assert got == pytest.approx(8.0 / 3.0, rel=5e-3)
 
     @pytest.mark.parametrize("j_max", [3, 5])
@@ -189,15 +188,11 @@ class TestContinuousBadInput:
             lambda b: continuous_energy(b, math.nan, ONE, ONE, WIN),
             lambda b: continuous_energy(b, math.inf, ONE, ONE, WIN),
             lambda b: continuous_energy(b, 2.0, ONE, ONE, WIN, nodes=0),
-            lambda b: peller_energy(b, 1.0, WIN),
-            lambda b: peller_energy(b, math.nan, WIN),
-            lambda b: peller_energy(b, 2.0, WIN, nodes=-1),
             lambda b: continuous_besov_norm_p2(b, ONE, ONE, WIN, nodes=0),
             lambda b: continuous_energy(b, 2.0, ONE, ONE, WIN, nodes=2.5),
             lambda b: continuous_energy(b, 2.0, ONE, ONE, WIN, nodes=4.0),
         ],
-        ids=["p=1", "p=0.5", "p=nan", "p=inf", "nodes=0", "peller p=1", "peller p=nan",
-             "peller nodes=-1", "norm nodes=0", "nodes=2.5", "nodes=4.0"],
+        ids=["p=1", "p=0.5", "p=nan", "p=inf", "nodes=0", "norm nodes=0", "nodes=2.5", "nodes=4.0"],
     )
     def test_rejected(self, call):
         with pytest.raises(InvalidParameterError):

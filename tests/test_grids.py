@@ -4,13 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dyadlab.errors import CoverNotFoundError, InvalidConfigurationError, InvalidParameterError
+from dyadlab.errors import InvalidConfigurationError, InvalidParameterError
 from dyadlab.grids import (
     THIRD_SHIFT,
     DyadicInterval,
     default_window,
     enumerate_intervals,
-    find_cover,
     grid_shift,
     haar_cell_values,
     interval_table,
@@ -127,13 +126,11 @@ class TestIntervals:
             for j in (-2, 0, 3):
                 for k in (-5, 0, 7):
                     parent = DyadicInterval(grid_id, j, k)
-                    lc, rc = parent.children
+                    lc, rc = parent.left_child, parent.right_child
                     assert lc.left == parent.left
                     assert lc.right == rc.left == parent.mid
                     assert rc.right == parent.right
                     assert lc.length == rc.length == parent.length / 2
-                    assert lc.parent == parent and rc.parent == parent
-                    assert lc.sibling == rc and rc.sibling == lc
 
     def test_exact_length(self):
         interval = DyadicInterval("standard", 5, 11)
@@ -160,10 +157,7 @@ class TestIntervals:
 
     @pytest.mark.parametrize(
         "name",
-        [
-            "left", "right", "mid", "float_bounds",
-            "left_child", "right_child", "children", "parent",
-        ],
+        ["left", "right", "mid", "float_bounds", "left_child", "right_child"],
     )
     def test_unknown_grid_id_rejected(self, name):
         with pytest.raises(InvalidConfigurationError):
@@ -272,56 +266,6 @@ class TestHaar:
                     assert dot == 0.0
 
 
-class TestCover:
-    def test_dyadic_interval_covers_itself_cheaply(self):
-        w = default_window(8)
-        q = find_cover(0, 0.5, (standard_grid(), third_shift_grid()), w)
-        assert (float(q.left), float(q.right)) == (0.0, 0.5)
-
-    def test_midpoint_straddler(self):
-        # exhaustive oracle over both grids, scales with 0.2 <= |Q| <= 0.8
-        w = default_window(8)
-        lo, hi = 0.4, 0.6
-        oracle = []
-        for grid in (standard_grid(), third_shift_grid()):
-            for j in (1, 2):
-                for k in range(-40, 40):
-                    cand = DyadicInterval(grid.grid_id, j, k)
-                    if float(cand.left) <= lo and hi <= float(cand.right):
-                        oracle.append(cand)
-        assert oracle, "oracle must find at least one admissible cover"
-        q = find_cover(lo, hi, (standard_grid(), third_shift_grid()), w)
-        assert q in oracle
-        assert float(q.length) <= 4 * (hi - lo)
-
-    def test_random_intervals_covered_at_ratio_six(self):
-        # Guaranteed regime: a scale with 3*len < |Q| <= 6*len always admits a
-        # cover from one of the two grids.  The ratio-4 form fails for a
-        # positive fraction of placements (straddling the short boundary gap
-        # of both grids at both admissible scales), so 6 is what is certified.
-        rng = np.random.default_rng(20240611)
-        w = default_window(10)
-        grids = (standard_grid(), third_shift_grid())
-        ratio4_failures = 0
-        for _ in range(10000):
-            ell = 2.0 ** rng.uniform(-8, -2)
-            lo = rng.uniform(-3.0, 3.0 - ell)
-            q = find_cover(lo, lo + ell, grids, w, max_ratio=6.0)
-            assert float(q.left) <= lo and lo + ell <= float(q.right)
-            assert float(q.length) <= 6.0 * ell
-            try:
-                find_cover(lo, lo + ell, grids, w, max_ratio=4.0)
-            except CoverNotFoundError:
-                ratio4_failures += 1
-        # failure of the tighter ratio is real but rare; keep it visible
-        assert 0 < ratio4_failures < 1000
-
-    def test_no_cover_raises(self):
-        w = default_window(8)
-        with pytest.raises(CoverNotFoundError):
-            find_cover(0.4, 0.6, (standard_grid(),), w, max_ratio=1.05)
-
-
 class TestIntervalTable:
     @pytest.mark.parametrize("grid", [standard_grid(), third_shift_grid()], ids=["standard", "shifted"])
     @pytest.mark.parametrize(
@@ -411,16 +355,11 @@ class TestNonFiniteEntryPoints:
             lambda: make_window(math.nan, 1, 0, 2),
             lambda: make_window(0, math.inf, 0, 2),
             lambda: make_window(-math.inf, 0, 0, 2),
-            lambda: find_cover(math.nan, 0.5, (standard_grid(),), default_window(4)),
-            lambda: find_cover(0.25, math.inf, (standard_grid(),), default_window(4)),
-            lambda: find_cover(0.25, 0.5, (standard_grid(),), default_window(4), max_ratio=math.nan),
-            lambda: find_cover(0.25, 0.5, (standard_grid(),), default_window(4), max_ratio=math.inf),
             lambda: default_window(4).slice_of(math.nan, 1.0),
             lambda: default_window(4).slice_of(0.0, math.inf),
             lambda: make_window(0, 1, 0, math.nan),
         ],
-        ids=["window nan", "window inf", "window -inf", "cover nan", "cover inf",
-             "ratio nan", "ratio inf", "slice nan", "slice inf", "scale nan"],
+        ids=["window nan", "window inf", "window -inf", "slice nan", "slice inf", "scale nan"],
     )
     def test_rejected(self, call):
         with pytest.raises(InvalidParameterError):

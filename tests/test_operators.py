@@ -28,7 +28,6 @@ from dyadlab.operators import (
     hilbert_matrix,
     hilbert_primitive,
     multiplication_commutator,
-    multiplication_matrix,
     paraproduct_adjoint_matrix,
     paraproduct_matrix,
     remainder_matrix,
@@ -145,7 +144,7 @@ class TestShift:
     def test_display_rule_unit_interval(self):
         s = haar_shift_matrix(D0, WIN)
         top = DyadicInterval("standard", 0, 0)
-        lc, rc = top.children
+        lc, rc = top.left_child, top.right_child
         got = s.mat @ haar_fn_coeffs(top, WIN)
         want = (haar_fn_coeffs(lc, WIN) - haar_fn_coeffs(rc, WIN)) / math.sqrt(2)
         assert np.allclose(got, want, atol=1e-13)
@@ -204,23 +203,6 @@ class TestHilbert:
             mc = samples.mean() * width**2
             se = samples.std(ddof=1) / math.sqrt(len(samples)) * width**2
             assert abs(h.mat[i, j] * width - mc) <= 3.0 * se
-
-
-class TestMultiplication:
-    def test_identity_for_one(self):
-        b = StepSymbol(WIN, np.ones(WIN.n_cells))
-        m = multiplication_matrix(b, WIN)
-        assert np.array_equal(m.mat, np.eye(WIN.n_cells))
-
-    def test_zero_for_zero(self):
-        b = StepSymbol(WIN, np.zeros(WIN.n_cells))
-        assert np.all(multiplication_matrix(b, WIN).mat == 0.0)
-
-    def test_linear_symbol_diag_of_cell_averages(self):
-        b = linear_symbol(WIN)
-        m = multiplication_matrix(b, WIN)
-        # cell average of x over a cell is its midpoint
-        assert np.allclose(np.diag(m.mat), WIN.cell_midpoints(), atol=1e-14)
 
 
 class TestWeightConjugation:
@@ -380,7 +362,7 @@ class TestCommutatorAlgebra:
         four = pi @ t - t @ pi + pi.T @ t - t @ pi.T
         if sign_order == "displayed":
             four = -four
-        mult = multiplication_matrix(b, win).mat
+        mult = np.diag(b.cell_values())
         lhs = mult @ t - t @ mult
         i0, i1 = win.slice_of(0.0, 1.0)
         restricted = (lhs - four - rem)[:, i0:i1]
@@ -509,7 +491,7 @@ def old_shift(window):
     mat = np.zeros((n, n))
     for interval in old_scales(window, window.j_max - 2):
         h = old_haar_unit_vector(interval, window)
-        lc, rc = interval.children
+        lc, rc = interval.left_child, interval.right_child
         out = (old_haar_unit_vector(lc, window) - old_haar_unit_vector(rc, window)) / math.sqrt(2.0)
         i0, i1 = window.slice_of(interval.left, interval.right)
         mat[i0:i1, i0:i1] += np.outer(out[i0:i1], h[i0:i1])
@@ -517,7 +499,7 @@ def old_shift(window):
 
 
 def old_k_vector(interval, window):
-    lc, rc = interval.children
+    lc, rc = interval.left_child, interval.right_child
     return old_haar_unit_vector(rc, window) - old_haar_unit_vector(lc, window)
 
 
@@ -528,7 +510,7 @@ def old_remainder(b, window, derived):
         bh = haar_coefficient(b, interval)
         if bh == 0.0:
             continue
-        lc, rc = interval.children
+        lc, rc = interval.left_child, interval.right_child
         if derived:
             out = old_haar_unit_vector(lc, window) + old_haar_unit_vector(rc, window)
             coeff = bh / math.sqrt(2.0 * float(interval.length))
@@ -759,7 +741,7 @@ def whole_window_residual(b, window, kind, remainder, sign_order, region):
     if sign_order == "displayed":
         rhs = -rhs
     rhs = rhs + rem
-    mult = multiplication_matrix(b, window).mat
+    mult = np.diag(b.cell_values())
     lhs = mult @ t - t @ mult
     i0, i1 = window.slice_of(*region)
     restricted = (lhs - rhs)[:, i0:i1]

@@ -60,3 +60,30 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = {name: line for name, line in _imported_names(tree).items() if name not in _used_names(tree)}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _raised_names() -> set[str]:
+    """The name of every exception class that a `raise` statement in the
+    package builds or re-raises by name."""
+    names = set()
+    for path in SOURCE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+    return names
+
+
+def test_every_error_type_is_raised():
+    """Each DyadlabError subclass in `errors` is raised somewhere in the
+    package, so an exception type cannot outlive its last raiser."""
+    errors = importlib.import_module("dyadlab.errors")
+    subclasses = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.DyadlabError) and obj is not errors.DyadlabError
+    }
+    assert subclasses, "errors defines no DyadlabError subclass"
+    unraised = sorted(subclasses - _raised_names())
+    assert not unraised, f"errors defines types the package never raises: {unraised}"

@@ -24,8 +24,6 @@ from dyadlab.symbols import (
     haar_coefficient,
     haar_coefficients,
     linear_symbol,
-    median_split,
-    median_value,
     parabola_symbol,
     quartic_bump_symbol,
     ramp_bump_symbol,
@@ -159,97 +157,6 @@ class TestAnalytic:
         b1 = sin_symbol(WIN)
         b2 = AnalyticSymbol(WIN, b1.fn, antiderivative=None, name="sin_quad")
         assert b2.integral(0.1, 0.9) == pytest.approx(b1.integral(0.1, 0.9), abs=1e-12)
-
-
-class TestMedian:
-    def test_linear_symbol_median_is_half(self):
-        b = linear_symbol(WIN)
-        assert median_value(b, DyadicInterval("standard", 0, 0)) == pytest.approx(0.5)
-
-    def test_quarter_indicator_median_zero(self):
-        # indicator of [0, 1/4): sort the cells, both measure conditions pin 0
-        vals = np.zeros(WIN.n_cells)
-        vals[: WIN.n_cells // 4] = 1.0
-        b = StepSymbol(WIN, vals)
-        assert median_value(b, DyadicInterval("standard", 0, 0)) == 0.0
-
-    def test_constant_median_is_constant(self):
-        b = StepSymbol(WIN, np.full(WIN.n_cells, 2.5))
-        assert median_value(b, DyadicInterval("standard", 0, 0)) == 2.5
-
-    def test_shift_equivariance(self):
-        rng = np.random.default_rng(9)
-        vals = rng.normal(size=WIN.n_cells)
-        q = DyadicInterval("standard", 1, 0)
-        m0 = median_value(StepSymbol(WIN, vals), q)
-        m1 = median_value(StepSymbol(WIN, vals + 3.25), q)
-        assert m1 == pytest.approx(m0 + 3.25, rel=1e-12)
-
-    def test_measure_conditions(self):
-        rng = np.random.default_rng(31)
-        width = float(WIN.cell_width)
-        for trial in range(50):
-            vals = rng.normal(size=WIN.n_cells)
-            b = StepSymbol(WIN, vals)
-            q = DyadicInterval("standard", 2, int(rng.integers(0, 4)))
-            m = median_value(b, q)
-            i0, i1 = WIN.cell_slice(q)
-            seg = vals[i0:i1]
-            below = np.sum(seg < m) * width
-            above = np.sum(seg > m) * width
-            assert below <= float(q.length) / 2 + 1e-15
-            assert above <= float(q.length) / 2 + 1e-15
-
-
-    @pytest.mark.parametrize("interval", [DyadicInterval("standard", 0, 1), DyadicInterval("standard", 2, -1)])
-    def test_interval_outside_window_rejected(self, interval):
-        with pytest.raises(InvalidConfigurationError, match="inside the window"):
-            median_value(linear_symbol(WIN), interval)
-
-
-class TestMedianSplit:
-    def test_linear_split_is_left_right(self):
-        w = make_window(0, 1, 0, 6)
-        b = linear_symbol(w)
-        q = DyadicInterval("standard", 0, 0)
-        split = median_split(b, q, q)
-        n = w.n_cells
-        assert np.array_equal(split.e1, np.arange(0, n // 2))
-        assert np.array_equal(split.f1, np.arange(n // 2, n))
-
-    def test_constant_split_degenerates(self):
-        b = StepSymbol(WIN, np.full(WIN.n_cells, 1.0))
-        q = DyadicInterval("standard", 1, 0)
-        split = median_split(b, q, q.sibling)
-        assert split.e1.size == 0 and split.e2.size == 0
-        h0, h1 = WIN.cell_slice(q.sibling)
-        assert np.array_equal(np.sort(np.union1d(split.f1, split.f2)), np.arange(h0, h1))
-        assert split.f1.size == split.f2.size == h1 - h0
-
-    def test_f_sets_cover_and_have_half_measure(self):
-        rng = np.random.default_rng(4)
-        b = StepSymbol(WIN, rng.normal(size=WIN.n_cells))
-        q = DyadicInterval("standard", 2, 1)
-        qh = q.sibling
-        split = median_split(b, q, qh)
-        h0, h1 = WIN.cell_slice(qh)
-        union = np.union1d(split.f1, split.f2)
-        assert np.array_equal(union, np.arange(h0, h1))
-        assert split.f1.size >= (h1 - h0) / 2
-        assert split.f2.size >= (h1 - h0) / 2
-
-    def test_sign_coherence(self):
-        # for x in E_s and y in F_s the gap to the median is dominated by the
-        # symbol difference
-        rng = np.random.default_rng(8)
-        vals = rng.normal(size=WIN.n_cells)
-        b = StepSymbol(WIN, vals)
-        q = DyadicInterval("standard", 2, 2)
-        split = median_split(b, q, q.sibling)
-        for e_set, f_set in ((split.e1, split.f1), (split.e2, split.f2)):
-            for i in e_set:
-                for k in f_set:
-                    assert abs(vals[i] - split.alpha) <= abs(vals[i] - vals[k]) + 1e-15
 
 
 def reference_random_haar_coefficients(window, n_terms, seed, scale_range):

@@ -27,6 +27,7 @@ from dyadlab.symbols import (
     random_haar_symbol,
 )
 from dyadlab.weights import (
+    ConstantWeight,
     PowerWeight,
     SpikedLatticeWeight,
     _times_power_of_two,
@@ -65,12 +66,23 @@ class TestStepCoefficients:
         assert np.array_equal(bits(haar_coefficients(b, table)), bits(want))
 
 
+def spike_levels(w) -> list[tuple[float, float, float, float]]:
+    """(period, width, offset, height) of each level j = 1..levels of a
+    `SpikedLatticeWeight`'s base, by the formula of its docstring: with
+    n = 2^j, period 2^-n, width 2^(-(growth+1) n), offset 2^(-2n-1) and
+    height 2^(growth * alpha * n)."""
+    return [
+        (2.0**-n, 2.0 ** (-(w.growth + 1.0) * n), 2.0 ** (-2 * n - 1), 2.0 ** (w.growth * w.alpha * n))
+        for n in (2**j for j in range(1, w.levels + 1))
+    ]
+
+
 def reference_spiked_power(w, a: float, b: float) -> float:
     """The per-interval closed form of `SpikedLatticeWeight`, scale * base^s,
     written with Python floats, one level at a time."""
     s, scale = w.s, w.scale
     total = b - a
-    for j, (period, width, offset, height) in enumerate(w.level_params(), 1):
+    for j, (period, width, offset, height) in enumerate(spike_levels(w), 1):
         u, v = a + offset, b + offset
         if v <= u:
             m = 0.0
@@ -87,6 +99,18 @@ def reference_spiked_power(w, a: float, b: float) -> float:
         except OverflowError:
             total += _times_power_of_two(m, s * w.growth * w.alpha * 2**j)
     return scale * total
+
+
+def reference_power(w, a: float, b: float) -> float:
+    """The per-interval closed form of `PowerWeight`, coeff * (F(b - center) -
+    F(a - center)) with F(t) = sign(t) |t|^e / e and e = 1 + exponent,
+    written with Python floats: the float `**` and `math.copysign`."""
+    e = 1.0 + w.exponent
+
+    def prim(t):
+        return math.copysign(abs(t) ** e, t) / e
+
+    return w.coeff * (prim(b - w.center) - prim(a - w.center))
 
 
 def random_rows(n: int, seed: int):
@@ -113,9 +137,10 @@ class TestWeightRows:
     )
     def test_spiked_equal_to_reference(self, w):
         lo, hi = random_rows(4000, 17)
-        want = [reference_spiked_power(w, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+        rows = list(zip(lo.tolist(), hi.tolist()))
+        want = [reference_spiked_power(w, a, b) for a, b in rows]
         assert np.array_equal(bits(w.integrals(lo, hi)), bits(want))
-        assert bits(w.integral(lo[0], hi[0])) == bits(want[0])
+        assert np.array_equal(bits([w.integral(a, b) for a, b in rows]), bits(want))
 
     def test_overflow_row_finite(self):
         # height^2 = 2^1440 overflows on level 4, yet the level-4 spikes on
@@ -140,8 +165,18 @@ class TestWeightRows:
         # rows that end or start exactly at the centre, from either side
         lo = np.concatenate([lo, [c - 0.25, c, c - 1e-300, c, c]])
         hi = np.concatenate([hi, [c, c + 0.25, c, c - 0.5, c]])
-        want = [w.integral(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+        rows = list(zip(lo.tolist(), hi.tolist()))
+        want = [reference_power(w, a, b) for a, b in rows]
         assert np.array_equal(bits(w.integrals(lo, hi)), bits(want))
+        assert np.array_equal(bits([w.integral(a, b) for a, b in rows]), bits(want))
+
+    @pytest.mark.parametrize("w", [ConstantWeight(2.5), ConstantWeight(3.0).inv()], ids=["constant", "inv"])
+    def test_constant_equal_to_scalar(self, w):
+        lo, hi = random_rows(4000, 29)
+        rows = list(zip(lo.tolist(), hi.tolist()))
+        want = [w.value * (b - a) for a, b in rows]
+        assert np.array_equal(bits(w.integrals(lo, hi)), bits(want))
+        assert np.array_equal(bits([w.integral(a, b) for a, b in rows]), bits(want))
 
 
 def reference_deviation(vals, edges, width, a, c) -> float:
@@ -159,7 +194,7 @@ def reference_subtree(terms, intervals):
     row = {interval: i for i, interval in enumerate(intervals)}
     out = terms.copy()
     for i in sorted(range(len(intervals)), key=lambda i: -intervals[i].j):
-        for child in intervals[i].children:
+        for child in (intervals[i].left_child, intervals[i].right_child):
             if child in row:
                 out[i] += out[row[child]]
     return out

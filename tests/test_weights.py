@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_table_paths import reference_power, reference_spiked_power, spike_levels
 
 from dyadlab.errors import (
     DivergedIntegralError,
@@ -169,7 +170,7 @@ class TestSpikedWeight:
     def test_peak_height_per_level(self):
         w = pathological_weight(2.0, 4, 9.0)
         alpha = (1 + 1 / 2.0) / 2.0
-        for j, (period, width, offset, height) in enumerate(w.level_params(), start=1):
+        for j, (period, width, offset, height) in enumerate(spike_levels(w), start=1):
             n_j = 2**j
             assert height == pytest.approx(2.0 ** (9.0 * n_j * alpha), rel=1e-12)
             # a point in the middle of a level-j spike takes that height
@@ -181,7 +182,7 @@ class TestSpikedWeight:
         # delta^(1 - r*alpha) = delta^(-(r-1)/2) with delta the spike duty cycle
         r, growth = 2.0, 9.0
         w = pathological_weight(r, 1, growth)
-        period, width, offset, height = w.level_params()[0]
+        period, width, offset, height = spike_levels(w)[0]
         delta = width / period
         per_period = w.power(r).integral(-offset, -offset + period) / period
         lower = delta ** (-(r - 1) / 2.0)
@@ -478,8 +479,10 @@ class TestPowerIntegralRows:
             w = w.inv()
         lo = np.array([center + a for a, _ in rows])
         hi = np.array([center + b for _, b in rows])
-        want = [w.integral(a, b).hex() for a, b in zip(lo.tolist(), hi.tolist())]
+        pairs = list(zip(lo.tolist(), hi.tolist()))
+        want = [reference_power(w, a, b).hex() for a, b in pairs]
         assert [x.hex() for x in w.integrals(lo, hi).tolist()] == want
+        assert [w.integral(a, b).hex() for a, b in pairs] == want
 
 
 # 1 + alpha of the benchmark pairs' power weights, their duals, the
@@ -489,8 +492,9 @@ FLOAT_POWER_EXPONENTS = (1.5, 0.7, 1.4, 0.6, 0.5, 1.3, 0.85, 1.25, 1.15, 0.75, 1
 
 class TestFloatPowerGuard:
     def test_float_power_is_the_float_pow(self):
-        """`PowerWeight.integrals` is bit-equal to `integral` only while
-        np.float_power calls libm pow per element, as the float `**` does."""
+        """`PowerWeight.integrals` is bit-equal to its Python-float reference
+        only while np.float_power calls libm pow per element, as the float
+        `**` does."""
         rng = np.random.default_rng(0)
         x = np.concatenate(
             [
@@ -507,7 +511,8 @@ class TestFloatPowerGuard:
             assert differ == 0, (
                 f"np.float_power(x, {e!r}) differs from the float ** on {differ} of {len(x)} "
                 f"values under numpy {np.__version__}: numpy no longer calls libm pow per "
-                "element, so PowerWeight.integrals is no longer bit-equal to PowerWeight.integral"
+                "element, so PowerWeight.integrals is no longer bit-equal to reference_power "
+                "in test_table_paths.py"
             )
 
 
@@ -575,7 +580,7 @@ class TestOneSpikedClass:
     @pytest.mark.parametrize("w, label", SPIKED_FAMILY, ids=[label for _, label in SPIKED_FAMILY])
     def test_eval_bit_equal_to_scale_times_base_power(self, w, label):
         assert isinstance(w, SpikedLatticeWeight)
-        period, width, offset, _ = BASE.level_params()[2]
+        period, width, offset, _ = spike_levels(BASE)[2]
         xs = np.concatenate([np.linspace(-1.0, 1.0, 1001), [-offset, -offset + width / 2.0, 1.0 / 3.0]])
         # the parent formula: the float ** on a scalar, the array ** on an array
         want = w.scale * BASE.eval(xs) ** w.s
@@ -601,13 +606,13 @@ class TestOneSpikedClass:
     def test_integral_of_a_power_is_its_one_row_table(self):
         for w, _ in SPIKED_FAMILY:
             lo, hi = np.array([0.0, 0.3]), np.array([1.0, 0.625])
-            want = w.scale * BASE._integral_powers(lo, hi, w.s)
-            assert [w.integral(a, b) for a, b in zip(lo, hi)] == want.tolist()
+            want = [reference_spiked_power(w, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+            assert [w.integral(a, b) for a, b in zip(lo, hi)] == want == w.integrals(lo, hi).tolist()
 
 
     def test_eval_past_the_float_range_raises(self):
         w = SpikedLatticeWeight(2, 4, 60).power(2.0)
-        _, width, offset, _ = w.level_params()[3]
+        _, width, offset, _ = spike_levels(w)[3]
         on_spike = 2.0**-16 - offset  # on the level-4 spike whose height^2 is past 2^1024
         off_spike = 0.5
         for x in (on_spike, np.array([off_spike, on_spike]), np.array([[on_spike]])):
@@ -617,9 +622,9 @@ class TestOneSpikedClass:
         assert w.eval(np.array([off_spike, 1.0 / 3.0])).tolist() == [1.0, 1.0]
         # the integrals stay finite and exact: scale * base^s over [lo, hi)
         lo, hi = np.array([0.0, on_spike]), np.array([1.0, on_spike + width / 4.0])
-        want = SpikedLatticeWeight(2, 4, 60)._integral_powers(lo, hi, 2.0)
+        want = [reference_spiked_power(w, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
         assert np.isfinite(want).all()
-        assert [w.integral(a, b) for a, b in zip(lo, hi)] == want.tolist()
+        assert [w.integral(a, b) for a, b in zip(lo, hi)] == want
 
 
 CELL_AVERAGE_KINDS = [
@@ -712,4 +717,23 @@ class TestSpikedEvalNonFinite:
                 w.eval(pts)
             with pytest.raises(InvalidParameterError):
                 w.inv()(pts)
+        assert w.eval(np.array([0.25, 0.5])).shape == (2,)
+
+
+CLOSED_FORM_WEIGHTS = [ConstantWeight(2.0), PowerWeight(0.5), PowerWeight(0.5).inv(), PowerWeight(-0.3, 0.0, 2.0)]
+
+
+class TestClosedFormEvalNonFinite:
+    @pytest.mark.parametrize("w", CLOSED_FORM_WEIGHTS, ids=lambda w: w.label)
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_scalar_point_raises(self, w, x):
+        with pytest.raises(InvalidParameterError, match=f"no value at x = {x!r}"):
+            w.eval(x)
+
+    @pytest.mark.parametrize("w", CLOSED_FORM_WEIGHTS, ids=lambda w: w.label)
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_array_point_raises_naming_the_first(self, w, x):
+        for pts in (np.array([0.25, x, math.nan]), np.array([[0.5], [x]]), [0.25, x]):
+            with pytest.raises(InvalidParameterError, match=f"no value at x = {x!r}"):
+                w.eval(pts)
         assert w.eval(np.array([0.25, 0.5])).shape == (2,)
