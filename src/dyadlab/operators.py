@@ -18,9 +18,11 @@ G(t) = t (ln|t| - 1), which renders every cell-pair principal value finite
 (diagonal entries vanish by antisymmetry); a box integral depends only on the
 cell lag i - j, so H is the Toeplitz matrix of 2N - 1 box values, and its
 `.mat` is a read-only N x N view of those values, never copied out.  The
-commutator with a multiplication and the weight conjugation each allocate one
-N x N buffer, their result, and form it in place, so H, [b, H] and its
-conjugation hold two N x N buffers between them.
+commutator [M_b, T] is held as its factors, b's cell values and T, and forms
+no N x N buffer; the weight conjugation writes l_i (b_i - b_j) T_ij r_j
+straight into the one buffer it returns, so H, [b, H] and its conjugation
+hold one N x N buffer between them.  Reading the commutator's `.mat` forms a
+fresh dense matrix, which nothing keeps.
 Haar-expansion operators act as stated on the resolvable Haar span and as
 zero on its orthogonal complement; the sign multiplier additionally keeps the
 unresolved coarse averages fixed so that the all-plus pattern is the
@@ -60,7 +62,9 @@ UNWEIGHTED = "unweighted"
 @dataclass
 class OperatorMatrix:
     """Dense N x N matrix with basis metadata and weight tags; every entry is
-    finite, or construction raises InvalidMatrixError.
+    finite, or construction raises InvalidMatrixError.  The dense case of an
+    operator; a `MultiplicationCommutator` is held as its factors instead,
+    and `weight_conjugate` forms the one buffer of either's conjugation.
 
     `mat` may be a read-only view (the Hilbert transform's is a view of its
     2N - 1 Toeplitz values); copy it before writing to it."""
@@ -78,9 +82,11 @@ class OperatorMatrix:
             raise InvalidConfigurationError(
                 f"matrix shape {self.mat.shape} does not match {n} cells"
             )
-        # min and max propagate NaN and inf without an N x N mask
-        if not (np.isfinite(self.mat.min()) and np.isfinite(self.mat.max())):
-            raise InvalidMatrixError(f"{self.name} contains non-finite entries")
+        _require_finite(self.mat, self.name)
+
+    def _rows_scaled(self, left: np.ndarray) -> np.ndarray:
+        """A fresh writable buffer of left_i T_ij."""
+        return self.mat * left[:, None]
 
     def to_csv(self, path) -> None:
         lines = []
@@ -88,6 +94,50 @@ class OperatorMatrix:
             lines.append(",".join(f"{v:.11e}" for v in row))
         with open(path, "w", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
+
+
+def _require_finite(mat: np.ndarray, name: str) -> None:
+    # min and max propagate NaN and inf without an N x N mask
+    if not (np.isfinite(mat.min()) and np.isfinite(mat.max())):
+        raise InvalidMatrixError(f"{name} contains non-finite entries")
+
+
+class MultiplicationCommutator:
+    """[M_b, T] held as its factors: entries (b_i - b_j) T_ij, with no N x N
+    buffer.  Each read of `mat` forms and checks a fresh dense matrix, which
+    is not cached, so a held commutator never pins N^2 memory.  A symbol and
+    an operand on different cell counts raise InvalidConfigurationError."""
+
+    def __init__(self, values: np.ndarray, operand: OperatorMatrix | MultiplicationCommutator):
+        n = operand.window.n_cells
+        if values.shape != (n,):
+            raise InvalidConfigurationError(
+                f"symbol has {len(values)} cells, operand {operand.name} has {n}"
+            )
+        self.values = values
+        self.operand = operand
+        self.window = operand.window
+        self.name = f"[mult,{operand.name}]"
+
+    def _difference(self) -> np.ndarray:
+        """(b_i - b_j) T_ij in a fresh buffer; an overflow leaves a non-finite
+        entry for the caller's check instead of a warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            mat = np.subtract.outer(self.values, self.values)
+            mat *= self.operand.mat
+        return mat
+
+    @property
+    def mat(self) -> np.ndarray:
+        mat = self._difference()
+        _require_finite(mat, self.name)
+        return mat
+
+    def _rows_scaled(self, left: np.ndarray) -> np.ndarray:
+        """A fresh writable buffer of left_i (b_i - b_j) T_ij."""
+        mat = self._difference()
+        mat *= left[:, None]
+        return mat
 
 
 def _require_standard(grid: DyadicGrid, what: str) -> None:
@@ -269,7 +319,9 @@ def hilbert_matrix(window: TruncationWindow) -> OperatorMatrix:
     return OperatorMatrix(sliding_window_view(lags, n)[::-1], window, name="hilbert")
 
 
-def weight_conjugate(t: OperatorMatrix, lam: Weight, mu: Weight) -> OperatorMatrix:
+def weight_conjugate(
+    t: OperatorMatrix | MultiplicationCommutator, lam: Weight, mu: Weight
+) -> OperatorMatrix:
     """diag(sqrt(d lam)) @ T @ diag(1/sqrt(d mu)), d = `Weight.cell_discretization`.
 
     Weighted Schatten functionals of T between the mu- and lam-weighted spaces
@@ -280,14 +332,16 @@ def weight_conjugate(t: OperatorMatrix, lam: Weight, mu: Weight) -> OperatorMatr
     conjugating by (lam.inv(), mu.inv()) undoes conjugating by (lam, mu),
     and conjugating T^T by (mu.inv(), lam.inv()) gives the transpose of
     conjugating T by (lam, mu).  A weight with a vanishing cell average
-    raises DegenerateWeightError.  The result is formed in the one N x N
-    buffer it returns.
+    raises DegenerateWeightError.  The result is the one N x N buffer this
+    forms: the operand writes its entries times l_i into it, a commutator
+    from its factors, and an entry that overflows raises InvalidMatrixError.
     """
     left = np.sqrt(lam.cell_discretization(t.window))
     right = 1.0 / np.sqrt(mu.cell_discretization(t.window))
     # (T * l) * r, as T * l[:, None] * r[None, :] rounds, in one buffer
-    mat = t.mat * left[:, None]
-    mat *= right[None, :]
+    with np.errstate(over="ignore"):
+        mat = t._rows_scaled(left)
+        mat *= right[None, :]
     return OperatorMatrix(
         mat,
         t.window,
@@ -297,13 +351,13 @@ def weight_conjugate(t: OperatorMatrix, lam: Weight, mu: Weight) -> OperatorMatr
     )
 
 
-def multiplication_commutator(b: Symbol, t: OperatorMatrix) -> OperatorMatrix:
-    """[M_b, T] assembled without forming products: entries (b_i - b_j) T_ij,
-    formed in the one N x N buffer it returns."""
-    vals = b.cell_values()
-    mat = np.subtract.outer(vals, vals)
-    mat *= t.mat
-    return OperatorMatrix(mat, t.window, name=f"[mult,{t.name}]")
+def multiplication_commutator(
+    b: Symbol, t: OperatorMatrix | MultiplicationCommutator
+) -> MultiplicationCommutator:
+    """[M_b, T] held as b's cell values and T, with entries (b_i - b_j) T_ij:
+    it forms no N x N buffer.  `weight_conjugate` forms the one buffer of
+    its conjugation, and each read of its `mat` forms one more."""
+    return MultiplicationCommutator(b.cell_values(), t)
 
 
 def _remainder(

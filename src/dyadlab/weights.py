@@ -428,7 +428,9 @@ _SEGMENT_BLOCK = 2048
 class QuadratureWeight(Weight):
     """Composite weight integrated with 32-node Gauss-Legendre on segments of
     length at most seg_len / 2; pointwise evaluation via the callable, which
-    maps an array of points to an array of values of the same shape."""
+    maps an array of points to an array of values of the same shape.  `eval`
+    raises InvalidParameterError at a point that is not finite; `integral`
+    calls the callable on its finite nodes directly."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     name: str = "composite"
@@ -443,7 +445,7 @@ class QuadratureWeight(Weight):
         return self.name
 
     def eval(self, x):
-        return self.fn(np.asarray(x, dtype=float))
+        return self.fn(_finite_points(x, self))
 
     def integral(self, a, b) -> float:
         af, bf = _finite_bounds(a, b)

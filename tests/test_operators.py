@@ -422,8 +422,28 @@ class TestFiniteEntries:
 
     def test_overflowing_conjugation_raises(self):
         t = OperatorMatrix(np.full((WIN.n_cells, WIN.n_cells), 1e300), WIN)
-        with np.errstate(over="ignore"), pytest.raises(InvalidMatrixError):
+        with pytest.raises(InvalidMatrixError):
             weight_conjugate(t, ConstantWeight(1e100), ConstantWeight(1e-100))
+
+    @pytest.mark.parametrize(
+        "operand", [hilbert_matrix, lambda w: haar_shift_matrix(D0, w)], ids=["H", "shift"]
+    )
+    def test_overflowing_commutator_raises(self, operand):
+        """Cells alternating +-1e308 differ by +-inf; H and the shift (whose
+        zeros turn inf into NaN) leave non-finite entries, which raise
+        InvalidMatrixError under the error warning filter, both on reading
+        `.mat` and on conjugating."""
+        window = default_window(4)
+        b = StepSymbol(window, np.tile([1e308, -1e308], window.n_cells // 2))
+        comm = multiplication_commutator(b, operand(window))
+        with pytest.raises(InvalidMatrixError, match=r"\[mult,"):
+            comm.mat
+        with pytest.raises(InvalidMatrixError, match=r"conj\(\[mult,"):
+            weight_conjugate(comm, ConstantWeight(1.0), ConstantWeight(1.0))
+
+    def test_mismatched_windows_rejected(self):
+        with pytest.raises(InvalidConfigurationError, match="symbol has 64 cells, operand hilbert has 128"):
+            multiplication_commutator(sin_symbol(default_window(3)), hilbert_matrix(default_window(4)))
 
 
 # Reference copies of the former dense assembly: every Haar function as a full
@@ -1081,9 +1101,9 @@ CONJUGATION_PAIRS = [
 
 
 class TestOneBufferPerStage:
-    """H is a read-only view of its 2N - 1 Toeplitz values, and the commutator
-    and the conjugation each form their result in one buffer, with the bits of
-    the expressions they replace."""
+    """H is a read-only view of its 2N - 1 Toeplitz values, the commutator is
+    held as its factors, and the conjugation forms its result in one buffer,
+    with the bits of the expressions they replace."""
 
     @pytest.mark.parametrize("window", STRUCTURE_WINDOWS)
     def test_hilbert_bit_equal_to_toeplitz_copy(self, window):
@@ -1116,31 +1136,66 @@ class TestOneBufferPerStage:
     @pytest.mark.parametrize("window", STRUCTURE_WINDOWS)
     @pytest.mark.parametrize("lam, mu", CONJUGATION_PAIRS)
     def test_conjugation_bit_equal_to_two_scalings(self, window, lam, mu):
+        """The dense case scales T's entries; a commutator's conjugation is
+        fused from its factors with the bits of the two-stage expression."""
         left = np.sqrt(lam.cell_discretization(window))
         right = 1.0 / np.sqrt(mu.cell_discretization(window))
         h = hilbert_matrix(window)
-        for t in (h, multiplication_commutator(sin_symbol(window), h)):
-            got = weight_conjugate(t, lam, mu)
-            assert_bits_equal(got.mat, t.mat * left[:, None] * right[None, :])
-            assert got.mat.flags.owndata
+        got = weight_conjugate(h, lam, mu)
+        assert_bits_equal(got.mat, h.mat * left[:, None] * right[None, :])
+        assert got.mat.flags.owndata
+        shift = haar_shift_matrix(D0, window)
+        for b in structure_symbols(window):
+            v = b.cell_values()
+            for t in (h, shift, paraproduct_matrix(b, D0, window)):
+                got = weight_conjugate(multiplication_commutator(b, t), lam, mu)
+                want = (v[:, None] - v[None, :]) * t.mat * left[:, None] * right[None, :]
+                assert_bits_equal(got.mat, want)
+                assert got.mat.flags.owndata
 
-    def test_dense_stages_hold_two_matrices_at_peak(self):
+    def test_commutator_is_held_as_its_factors(self):
+        """Each `.mat` read forms a fresh matrix, and none is kept."""
+        h = hilbert_matrix(WIN)
+        b = sin_symbol(WIN)
+        comm = multiplication_commutator(b, h)
+        assert comm.window == WIN and comm.name == "[mult,hilbert]"
+        assert comm.operand is h and comm.values is b.cell_values()
+        first, second = comm.mat, comm.mat
+        assert first is not second and not np.shares_memory(first, second)
+        assert not any(isinstance(v, np.ndarray) and v.ndim == 2 for v in vars(comm).values())
+
+    @staticmethod
+    def traced_peak(stages):
+        """Peak bytes that tracemalloc sees while `stages` runs, and its result."""
+        tracemalloc.start()
+        try:
+            out = stages()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, out
+
+    def test_dense_stages_hold_one_matrix_at_peak(self):
         """H -> [b, H] -> its conjugation by the power pair at N = 1024 peaks
-        at about two N x N buffers (four before H became a view and the two
-        stages stopped making a temporary)."""
+        at about one N x N buffer, the conjugation's (two while [b, H] was a
+        dense buffer of its own, four before H became a view)."""
         window = default_window(7)
         n = window.n_cells
         assert n == 1024
         b = quartic_bump_symbol(window)
         b.cell_values()  # cached on first use, outside the traced stages
         lam, mu = PowerWeight(-0.3), PowerWeight(0.5)
-        tracemalloc.start()
-        try:
-            h = hilbert_matrix(window)
-            comm = multiplication_commutator(b, h)
-            conj = weight_conjugate(comm, lam, mu)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, conj = self.traced_peak(
+            lambda: weight_conjugate(multiplication_commutator(b, hilbert_matrix(window)), lam, mu)
+        )
         assert conj.mat.shape == (n, n)
-        assert peak <= 2.1 * n * n * 8
+        assert peak <= 1.1 * n * n * 8
+
+    def test_commutator_forms_no_matrix(self):
+        window = default_window(7)
+        n = window.n_cells
+        b = quartic_bump_symbol(window)
+        b.cell_values()
+        h = hilbert_matrix(window)
+        peak, _ = self.traced_peak(lambda: multiplication_commutator(b, h))
+        assert peak <= 0.05 * n * n * 8

@@ -737,3 +737,38 @@ class TestClosedFormEvalNonFinite:
             with pytest.raises(InvalidParameterError, match=f"no value at x = {x!r}"):
                 w.eval(pts)
         assert w.eval(np.array([0.25, 0.5])).shape == (2,)
+
+
+class TestQuadratureEvalNonFinite:
+    W = QuadratureWeight(lambda x: 1.0 + np.abs(x), "1+|x|")
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_scalar_point_raises(self, x):
+        with pytest.raises(InvalidParameterError, match=rf"1\+\|x\| has no value at x = {x!r}"):
+            self.W.eval(x)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_array_point_raises_naming_the_first(self, x):
+        for pts in (np.array([0.25, x, math.nan]), np.array([[0.5], [x]]), [0.25, x]):
+            with pytest.raises(InvalidParameterError, match=f"no value at x = {x!r}"):
+                self.W.eval(pts)
+            with pytest.raises(InvalidParameterError):
+                self.W.inv()(pts)
+        assert np.array_equal(self.W.eval(np.array([0.25, -0.5])), [1.25, 1.5])
+
+    def test_integral_calls_the_callable_directly(self, monkeypatch):
+        """The quadrature nodes are finite, so `integral` needs no point check:
+        it never goes through `eval`."""
+        calls = []
+
+        def fn(x):
+            calls.append(x.shape)
+            return 1.0 + np.abs(x)
+
+        def no_eval(self, x):
+            raise AssertionError("integral went through eval")
+
+        monkeypatch.setattr(QuadratureWeight, "eval", no_eval)
+        w = QuadratureWeight(fn, "1+|x|")
+        assert w.integral(0.0, 1.0) == pytest.approx(1.5, rel=1e-14)
+        assert calls == [(16, 32)]
