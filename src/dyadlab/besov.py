@@ -392,13 +392,16 @@ def weighted_bmo_dyadic(
 
     The sup-average form takes sup over enumerated I of the nu-normalized mean
     oscillation; the square form takes sup over K of the mu^-1(K)-normalized
-    sum of squared coefficient terms over enumerated descendants of K.
+    sum of squared coefficient terms over enumerated descendants of K.  A
+    bare weight in place of the pair, or a symbol whose cells are not the
+    window's, raises InvalidConfigurationError.
     """
+    if not isinstance(pair, BloomWeight):
+        raise InvalidConfigurationError("the BMO square form needs both weights (mu, lam); got a bare weight")
+    values = b.cell_values_on(window, "the window")
     table = interval_table(grid, window)
     lo, hi = table.left, table.right
-    deviation = _abs_deviation_integrals(
-        b.cell_values(), window.cell_edges(), float(window.cell_width), lo, hi
-    )
+    deviation = _abs_deviation_integrals(values, window.cell_edges(), float(window.cell_width), lo, hi)
     # deviation / nu(I), with nu(I) read through the form-1 bracket |I| / nu(I)
     sup_avg, arg_avg = _sup(deviation * _bracket(pair, 1, table) / table.length, table)
 

@@ -2,17 +2,19 @@
 
 Basis vectors are e_i = |cell|^(-1/2) * indicator(cell_i); entries are
 <T e_j, e_i> in unweighted L2.  Paraproduct, Haar multiplier, dyadic shift,
-and multiplication matrices are finite sums of exact cellwise products.  Each
-Haar term of the paraproduct, multiplier, shift and remainders touches only
-the I x I block of its interval, so it is written there.  The intervals of
-one scale are consecutive translations that tile the window, so their blocks
-are disjoint and lie along the diagonal: each scale is written at once,
-through one strided view of its c x c diagonal blocks (c cells per
-interval; the first block's cells come from `TruncationWindow.cell_slices`),
-and h_I is the local vector +-1/sqrt(c) on I's cells (`_local_haar`).  Each
-builder reads the table's scale-major prefix of resolvable rows, with one
-`haar_coefficients` call for b_hat(I); an expansion builds one such table and
-call, which its paraproduct, remainder and shift or multiplier all read.
+and multiplication matrices are finite sums of exact cellwise products.
+Every Haar operator (paraproduct, multiplier, shift, remainders) is one sum
+over intervals I of c_I times a local block u_I outer v_I on I x I, and one
+writer, `_haar_sum`, writes every such sum one scale at a time: a scale's
+intervals are consecutive translations, so their blocks are disjoint and lie
+along the diagonal, and they are written through one strided view of the
+c x c diagonal blocks (c cells per interval; the first block's cells come
+from `TruncationWindow.cell_slices`).  A builder gives only its per-row
+coefficients c_I and its block pattern (u, v) on c cells, in which h_I is
+the local vector +-1/sqrt(c) (`_local_haar`).  Each builder reads the
+table's scale-major prefix of resolvable rows, with one `haar_coefficients`
+call for b_hat(I); an expansion builds one such table and call, which its
+paraproduct, remainder and shift or multiplier all read.
 The Hilbert transform matrix comes from the closed-form primitive
 G(t) = t (ln|t| - 1), which renders every cell-pair principal value finite
 (diagonal entries vanish by antisymmetry); a box integral depends only on the
@@ -105,7 +107,7 @@ def _require_finite(mat: np.ndarray, name: str) -> None:
 class MultiplicationCommutator:
     """[M_b, T] held as its factors: entries (b_i - b_j) T_ij, with no N x N
     buffer.  Each read of `mat` forms and checks a fresh dense matrix, which
-    is not cached, so a held commutator never pins N^2 memory.  A symbol and
+    is not cached, so a held commutator never pins N^2 memory.  Values and
     an operand on different cell counts raise InvalidConfigurationError."""
 
     def __init__(self, values: np.ndarray, operand: OperatorMatrix | MultiplicationCommutator):
@@ -149,24 +151,15 @@ def _require_standard(grid: DyadicGrid, what: str) -> None:
 
 
 def _haar_rows(window: TruncationWindow, grid: DyadicGrid, max_scale: int) -> IntervalTable:
-    """The table rows of scale <= max_scale, a scale-major prefix: the
-    intervals whose Haar functions are resolvable (and, for the shift, whose
-    grandchildren are too)."""
-    table = interval_table(grid, window)
-    return table[: int(np.searchsorted(table.j, max_scale, side="right"))]
+    """The table rows of scale <= max_scale: the intervals whose Haar
+    functions are resolvable (and, for the shift, whose grandchildren are
+    too)."""
+    return _through_scale(interval_table(grid, window), max_scale)
 
 
-def _scale_runs(rows: IntervalTable, window: TruncationWindow):
-    """(first row, end row, first cell, cells per interval) of each scale of
-    the scale-major rows.  A scale's rows are consecutive translations, so
-    their cell ranges follow one another from the first row's.  An empty
-    table has no scale."""
-    if len(rows) == 0:
-        return
-    cuts = [0, *(np.flatnonzero(np.diff(rows.j)) + 1).tolist(), len(rows)]
-    for r0, r1 in zip(cuts, cuts[1:]):
-        i0, i1 = window.cell_slices(rows[r0 : r0 + 1])[0]
-        yield r0, r1, i0, i1 - i0
+def _through_scale(rows: IntervalTable, max_scale: int) -> IntervalTable:
+    """The scale-major prefix of the rows of scale <= max_scale."""
+    return rows[: int(np.searchsorted(rows.j, max_scale, side="right"))]
 
 
 def _diagonal_blocks(mat: np.ndarray, i0: int, count: int, cells: int) -> np.ndarray:
@@ -174,6 +167,26 @@ def _diagonal_blocks(mat: np.ndarray, i0: int, count: int, cells: int) -> np.nda
     [i0 + m cells, i0 + (m + 1) cells) x the same, m < count."""
     rs, cs = mat.strides
     return as_strided(mat[i0:, i0:], (count, cells, cells), (cells * (rs + cs), rs, cs))
+
+
+def _haar_sum(rows: IntervalTable, coefficients: np.ndarray, window: TruncationWindow, block: Callable) -> np.ndarray:
+    """Sum over the scale-major rows I of c_I (u outer v) on I's diagonal
+    block, in a fresh N x N array: c = coefficients, and block(cells) gives
+    the local pattern (u, v) on I's cells, a v of length 1 standing for a
+    constant row.  A scale's rows are consecutive translations, so their
+    blocks follow one another from the first row's cells and are written
+    through one view, with (c_I u) v as the one temporary.  Every builder
+    has c_I = +-1 or entries +-2^-k in u or v, so (c_I u_i) v_j rounds as
+    c_I (u_i v_j) does."""
+    n = window.n_cells
+    mat = np.zeros((n, n))
+    cuts = [0, *(np.flatnonzero(np.diff(rows.j)) + 1).tolist(), len(rows)] if len(rows) else []
+    for r0, r1 in zip(cuts, cuts[1:]):
+        i0, i1 = window.cell_slices(rows[r0 : r0 + 1])[0]
+        u, v = block(i1 - i0)
+        blocks = _diagonal_blocks(mat, i0, r1 - r0, i1 - i0)
+        blocks += (coefficients[r0:r1, None] * u)[:, :, None] * v
+    return mat
 
 
 def _local_haar(cells: int) -> np.ndarray:
@@ -195,22 +208,13 @@ def paraproduct_matrix(
 
 
 def _paraproduct(rows: IntervalTable, coefficients, window: TruncationWindow) -> OperatorMatrix:
-    n = window.n_cells
     width = float(window.cell_width)
-    mat = np.zeros((n, n))
-    for r0, r1, i0, cells in _scale_runs(rows, window):
-        length = cells * width
-        amp = 1.0 / math.sqrt(length)
-        # row pattern: h_I at cells times sqrt(width); column: width/|I| * sqrt(width)/width
-        col = math.sqrt(width) / length
-        row_top = amp * math.sqrt(width)
-        bh = coefficients[r0:r1]
-        nz = np.flatnonzero(bh)  # rows with b_hat(I) = 0 add nothing
-        value = (bh[nz] * row_top * col)[:, None, None]
-        blocks = _diagonal_blocks(mat, i0, r1 - r0, cells)
-        blocks[nz, : cells // 2] += value
-        blocks[nz, cells // 2 :] -= value
-    return OperatorMatrix(mat, window, name="paraproduct")
+    # row pattern: h_I at cells times sqrt(width); column: width/|I| * sqrt(width)/width
+    row_top = 1.0 / np.sqrt(rows.length) * math.sqrt(width)
+    col = math.sqrt(width) / rows.length
+    # +1 on the top half of I's rows, -1 on the bottom half, constant along each row
+    block = lambda cells: (np.repeat([1.0, -1.0], cells // 2), np.ones(1))
+    return OperatorMatrix(_haar_sum(rows, coefficients * row_top * col, window, block), window, name="paraproduct")
 
 
 def paraproduct_adjoint_matrix(
@@ -233,7 +237,7 @@ def haar_multiplier_matrix(
 
 
 def _multiplier(signs, rows: IntervalTable, window: TruncationWindow) -> OperatorMatrix:
-    if isinstance(signs, int):
+    if isinstance(signs, (int, np.integer)):
         sign_of = lambda interval: signs
     elif callable(signs):
         sign_of = signs
@@ -256,12 +260,9 @@ def _multiplier(signs, rows: IntervalTable, window: TruncationWindow) -> Operato
                 f"sign pattern must map to +/-1; got {s} on {interval.label()}"
             )
         row_signs.append(s)
-    row_signs = np.array(row_signs, dtype=float)
+    projection = lambda cells: (_local_haar(cells),) * 2
+    mat = _haar_sum(rows, np.array(row_signs, dtype=float), window, projection)
     n = window.n_cells
-    mat = np.zeros((n, n))
-    for r0, r1, i0, cells in _scale_runs(rows, window):
-        h = _local_haar(cells)
-        _diagonal_blocks(mat, i0, r1 - r0, cells)[...] += row_signs[r0:r1, None, None] * np.outer(h, h)
     step = 1 << (window.j_max - window.j_min)  # cells per coarsest interval
     amp = 1.0 / math.sqrt(step)
     _diagonal_blocks(mat, 0, n // step, step)[...] += amp * amp
@@ -277,17 +278,14 @@ def haar_shift_matrix(grid: DyadicGrid, window: TruncationWindow) -> OperatorMat
 
 
 def _shift(rows: IntervalTable, window: TruncationWindow) -> OperatorMatrix:
-    n = window.n_cells
-    mat = np.zeros((n, n))
-    for r0, r1, i0, cells in _scale_runs(rows, window):
-        # scale <= j_max - 2: each child holds a Haar pair of cells
-        if cells < 4:
-            continue
+    """The rows are of scale <= j_max - 2, so each child holds a Haar pair of cells."""
+
+    def block(cells):
         # both children carry the same local pattern, on I's two halves
         hc = _local_haar(cells // 2)
-        out = np.concatenate((hc, -hc)) / math.sqrt(2.0)
-        _diagonal_blocks(mat, i0, r1 - r0, cells)[...] += np.outer(out, _local_haar(cells))
-    return OperatorMatrix(mat, window, name="haar_shift")
+        return np.concatenate((hc, -hc)) / math.sqrt(2.0), _local_haar(cells)
+
+    return OperatorMatrix(_haar_sum(rows, np.ones(len(rows)), window, block), window, name="haar_shift")
 
 
 def hilbert_primitive(t: np.ndarray) -> np.ndarray:
@@ -356,8 +354,9 @@ def multiplication_commutator(
 ) -> MultiplicationCommutator:
     """[M_b, T] held as b's cell values and T, with entries (b_i - b_j) T_ij:
     it forms no N x N buffer.  `weight_conjugate` forms the one buffer of
-    its conjugation, and each read of its `mat` forms one more."""
-    return MultiplicationCommutator(b.cell_values(), t)
+    its conjugation, and each read of its `mat` forms one more.  A symbol
+    whose cells are not T's raises InvalidConfigurationError."""
+    return MultiplicationCommutator(b.cell_values_on(t.window, f"operand {t.name}"), t)
 
 
 def _remainder(
@@ -365,21 +364,13 @@ def _remainder(
 ) -> OperatorMatrix:
     """Sum over the given rows I of scale <= j_max - 2 of (b_hat(I) / sqrt(scale |I|)) *
     ((s_l h_(left child) + s_r h_(right child)) outer h_I)."""
-    n = window.n_cells
-    mat = np.zeros((n, n))
     s_left, s_right = child_signs
-    width = float(window.cell_width)
-    for r0, r1, i0, cells in _scale_runs(rows, window):
-        # scale <= j_max - 2: each child holds a Haar pair of cells
-        if cells < 4:
-            continue
+
+    def block(cells):
         hc = _local_haar(cells // 2)
-        out = np.concatenate((s_left * hc, s_right * hc))
-        bh = coefficients[r0:r1]
-        nz = np.flatnonzero(bh)  # rows with b_hat(I) = 0 add nothing
-        coeff = bh[nz] / math.sqrt(scale * cells * width)
-        blocks = _diagonal_blocks(mat, i0, r1 - r0, cells)
-        blocks[nz] += coeff[:, None, None] * np.outer(out, _local_haar(cells))
+        return np.concatenate((s_left * hc, s_right * hc)), _local_haar(cells)
+
+    mat = _haar_sum(rows, coefficients / np.sqrt(scale * rows.length), window, block)
     return OperatorMatrix(mat, window, name=name)
 
 
@@ -406,26 +397,6 @@ def remainder_matrix_derived(
     _require_standard(grid, "remainder assembly")
     rows = _haar_rows(window, grid, window.j_max - 2)
     return _remainder(rows, haar_coefficients(b, rows), window, *_DERIVED)
-
-
-# Side of the square tiles of `_symmetrized`: a pair of 128 x 128 float tiles fits in L2.
-_TILE = 128
-
-
-def _symmetrized(pi: np.ndarray) -> np.ndarray:
-    """pi + pi.T, added tile by tile so that the transposed operand is read
-    in cache-sized pieces instead of with stride N.  Addition commutes, so
-    the sum is exactly symmetric: each tile on or above the diagonal is
-    added once, and its transpose is copied to the mirror tile."""
-    n = len(pi)
-    sym = np.empty_like(pi)
-    for r in range(0, n, _TILE):
-        for c in range(r, n, _TILE):
-            tile = sym[r : r + _TILE, c : c + _TILE]
-            np.add(pi[r : r + _TILE, c : c + _TILE], pi[c : c + _TILE, r : r + _TILE].T, out=tile)
-            if c != r:
-                sym[c : c + _TILE, r : r + _TILE] = tile.T
-    return sym
 
 
 @dataclass
@@ -470,8 +441,9 @@ def expansion_residual(
     the SVD can differ from whole-window products, and a region that meets
     every block is computed on the whole window.  The multiplier expansion
     reads and checks `signs` only on the intervals inside those blocks.  A
-    region with no cell raises InvalidConfigurationError, one with a bound
-    that is not a finite number InvalidParameterError.
+    region with no cell, or a symbol whose cells are not the window's,
+    raises InvalidConfigurationError; a region bound that is not a finite
+    number raises InvalidParameterError.
     """
     if sign_order not in ("definition", "displayed"):
         raise InvalidConfigurationError(f"unknown sign order {sign_order!r}")
@@ -481,6 +453,7 @@ def expansion_residual(
     if i1 <= i0:
         raise InvalidConfigurationError(f"region [{region[0]}, {region[1]}) has no cell")
     _require_standard(grid, "paraproduct assembly")
+    values = b.cell_values_on(window, "the window")
     # the coarsest intervals the region meets, as a window of their cells
     step = 1 << (window.j_max - window.j_min)
     c0, c1 = i0 // step * step, -(-i1 // step) * step
@@ -495,15 +468,17 @@ def expansion_residual(
     pi = _paraproduct(rows, coefficients, blocks).mat
     rem = None
     if kind == "shift":
-        t = _shift(rows, blocks).mat
+        # the shift and the remainder read the rows of scale <= j_max - 2
+        short = _through_scale(rows, blocks.j_max - 2)
+        t = _shift(short, blocks).mat
         form = _DISPLAYED if remainder == "displayed" else _DERIVED
-        rem = _remainder(rows, coefficients, blocks, *form).mat
+        rem = _remainder(short, coefficients[: len(short)], blocks, *form).mat
     elif kind == "multiplier":
         t = _multiplier(signs, rows, blocks).mat
     else:
         raise InvalidConfigurationError(f"unknown expansion kind {kind!r}")
     # pi t - t pi + pi* t - t pi* in two products, on the region's columns
-    sym = _symmetrized(pi)
+    sym = pi + pi.T
     cols = t[:, i0:i1]
     rhs = sym @ cols - t @ sym[:, i0:i1]
     if sign_order == "displayed":
@@ -511,7 +486,7 @@ def expansion_residual(
     if rem is not None:
         rhs += rem[:, i0:i1]
     # [M_b, T] entrywise: equal to mult @ t - t @ mult, whose sums add exact zeros
-    vals = b.cell_values()[c0:c1]
+    vals = values[c0:c1]
     lhs = vals[:, None] * cols - cols * vals[None, i0:i1]
     resid = lhs - rhs
     sig = np.linalg.svd(resid, compute_uv=False)

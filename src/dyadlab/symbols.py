@@ -62,6 +62,21 @@ class Symbol:
     def cell_values(self) -> np.ndarray:
         raise NotImplementedError
 
+    def cell_values_on(self, window: TruncationWindow, reader: str) -> np.ndarray:
+        """The cell values, to be read position by position against the cells
+        of `window`, which belongs to `reader`: InvalidConfigurationError,
+        naming both, unless the two windows have the same cells (lo, hi and
+        j_max; j_min does not move a cell)."""
+        own = self.window
+        if own.n_cells != window.n_cells:
+            raise InvalidConfigurationError(f"symbol has {own.n_cells} cells, {reader} has {window.n_cells}")
+        if (own.lo, own.hi, own.j_max) != (window.lo, window.hi, window.j_max):
+            raise InvalidConfigurationError(
+                f"symbol cells [{own.lo}, {own.hi}) of width 2^{-own.j_max} are not the cells "
+                f"[{window.lo}, {window.hi}) of width 2^{-window.j_max} of {reader}"
+            )
+        return self.cell_values()
+
     def integral(self, a, b) -> float:
         raise NotImplementedError
 

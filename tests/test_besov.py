@@ -281,6 +281,24 @@ class TestBmo:
             besov2 = dyadic_besov_norm(b, pair, 2.0, D0, WIN, form=2)
             assert rep.square_form <= besov2.value**2 * (1 + 1e-9)
 
+    def test_same_count_other_cells_rejected(self):
+        """A random Haar symbol is one function on [-4, 4) at 2^-6 and on
+        [0, 4) at 2^-7 (512 cells each); on the window it was not built on
+        its cell values belong to other cells, so the BMO call refuses it."""
+        w1, w2 = default_window(6), make_window(0, 4, 0, 7)
+        pair = BloomWeight(PowerWeight(0.5), PowerWeight(-0.25))
+        rep = weighted_bmo_dyadic(random_haar_symbol(w2, seed=0), pair, D0, w2)
+        assert rep.sup_average > 0.0 and rep.square_form > 0.0
+        with pytest.raises(InvalidConfigurationError, match=r"are not the cells \[0, 4\) of width 2\^-7 of the window"):
+            weighted_bmo_dyadic(random_haar_symbol(w1, seed=0), pair, D0, w2)
+        with pytest.raises(InvalidConfigurationError, match="symbol has 512 cells, the window has 64"):
+            weighted_bmo_dyadic(random_haar_symbol(w1, seed=0), pair, D0, WIN)
+
+    def test_bare_weight_rejected(self):
+        b = random_haar_symbol(WIN, n_terms=5, seed=0)
+        with pytest.raises(InvalidConfigurationError, match="needs both weights"):
+            weighted_bmo_dyadic(b, PowerWeight(0.5), D0, WIN)
+
 
 class TestVmoTails:
     def test_single_coefficient_tails_vanish(self):

@@ -445,6 +445,23 @@ class TestFiniteEntries:
         with pytest.raises(InvalidConfigurationError, match="symbol has 64 cells, operand hilbert has 128"):
             multiplication_commutator(sin_symbol(default_window(3)), hilbert_matrix(default_window(4)))
 
+    def test_same_count_other_cells_rejected(self):
+        """[-4, 4) and [0, 4) at 2^-6 and 2^-7 both have 512 cells, and a
+        random Haar symbol is one function on either; its cell values are
+        not the other window's, so both readers refuse them.  A window that
+        differs only in j_min has the same cells."""
+        w1, w2 = default_window(6), make_window(0, 4, 0, 7)
+        b1 = random_haar_symbol(w1, seed=0)
+        lattices = r"\[-4, 4\) of width 2\^-6 are not the cells \[0, 4\) of width 2\^-7"
+        with pytest.raises(InvalidConfigurationError, match=lattices + " of operand hilbert"):
+            multiplication_commutator(b1, hilbert_matrix(w2))
+        for kind in ("shift", "multiplier"):
+            with pytest.raises(InvalidConfigurationError, match=lattices + " of the window"):
+                expansion_residual(b1, D0, w2, kind=kind, signs=1)
+        same_cells = make_window(-4, 4, 0, 6)
+        comm = multiplication_commutator(b1, hilbert_matrix(same_cells))
+        assert np.array_equal(comm.mat, multiplication_commutator(b1, hilbert_matrix(w1)).mat)
+
 
 # Reference copies of the former dense assembly: every Haar function as a full
 # N-vector, every cell range from exact Fraction endpoints.
@@ -895,6 +912,15 @@ class TestBadAssemblyInput:
         with pytest.raises(InvalidParameterError, match="not a finite number"):
             expansion_residual(sin_symbol(win), D0, win, region=region)
 
+    @pytest.mark.parametrize("integer", [np.int64, np.int32])
+    def test_numpy_integer_sign_is_a_sign(self, integer):
+        win = make_window(-4, 4, -2, 4)
+        b = sin_symbol(win)
+        for s in (-1, 1):
+            assert_bits_equal(haar_multiplier_matrix(integer(s), D0, win).mat, haar_multiplier_matrix(s, D0, win).mat)
+            got = expansion_residual(b, D0, win, kind="multiplier", signs=integer(s))
+            assert got == expansion_residual(b, D0, win, kind="multiplier", signs=s)
+
     @pytest.mark.parametrize("signs", [1.0, "+-", None], ids=["float", "string", "none"])
     def test_sign_pattern_of_no_kind_rejected(self, signs):
         win = make_window(-4, 4, -2, 4)
@@ -1034,12 +1060,6 @@ class TestScaleAssembly:
             patterns = patterns[2:3]
         for signs, sign_of in patterns:
             assert_bits_equal(haar_multiplier_matrix(signs, D0, window).mat, per_row_multiplier(sign_of, window))
-
-    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
-    def test_symmetrized_partial_tiles(self, n):
-        rng = np.random.default_rng(n)
-        pi = rng.normal(size=(n, n)) * rng.choice([0.0, -0.0, 1.0, 1e-300], size=(n, n))
-        assert_bits_equal(operators._symmetrized(pi), pi + pi.T)
 
     @pytest.mark.parametrize("bad", [0, 2, -1.5, None], ids=["zero", "two", "fraction", "none"])
     def test_bad_sign_named_on_first_bad_row(self, bad):
