@@ -449,13 +449,19 @@ def vmo_tail_report(
     """Finite-scale surrogate for the three vanishing-oscillation limits:
     partial sums of squared form-1 contributions restricted to |I| < a,
     |I| > a, and I disjoint from the ball B(center, a), tabulated over a
-    ladder of radii.  A NaN center or radius raises InvalidParameterError."""
+    ladder of radii.  A center that is not finite, or a radius that is not
+    positive and finite, raises InvalidParameterError (naming NaN as such)."""
     if center is None:
         center = float(window.lo + window.span / 2)
     if ladder is None:
         ladder = [2.0 ** (-j) for j in range(window.j_min, window.j_max + 1)]
     if math.isnan(center) or any(math.isnan(radius) for radius in ladder):
         raise InvalidParameterError("VMO tail center and radii must not be NaN")
+    if not math.isfinite(center):
+        raise InvalidParameterError(f"VMO tail center {center!r} is not finite")
+    for radius in ladder:
+        if not 0.0 < radius < math.inf:
+            raise InvalidParameterError(f"VMO tail radius {radius!r} is not positive and finite")
     table = interval_table(grid, window)
     terms = (_haar_terms(b, table) * _bracket(weights, 1, table)) ** 2
     # fsum rounds each partial sum once, so tails over nested sets stay monotone

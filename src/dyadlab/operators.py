@@ -3,18 +3,23 @@
 Basis vectors are e_i = |cell|^(-1/2) * indicator(cell_i); entries are
 <T e_j, e_i> in unweighted L2.  Paraproduct, Haar multiplier, dyadic shift,
 and multiplication matrices are finite sums of exact cellwise products.
-Every Haar operator (paraproduct, multiplier, shift, remainders) is one sum
-over intervals I of c_I times a local block u_I outer v_I on I x I, and one
-writer, `_haar_sum`, writes every such sum one scale at a time: a scale's
-intervals are consecutive translations, so their blocks are disjoint and lie
-along the diagonal, and they are written through one strided view of the
-c x c diagonal blocks (c cells per interval; the first block's cells come
-from `TruncationWindow.cell_slices`).  A builder gives only its per-row
-coefficients c_I and its block pattern (u, v) on c cells, in which h_I is
-the local vector +-1/sqrt(c) (`_local_haar`).  Each builder reads the
-table's scale-major prefix of resolvable rows, with one `haar_coefficients`
-call for b_hat(I); an expansion builds one such table and call, which its
-paraproduct, remainder and shift or multiplier all read.
+Every Haar operator (paraproduct, multiplier, shift, remainders) is one
+description: terms, each a sum over intervals I of c_I times a local block
+u_I outer v_I on I x I (the multiplier's coarse averages are one more term,
+with c_I = 1).  A builder gives only its per-row coefficients c_I and its
+block pattern (u, v) on c cells, in which h_I is the local vector
++-1/sqrt(c) (`_local_haar`).  One scale iterator, `_scale_blocks`, serves
+both readers of a description: a scale's intervals are consecutive
+translations, so their blocks are disjoint and lie along the diagonal from
+the first row's cells (`TruncationWindow.cell_slices`).  `_haar_sum` writes
+the sum densely, through one strided view of each scale's c x c diagonal
+blocks; `_haar_apply` applies it, or its transpose, to N x k columns, scale
+by scale, and forms no N x N array.  Each builder reads the table's
+scale-major prefix of resolvable rows, with one `haar_coefficients` call for
+b_hat(I); an expansion builds one such table and call, which its
+paraproduct, remainder and shift or multiplier all read, and it applies
+them to the region's columns only, so it forms N x k blocks and no N x N
+one.
 The Hilbert transform matrix comes from the closed-form primitive
 G(t) = t (ln|t| - 1), which renders every cell-pair principal value finite
 (diagonal entries vanish by antisymmetry); a box integral depends only on the
@@ -169,24 +174,71 @@ def _diagonal_blocks(mat: np.ndarray, i0: int, count: int, cells: int) -> np.nda
     return as_strided(mat[i0:, i0:], (count, cells, cells), (cells * (rs + cs), rs, cs))
 
 
-def _haar_sum(rows: IntervalTable, coefficients: np.ndarray, window: TruncationWindow, block: Callable) -> np.ndarray:
-    """Sum over the scale-major rows I of c_I (u outer v) on I's diagonal
-    block, in a fresh N x N array: c = coefficients, and block(cells) gives
-    the local pattern (u, v) on I's cells, a v of length 1 standing for a
-    constant row.  A scale's rows are consecutive translations, so their
-    blocks follow one another from the first row's cells and are written
-    through one view, with (c_I u) v as the one temporary.  Every builder
-    has c_I = +-1 or entries +-2^-k in u or v, so (c_I u_i) v_j rounds as
-    c_I (u_i v_j) does."""
-    n = window.n_cells
-    mat = np.zeros((n, n))
+# a term: per scale (r0, r1, i0, cells), the coefficients, and block(cells) -> (u, v)
+_Term = tuple[list[tuple[int, int, int, int]], np.ndarray, Callable]
+
+
+def _term(rows: IntervalTable, coefficients: np.ndarray, window: TruncationWindow, block: Callable) -> _Term:
+    """The sum over the scale-major rows I of c_I (u outer v) on I's diagonal
+    block: c = coefficients, and block(cells) gives the local pattern (u, v)
+    on I's cells, a v of length 1 standing for a constant row.  A scale's
+    rows are consecutive translations, so their blocks follow one another
+    from the first row's cells; each scale is kept as its rows r0:r1 and that
+    first row's cells [i0, i0 + cells)."""
     cuts = [0, *(np.flatnonzero(np.diff(rows.j)) + 1).tolist(), len(rows)] if len(rows) else []
+    scales = []
     for r0, r1 in zip(cuts, cuts[1:]):
         i0, i1 = window.cell_slices(rows[r0 : r0 + 1])[0]
-        u, v = block(i1 - i0)
-        blocks = _diagonal_blocks(mat, i0, r1 - r0, i1 - i0)
-        blocks += (coefficients[r0:r1, None] * u)[:, :, None] * v
+        scales.append((r0, r1, i0, i1 - i0))
+    return scales, coefficients, block
+
+
+def _scale_blocks(terms: list[_Term]):
+    """The one scale iterator of both consumers: for each term in order and
+    each of its scales, (c, i0, cells, u, v) with c the scale's coefficients."""
+    for scales, coefficients, block in terms:
+        for r0, r1, i0, cells in scales:
+            u, v = block(cells)
+            yield coefficients[r0:r1], i0, cells, u, v
+
+
+def _haar_sum(terms: list[_Term], window: TruncationWindow) -> np.ndarray:
+    """The terms written into a fresh N x N array, each scale through one view
+    of its diagonal blocks, with (c_I u) v as the one temporary.  Every
+    builder has c_I = +-1 or entries +-2^-k in u or v, so (c_I u_i) v_j
+    rounds as c_I (u_i v_j) does."""
+    n = window.n_cells
+    mat = np.zeros((n, n))
+    for c, i0, cells, u, v in _scale_blocks(terms):
+        blocks = _diagonal_blocks(mat, i0, len(c), cells)
+        blocks += (c[:, None] * u)[:, :, None] * v
     return mat
+
+
+def _haar_apply(
+    terms: list[_Term],
+    window: TruncationWindow,
+    x: np.ndarray,
+    transpose: bool = False,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The terms (or their transposes, u and v swapped) applied to the N x k
+    columns x, added into `out` (fresh zeros when None), which is returned.
+    Each scale reads x's rows as (count, cells, k) blocks and adds
+    c_I u (v^T x_I), with u (v^T x_I) c_I as the one N x k temporary; no
+    N x N array is formed.  With c_I = +-1 and x a column of the identity,
+    v^T x_I is v_j exactly, so the columns are bit-equal to the dense sum's."""
+    k = x.shape[1]
+    if out is None:
+        out = np.zeros((window.n_cells, k))
+    for c, i0, cells, u, v in _scale_blocks(terms):
+        if transpose:
+            u, v = v, u
+        i1 = i0 + len(c) * cells
+        proj = np.broadcast_to(v, cells) @ x[i0:i1].reshape(len(c), cells, k)
+        proj *= c[:, None]
+        out[i0:i1] += (np.broadcast_to(u, cells)[:, None] * proj[:, None, :]).reshape(i1 - i0, k)
+    return out
 
 
 def _local_haar(cells: int) -> np.ndarray:
@@ -204,17 +256,18 @@ def paraproduct_matrix(
     """Sum over enumerated resolvable I of b_hat(I) * (h_I outer avg_I)."""
     _require_standard(grid, "paraproduct assembly")
     rows = _haar_rows(window, grid, window.j_max - 1)
-    return _paraproduct(rows, haar_coefficients(b, rows), window)
+    terms = _paraproduct(rows, haar_coefficients(b, rows), window)
+    return OperatorMatrix(_haar_sum(terms, window), window, name="paraproduct")
 
 
-def _paraproduct(rows: IntervalTable, coefficients, window: TruncationWindow) -> OperatorMatrix:
+def _paraproduct(rows: IntervalTable, coefficients, window: TruncationWindow) -> list[_Term]:
     width = float(window.cell_width)
     # row pattern: h_I at cells times sqrt(width); column: width/|I| * sqrt(width)/width
     row_top = 1.0 / np.sqrt(rows.length) * math.sqrt(width)
     col = math.sqrt(width) / rows.length
     # +1 on the top half of I's rows, -1 on the bottom half, constant along each row
     block = lambda cells: (np.repeat([1.0, -1.0], cells // 2), np.ones(1))
-    return OperatorMatrix(_haar_sum(rows, coefficients * row_top * col, window, block), window, name="paraproduct")
+    return [_term(rows, coefficients * row_top * col, window, block)]
 
 
 def paraproduct_adjoint_matrix(
@@ -233,13 +286,33 @@ def haar_multiplier_matrix(
     the unresolved coarse averages.  `signs` is one sign, a callable or a
     mapping of intervals to signs, or InvalidConfigurationError is raised."""
     _require_standard(grid, "sign multiplier assembly")
-    return _multiplier(signs, _haar_rows(window, grid, window.j_max - 1), window)
+    terms = _multiplier(signs, _haar_rows(window, grid, window.j_max - 1), window)
+    return OperatorMatrix(_haar_sum(terms, window), window, name="haar_multiplier")
 
 
-def _multiplier(signs, rows: IntervalTable, window: TruncationWindow) -> OperatorMatrix:
+def _multiplier(signs, rows: IntervalTable, window: TruncationWindow) -> list[_Term]:
+    """The signed Haar projections, then the coarse averages' term with
+    coefficient 1 and u = v = 1/sqrt(step) on each coarsest block (v as a
+    constant row)."""
+    n = window.n_cells
+    step = 1 << (window.j_max - window.j_min)  # cells per coarsest interval
+    coarse = np.full(step, 1.0 / math.sqrt(step))
+    projection = lambda cells: (_local_haar(cells),) * 2
+    return [
+        _term(rows, _row_signs(signs, rows), window, projection),
+        ([(0, n // step, 0, step)], np.ones(n // step), lambda cells: (coarse, coarse[:1])),
+    ]
+
+
+def _row_signs(signs, rows: IntervalTable) -> np.ndarray:
+    """Every row's sign as floats.  One int is checked once, on the first row,
+    and builds no interval object; a callable or mapping is read and checked
+    on every row, in enumeration order."""
     if isinstance(signs, (int, np.integer)):
-        sign_of = lambda interval: signs
-    elif callable(signs):
+        if len(rows) and signs not in (-1, 1):
+            raise InvalidConfigurationError(f"sign pattern must map to +/-1; got {signs} on {rows.label(0)}")
+        return np.full(len(rows), float(signs))
+    if callable(signs):
         sign_of = signs
     else:
         try:
@@ -251,7 +324,6 @@ def _multiplier(signs, rows: IntervalTable, window: TruncationWindow) -> Operato
             if interval not in mapping:
                 raise InvalidConfigurationError(f"sign pattern has no entry for {interval.label()}")
             return mapping[interval]
-    # every row's sign is read and checked, in enumeration order, before any write
     row_signs = []
     for interval in rows.intervals():
         s = sign_of(interval)
@@ -260,13 +332,7 @@ def _multiplier(signs, rows: IntervalTable, window: TruncationWindow) -> Operato
                 f"sign pattern must map to +/-1; got {s} on {interval.label()}"
             )
         row_signs.append(s)
-    projection = lambda cells: (_local_haar(cells),) * 2
-    mat = _haar_sum(rows, np.array(row_signs, dtype=float), window, projection)
-    n = window.n_cells
-    step = 1 << (window.j_max - window.j_min)  # cells per coarsest interval
-    amp = 1.0 / math.sqrt(step)
-    _diagonal_blocks(mat, 0, n // step, step)[...] += amp * amp
-    return OperatorMatrix(mat, window, name="haar_multiplier")
+    return np.array(row_signs, dtype=float)
 
 
 def haar_shift_matrix(grid: DyadicGrid, window: TruncationWindow) -> OperatorMatrix:
@@ -274,10 +340,11 @@ def haar_shift_matrix(grid: DyadicGrid, window: TruncationWindow) -> OperatorMat
     every interval whose children's Haar functions are resolvable; zero on the
     orthogonal complement."""
     _require_standard(grid, "dyadic shift assembly")
-    return _shift(_haar_rows(window, grid, window.j_max - 2), window)
+    terms = _shift(_haar_rows(window, grid, window.j_max - 2), window)
+    return OperatorMatrix(_haar_sum(terms, window), window, name="haar_shift")
 
 
-def _shift(rows: IntervalTable, window: TruncationWindow) -> OperatorMatrix:
+def _shift(rows: IntervalTable, window: TruncationWindow) -> list[_Term]:
     """The rows are of scale <= j_max - 2, so each child holds a Haar pair of cells."""
 
     def block(cells):
@@ -285,7 +352,7 @@ def _shift(rows: IntervalTable, window: TruncationWindow) -> OperatorMatrix:
         hc = _local_haar(cells // 2)
         return np.concatenate((hc, -hc)) / math.sqrt(2.0), _local_haar(cells)
 
-    return OperatorMatrix(_haar_sum(rows, np.ones(len(rows)), window, block), window, name="haar_shift")
+    return [_term(rows, np.ones(len(rows)), window, block)]
 
 
 def hilbert_primitive(t: np.ndarray) -> np.ndarray:
@@ -360,8 +427,8 @@ def multiplication_commutator(
 
 
 def _remainder(
-    rows: IntervalTable, coefficients: np.ndarray, window: TruncationWindow, child_signs, scale: float, name: str
-) -> OperatorMatrix:
+    rows: IntervalTable, coefficients: np.ndarray, window: TruncationWindow, child_signs, scale: float
+) -> list[_Term]:
     """Sum over the given rows I of scale <= j_max - 2 of (b_hat(I) / sqrt(scale |I|)) *
     ((s_l h_(left child) + s_r h_(right child)) outer h_I)."""
     s_left, s_right = child_signs
@@ -370,22 +437,28 @@ def _remainder(
         hc = _local_haar(cells // 2)
         return np.concatenate((s_left * hc, s_right * hc)), _local_haar(cells)
 
-    mat = _haar_sum(rows, coefficients / np.sqrt(scale * rows.length), window, block)
-    return OperatorMatrix(mat, window, name=name)
+    return [_term(rows, coefficients / np.sqrt(scale * rows.length), window, block)]
 
 
-# (child signs, scale, name) of the two remainders
-_DISPLAYED = ((-1.0, 1.0), 1.0, "shift_remainder")
-_DERIVED = ((1.0, 1.0), 2.0, "shift_remainder_derived")
+# (child signs, scale) of the two remainders
+_DISPLAYED = ((-1.0, 1.0), 1.0)
+_DERIVED = ((1.0, 1.0), 2.0)
+
+
+def _remainder_matrix(
+    b: Symbol, grid: DyadicGrid, window: TruncationWindow, form, name: str
+) -> OperatorMatrix:
+    _require_standard(grid, "remainder assembly")
+    rows = _haar_rows(window, grid, window.j_max - 2)
+    terms = _remainder(rows, haar_coefficients(b, rows), window, *form)
+    return OperatorMatrix(_haar_sum(terms, window), window, name=name)
 
 
 def remainder_matrix(b: Symbol, grid: DyadicGrid, window: TruncationWindow) -> OperatorMatrix:
     """Sum over resolvable I of (b_hat(I) / |I|^1/2) * (k_I outer h_I) with
     k_I = h_(right child) - h_(left child); the part of the shift commutator
     that is not a paraproduct composition."""
-    _require_standard(grid, "remainder assembly")
-    rows = _haar_rows(window, grid, window.j_max - 2)
-    return _remainder(rows, haar_coefficients(b, rows), window, *_DISPLAYED)
+    return _remainder_matrix(b, grid, window, _DISPLAYED, "shift_remainder")
 
 
 def remainder_matrix_derived(
@@ -394,9 +467,7 @@ def remainder_matrix_derived(
     """The remainder that direct dyadic algebra produces for the truncated
     system: sum of (b_hat(I) / sqrt(2 |I|)) * ((h_left + h_right) outer h_I).
     With it the six-term expansion closes exactly for step symbols."""
-    _require_standard(grid, "remainder assembly")
-    rows = _haar_rows(window, grid, window.j_max - 2)
-    return _remainder(rows, haar_coefficients(b, rows), window, *_DERIVED)
+    return _remainder_matrix(b, grid, window, _DERIVED, "shift_remainder_derived")
 
 
 @dataclass
@@ -429,21 +500,21 @@ def expansion_residual(
     sign_order="displayed" flips the four composition terms.  The identity is
     never asserted; the restricted residual is measured and reported.
 
-    Restricting the domain to the region keeps only its columns, so only
-    those are formed: the two products against the column block of S (or
-    T_eps) and of pi + pi*, and the column blocks of [M_b, T] and of the
-    residual.  Every factor is block diagonal over the coarsest intervals,
-    so those columns are zero outside the blocks the region meets.  The
-    paraproduct, the remainder and S (or T_eps) are therefore assembled on
-    the coarsest intervals the region meets, as a window of their own, from
-    one table of its resolvable rows, and the products run there.  The
-    result is the same operator; only the rounding of the products and of
-    the SVD can differ from whole-window products, and a region that meets
-    every block is computed on the whole window.  The multiplier expansion
-    reads and checks `signs` only on the intervals inside those blocks.  A
-    region with no cell, or a symbol whose cells are not the window's,
-    raises InvalidConfigurationError; a region bound that is not a finite
-    number raises InvalidParameterError.
+    Restricting the domain to the region keeps only its columns, E, the
+    identity's columns on the region.  Every factor is block diagonal over
+    the coarsest intervals, so those columns are zero outside the blocks the
+    region meets, which are taken as a window of their own, with one table
+    of its resolvable rows.  There the paraproduct, the remainder and S (or
+    T_eps) are only applied, scale by scale, never assembled: T E (bit-equal
+    to the dense columns, so `lhs_norm` is too), (pi + pi*) T E
+    - T (pi + pi*) E and R E, all N x k blocks for the blocks' N cells and
+    the region's k.  The result is the same operator; only the rounding of
+    the residual's sums and of the SVD can differ from dense products, and a
+    region that meets every block is computed on the whole window.  The
+    multiplier expansion reads and checks `signs` only on the intervals
+    inside those blocks.  A region with no cell, or a symbol whose cells are
+    not the window's, raises InvalidConfigurationError; a region bound that
+    is not a finite number raises InvalidParameterError.
     """
     if sign_order not in ("definition", "displayed"):
         raise InvalidConfigurationError(f"unknown sign order {sign_order!r}")
@@ -465,26 +536,31 @@ def expansion_residual(
     # one table of the resolvable rows serves every factor
     rows = _haar_rows(blocks, grid, blocks.j_max - 1)
     coefficients = haar_coefficients(b, rows)
-    pi = _paraproduct(rows, coefficients, blocks).mat
-    rem = None
+    pi = _paraproduct(rows, coefficients, blocks)
+    rem = []  # the multiplier expansion has no remainder terms
     if kind == "shift":
         # the shift and the remainder read the rows of scale <= j_max - 2
         short = _through_scale(rows, blocks.j_max - 2)
-        t = _shift(short, blocks).mat
+        t = _shift(short, blocks)
         form = _DISPLAYED if remainder == "displayed" else _DERIVED
-        rem = _remainder(short, coefficients[: len(short)], blocks, *form).mat
+        rem = _remainder(short, coefficients[: len(short)], blocks, *form)
     elif kind == "multiplier":
-        t = _multiplier(signs, rows, blocks).mat
+        t = _multiplier(signs, rows, blocks)
     else:
         raise InvalidConfigurationError(f"unknown expansion kind {kind!r}")
-    # pi t - t pi + pi* t - t pi* in two products, on the region's columns
-    sym = pi + pi.T
-    cols = t[:, i0:i1]
-    rhs = sym @ cols - t @ sym[:, i0:i1]
+
+    def sym(x):  # (pi + pi*) x, both added into one buffer
+        return _haar_apply(pi, blocks, x, transpose=True, out=_haar_apply(pi, blocks, x))
+
+    # E, the region's columns of the identity, and T E = t[:, i0:i1] bit for bit
+    e = np.eye(blocks.n_cells, i1 - i0, -i0)
+    cols = _haar_apply(t, blocks, e)
+    # (pi t - t pi + pi* t - t pi*) E in two applies of T
+    rhs = sym(cols)
+    rhs -= _haar_apply(t, blocks, sym(e))
     if sign_order == "displayed":
         rhs = -rhs
-    if rem is not None:
-        rhs += rem[:, i0:i1]
+    _haar_apply(rem, blocks, e, out=rhs)
     # [M_b, T] entrywise: equal to mult @ t - t @ mult, whose sums add exact zeros
     vals = values[c0:c1]
     lhs = vals[:, None] * cols - cols * vals[None, i0:i1]

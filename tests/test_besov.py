@@ -336,11 +336,21 @@ class TestVmoTails:
         assert all(a >= b_ - 1e-15 for a, b_ in zip(far, far[1:]))
 
     @pytest.mark.parametrize(
-        "kwargs", [{"center": math.nan}, {"ladder": [0.25, math.nan]}], ids=["center", "radius"]
+        "kwargs, message",
+        [
+            ({"center": math.nan}, "NaN"),
+            ({"ladder": [0.25, math.nan]}, "NaN"),
+            ({"center": math.inf}, "not finite"),
+            ({"center": -math.inf}, "not finite"),
+            ({"ladder": [-1.0]}, "not positive"),
+            ({"ladder": [0.25, 0.0]}, "not positive"),
+            ({"ladder": [math.inf]}, "not positive and finite"),
+        ],
+        ids=["nan-center", "nan-radius", "inf-center", "-inf-center", "negative-radius", "zero-radius", "inf-radius"],
     )
-    def test_nan_center_or_radius_rejected(self, kwargs):
+    def test_bad_center_or_radius_rejected(self, kwargs, message):
         b = random_haar_symbol(WIN, n_terms=8, seed=12)
-        with pytest.raises(InvalidParameterError, match="NaN"):
+        with pytest.raises(InvalidParameterError, match=message):
             vmo_tail_report(b, ConstantWeight(1.0), D0, WIN, **kwargs)
 
 
