@@ -14,12 +14,16 @@ translations, so their blocks are disjoint and lie along the diagonal from
 the first row's cells (`TruncationWindow.cell_slices`).  `_haar_sum` writes
 the sum densely, through one strided view of each scale's c x c diagonal
 blocks; `_haar_apply` applies it, or its transpose, to N x k columns, scale
-by scale, and forms no N x N array.  Each builder reads the table's
-scale-major prefix of resolvable rows, with one `haar_coefficients` call for
-b_hat(I); an expansion builds one such table and call, which its
-paraproduct, remainder and shift or multiplier all read, and it applies
-them to the region's columns only, so it forms N x k blocks and no N x N
-one.
+by scale, and forms no N x N array.  The dense builders are
+`paraproduct_matrix`, `haar_multiplier_matrix` and `haar_shift_matrix`; the
+shift remainder, in its two forms ("displayed" and "derived",
+`_REMAINDERS`), enters only through `expansion_residual`.  Each builder and
+the expansion read one table, of the resolvable rows (`_resolvable_rows`),
+with one `haar_coefficients` call for b_hat(I); the shift and the remainder
+drop its finest scale themselves, as a child there holds no Haar pair.  An
+expansion's paraproduct, remainder and shift or multiplier all read that one
+table and call, and it applies them to the region's columns only, so it
+forms N x k blocks and no N x N one.
 The Hilbert transform matrix comes from the closed-form primitive
 G(t) = t (ln|t| - 1), which renders every cell-pair principal value finite
 (diagonal entries vanish by antisymmetry); a box integral depends only on the
@@ -95,13 +99,6 @@ class OperatorMatrix:
         """A fresh writable buffer of left_i T_ij."""
         return self.mat * left[:, None]
 
-    def to_csv(self, path) -> None:
-        lines = []
-        for row in self.mat:
-            lines.append(",".join(f"{v:.11e}" for v in row))
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def _require_finite(mat: np.ndarray, name: str) -> None:
     # min and max propagate NaN and inf without an N x N mask
@@ -147,19 +144,16 @@ class MultiplicationCommutator:
         return mat
 
 
-def _require_standard(grid: DyadicGrid, what: str) -> None:
+def _resolvable_rows(grid: DyadicGrid, window: TruncationWindow, what: str) -> IntervalTable:
+    """The table rows of scale <= j_max - 1, whose Haar functions are
+    resolvable: the one table each builder reads.  `what` names the assembly
+    in the InvalidConfigurationError a grid that is not cell-aligned raises."""
     if grid.grid_id != "standard":
         raise InvalidConfigurationError(
             f"{what} needs cell-aligned intervals; the shifted grid enters "
             "through norms only"
         )
-
-
-def _haar_rows(window: TruncationWindow, grid: DyadicGrid, max_scale: int) -> IntervalTable:
-    """The table rows of scale <= max_scale: the intervals whose Haar
-    functions are resolvable (and, for the shift, whose grandchildren are
-    too)."""
-    return _through_scale(interval_table(grid, window), max_scale)
+    return _through_scale(interval_table(grid, window), window.j_max - 1)
 
 
 def _through_scale(rows: IntervalTable, max_scale: int) -> IntervalTable:
@@ -254,8 +248,7 @@ def paraproduct_matrix(
     b: Symbol, grid: DyadicGrid, window: TruncationWindow
 ) -> OperatorMatrix:
     """Sum over enumerated resolvable I of b_hat(I) * (h_I outer avg_I)."""
-    _require_standard(grid, "paraproduct assembly")
-    rows = _haar_rows(window, grid, window.j_max - 1)
+    rows = _resolvable_rows(grid, window, "paraproduct assembly")
     terms = _paraproduct(rows, haar_coefficients(b, rows), window)
     return OperatorMatrix(_haar_sum(terms, window), window, name="paraproduct")
 
@@ -270,13 +263,6 @@ def _paraproduct(rows: IntervalTable, coefficients, window: TruncationWindow) ->
     return [_term(rows, coefficients * row_top * col, window, block)]
 
 
-def paraproduct_adjoint_matrix(
-    b: Symbol, grid: DyadicGrid, window: TruncationWindow
-) -> OperatorMatrix:
-    base = paraproduct_matrix(b, grid, window)
-    return OperatorMatrix(base.mat.T.copy(), window, name="paraproduct_adjoint")
-
-
 def haar_multiplier_matrix(
     signs: Mapping[DyadicInterval, int] | Callable[[DyadicInterval], int] | int,
     grid: DyadicGrid,
@@ -285,8 +271,7 @@ def haar_multiplier_matrix(
     """Sign multiplier: diagonal +/-1 on the resolvable Haar span, identity on
     the unresolved coarse averages.  `signs` is one sign, a callable or a
     mapping of intervals to signs, or InvalidConfigurationError is raised."""
-    _require_standard(grid, "sign multiplier assembly")
-    terms = _multiplier(signs, _haar_rows(window, grid, window.j_max - 1), window)
+    terms = _multiplier(signs, _resolvable_rows(grid, window, "sign multiplier assembly"), window)
     return OperatorMatrix(_haar_sum(terms, window), window, name="haar_multiplier")
 
 
@@ -305,12 +290,14 @@ def _multiplier(signs, rows: IntervalTable, window: TruncationWindow) -> list[_T
 
 
 def _row_signs(signs, rows: IntervalTable) -> np.ndarray:
-    """Every row's sign as floats.  One int is checked once, on the first row,
-    and builds no interval object; a callable or mapping is read and checked
-    on every row, in enumeration order."""
+    """Every row's sign as floats.  One int is checked once, before any row
+    is read, so on a table with no row too, and builds no interval object;
+    the error names the first row when there is one.  A callable or mapping
+    is read and checked on every row, in enumeration order."""
     if isinstance(signs, (int, np.integer)):
-        if len(rows) and signs not in (-1, 1):
-            raise InvalidConfigurationError(f"sign pattern must map to +/-1; got {signs} on {rows.label(0)}")
+        if signs not in (-1, 1):
+            where = f" on {rows.label(0)}" if len(rows) else ""
+            raise InvalidConfigurationError(f"sign pattern must map to +/-1; got {signs}{where}")
         return np.full(len(rows), float(signs))
     if callable(signs):
         sign_of = signs
@@ -339,13 +326,14 @@ def haar_shift_matrix(grid: DyadicGrid, window: TruncationWindow) -> OperatorMat
     """Dyadic shift h_I -> (h_(left child) - h_(right child)) / sqrt(2) on
     every interval whose children's Haar functions are resolvable; zero on the
     orthogonal complement."""
-    _require_standard(grid, "dyadic shift assembly")
-    terms = _shift(_haar_rows(window, grid, window.j_max - 2), window)
+    terms = _shift(_resolvable_rows(grid, window, "dyadic shift assembly"), window)
     return OperatorMatrix(_haar_sum(terms, window), window, name="haar_shift")
 
 
 def _shift(rows: IntervalTable, window: TruncationWindow) -> list[_Term]:
-    """The rows are of scale <= j_max - 2, so each child holds a Haar pair of cells."""
+    """The shift on the resolvable rows of scale <= j_max - 2, whose children
+    each hold a Haar pair of cells; the finest resolvable scale is dropped."""
+    rows = _through_scale(rows, window.j_max - 2)
 
     def block(cells):
         # both children carry the same local pattern, on I's two halves
@@ -429,8 +417,11 @@ def multiplication_commutator(
 def _remainder(
     rows: IntervalTable, coefficients: np.ndarray, window: TruncationWindow, child_signs, scale: float
 ) -> list[_Term]:
-    """Sum over the given rows I of scale <= j_max - 2 of (b_hat(I) / sqrt(scale |I|)) *
-    ((s_l h_(left child) + s_r h_(right child)) outer h_I)."""
+    """Sum over the resolvable rows I of scale <= j_max - 2 of
+    (b_hat(I) / sqrt(scale |I|)) * ((s_l h_(left child) + s_r h_(right child))
+    outer h_I), with `coefficients` the b_hat of every resolvable row."""
+    rows = _through_scale(rows, window.j_max - 2)
+    coefficients = coefficients[: len(rows)]
     s_left, s_right = child_signs
 
     def block(cells):
@@ -440,34 +431,12 @@ def _remainder(
     return [_term(rows, coefficients / np.sqrt(scale * rows.length), window, block)]
 
 
-# (child signs, scale) of the two remainders
-_DISPLAYED = ((-1.0, 1.0), 1.0)
-_DERIVED = ((1.0, 1.0), 2.0)
-
-
-def _remainder_matrix(
-    b: Symbol, grid: DyadicGrid, window: TruncationWindow, form, name: str
-) -> OperatorMatrix:
-    _require_standard(grid, "remainder assembly")
-    rows = _haar_rows(window, grid, window.j_max - 2)
-    terms = _remainder(rows, haar_coefficients(b, rows), window, *form)
-    return OperatorMatrix(_haar_sum(terms, window), window, name=name)
-
-
-def remainder_matrix(b: Symbol, grid: DyadicGrid, window: TruncationWindow) -> OperatorMatrix:
-    """Sum over resolvable I of (b_hat(I) / |I|^1/2) * (k_I outer h_I) with
-    k_I = h_(right child) - h_(left child); the part of the shift commutator
-    that is not a paraproduct composition."""
-    return _remainder_matrix(b, grid, window, _DISPLAYED, "shift_remainder")
-
-
-def remainder_matrix_derived(
-    b: Symbol, grid: DyadicGrid, window: TruncationWindow
-) -> OperatorMatrix:
-    """The remainder that direct dyadic algebra produces for the truncated
-    system: sum of (b_hat(I) / sqrt(2 |I|)) * ((h_left + h_right) outer h_I).
-    With it the six-term expansion closes exactly for step symbols."""
-    return _remainder_matrix(b, grid, window, _DERIVED, "shift_remainder_derived")
+# (child signs, scale) of each remainder form: "displayed" is
+# b_hat(I) / |I|^1/2 (k_I outer h_I) with k_I = h_(right child) - h_(left child);
+# "derived", b_hat(I) / sqrt(2 |I|) ((h_left + h_right) outer h_I), is what
+# direct dyadic algebra gives for the truncated system, and with it the shift
+# expansion closes exactly for step symbols
+_REMAINDERS = {"displayed": ((-1.0, 1.0), 1.0), "derived": ((1.0, 1.0), 2.0)}
 
 
 @dataclass
@@ -487,18 +456,18 @@ def expansion_residual(
     signs: Mapping[DyadicInterval, int] | Callable[[DyadicInterval], int] | int = 1,
     region: tuple[float, float] = (0.0, 1.0),
     remainder: str = "displayed",
-    sign_order: str = "definition",
 ) -> ExpansionResidual:
     """Residual of the commutator expansion, restricted to inputs supported in
     the interior region.
 
     kind="shift": [M_b, S] against the four paraproduct compositions plus a
-    remainder; remainder="displayed" uses the k_I form, remainder="derived"
-    uses the child-sum form that closes the identity exactly for step data.
-    kind="multiplier": [M_b, T_eps] against the four compositions alone.
-    sign_order="definition" orders each composition by [b, T] f = b T f - T(bf);
-    sign_order="displayed" flips the four composition terms.  The identity is
-    never asserted; the restricted residual is measured and reported.
+    remainder R; remainder="displayed" uses the k_I form, remainder="derived"
+    uses the child-sum form that closes the identity exactly for step data
+    (`_REMAINDERS`).  kind="multiplier": [M_b, T_eps] against the four
+    compositions alone.  Each composition is ordered by [b, T] f = b T f - T(bf).
+    An unknown remainder raises InvalidConfigurationError for either kind.
+    The identity is never asserted; the restricted residual is measured and
+    reported.
 
     Restricting the domain to the region keeps only its columns, E, the
     identity's columns on the region.  Every factor is block diagonal over
@@ -516,15 +485,13 @@ def expansion_residual(
     not the window's, raises InvalidConfigurationError; a region bound that
     is not a finite number raises InvalidParameterError.
     """
-    if sign_order not in ("definition", "displayed"):
-        raise InvalidConfigurationError(f"unknown sign order {sign_order!r}")
-    if remainder not in ("displayed", "derived"):
-        raise InvalidConfigurationError(f"unknown remainder {remainder!r}")
+    try:
+        form = _REMAINDERS[remainder]
+    except (KeyError, TypeError):
+        raise InvalidConfigurationError(f"unknown remainder {remainder!r}") from None
     i0, i1 = window.slice_of(*region)
     if i1 <= i0:
         raise InvalidConfigurationError(f"region [{region[0]}, {region[1]}) has no cell")
-    _require_standard(grid, "paraproduct assembly")
-    values = b.cell_values_on(window, "the window")
     # the coarsest intervals the region meets, as a window of their cells
     step = 1 << (window.j_max - window.j_min)
     c0, c1 = i0 // step * step, -(-i1 // step) * step
@@ -534,16 +501,14 @@ def expansion_residual(
     )
     i0, i1 = i0 - c0, i1 - c0
     # one table of the resolvable rows serves every factor
-    rows = _haar_rows(blocks, grid, blocks.j_max - 1)
+    rows = _resolvable_rows(grid, blocks, "paraproduct assembly")
+    values = b.cell_values_on(window, "the window")
     coefficients = haar_coefficients(b, rows)
     pi = _paraproduct(rows, coefficients, blocks)
     rem = []  # the multiplier expansion has no remainder terms
     if kind == "shift":
-        # the shift and the remainder read the rows of scale <= j_max - 2
-        short = _through_scale(rows, blocks.j_max - 2)
-        t = _shift(short, blocks)
-        form = _DISPLAYED if remainder == "displayed" else _DERIVED
-        rem = _remainder(short, coefficients[: len(short)], blocks, *form)
+        t = _shift(rows, blocks)
+        rem = _remainder(rows, coefficients, blocks, *form)
     elif kind == "multiplier":
         t = _multiplier(signs, rows, blocks)
     else:
@@ -558,8 +523,6 @@ def expansion_residual(
     # (pi t - t pi + pi* t - t pi*) E in two applies of T
     rhs = sym(cols)
     rhs -= _haar_apply(t, blocks, sym(e))
-    if sign_order == "displayed":
-        rhs = -rhs
     _haar_apply(rem, blocks, e, out=rhs)
     # [M_b, T] entrywise: equal to mult @ t - t @ mult, whose sums add exact zeros
     vals = values[c0:c1]

@@ -78,11 +78,12 @@ class Symbol:
         return self.cell_values()
 
     def integral(self, a, b) -> float:
-        raise NotImplementedError
+        """The integral over [a, b): the one-row case of `split_integral`."""
+        return self.split_integral(a, b, b)[0]
 
     def split_integral(self, a, m, c) -> tuple[float, float]:
         """The integrals over [a, m) and [m, c); an empty or inverted half is 0.0."""
-        return self.integral(a, m), self.integral(m, c)
+        raise NotImplementedError
 
     def eval(self, x):
         raise NotImplementedError
@@ -127,12 +128,9 @@ class StepSymbol(Symbol):
         out = np.where(inside, self._values[np.where(inside, pos, 0.0).astype(np.intp)], 0.0)
         return float(out) if np.ndim(x) == 0 else out
 
-    def integral(self, a, b) -> float:
-        """Exact: prefix sums plus fractional coverage of the end cells."""
-        return self.split_integral(a, b, b)[0]
-
     def split_integral(self, a, m, c) -> tuple[float, float]:
-        """The one-row case of `split_integrals`."""
+        """Exact: prefix sums plus fractional coverage of the end cells; the
+        one-row case of `split_integrals`."""
         lower, upper = self.split_integrals(float(a), float(m), float(c))
         return float(lower), float(upper)
 
@@ -210,10 +208,6 @@ class AnalyticSymbol(Symbol):
 
     def eval(self, x):
         return self.fn(np.asarray(x, dtype=float))
-
-    def integral(self, a, b) -> float:
-        """The one-row case of `split_integral`."""
-        return self.split_integral(a, b, b)[0]
 
     def split_integral(self, a, m, c) -> tuple[float, float]:
         """With an antiderivative F: one call of F on the float64 array

@@ -148,12 +148,6 @@ class Weight:
     def __call__(self, x):
         return self.eval(x)
 
-    def average(self, a, b) -> float:
-        af, bf = _finite_bounds(a, b)
-        if not bf > af:
-            raise InvalidParameterError(f"average over [{af}, {bf}) needs a positive length")
-        return self.integral(af, bf) / (bf - af)
-
     def cell_averages(self, window: TruncationWindow) -> np.ndarray:
         """True averages of w over the window's cells, for a dual weight too
         (so avg(w) * avg(w.inv()) > 1 on a cell where w varies): the cells'

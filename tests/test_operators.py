@@ -29,10 +29,7 @@ from dyadlab.operators import (
     hilbert_matrix,
     hilbert_primitive,
     multiplication_commutator,
-    paraproduct_adjoint_matrix,
     paraproduct_matrix,
-    remainder_matrix,
-    remainder_matrix_derived,
     weight_conjugate,
 )
 from dyadlab.symbols import (
@@ -73,6 +70,24 @@ def haar_fn_coeffs(interval, window):
     return haar_cell_values(interval, window) * math.sqrt(float(window.cell_width))
 
 
+def resolvable(window):
+    """The window's table of resolvable rows, which every builder reads."""
+    return operators._resolvable_rows(D0, window, "test assembly")
+
+
+def shift_rows(window):
+    """The resolvable rows whose children hold a Haar pair, which the shift
+    and the remainder read."""
+    return operators._through_scale(resolvable(window), window.j_max - 2)
+
+
+def dense_remainder(b, window, form):
+    """The shift remainder of form "displayed" or "derived", written densely."""
+    rows = resolvable(window)
+    terms = operators._remainder(rows, haar_coefficients(b, rows), window, *operators._REMAINDERS[form])
+    return operators._haar_sum(terms, window)
+
+
 class TestParaproduct:
     def test_single_coefficient_maps_indicator_to_haar(self):
         target = DyadicInterval("standard", 1, 0)
@@ -90,12 +105,6 @@ class TestParaproduct:
         b = StepSymbol(WIN, np.full(WIN.n_cells, 9.0))
         pi = paraproduct_matrix(b, D0, WIN)
         assert np.allclose(pi.mat, 0.0, atol=1e-12)
-
-    def test_adjoint_is_transpose(self):
-        b = random_haar_symbol(WIN, n_terms=5, seed=1)
-        pi = paraproduct_matrix(b, D0, WIN)
-        adj = paraproduct_adjoint_matrix(b, D0, WIN)
-        assert np.array_equal(adj.mat, pi.mat.T)
 
     def test_rejects_shifted_grid(self):
         b = sin_symbol(WIN)
@@ -267,7 +276,7 @@ class TestWeightConjugation:
         # T: L2(mu) -> L2(lam) and its adjoint T*: L2(lam^-1) -> L2(mu^-1)
         b = random_haar_symbol(WIN, n_terms=4, seed=7)
         pi = paraproduct_matrix(b, D0, WIN)
-        adj = paraproduct_adjoint_matrix(b, D0, WIN)
+        adj = OperatorMatrix(pi.mat.T, WIN, name="paraproduct_adjoint")
         lam, mu = PowerWeight(0.25), PowerWeight(-0.5)
         s = np.linalg.svd(weight_conjugate(pi, lam, mu).mat, compute_uv=False)
         s_adj = np.linalg.svd(
@@ -347,40 +356,29 @@ class TestCommutatorAlgebra:
     @pytest.mark.parametrize(
         "kind, remainder", [("shift", "displayed"), ("shift", "derived"), ("multiplier", None)]
     )
-    @pytest.mark.parametrize("sign_order", ["definition", "displayed"])
-    def test_residual_matches_four_product_formula(self, kind, remainder, sign_order):
+    def test_residual_matches_four_product_formula(self, kind, remainder):
         win = make_window(-1, 1, 0, 5)
         b = sin_symbol(win)
         signs = lambda iv: 1 if (iv.k + iv.j) % 2 == 0 else -1  # noqa: E731
         pi = paraproduct_matrix(b, D0, win).mat
         if kind == "shift":
             t = haar_shift_matrix(D0, win).mat
-            make_rem = remainder_matrix if remainder == "displayed" else remainder_matrix_derived
-            rem = make_rem(b, D0, win).mat
+            rem = dense_remainder(b, win, remainder)
         else:
             t = haar_multiplier_matrix(signs, D0, win).mat
             rem = 0.0
         four = pi @ t - t @ pi + pi.T @ t - t @ pi.T
-        if sign_order == "displayed":
-            four = -four
         mult = np.diag(b.cell_values())
         lhs = mult @ t - t @ mult
         i0, i1 = win.slice_of(0.0, 1.0)
         restricted = (lhs - four - rem)[:, i0:i1]
         res = expansion_residual(
-            b, D0, win, kind=kind, signs=signs, remainder=remainder or "displayed",
-            sign_order=sign_order,
+            b, D0, win, kind=kind, signs=signs, remainder=remainder or "displayed"
         )
         assert res.lhs_norm == float(np.linalg.norm(lhs[:, i0:i1]))
         tol = 1e-13 * res.lhs_norm
         assert abs(res.operator_norm - np.linalg.norm(restricted, 2)) <= tol
         assert abs(res.frobenius_norm - np.linalg.norm(restricted)) <= tol
-
-    @pytest.mark.parametrize("kind", ["shift", "multiplier"])
-    def test_unknown_sign_order_rejected(self, kind):
-        win = make_window(0, 1, 0, 3)
-        with pytest.raises(InvalidConfigurationError):
-            expansion_residual(sin_symbol(win), D0, win, kind=kind, sign_order="flipped")
 
     def test_multiplier_boundedness_surrogate(self):
         # largest singular value of the conjugated sign multiplier stays small
@@ -398,19 +396,6 @@ class TestCommutatorAlgebra:
                 conj = weight_conjugate(t, w, w)
                 worst = max(worst, float(np.linalg.svd(conj.mat, compute_uv=False)[0]))
             assert worst < 50.0
-
-
-class TestExport:
-    def test_csv_export(self, tmp_path):
-        win = make_window(0, 1, 0, 2)
-        h = hilbert_matrix(win)
-        path = tmp_path / "h.csv"
-        h.to_csv(path)
-        text = path.read_bytes().decode()
-        assert "\r" not in text
-        rows = text.strip().split("\n")
-        assert len(rows) == win.n_cells
-        assert len(rows[0].split(",")) == win.n_cells
 
 
 class TestFiniteEntries:
@@ -632,10 +617,8 @@ class TestStructuredAssembly:
     def test_symbol_operators_bit_equal_to_dense_builders(self, window):
         for b in structure_symbols(window):
             assert_bits_equal(paraproduct_matrix(b, D0, window).mat, old_paraproduct(b, window))
-            assert_bits_equal(remainder_matrix(b, D0, window).mat, old_remainder(b, window, False))
-            assert_bits_equal(
-                remainder_matrix_derived(b, D0, window).mat, old_remainder(b, window, True)
-            )
+            assert_bits_equal(dense_remainder(b, window, "displayed"), old_remainder(b, window, False))
+            assert_bits_equal(dense_remainder(b, window, "derived"), old_remainder(b, window, True))
 
     @pytest.mark.parametrize("window", STRUCTURE_WINDOWS)
     @pytest.mark.parametrize("kind, remainder", [("shift", "displayed"), ("shift", "derived"), ("multiplier", "displayed")])
@@ -665,11 +648,10 @@ class TestStructuredAssembly:
             )
             assert_residual_close(res, restricted, lhs[:, i0:i1])
 
-    @pytest.mark.parametrize("sign_order", ["definition", "displayed"])
     @pytest.mark.parametrize("region", [(0.0, 1.0), (-1.0, 2.0), (3.5, 4.0)])
     @pytest.mark.parametrize("kind, remainder", [("shift", "displayed"), ("shift", "derived"), ("multiplier", "displayed")])
-    def test_interior_region_close_to_full_products(self, kind, remainder, region, sign_order):
-        """Regions away from window.lo, both sign orders: every field agrees
+    def test_interior_region_close_to_full_products(self, kind, remainder, region):
+        """Regions away from window.lo: every field agrees
         with the dense residual on the coarsest intervals the region meets,
         restricted to the region's columns (`lhs_norm` bit for bit)."""
         window = make_window(-4, 4, -2, 5)
@@ -680,16 +662,13 @@ class TestStructuredAssembly:
             t = old_shift(sub) if kind == "shift" else old_multiplier(checkerboard, sub)
             sym = pi + pi.T
             rhs = sym @ t - t @ sym
-            if sign_order == "displayed":
-                rhs = -rhs
             if kind == "shift":
                 rhs += old_remainder(b, sub, remainder == "derived")
             mult = np.diag(b.cell_values()[c0:c1])
             lhs = mult @ t - t @ mult
             restricted = (lhs - rhs)[:, i0:i1]
             res = expansion_residual(
-                b, D0, window, kind=kind, signs=checkerboard, region=region,
-                remainder=remainder, sign_order=sign_order,
+                b, D0, window, kind=kind, signs=checkerboard, region=region, remainder=remainder
             )
             assert_residual_close(res, restricted, lhs[:, i0:i1])
             assert (res.region, res.kind) == (region, kind)
@@ -767,22 +746,18 @@ BLOCKS_WINDOW = make_window(-4, 4, -1, 5)
 EXPANSIONS = [("shift", "displayed"), ("shift", "derived"), ("multiplier", "displayed")]
 
 
-def whole_window_residual(b, window, kind, remainder, sign_order, region):
+def whole_window_residual(b, window, kind, remainder, region):
     """(operator, Frobenius, lhs) norms of the full N x N products, restricted
     to the region's columns."""
     pi = paraproduct_matrix(b, D0, window).mat
     if kind == "shift":
         t = haar_shift_matrix(D0, window).mat
-        make_rem = remainder_matrix if remainder == "displayed" else remainder_matrix_derived
-        rem = make_rem(b, D0, window).mat
+        rem = dense_remainder(b, window, remainder)
     else:
         t = haar_multiplier_matrix(checkerboard, D0, window).mat
         rem = 0.0
     sym = pi + pi.T
-    rhs = sym @ t - t @ sym
-    if sign_order == "displayed":
-        rhs = -rhs
-    rhs = rhs + rem
+    rhs = sym @ t - t @ sym + rem
     mult = np.diag(b.cell_values())
     lhs = mult @ t - t @ mult
     i0, i1 = window.slice_of(*region)
@@ -814,29 +789,27 @@ class TestCoarsestBlocks:
         for b in structure_symbols(window):
             mats += [
                 paraproduct_matrix(b, D0, window).mat,
-                remainder_matrix(b, D0, window).mat,
-                remainder_matrix_derived(b, D0, window).mat,
+                dense_remainder(b, window, "displayed"),
+                dense_remainder(b, window, "derived"),
             ]
         for mat in mats:
             outside = mat[off]
             assert np.array_equal(outside, np.zeros_like(outside))
             assert not np.signbit(outside).any()
 
-    @pytest.mark.parametrize("sign_order", ["definition", "displayed"])
     @pytest.mark.parametrize("kind, remainder", EXPANSIONS)
     @pytest.mark.parametrize(
         "region",
         [(0.5, 1.0), (-1.0, 0.5), (-4.0, -3.0), (3.5, 4.0), (1.0, 4.0)],
         ids=["one-block", "straddles", "touches-lo", "touches-hi", "straddles-to-hi"],
     )
-    def test_residual_close_to_whole_window_products(self, region, kind, remainder, sign_order):
+    def test_residual_close_to_whole_window_products(self, region, kind, remainder):
         window = BLOCKS_WINDOW
         for b in structure_symbols(window):
             res = expansion_residual(
-                b, D0, window, kind=kind, signs=checkerboard, region=region,
-                remainder=remainder, sign_order=sign_order,
+                b, D0, window, kind=kind, signs=checkerboard, region=region, remainder=remainder
             )
-            op, frob, lhs = whole_window_residual(b, window, kind, remainder, sign_order, region)
+            op, frob, lhs = whole_window_residual(b, window, kind, remainder, region)
             assert abs(res.lhs_norm - lhs) <= 1e-15 * lhs
             tol = 1e-12 * max(1.0, lhs)
             assert abs(res.operator_norm - op) <= tol
@@ -850,7 +823,7 @@ class TestCoarsestBlocks:
             res = expansion_residual(
                 b, D0, window, kind=kind, signs=checkerboard, region=region, remainder=remainder
             )
-            op, frob, lhs = whole_window_residual(b, window, kind, remainder, "definition", region)
+            op, frob, lhs = whole_window_residual(b, window, kind, remainder, region)
             assert res.lhs_norm.hex() == lhs.hex()
             tol = 1e-14 * max(1.0, lhs)
             assert abs(res.operator_norm - op) <= tol
@@ -868,7 +841,7 @@ class TestCoarsestBlocks:
 
         b = sin_symbol(window)
         full = expansion_residual(b, D0, window, kind="multiplier", signs=sign_of, region=region)
-        assert seen == operators._haar_rows(sub, D0, sub.j_max - 1).intervals()
+        assert seen == resolvable(sub).intervals()
         # a mapping that covers only the blocks' intervals is accepted
         partial = expansion_residual(b, D0, window, kind="multiplier", signs=pattern, region=region)
         assert partial == full
@@ -975,7 +948,7 @@ def per_row_remainder(rows, coefficients, window, child_signs, scale):
 def per_row_multiplier(sign_of, window):
     n = window.n_cells
     mat = np.zeros((n, n))
-    rows = operators._haar_rows(window, D0, window.j_max - 1)
+    rows = resolvable(window)
     for interval, (i0, i1) in zip(rows.intervals(), window.cell_slices(rows)):
         s = sign_of(interval)
         if s not in (-1, 1):
@@ -994,7 +967,7 @@ def per_row_multiplier(sign_of, window):
 def per_row_shift(window):
     n = window.n_cells
     mat = np.zeros((n, n))
-    for i0, i1 in window.cell_slices(operators._haar_rows(window, D0, window.j_max - 2)):
+    for i0, i1 in window.cell_slices(shift_rows(window)):
         hc = operators._local_haar((i1 - i0) // 2)
         out = np.concatenate((hc, -hc)) / math.sqrt(2.0)
         mat[i0:i1, i0:i1] += np.outer(out, operators._local_haar(i1 - i0))
@@ -1016,7 +989,7 @@ SCALE_WINDOWS = [
 def sparse_haar_symbol(window):
     """A Haar symbol on every third resolvable interval, a third of them with
     an explicit zero coefficient, so most rows' coefficients are zero."""
-    rows = operators._haar_rows(window, D0, window.j_max - 1).intervals()
+    rows = resolvable(window).intervals()
     rng = np.random.default_rng(window.j_max)
     coeffs = {iv: (0.0 if i % 9 == 0 else float(rng.normal())) for i, iv in enumerate(rows) if i % 3 == 0}
     return HaarSymbol(window, coeffs)
@@ -1040,17 +1013,15 @@ class TestScaleAssembly:
         symbols_ = coefficient_symbols(window)
         if window.n_cells > 1024:  # one symbol at N = 4096 keeps the test small
             symbols_ = symbols_[-1:]
-        rows1 = operators._haar_rows(window, D0, window.j_max - 1)
-        rows2 = operators._haar_rows(window, D0, window.j_max - 2)
+        rows1, rows2 = resolvable(window), shift_rows(window)
         for b in symbols_:
             c1, c2 = haar_coefficients(b, rows1), haar_coefficients(b, rows2)
             assert_bits_equal(paraproduct_matrix(b, D0, window).mat, per_row_paraproduct(rows1, c1, window))
             assert_bits_equal(
-                remainder_matrix(b, D0, window).mat, per_row_remainder(rows2, c2, window, (-1.0, 1.0), 1.0)
+                dense_remainder(b, window, "displayed"), per_row_remainder(rows2, c2, window, (-1.0, 1.0), 1.0)
             )
             assert_bits_equal(
-                remainder_matrix_derived(b, D0, window).mat,
-                per_row_remainder(rows2, c2, window, (1.0, 1.0), 2.0),
+                dense_remainder(b, window, "derived"), per_row_remainder(rows2, c2, window, (1.0, 1.0), 2.0)
             )
 
     @pytest.mark.parametrize("window", SCALE_WINDOWS)
@@ -1247,11 +1218,10 @@ def unit_haar_terms(window):
     """(name, terms, dense matrix) of the Haar operators with c_I = +-1: the
     shift and the multiplier, with its coarse-average term, for three sign
     patterns."""
-    rows1 = operators._haar_rows(window, D0, window.j_max - 1)
-    rows2 = operators._haar_rows(window, D0, window.j_max - 2)
-    out = [("shift", operators._shift(rows2, window), haar_shift_matrix(D0, window).mat)]
+    rows = resolvable(window)
+    out = [("shift", operators._shift(rows, window), haar_shift_matrix(D0, window).mat)]
     for signs in (checkerboard, 1, -1):
-        terms = operators._multiplier(signs, rows1, window)
+        terms = operators._multiplier(signs, rows, window)
         out.append((f"multiplier {signs}", terms, haar_multiplier_matrix(signs, D0, window).mat))
     return out
 
@@ -1260,24 +1230,14 @@ def haar_terms(window):
     """(name, terms, dense matrix) of every Haar operator on the window: the
     shift, the checkerboard multiplier with its coarse-average term, and the
     paraproduct and both remainders of each structure symbol."""
-    rows1 = operators._haar_rows(window, D0, window.j_max - 1)
-    rows2 = operators._haar_rows(window, D0, window.j_max - 2)
+    rows = resolvable(window)
     out = unit_haar_terms(window)[:2]
     for b in structure_symbols(window):
-        c1, c2 = haar_coefficients(b, rows1), haar_coefficients(b, rows2)
-        out += [
-            ("paraproduct", operators._paraproduct(rows1, c1, window), paraproduct_matrix(b, D0, window).mat),
-            (
-                "remainder",
-                operators._remainder(rows2, c2, window, *operators._DISPLAYED),
-                remainder_matrix(b, D0, window).mat,
-            ),
-            (
-                "remainder_derived",
-                operators._remainder(rows2, c2, window, *operators._DERIVED),
-                remainder_matrix_derived(b, D0, window).mat,
-            ),
-        ]
+        c = haar_coefficients(b, rows)
+        out.append(("paraproduct", operators._paraproduct(rows, c, window), paraproduct_matrix(b, D0, window).mat))
+        for form in operators._REMAINDERS:
+            terms = operators._remainder(rows, c, window, *operators._REMAINDERS[form])
+            out.append((f"remainder {form}", terms, dense_remainder(b, window, form)))
     return out
 
 
@@ -1337,3 +1297,17 @@ class TestIntSign:
         with pytest.raises(InvalidConfigurationError) as info:
             haar_multiplier_matrix(bad, D0, WIN)
         assert str(info.value) == f"sign pattern must map to +/-1; got {bad} on {rows[0].label()}"
+
+    @pytest.mark.parametrize("bad", [2, 5, np.int64(0)], ids=["two", "five", "numpy-zero"])
+    def test_int_sign_not_a_sign_rejected_without_rows(self, bad):
+        """A window with no resolvable row still rejects an int that is no
+        sign, in the builder and in the expansion alike, naming no row."""
+        window = make_window(0, 4, 0, 0)
+        assert len(resolvable(window)) == 0
+        message = f"sign pattern must map to +/-1; got {bad}"
+        with pytest.raises(InvalidConfigurationError) as info:
+            haar_multiplier_matrix(bad, D0, window)
+        assert str(info.value) == message
+        with pytest.raises(InvalidConfigurationError) as info:
+            expansion_residual(sin_symbol(window), D0, window, kind="multiplier", signs=bad)
+        assert str(info.value) == message

@@ -1,5 +1,6 @@
-"""The package metadata in pyproject.toml points only at code that exists, and
-every module of the package uses each name it imports."""
+"""The package metadata in pyproject.toml points only at code that exists,
+every module of the package uses each name it imports, and every private
+module-level name is read somewhere in the package."""
 
 import ast
 import importlib
@@ -40,9 +41,10 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-def _used_names(tree: ast.Module) -> set[str]:
-    """Every name the module reads, including those of string annotations."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def _used_names(tree: ast.AST) -> set[str]:
+    """Every name the code under `tree` reads, including those of string
+    annotations."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     annotations = [node.annotation for node in ast.walk(tree) if isinstance(node, (ast.arg, ast.AnnAssign))]
     annotations += [node.returns for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
     for annotation in filter(None, annotations):
@@ -60,6 +62,44 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = {name: line for name, line in _imported_names(tree).items() if name not in _used_names(tree)}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Each module-level private function, class and constant (one leading
+    underscore), with the statement that defines it."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        defined.update((name, node) for name in targets if name.startswith("_") and not name.startswith("__"))
+    return defined
+
+
+def test_every_private_name_is_read():
+    """Each module-level private name in the package is read by some
+    statement of the package other than the one that defines it (a function
+    calling itself does not count), so a deletion cannot leave a private
+    helper or constant behind that nothing reaches."""
+    statements = []
+    private = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        statements += tree.body
+        private.update((name, (path.name, node)) for name, node in _private_definitions(tree).items())
+    assert private, "the package defines no private module-level name"
+    reads = [(node, _used_names(node)) for node in statements]
+    unread = sorted(
+        f"{module}:{name}"
+        for name, (module, definition) in private.items()
+        if not any(name in used for node, used in reads if node is not definition)
+    )
+    assert not unread, f"private names that nothing in the package reads: {unread}"
 
 
 def _raised_names() -> set[str]:

@@ -422,15 +422,6 @@ class TestDegenerateIntervals:
             a2_constant(PowerWeight(0.25), win, family=family)
         assert f"entry {bad} is not an interval" in str(info.value)
 
-    @pytest.mark.parametrize("a, b", [(0.3, 0.3), (0.5, 0.25), (0.0, math.nan)])
-    def test_average_needs_positive_finite_length(self, a, b):
-        with pytest.raises(InvalidParameterError):
-            PowerWeight(0.5).average(a, b)
-
-    def test_average_on_an_interval(self):
-        w = PowerWeight(0.5)
-        assert w.average(0.0, 0.5) == w.integral(0.0, 0.5) / 0.5
-
 
 class TestSpikedScale:
     def test_underflowing_scale_rejected(self):
