@@ -1311,3 +1311,155 @@ class TestIntSign:
         with pytest.raises(InvalidConfigurationError) as info:
             expansion_residual(sin_symbol(window), D0, window, kind="multiplier", signs=bad)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("sign", [1, -1, np.int64(1), np.int32(-1)], ids=["one", "minus-one", "int64", "int32"])
+    def test_int_sign_without_rows_keeps_the_coarse_averages(self, sign):
+        """With no resolvable row, a sign multiplier is its coarse averages
+        alone, which on one-cell coarsest intervals is the identity, and it
+        commutes with every symbol."""
+        window = make_window(0, 4, 0, 0)
+        assert_bits_equal(haar_multiplier_matrix(sign, D0, window).mat, np.eye(window.n_cells))
+        res = expansion_residual(sin_symbol(window), D0, window, kind="multiplier", signs=sign, region=(0.0, 4.0))
+        assert (res.operator_norm, res.frobenius_norm, res.lhs_norm) == (0.0, 0.0, 0.0)
+
+    def test_callable_and_mapping_unread_without_rows(self):
+        """A callable or a mapping is read on the rows only, so with no row it
+        is never called or looked up, and gives what an int sign gives."""
+        window = make_window(0, 4, 0, 0)
+
+        def refuse(interval):
+            raise AssertionError(f"sign read on {interval.label()}")
+
+        b = sin_symbol(window)
+        want = expansion_residual(b, D0, window, kind="multiplier", signs=1)
+        for signs in (refuse, {}):
+            assert_bits_equal(haar_multiplier_matrix(signs, D0, window).mat, np.eye(window.n_cells))
+            assert expansion_residual(b, D0, window, kind="multiplier", signs=signs) == want
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize(
+        "region", [(0.5, 1.0), (-1.0, 0.5), (-4.0, 4.0)], ids=["one-block", "straddles", "whole"]
+    )
+    def test_int_callable_and_mapping_agree(self, region, sign):
+        """One sign given as an int, a callable or a mapping gives the same
+        row signs, so every residual field keeps its bits."""
+        window = BLOCKS_WINDOW
+        b = StepSymbol(window, np.random.default_rng(5).normal(size=window.n_cells))
+        pattern = {iv: sign for iv in enumerate_intervals(D0, window)}
+        want = expansion_residual(b, D0, window, kind="multiplier", signs=sign, region=region)
+        for signs in (lambda iv: sign, pattern):
+            got = expansion_residual(b, D0, window, kind="multiplier", signs=signs, region=region)
+            assert [x.hex() for x in (got.operator_norm, got.frobenius_norm, got.lhs_norm)] == [
+                x.hex() for x in (want.operator_norm, want.frobenius_norm, want.lhs_norm)
+            ]
+
+
+class TestParaproductAdjoint:
+    @pytest.mark.parametrize("window", STRUCTURE_WINDOWS)
+    def test_transpose_maps_haar_to_averaging_indicator(self, window):
+        """pi_b* h_J = b_hat(J) 1_J / |J|: the transpose of the paraproduct
+        maps each resolvable Haar vector to its coefficient times J's
+        averaging indicator, sqrt(width) / |J| on J's cells."""
+        rows = resolvable(window)
+        width = float(window.cell_width)
+        intervals = rows.intervals()
+        haars = np.zeros((window.n_cells, len(intervals)))
+        indicators = np.zeros_like(haars)
+        for col, (interval, (i0, i1)) in enumerate(zip(intervals, window.cell_slices(rows))):
+            haars[:, col] = haar_fn_coeffs(interval, window)
+            indicators[i0:i1, col] = math.sqrt(width) / float(interval.length)
+        for b in structure_symbols(window):
+            coeffs = np.array([haar_coefficient(b, interval) for interval in intervals])
+            got = paraproduct_matrix(b, D0, window).mat.T @ haars
+            assert np.allclose(got, indicators * coeffs, rtol=1e-12, atol=1e-13)
+
+
+class TestScaleCuts:
+    """Every builder reads the one table of resolvable rows; the shift and
+    the remainder drop its finest scale themselves."""
+
+    @pytest.mark.parametrize("window", STRUCTURE_WINDOWS)
+    def test_shift_and_remainder_cut_the_table_themselves(self, window):
+        """Given the cut table, the shift and both remainders write the same
+        bits as given the whole one: the cut is theirs, and taking it twice
+        changes nothing."""
+        rows, cut = resolvable(window), shift_rows(window)
+        assert_bits_equal(
+            operators._haar_sum(operators._shift(rows, window), window),
+            operators._haar_sum(operators._shift(cut, window), window),
+        )
+        for b in structure_symbols(window):
+            whole, short = haar_coefficients(b, rows), haar_coefficients(b, cut)
+            for form in operators._REMAINDERS.values():
+                assert_bits_equal(
+                    operators._haar_sum(operators._remainder(rows, whole, window, *form), window),
+                    operators._haar_sum(operators._remainder(cut, short, window, *form), window),
+                )
+
+    @pytest.mark.parametrize("window", STRUCTURE_WINDOWS)
+    def test_finest_scale_haar_in_every_kernel(self, window):
+        """A Haar function of the finest resolvable scale has no resolvable
+        subinterval and no Haar pair in its children, so the paraproduct, the
+        shift and both remainders all send it to zero."""
+        rows = resolvable(window)
+        finest = [iv for iv in rows.intervals() if iv.j == window.j_max - 1]
+        haars = np.zeros((window.n_cells, len(finest)))
+        for col, interval in enumerate(finest):
+            haars[:, col] = haar_fn_coeffs(interval, window)
+        mats = [haar_shift_matrix(D0, window).mat]
+        for b in structure_symbols(window):
+            mats += [paraproduct_matrix(b, D0, window).mat]
+            mats += [dense_remainder(b, window, form) for form in operators._REMAINDERS]
+        for mat in mats:
+            assert np.allclose(mat @ haars, 0.0, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("window", STRUCTURE_WINDOWS)
+    def test_finest_scale_coefficients_reach_only_the_paraproduct(self, window):
+        """Moving the finest scale's coefficients leaves both remainders'
+        bits alone and moves the paraproduct by exactly the paraproduct of
+        the move."""
+        rows = resolvable(window)
+        finest = (rows.j == window.j_max - 1).astype(float)
+        for b in structure_symbols(window):
+            c = haar_coefficients(b, rows)
+            moved = c + finest
+            for form in operators._REMAINDERS.values():
+                assert_bits_equal(
+                    operators._haar_sum(operators._remainder(rows, moved, window, *form), window),
+                    operators._haar_sum(operators._remainder(rows, c, window, *form), window),
+                )
+            delta = operators._haar_sum(operators._paraproduct(rows, moved, window), window)
+            delta -= operators._haar_sum(operators._paraproduct(rows, c, window), window)
+            want = operators._haar_sum(operators._paraproduct(rows, finest, window), window)
+            assert np.allclose(delta, want, rtol=0.0, atol=1e-12)
+            assert (np.abs(want) > 0).any() == bool(finest.any())
+
+
+CLOSING_WINDOWS = STRUCTURE_WINDOWS[:3]
+
+
+class TestRemainderForms:
+    @pytest.mark.parametrize("window", CLOSING_WINDOWS)
+    def test_derived_closes_for_step_symbols_and_displayed_does_not(self, window):
+        """On the whole window, a step symbol's shift expansion closes to
+        rounding with the derived remainder, and misses by a share of the
+        commutator with the displayed one."""
+        b = structure_symbols(window)[2]
+        region = (float(window.lo), float(window.hi))
+        derived = expansion_residual(b, D0, window, kind="shift", remainder="derived", region=region)
+        displayed = expansion_residual(b, D0, window, kind="shift", remainder="displayed", region=region)
+        assert derived.lhs_norm == displayed.lhs_norm > 1.0
+        assert derived.operator_norm <= 1e-13 * derived.lhs_norm
+        assert displayed.operator_norm >= 0.05 * displayed.lhs_norm
+
+    @pytest.mark.parametrize("kind", ["shift", "multiplier"])
+    @pytest.mark.parametrize(
+        "remainder", ["bogus", "Derived", None, ["derived"]], ids=["bogus", "capitalised", "none", "list"]
+    )
+    def test_unknown_remainder_named(self, kind, remainder):
+        """A name outside the table, or a value that cannot be one, raises
+        with the value's repr, for either kind."""
+        win = make_window(0, 1, 0, 3)
+        with pytest.raises(InvalidConfigurationError) as info:
+            expansion_residual(sin_symbol(win), D0, win, kind=kind, remainder=remainder)
+        assert str(info.value) == f"unknown remainder {remainder!r}"

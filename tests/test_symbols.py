@@ -333,6 +333,43 @@ class TestSplitIntegral:
         assert type(x) is np.ndarray and x.dtype == np.float64
         assert x.tolist() == [0.25, 0.5, 1.0]
 
+    @pytest.mark.parametrize("kind", sorted(split_symbols()))
+    def test_integral_is_the_one_row_split(self, kind):
+        """`integral(a, c)` is the lower half of `split_integral(a, c, c)`,
+        whose upper half [c, c) is empty and so exactly +0.0."""
+        b = split_symbols()[kind]
+        for a in SPLIT_POINTS:
+            for c in SPLIT_POINTS:
+                lower, upper = b.split_integral(a, c, c)
+                assert bits(b.integral(a, c), upper) == bits(lower, 0.0), (a, c)
+
+    @pytest.mark.parametrize("kind", sorted(split_symbols()))
+    def test_empty_or_inverted_interval_integrates_to_zero(self, kind):
+        b = split_symbols()[kind]
+        for a in SPLIT_POINTS:
+            for c in SPLIT_POINTS:
+                if c <= a:
+                    assert bits(b.integral(a, c)) == bits(0.0), (a, c)
+
+    def test_integral_defined_once_in_the_base(self):
+        """Every symbol class integrates through the base class's one-row
+        split, so only `split_integral` differs between kinds."""
+        kinds = [cls for cls in vars(symbols).values() if isinstance(cls, type) and issubclass(cls, symbols.Symbol)]
+        assert {AnalyticSymbol, HaarSymbol, StepSymbol} <= set(kinds)
+        assert all(cls.integral is symbols.Symbol.integral for cls in kinds)
+
+    def test_split_integral_left_to_each_kind(self):
+        """A symbol kind that does not define `split_integral` has no
+        integral: both raise NotImplementedError instead of recursing."""
+
+        class Bare(symbols.Symbol):
+            window = SPLIT_WIN
+
+        with pytest.raises(NotImplementedError):
+            Bare().split_integral(0.0, 0.5, 1.0)
+        with pytest.raises(NotImplementedError):
+            Bare().integral(0.0, 1.0)
+
 
 ANALYTIC_KINDS = ["sin", "parabola", "ramp_bump", "quartic_bump", "linear", "quadrature"]
 

@@ -649,6 +649,19 @@ class TestCellAverages:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+class TestEmptyIntervals:
+    @pytest.mark.parametrize("w", CELL_AVERAGE_KINDS)
+    def test_empty_interval_integrates_to_zero(self, w):
+        """[a, a) integrates to +0.0 for a weight of every kind and its dual,
+        as a scalar and as table rows, at a power weight's centre too."""
+        points = [-0.7, 0.0, 0.25, 1.0 / 3.0, 0.3, 2.0]
+        for v in (w, w.inv()):
+            for a in points:
+                assert v.integral(a, a).hex() == (0.0).hex(), (v.label, a)
+            table = v.integrals(np.array(points), np.array(points))
+            assert table.tobytes() == np.zeros(len(points)).tobytes(), v.label
+
+
 def segment_loop_integral(w, a, b):
     """The former `QuadratureWeight.integral`: one `fn` call per segment."""
     nodes, wts = GAUSS_LEGENDRE_32
