@@ -11,8 +11,9 @@ inside a window: each scale contributes one range of translations, and the
 table holds the integer j and k of every row with its float left, mid,
 right and length, built as arrays without an interval object per row.
 `enumerate_intervals` is the object view of the same rows, for callers that
-hand intervals on.  All types are immutable and every operation is pure, so
-concurrent reads are safe.
+hand intervals on.  Every Haar function takes its cells from the one
+cell-range rule, `TruncationWindow.cell_slice` (`haar_cell_values`).  All
+types are immutable and every operation is pure, so concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -172,9 +173,6 @@ class TruncationWindow:
 
     def cell_midpoints(self) -> np.ndarray:
         return float(self.lo) + (np.arange(self.n_cells) + 0.5) * float(self.cell_width)
-
-    def contains_interval(self, left: Fraction, right: Fraction) -> bool:
-        return self.lo <= left and right <= self.hi
 
     @cached_property
     def _lo_cells(self) -> int:
@@ -346,18 +344,18 @@ GAUSS_LEGENDRE_32 = np.polynomial.legendre.leggauss(32)
 
 
 def haar_cell_values(interval: DyadicInterval, window: TruncationWindow) -> np.ndarray:
-    """Exact cell values of the Haar function on the finest-cell lattice.
-
-    Requires a cell-aligned interval at scale <= j_max - 1.
-    """
+    """Exact cell values of h_I on the finest-cell lattice: +|I|^(-1/2) on
+    the first half of I's `cell_slice` and -|I|^(-1/2) on the second.  An
+    interval that is not cell-aligned, inside the window and of scale
+    <= j_max - 1 raises InvalidConfigurationError."""
     if interval.j > window.j_max - 1:
         raise InvalidConfigurationError(
-            f"Haar function at scale {interval.j} is not resolvable at j_max {window.j_max}"
+            f"Haar function of {interval.label()} is not resolvable at j_max {window.j_max}"
         )
     i0, i1 = window.cell_slice(interval)
-    m0, _ = window.cell_slice(interval.right_child)
+    mid = (i0 + i1) // 2
     vals = np.zeros(window.n_cells)
     amp = 1.0 / np.sqrt(float(interval.length))
-    vals[i0:m0] = amp
-    vals[m0:i1] = -amp
+    vals[i0:mid] = amp
+    vals[mid:i1] = -amp
     return vals

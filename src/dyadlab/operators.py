@@ -4,17 +4,19 @@ Basis vectors are e_i = |cell|^(-1/2) * indicator(cell_i); entries are
 <T e_j, e_i> in unweighted L2.  Paraproduct, Haar multiplier, dyadic shift,
 and multiplication matrices are finite sums of exact cellwise products.
 Every Haar operator (paraproduct, multiplier, shift, remainders) is one
-description: terms, each a sum over intervals I of c_I times a local block
-u_I outer v_I on I x I (the multiplier's coarse averages are one more term,
-with c_I = 1).  A builder gives only its per-row coefficients c_I and its
-block pattern (u, v) on c cells, in which h_I is the local vector
-+-1/sqrt(c) (`_local_haar`).  One scale iterator, `_scale_blocks`, serves
-both readers of a description: a scale's intervals are consecutive
-translations, so their blocks are disjoint and lie along the diagonal from
-the first row's cells (`TruncationWindow.cell_slices`).  `_haar_sum` writes
-the sum densely, through one strided view of each scale's c x c diagonal
-blocks; `_haar_apply` applies it, or its transpose, to N x k columns, scale
-by scale, and forms no N x N array.  The dense builders are
+description: a list of scale blocks (c, i0, u, v), each the sum over one
+scale's intervals I of c_I times a local block u outer v on I x I.  A
+scale's intervals are consecutive translations, so their blocks are disjoint
+and lie along the diagonal from i0, the first row's first cell
+(`TruncationWindow.cell_slices`); c holds one coefficient per interval and
+u one entry per cell of I, and a v of one entry is a constant row.  A
+builder gives only its per-row coefficients c_I and its block pattern (u, v)
+on c cells, in which h_I is the local vector +-1/sqrt(c) (`_local_haar`),
+and `_term` cuts them into one block per scale; the multiplier's coarse
+averages are one more block, with c_I = 1.  `_haar_sum` writes the blocks
+densely, through one strided view of each scale's c x c diagonal blocks;
+`_haar_apply` applies them, or their transposes, to N x k columns, scale by
+scale, and forms no N x N array.  The dense builders are
 `paraproduct_matrix`, `haar_multiplier_matrix` and `haar_shift_matrix`; the
 shift remainder, in its two forms ("displayed" and "derived",
 `_REMAINDERS`), enters only through `expansion_residual`.  Each builder and
@@ -58,6 +60,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import InvalidConfigurationError, InvalidMatrixError
 from .grids import (
+    STANDARD,
     DyadicGrid,
     DyadicInterval,
     IntervalTable,
@@ -148,7 +151,7 @@ def _resolvable_rows(grid: DyadicGrid, window: TruncationWindow, what: str) -> I
     """The table rows of scale <= j_max - 1, whose Haar functions are
     resolvable: the one table each builder reads.  `what` names the assembly
     in the InvalidConfigurationError a grid that is not cell-aligned raises."""
-    if grid.grid_id != "standard":
+    if grid.grid_id != STANDARD:
         raise InvalidConfigurationError(
             f"{what} needs cell-aligned intervals; the shifted grid enters "
             "through norms only"
@@ -168,64 +171,52 @@ def _diagonal_blocks(mat: np.ndarray, i0: int, count: int, cells: int) -> np.nda
     return as_strided(mat[i0:, i0:], (count, cells, cells), (cells * (rs + cs), rs, cs))
 
 
-# a term: per scale (r0, r1, i0, cells), the coefficients, and block(cells) -> (u, v)
-_Term = tuple[list[tuple[int, int, int, int]], np.ndarray, Callable]
-
-
-def _term(rows: IntervalTable, coefficients: np.ndarray, window: TruncationWindow, block: Callable) -> _Term:
+def _term(rows: IntervalTable, coefficients: np.ndarray, window: TruncationWindow, block: Callable) -> list[tuple]:
     """The sum over the scale-major rows I of c_I (u outer v) on I's diagonal
-    block: c = coefficients, and block(cells) gives the local pattern (u, v)
-    on I's cells, a v of length 1 standing for a constant row.  A scale's
-    rows are consecutive translations, so their blocks follow one another
-    from the first row's cells; each scale is kept as its rows r0:r1 and that
-    first row's cells [i0, i0 + cells)."""
+    block, as one block (c, i0, u, v) per scale: c = the scale's
+    coefficients, and (u, v) = block(cells) the local pattern on one row's
+    cells, a v of length 1 standing for a constant row.  A scale's rows are
+    consecutive translations, so their blocks follow one another from i0,
+    the first row's first cell."""
     cuts = [0, *(np.flatnonzero(np.diff(rows.j)) + 1).tolist(), len(rows)] if len(rows) else []
-    scales = []
+    blocks = []
     for r0, r1 in zip(cuts, cuts[1:]):
         i0, i1 = window.cell_slices(rows[r0 : r0 + 1])[0]
-        scales.append((r0, r1, i0, i1 - i0))
-    return scales, coefficients, block
+        blocks.append((coefficients[r0:r1], i0, *block(i1 - i0)))
+    return blocks
 
 
-def _scale_blocks(terms: list[_Term]):
-    """The one scale iterator of both consumers: for each term in order and
-    each of its scales, (c, i0, cells, u, v) with c the scale's coefficients."""
-    for scales, coefficients, block in terms:
-        for r0, r1, i0, cells in scales:
-            u, v = block(cells)
-            yield coefficients[r0:r1], i0, cells, u, v
-
-
-def _haar_sum(terms: list[_Term], window: TruncationWindow) -> np.ndarray:
-    """The terms written into a fresh N x N array, each scale through one view
-    of its diagonal blocks, with (c_I u) v as the one temporary.  Every
+def _haar_sum(blocks: list[tuple], window: TruncationWindow) -> np.ndarray:
+    """The scale blocks written into a fresh N x N array, each through one
+    view of its diagonal blocks, with (c_I u) v as the one temporary.  Every
     builder has c_I = +-1 or entries +-2^-k in u or v, so (c_I u_i) v_j
     rounds as c_I (u_i v_j) does."""
     n = window.n_cells
     mat = np.zeros((n, n))
-    for c, i0, cells, u, v in _scale_blocks(terms):
-        blocks = _diagonal_blocks(mat, i0, len(c), cells)
-        blocks += (c[:, None] * u)[:, :, None] * v
+    for c, i0, u, v in blocks:
+        view = _diagonal_blocks(mat, i0, len(c), len(u))
+        view += (c[:, None] * u)[:, :, None] * v
     return mat
 
 
 def _haar_apply(
-    terms: list[_Term],
+    blocks: list[tuple],
     window: TruncationWindow,
     x: np.ndarray,
     transpose: bool = False,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The terms (or their transposes, u and v swapped) applied to the N x k
-    columns x, added into `out` (fresh zeros when None), which is returned.
-    Each scale reads x's rows as (count, cells, k) blocks and adds
+    """The scale blocks (or their transposes, u and v swapped) applied to the
+    N x k columns x, added into `out` (fresh zeros when None), which is
+    returned.  Each scale reads x's rows as (count, cells, k) blocks and adds
     c_I u (v^T x_I), with u (v^T x_I) c_I as the one N x k temporary; no
     N x N array is formed.  With c_I = +-1 and x a column of the identity,
     v^T x_I is v_j exactly, so the columns are bit-equal to the dense sum's."""
     k = x.shape[1]
     if out is None:
         out = np.zeros((window.n_cells, k))
-    for c, i0, cells, u, v in _scale_blocks(terms):
+    for c, i0, u, v in blocks:
+        cells = len(u)  # before the swap: v may be one constant entry
         if transpose:
             u, v = v, u
         i1 = i0 + len(c) * cells
@@ -249,18 +240,18 @@ def paraproduct_matrix(
 ) -> OperatorMatrix:
     """Sum over enumerated resolvable I of b_hat(I) * (h_I outer avg_I)."""
     rows = _resolvable_rows(grid, window, "paraproduct assembly")
-    terms = _paraproduct(rows, haar_coefficients(b, rows), window)
-    return OperatorMatrix(_haar_sum(terms, window), window, name="paraproduct")
+    blocks = _paraproduct(rows, haar_coefficients(b, rows), window)
+    return OperatorMatrix(_haar_sum(blocks, window), window, name="paraproduct")
 
 
-def _paraproduct(rows: IntervalTable, coefficients, window: TruncationWindow) -> list[_Term]:
+def _paraproduct(rows: IntervalTable, coefficients, window: TruncationWindow) -> list[tuple]:
     width = float(window.cell_width)
     # row pattern: h_I at cells times sqrt(width); column: width/|I| * sqrt(width)/width
     row_top = 1.0 / np.sqrt(rows.length) * math.sqrt(width)
     col = math.sqrt(width) / rows.length
     # +1 on the top half of I's rows, -1 on the bottom half, constant along each row
     block = lambda cells: (np.repeat([1.0, -1.0], cells // 2), np.ones(1))
-    return [_term(rows, coefficients * row_top * col, window, block)]
+    return _term(rows, coefficients * row_top * col, window, block)
 
 
 def haar_multiplier_matrix(
@@ -271,21 +262,21 @@ def haar_multiplier_matrix(
     """Sign multiplier: diagonal +/-1 on the resolvable Haar span, identity on
     the unresolved coarse averages.  `signs` is one sign, a callable or a
     mapping of intervals to signs, or InvalidConfigurationError is raised."""
-    terms = _multiplier(signs, _resolvable_rows(grid, window, "sign multiplier assembly"), window)
-    return OperatorMatrix(_haar_sum(terms, window), window, name="haar_multiplier")
+    blocks = _multiplier(signs, _resolvable_rows(grid, window, "sign multiplier assembly"), window)
+    return OperatorMatrix(_haar_sum(blocks, window), window, name="haar_multiplier")
 
 
-def _multiplier(signs, rows: IntervalTable, window: TruncationWindow) -> list[_Term]:
-    """The signed Haar projections, then the coarse averages' term with
-    coefficient 1 and u = v = 1/sqrt(step) on each coarsest block (v as a
-    constant row)."""
+def _multiplier(signs, rows: IntervalTable, window: TruncationWindow) -> list[tuple]:
+    """The signed Haar projections, then one block of the coarse averages,
+    with coefficient 1 and u = v = 1/sqrt(step) on each coarsest interval
+    (v as a constant row)."""
     n = window.n_cells
     step = 1 << (window.j_max - window.j_min)  # cells per coarsest interval
     coarse = np.full(step, 1.0 / math.sqrt(step))
     projection = lambda cells: (_local_haar(cells),) * 2
     return [
-        _term(rows, _row_signs(signs, rows), window, projection),
-        ([(0, n // step, 0, step)], np.ones(n // step), lambda cells: (coarse, coarse[:1])),
+        *_term(rows, _row_signs(signs, rows), window, projection),
+        (np.ones(n // step), 0, coarse, coarse[:1]),
     ]
 
 
@@ -326,11 +317,11 @@ def haar_shift_matrix(grid: DyadicGrid, window: TruncationWindow) -> OperatorMat
     """Dyadic shift h_I -> (h_(left child) - h_(right child)) / sqrt(2) on
     every interval whose children's Haar functions are resolvable; zero on the
     orthogonal complement."""
-    terms = _shift(_resolvable_rows(grid, window, "dyadic shift assembly"), window)
-    return OperatorMatrix(_haar_sum(terms, window), window, name="haar_shift")
+    blocks = _shift(_resolvable_rows(grid, window, "dyadic shift assembly"), window)
+    return OperatorMatrix(_haar_sum(blocks, window), window, name="haar_shift")
 
 
-def _shift(rows: IntervalTable, window: TruncationWindow) -> list[_Term]:
+def _shift(rows: IntervalTable, window: TruncationWindow) -> list[tuple]:
     """The shift on the resolvable rows of scale <= j_max - 2, whose children
     each hold a Haar pair of cells; the finest resolvable scale is dropped."""
     rows = _through_scale(rows, window.j_max - 2)
@@ -340,7 +331,7 @@ def _shift(rows: IntervalTable, window: TruncationWindow) -> list[_Term]:
         hc = _local_haar(cells // 2)
         return np.concatenate((hc, -hc)) / math.sqrt(2.0), _local_haar(cells)
 
-    return [_term(rows, np.ones(len(rows)), window, block)]
+    return _term(rows, np.ones(len(rows)), window, block)
 
 
 def hilbert_primitive(t: np.ndarray) -> np.ndarray:
@@ -416,7 +407,7 @@ def multiplication_commutator(
 
 def _remainder(
     rows: IntervalTable, coefficients: np.ndarray, window: TruncationWindow, child_signs, scale: float
-) -> list[_Term]:
+) -> list[tuple]:
     """Sum over the resolvable rows I of scale <= j_max - 2 of
     (b_hat(I) / sqrt(scale |I|)) * ((s_l h_(left child) + s_r h_(right child))
     outer h_I), with `coefficients` the b_hat of every resolvable row."""
@@ -428,7 +419,7 @@ def _remainder(
         hc = _local_haar(cells // 2)
         return np.concatenate((s_left * hc, s_right * hc)), _local_haar(cells)
 
-    return [_term(rows, coefficients / np.sqrt(scale * rows.length), window, block)]
+    return _term(rows, coefficients / np.sqrt(scale * rows.length), window, block)
 
 
 # (child signs, scale) of each remainder form: "displayed" is

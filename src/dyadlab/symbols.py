@@ -3,8 +3,9 @@
 A symbol is a locally integrable function bound to a truncation window.  Three
 kinds exist: an analytic callable (with an exact antiderivative where one is
 known), a step vector on the finest cells, and a finite Haar-coefficient map.
-Step and Haar kinds are exactly representable on the finest cells; analytic
-symbols are reduced to cell averages when a step view is required.
+Step and Haar kinds are exactly representable on the finest cells (a Haar
+symbol sums its terms' `haar_cell_values`); analytic symbols are reduced to
+cell averages when a step view is required.
 
 A Haar coefficient <b, h_I> is computed from one set of float endpoints of I
 (`DyadicInterval.float_bounds`, built from the integers (j, k)) and one
@@ -44,6 +45,7 @@ import numpy as np
 from .errors import InvalidConfigurationError, InvalidParameterError
 from .grids import (
     GAUSS_LEGENDRE_32,
+    STANDARD,
     DyadicInterval,
     IntervalTable,
     TruncationWindow,
@@ -112,7 +114,6 @@ class StepSymbol(Symbol):
         self._width, self._n = float(window.cell_width), window.n_cells
         # prefix[i] = integral from window.lo to edge i
         self._prefix = np.concatenate([[0.0], np.cumsum(self._values) * self._width])
-        self.lipschitz = None
 
     def cell_values(self) -> np.ndarray:
         return self._values
@@ -259,28 +260,14 @@ class AnalyticSymbol(Symbol):
 
 
 class HaarSymbol(StepSymbol):
-    """Finite Haar-coefficient map on the standard grid.
-
-    Every interval must be cell-aligned and live at scale <= j_max - 1 so the
-    synthesized function is exactly a step function on the finest cells.
-    """
+    """Finite Haar-coefficient map on the standard grid, synthesized exactly
+    as a step function on the finest cells; `haar_cell_values` rejects an
+    interval that is not cell-aligned, inside the window and of scale <= j_max - 1."""
 
     def __init__(self, window: TruncationWindow, coefficients: Mapping[DyadicInterval, float]):
         self.coefficients = dict(coefficients)
         vals = np.zeros(window.n_cells)
         for interval, c in self.coefficients.items():
-            if interval.grid_id != "standard":
-                raise InvalidConfigurationError(
-                    "Haar symbols are supported on the standard grid only"
-                )
-            if interval.j > window.j_max - 1:
-                raise InvalidConfigurationError(
-                    f"coefficient at scale {interval.j} is unresolvable at j_max {window.j_max}"
-                )
-            if not window.contains_interval(interval.left, interval.right):
-                raise InvalidConfigurationError(
-                    f"interval {interval.label()} leaves the window"
-                )
             vals += c * haar_cell_values(interval, window)
         super().__init__(window, vals)
 
@@ -447,6 +434,6 @@ def random_haar_symbol(
     while len(coeffs) < n_terms:
         j = int(rng.integers(j_lo, j_hi + 1))
         k = int(rng.integers(0, 2**j))
-        interval = DyadicInterval("standard", j, k)
+        interval = DyadicInterval(STANDARD, j, k)
         coeffs[interval] = float(rng.normal())
     return HaarSymbol(window, coeffs)

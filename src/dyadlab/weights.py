@@ -11,9 +11,10 @@ segments 2048 at a time.  The spiked kind is scale * base^s in one class.
 `Weight.cell_averages`, the diagonal that `weight_conjugate` reads, is one
 table call over the window's cells.  Every integral rejects a bound that is
 not finite, and every closed-form `eval` a point that is not finite, with
-InvalidParameterError.  A BloomWeight bundles a source weight mu and a target
-weight lam together with the derived intermediary nu = sqrt(mu/lam).  Weights
-are immutable; every method is pure and safe for concurrent use.
+InvalidParameterError; an inverted interval, b < a, is empty for every kind.
+A BloomWeight bundles a source weight mu and a target weight lam together
+with the derived intermediary nu = sqrt(mu/lam).  Weights are immutable;
+every method is pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .grids import (
     DyadicGrid,
     TruncationWindow,
     interval_table,
+    standard_grid,
+    third_shift_grid,
 )
 
 
@@ -118,8 +121,9 @@ class Weight:
         return float(self.integrals([a], [b])[0])
 
     def integrals(self, lo, hi) -> np.ndarray:
-        """Integrals over the intervals [lo[i], hi[i])."""
-        return self._integrals(*_finite_bounds(lo, hi))
+        """Integrals over the intervals [lo[i], hi[i]); an inverted one is empty."""
+        lo, hi = _finite_bounds(lo, hi)
+        return self._integrals(lo, np.where(hi < lo, lo, hi))
 
     def _integrals(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """The table path on finite bounds."""
@@ -615,11 +619,10 @@ def a2_constant(
     first entry that breaks either rule raises InvalidParameterError."""
     if family is None:
         if grids is None:
-            from .grids import standard_grid, third_shift_grid
-
             grids = (standard_grid(), third_shift_grid())
         lo, hi = _family_bounds(window, grids, 1000, seed)
-        family_label = "dyadic(both grids)+random(1000)"
+        ids = ",".join(grid.grid_id for grid in grids)
+        family_label = (f"dyadic({ids})+" if ids else "") + "random(1000)"
     else:
         lo, hi = _user_family_bounds(family)
         family_label = "user"
@@ -675,8 +678,6 @@ def reverse_holder_exponent(
         if not 0 < value < math.inf:
             raise InvalidParameterError(f"rungs and cap must be finite and positive; got {value!r}")
     if grid is None:
-        from .grids import standard_grid
-
         grid = standard_grid()
     table = interval_table(grid, window)
     ell = table.right - table.left

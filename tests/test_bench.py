@@ -7,7 +7,7 @@ A library change that breaks one of those pins fails here, not only when the
 benchmark runs.
 
 The tracer counts calls, not table rows, so a tiny ratio_sweep pass must
-still make scalar calls, and two scalar paths stay for that:
+still make scalar calls, and three scalar paths stay for that:
 
 - `QuadratureWeight`, the one weight kind with its own scalar `integral`,
   makes one such call per table row.  On a ratio_sweep pass these are the
@@ -20,6 +20,10 @@ still make scalar calls, and two scalar paths stay for that:
   declares none), which gives `symbols.haar_coeff_calls`; the call stays for
   that count.  Each call evaluates the antiderivative once, on a 3-point
   array, and its bits are those of the former three scalar evaluations.
+- `haar_cell_values` reads `interval.length`, an exact Fraction, once per
+  Haar function.  The self-test's tiny ratio_sweep pass builds its
+  `random_haar` symbol through it, and these 8 reads are all of that
+  pass's `grids.geometry_calls`, so the read stays for that count.
 
 The tracer also rebinds `enumerate_intervals` in every module that imports
 it, and the self-test checks that `besov.enumerate_intervals` is such a

@@ -1215,9 +1215,9 @@ class TestOneBufferPerStage:
 
 
 def unit_haar_terms(window):
-    """(name, terms, dense matrix) of the Haar operators with c_I = +-1: the
-    shift and the multiplier, with its coarse-average term, for three sign
-    patterns."""
+    """(name, scale blocks, dense matrix) of the Haar operators with
+    c_I = +-1: the shift and the multiplier, with its coarse-average block,
+    for three sign patterns."""
     rows = resolvable(window)
     out = [("shift", operators._shift(rows, window), haar_shift_matrix(D0, window).mat)]
     for signs in (checkerboard, 1, -1):
@@ -1227,9 +1227,9 @@ def unit_haar_terms(window):
 
 
 def haar_terms(window):
-    """(name, terms, dense matrix) of every Haar operator on the window: the
-    shift, the checkerboard multiplier with its coarse-average term, and the
-    paraproduct and both remainders of each structure symbol."""
+    """(name, scale blocks, dense matrix) of every Haar operator on the
+    window: the shift, the checkerboard multiplier with its coarse-average
+    block, and the paraproduct and both remainders of each structure symbol."""
     rows = resolvable(window)
     out = unit_haar_terms(window)[:2]
     for b in structure_symbols(window):
@@ -1433,6 +1433,42 @@ class TestScaleCuts:
             want = operators._haar_sum(operators._paraproduct(rows, finest, window), window)
             assert np.allclose(delta, want, rtol=0.0, atol=1e-12)
             assert (np.abs(want) > 0).any() == bool(finest.any())
+
+
+def scale_spans(rows, window):
+    """(first cell, end cell, rows) of each scale of the scale-major rows."""
+    spans = {}
+    for j, (i0, i1) in zip(rows.j.tolist(), window.cell_slices(rows)):
+        first, _, count = spans.get(j, (i0, i1, 0))
+        spans[j] = (first, i1, count + 1)
+    return list(spans.values())
+
+
+class TestScaleBlocks:
+    """Every builder gives one block (c, i0, u, v) per scale: c holds the
+    scale's coefficients, one per row, u is the local pattern on one row's
+    cells, and v is as long as u or one constant entry."""
+
+    @pytest.mark.parametrize("window", STRUCTURE_WINDOWS)
+    def test_blocks_cover_each_scale_once(self, window):
+        rows, cut = resolvable(window), shift_rows(window)
+        n = window.n_cells
+        coefficients = haar_coefficients(sin_symbol(window), rows)
+        builders = {
+            "paraproduct": (operators._paraproduct(rows, coefficients, window), scale_spans(rows, window)),
+            "multiplier": (
+                operators._multiplier(checkerboard, rows, window),
+                scale_spans(rows, window) + [(0, n, n >> (window.j_max - window.j_min))],
+            ),
+            "shift": (operators._shift(rows, window), scale_spans(cut, window)),
+        }
+        for form, args in operators._REMAINDERS.items():
+            builders[form] = (operators._remainder(rows, coefficients, window, *args), scale_spans(cut, window))
+        for name, (blocks, spans) in builders.items():
+            got = [(i0, i0 + len(c) * len(u), len(c)) for c, i0, u, v in blocks]
+            assert got == spans, name
+            for c, i0, u, v in blocks:
+                assert len(v) in (len(u), 1), name
 
 
 CLOSING_WINDOWS = STRUCTURE_WINDOWS[:3]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_operators import STRUCTURE_WINDOWS
 
 from dyadlab import symbols
 from dyadlab.errors import DyadlabError, InvalidConfigurationError, InvalidParameterError
@@ -12,6 +13,7 @@ from dyadlab.grids import (
     DyadicInterval,
     default_window,
     enumerate_intervals,
+    haar_cell_values,
     interval_table,
     make_window,
     standard_grid,
@@ -716,3 +718,53 @@ class TestDeclaredSupport:
         fn = BATTERY[name](window).fn
         for got in (fn(np.array(xs)), np.array([fn(x) for x in xs], dtype=float)):
             assert (got == 0.0).all() and not np.signbit(got).any(), got
+
+
+def reference_haar_cells(interval, window):
+    """h_I's cell values with the midpoint read from the right child's own
+    cell range, as `haar_cell_values` once found it."""
+    i0, i1 = window.cell_slice(interval)
+    m0, _ = window.cell_slice(interval.right_child)
+    vals = np.zeros(window.n_cells)
+    amp = 1.0 / np.sqrt(float(interval.length))
+    vals[i0:m0] = amp
+    vals[m0:i1] = -amp
+    return vals
+
+
+class TestHaarSymbolCells:
+    """A Haar symbol's cells come from `haar_cell_values` alone, which holds
+    the one rule of which intervals have Haar cell values."""
+
+    REJECTED = [
+        pytest.param(DyadicInterval("third_shift", 1, 0), id="third-shift"),
+        pytest.param(DyadicInterval("standard", WIN.j_max, 0), id="scale-j_max"),
+        pytest.param(DyadicInterval("standard", 1, 2), id="outside"),
+        pytest.param(DyadicInterval("standard", -1, 0), id="protruding"),
+        pytest.param(DyadicInterval("bogus", 1, 0), id="unknown-grid"),
+    ]
+
+    @pytest.mark.parametrize("interval", REJECTED)
+    def test_rejects_intervals_without_haar_cells(self, interval):
+        with pytest.raises(InvalidConfigurationError):
+            HaarSymbol(WIN, {DyadicInterval("standard", 1, 0): 1.0, interval: 0.5})
+
+    @pytest.mark.parametrize("interval", REJECTED)
+    def test_rejection_names_the_interval_or_the_grid(self, interval):
+        with pytest.raises(InvalidConfigurationError) as info:
+            HaarSymbol(WIN, {interval: 0.5})
+        named = "unknown grid rule 'bogus'" if interval.grid_id == "bogus" else interval.label()
+        assert named in str(info.value)
+
+    @pytest.mark.parametrize("window", STRUCTURE_WINDOWS)
+    def test_cell_values_bit_equal_to_right_child_midpoints(self, window):
+        rows = interval_table(standard_grid(), window)
+        intervals = [iv for iv in rows.intervals() if iv.j <= window.j_max - 1]
+        coefficients = np.random.default_rng(23).normal(size=len(intervals)).tolist()
+        want = np.zeros(window.n_cells)
+        for interval, c in zip(intervals, coefficients):
+            ref = reference_haar_cells(interval, window)
+            assert haar_cell_values(interval, window).tobytes() == ref.tobytes(), interval
+            want += c * ref
+        got = HaarSymbol(window, dict(zip(intervals, coefficients))).cell_values()
+        assert got.tobytes() == want.tobytes()

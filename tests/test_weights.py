@@ -85,6 +85,22 @@ class TestA2:
         got = interval_family(win, (), seed=seed)
         assert [(a.hex(), b.hex()) for a, b in got] == want
 
+    @pytest.mark.parametrize("grids, label", [
+        ((standard_grid(), third_shift_grid()), "dyadic(standard,third_shift)+random(1000)"),
+        ((standard_grid(),), "dyadic(standard)+random(1000)"),
+        ((third_shift_grid(),), "dyadic(third_shift)+random(1000)"),
+        ((), "random(1000)"),
+    ], ids=["both", "standard", "third_shift", "none"])
+    def test_family_label_names_the_grids_sampled(self, grids, label):
+        win = make_window(-1, 1, 0, 6)
+        rep = a2_constant(PowerWeight(0.25), win, grids=grids)
+        assert rep.family_label == label
+        assert rep.family_size == len(interval_family(win, grids))
+
+    def test_default_family_label_names_both_grids(self):
+        rep = a2_constant(PowerWeight(0.25), make_window(-1, 1, 0, 6))
+        assert rep.family_label == "dyadic(standard,third_shift)+random(1000)"
+
     def test_symmetry_under_inversion(self):
         win = make_window(-1, 1, 0, 6)
         fam = interval_family(win, (standard_grid(),), n_random=200, seed=3)
@@ -660,6 +676,24 @@ class TestEmptyIntervals:
                 assert v.integral(a, a).hex() == (0.0).hex(), (v.label, a)
             table = v.integrals(np.array(points), np.array(points))
             assert table.tobytes() == np.zeros(len(points)).tobytes(), v.label
+
+    @pytest.mark.parametrize("w", CELL_AVERAGE_KINDS)
+    def test_inverted_interval_integrates_to_zero(self, w):
+        """[a, b) with b < a is empty: +0.0 for a weight of every kind and its
+        dual, as a scalar and as table rows beside valid rows, which keep
+        the bits they have in a table of their own."""
+        inverted = [(0.5, 0.25), (1.0 / 3.0 + 0.1, 1.0 / 3.0 - 0.1), (2.0, -0.7), (0.0, -1e-9)]
+        valid = [(-0.7, 0.0), (0.25, 0.5), (0.3, 2.0)]
+        rows = [pair for both in zip(inverted, valid) for pair in both] + inverted[len(valid):]
+        lo, hi = (np.array(ends) for ends in zip(*rows))
+        is_inverted = hi < lo
+        for v in (w, w.inv()):
+            for a, b in inverted:
+                assert v.integral(a, b).hex() == (0.0).hex(), (v.label, a, b)
+            alone = v.integrals(*(np.array(ends) for ends in zip(*valid)))
+            table = v.integrals(lo, hi)
+            assert table[is_inverted].tobytes() == np.zeros(len(inverted)).tobytes(), v.label
+            assert table[~is_inverted].tobytes() == alone.tobytes(), v.label
 
 
 def segment_loop_integral(w, a, b):
