@@ -41,6 +41,8 @@ from .grids import (
 from .symbols import Symbol, haar_coefficients
 from .weights import BloomWeight, ConstantWeight, Weight
 
+_TINY = np.finfo(float).smallest_normal
+
 
 @dataclass
 class NormReport:
@@ -52,7 +54,9 @@ class NormReport:
     xcell_i, are built only when `labels`, `contributions` or `to_csv` reads
     them.
 
-    value >= 0, and value == 0 exactly when every contribution vanishes.
+    value >= 0, and for the dyadic norms value == 0 exactly when every Haar
+    term |b_hat(I)| |I|^-1/2 vanishes, even where its contribution, the
+    term's p-th power, underflows to 0.
     """
 
     value: float
@@ -114,6 +118,33 @@ def _haar_terms(b: Symbol, table: IntervalTable) -> np.ndarray:
     return np.abs(haar_coefficients(b, table)) / np.sqrt(table.length)
 
 
+def _root_of_power_sum(t: np.ndarray, p: float) -> tuple[float, np.ndarray]:
+    """(sum t^p)^(1/p) of the terms t >= 0, with the powers t^p.  The plain
+    expression serves while the sum is a normal float and so is its root.
+    Otherwise the powers under- or overflowed, and the sum is scaled by the
+    largest term m: m (sum (t/m)^p)^(1/p).  A value past the float range
+    raises InvalidParameterError."""
+    with np.errstate(over="ignore"):
+        powers = t**p
+    try:
+        total = math.fsum(powers)
+        value = total ** (1.0 / p)
+    except OverflowError:  # fsum's partial sums, or the float ** of the root
+        total = value = math.inf
+    if _TINY <= total < math.inf and _TINY <= value < math.inf:
+        return value, powers
+    m = float(np.max(t, initial=0.0))
+    if m == 0.0:
+        return 0.0, powers
+    try:
+        value = m * math.fsum((t / m) ** p) ** (1.0 / p)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"the B_{p:g} norm lies past the float range")
+    return value, powers
+
+
 def dyadic_besov_norm(
     b: Symbol,
     weights: BloomWeight | Weight,
@@ -123,16 +154,17 @@ def dyadic_besov_norm(
     form: int = 1,
 ) -> NormReport:
     """p-th root of the sum of the per-interval terms (|b_hat(I)| |I|^-1/2 q)^p,
-    where `form` selects which of the three equivalent brackets q is."""
+    where `form` selects which of the three equivalent brackets q is.  A norm
+    past the float range raises InvalidParameterError."""
     if not 0 < p < math.inf:
         raise InvalidParameterError("p must lie in (0, inf)")
     if form not in (1, 2, 3):
         raise InvalidConfigurationError(f"unknown form {form}")
     table = interval_table(grid, window)
     q = _bracket(weights, form, table)
-    terms = (_haar_terms(b, table) * q) ** p
+    value, terms = _root_of_power_sum(_haar_terms(b, table) * q, p)
     return NormReport(
-        value=math.fsum(terms) ** (1.0 / p),
+        value=value,
         terms=terms,
         tables=(table,),
         params={"p": p, "form": form, "grid": grid.grid_id},
@@ -168,6 +200,9 @@ def interval_form_ratios(
 # ----------------------------------------------------------------------------
 # continuous energy by tensor quadrature
 
+# Gauss-Legendre nodes per cell, and per half cell near the diagonal.
+_NODES = 4
+
 
 def continuous_energy(
     b: Symbol,
@@ -175,7 +210,6 @@ def continuous_energy(
     lam: Weight,
     mu: Weight,
     window: TruncationWindow,
-    nodes: int = 4,
 ) -> tuple[float, float, np.ndarray]:
     """Double integral of |b(x)-b(y)|^p / |x-y|^2 * lam(x) * mu^-1(y) over the
     window square.
@@ -187,14 +221,12 @@ def continuous_energy(
     overlaps, and takes the Lipschitz difference-quotient bound, whose total
     mass is returned as the error estimate; the other half-pairs take tensor
     Gauss-Legendre.  Returns (value, error_estimate, per-x-cell totals).
-    For p <= 1 the near-diagonal |x-y|^(p-2) is not integrable, so p must be
-    finite and exceed 1, and `nodes` must be at least 1; either raises
-    InvalidParameterError otherwise.
+    Cells, and half cells near the diagonal, take 4-node Gauss-Legendre.  For
+    p <= 1 the near-diagonal |x-y|^(p-2) is not integrable, so p must be
+    finite and exceed 1, or InvalidParameterError is raised.
     """
     if not 1.0 < p < math.inf:
         raise InvalidParameterError(f"p must lie in (1, inf); got {p!r}")
-    if not (isinstance(nodes, (int, np.integer)) and nodes >= 1):
-        raise InvalidParameterError(f"nodes must be an integer of at least 1; got {nodes!r}")
     if not b.is_lipschitz:
         raise InvalidConfigurationError(
             "continuous energy needs a Lipschitz symbol; jump symbols diverge"
@@ -211,7 +243,7 @@ def continuous_energy(
     edges = window.cell_edges()
     mu_inv = mu.inv()
 
-    gx, gw = np.polynomial.legendre.leggauss(nodes)
+    gx, gw = np.polynomial.legendre.leggauss(_NODES)
     # flatten (cell, node) grids once for both axes
     half = 0.5 * width
     centers = window.cell_midpoints()
@@ -222,11 +254,11 @@ def continuous_energy(
     mu_y = np.asarray(mu_inv.eval(xs), dtype=float) * ws
 
     per_cell = np.zeros(n)
-    block = max(1, 262144 // (n * nodes) + 1)
-    cell_of = np.repeat(np.arange(n), nodes)
+    block = max(1, 262144 // (n * _NODES) + 1)
+    cell_of = np.repeat(np.arange(n), _NODES)
     for i0 in range(0, n, block):
         i1 = min(n, i0 + block)
-        r0, r1 = i0 * nodes, i1 * nodes
+        r0, r1 = i0 * _NODES, i1 * _NODES
         dx = xs[r0:r1, None] - xs[None, :]
         df = np.abs(fx[r0:r1, None] - fx[None, :])
         cells_r = cell_of[r0:r1]
@@ -234,7 +266,7 @@ def continuous_energy(
         with np.errstate(divide="ignore", invalid="ignore"):
             integrand = np.where(sep, df**p / (dx * dx), 0.0)
         contrib = integrand * lam_x[r0:r1, None] * mu_y[None, :]
-        per_cell[i0:i1] += np.add.reduceat(contrib.sum(axis=1), np.arange(0, (i1 - i0) * nodes, nodes))
+        per_cell[i0:i1] += np.add.reduceat(contrib.sum(axis=1), np.arange(0, (i1 - i0) * _NODES, _NODES))
 
     # near-diagonal pairs: half cell X = 2i + hx spans [ah[X], bh[X]), with
     # Gauss nodes xh[X] and the lam, mu^-1 quadrature weights there
@@ -265,7 +297,7 @@ def continuous_energy(
             dx = xh[x][:, :, None] - xh[y][:, None, :]
             df = np.abs(fh[x][:, :, None] - fh[y][:, None, :])
             pairs = df**p / (dx * dx) * lam_h[x][:, :, None] * mu_h[y][:, None, :]
-            per_cell[i0:i1] += pairs.reshape(i1 - i0, nodes * nodes).sum(axis=1)
+            per_cell[i0:i1] += pairs.reshape(i1 - i0, _NODES * _NODES).sum(axis=1)
             continue
         if p < 2.0:
             # constant weights only: the |x-y|^(p-2) factor integrates exactly
@@ -285,11 +317,10 @@ def continuous_besov_norm_p2(
     lam: Weight,
     mu: Weight,
     window: TruncationWindow,
-    nodes: int = 4,
 ) -> NormReport:
     """Square root of the p=2 energy, with the near-diagonal bound mass as the
     quadrature error estimate."""
-    energy, err, per_cell = continuous_energy(b, 2.0, lam, mu, window, nodes)
+    energy, err, per_cell = continuous_energy(b, 2.0, lam, mu, window)
     return NormReport(
         value=math.sqrt(energy),
         terms=per_cell,
@@ -308,11 +339,15 @@ def intersection_norm(
     p: float = 2.0,
 ) -> NormReport:
     """Sum of the two dyadic norms, one per grid; the contributions are the
-    first grid's rows, then the second's, each labelled with its grid id."""
+    first grid's rows, then the second's, each labelled with its grid id.  A
+    sum past the float range raises InvalidParameterError."""
     r0 = dyadic_besov_norm(b, weights, p, grid0, window, form=1)
     r1 = dyadic_besov_norm(b, weights, p, grid1, window, form=1)
+    value = r0.value + r1.value
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"the intersection B_{p:g} norm lies past the float range")
     return NormReport(
-        value=r0.value + r1.value,
+        value=value,
         terms=np.concatenate((r0.terms, r1.terms)),
         tables=r0.tables + r1.tables,
         params={"p": p, "grids": (grid0.grid_id, grid1.grid_id)},

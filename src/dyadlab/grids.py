@@ -12,7 +12,8 @@ table holds the integer j and k of every row with its float left, mid,
 right and length, built as arrays without an interval object per row.
 `enumerate_intervals` is the object view of the same rows, for callers that
 hand intervals on.  Every Haar function takes its cells from the one
-cell-range rule, `TruncationWindow.cell_slice` (`haar_cell_values`).  All
+cell-range rule, `TruncationWindow.cell_slice` (`haar_cell_values`), and
+every 32-node Gauss-Legendre sum from one applier, `gauss_legendre_32`.  All
 types are immutable and every operation is pure, so concurrent reads are safe.
 """
 
@@ -341,6 +342,16 @@ def interval_table(grid: DyadicGrid, window: TruncationWindow) -> IntervalTable:
 
 # The one Gauss-Legendre rule of the package: 32 nodes and weights on [-1, 1].
 GAUSS_LEGENDRE_32 = np.polynomial.legendre.leggauss(32)
+
+
+def gauss_legendre_32(fn, lo, hi) -> np.ndarray:
+    """Row i: 32-node Gauss-Legendre of fn over [lo[i], hi[i]), for float
+    arrays lo and hi.  fn is called once, on the (rows, 32) array of all rows'
+    nodes, and returns values of that shape; each row sums as a lone row would."""
+    nodes, wts = GAUSS_LEGENDRE_32
+    half = 0.5 * (hi - lo)
+    xs = (0.5 * (hi + lo))[:, None] + half[:, None] * nodes
+    return half * np.sum(wts * fn(xs), axis=1)
 
 
 def haar_cell_values(interval: DyadicInterval, window: TruncationWindow) -> np.ndarray:

@@ -44,11 +44,11 @@ import numpy as np
 
 from .errors import InvalidConfigurationError, InvalidParameterError
 from .grids import (
-    GAUSS_LEGENDRE_32,
     STANDARD,
     DyadicInterval,
     IntervalTable,
     TruncationWindow,
+    gauss_legendre_32,
     haar_cell_values,
 )
 
@@ -235,10 +235,7 @@ class AnalyticSymbol(Symbol):
         """32-node Gauss-Legendre over [a, b); 0.0 when it is empty or inverted."""
         if b <= a:
             return 0.0
-        nodes, wts = GAUSS_LEGENDRE_32
-        half = 0.5 * (b - a)
-        xs = 0.5 * (a + b) + half * nodes
-        return half * float(np.sum(wts * self.fn(xs)))
+        return float(gauss_legendre_32(self.fn, np.array([a]), np.array([b]))[0])
 
     def cell_values(self) -> np.ndarray:
         if self._cells is None:
@@ -248,12 +245,7 @@ class AnalyticSymbol(Symbol):
                 prim = np.asarray(self.antiderivative(edges), dtype=float)
                 vals = np.diff(prim) / width
             else:
-                vals = np.array(
-                    [
-                        self.integral(edges[i], edges[i + 1]) / width
-                        for i in range(self.window.n_cells)
-                    ]
-                )
+                vals = gauss_legendre_32(self.fn, edges[:-1], edges[1:]) / width
             vals.flags.writeable = False
             self._cells = vals
         return self._cells

@@ -6,8 +6,9 @@ uses Gauss-Legendre quadrature.  `Weight.integrals(lo, hi)` integrates a whole
 table of intervals at once, and the scalar `integral(a, b)` is its one-row
 case.  The closed-form kinds integrate with array operations only; the
 quadrature kind, the one kind with its own scalar `integral`, makes one such
-call per row, which evaluates its function on the row's Gauss-Legendre
-segments 2048 at a time.  The spiked kind is scale * base^s in one class.
+call per row.  That call cuts the row into equal segments of length at most
+1/16 and sums them with `grids.gauss_legendre_32`, 2048 segments a call.  The
+spiked kind is scale * base^s in one class.
 `Weight.cell_averages`, the diagonal that `weight_conjugate` reads, is one
 table call over the window's cells.  Every integral rejects a bound that is
 not finite, and every closed-form `eval` a point that is not finite, with
@@ -32,9 +33,9 @@ from .errors import (
     InvalidParameterError,
 )
 from .grids import (
-    GAUSS_LEGENDRE_32,
     DyadicGrid,
     TruncationWindow,
+    gauss_legendre_32,
     interval_table,
     standard_grid,
     third_shift_grid,
@@ -42,22 +43,16 @@ from .grids import (
 
 
 def _finite_bounds(lo, hi):
-    """(lo, hi) as floats, or as float arrays when either is an array; raises
-    InvalidParameterError naming the first interval [lo, hi) with a bound
-    that is not finite.  Every weight integral checks its bounds here."""
-    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
-        lo, hi = float(lo), float(hi)
-        if math.isfinite(lo) and math.isfinite(hi):
-            return lo, hi
-        a, b = lo, hi
-    else:
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        finite = np.isfinite(lo) & np.isfinite(hi)
-        if finite.all():
-            return lo, hi
+    """(lo, hi) as float arrays; raises InvalidParameterError naming the first
+    interval [lo[i], hi[i]) with a bound that is not finite.  Every weight
+    integral checks its bounds here."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    if not finite.all():
         i = int(np.argmin(finite))
         a, b = float(lo[i]), float(hi[i])
-    raise InvalidParameterError(f"interval [{a}, {b}) has a bound that is not finite")
+        raise InvalidParameterError(f"interval [{a}, {b}) has a bound that is not finite")
+    return lo, hi
 
 
 def _finite_points(x, w: "Weight") -> np.ndarray:
@@ -420,23 +415,20 @@ class SpikedLatticeWeight(Weight):
 # Segments per `fn` call in `QuadratureWeight.integral`: a (2048, 32) node
 # array is 512 KiB, however long the interval.
 _SEGMENT_BLOCK = 2048
+# The longest quadrature segment; an interval is cut into equal segments.
+_SEGMENT_LENGTH = 0.0625
 
 
 @dataclass(frozen=True)
 class QuadratureWeight(Weight):
     """Composite weight integrated with 32-node Gauss-Legendre on segments of
-    length at most seg_len / 2; pointwise evaluation via the callable, which
-    maps an array of points to an array of values of the same shape.  `eval`
-    raises InvalidParameterError at a point that is not finite; `integral`
-    calls the callable on its finite nodes directly."""
+    length at most 1/16; pointwise evaluation via the callable, which maps an
+    array of points to an array of values of the same shape.  `eval` raises
+    InvalidParameterError at a point that is not finite; `integral` calls the
+    callable on its finite nodes directly."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     name: str = "composite"
-    seg_len: float = 0.125
-
-    def __post_init__(self):
-        if not 0 < self.seg_len < math.inf:
-            raise InvalidParameterError("quadrature segment length must be positive and finite")
 
     @property
     def label(self) -> str:
@@ -446,24 +438,18 @@ class QuadratureWeight(Weight):
         return self.fn(_finite_points(x, self))
 
     def integral(self, a, b) -> float:
-        af, bf = _finite_bounds(a, b)
+        af, bf = (float(ends[0]) for ends in _finite_bounds([a], [b]))
         if bf <= af:
             return 0.0
-        nodes, wts = GAUSS_LEGENDRE_32
-        n_seg = max(1, int(math.ceil((bf - af) / (self.seg_len / 2.0))))
+        n_seg = max(1, int(math.ceil((bf - af) / _SEGMENT_LENGTH)))
         edges = np.linspace(af, bf, n_seg + 1)
-        seg_lo, seg_hi = edges[:-1], edges[1:]
         total = 0.0
-        # fn runs once per block of segments, on a (segments, 32) node array;
-        # each row sums as one segment's 32 values would, and the segments
-        # are added to the total one at a time, in order
+        # fn runs once per block of segments, and the segments are added to
+        # the total one at a time, in order
         for s0 in range(0, n_seg, _SEGMENT_BLOCK):
-            lo, hi = seg_lo[s0 : s0 + _SEGMENT_BLOCK], seg_hi[s0 : s0 + _SEGMENT_BLOCK]
-            half = 0.5 * (hi - lo)
-            xs = (0.5 * (hi + lo))[:, None] + half[:, None] * nodes
-            sums = np.sum(wts * self.fn(xs), axis=1)
-            for h, v in zip(half.tolist(), sums.tolist()):
-                total += h * v
+            cut = edges[s0 : s0 + _SEGMENT_BLOCK + 1]
+            for v in gauss_legendre_32(self.fn, cut[:-1], cut[1:]).tolist():
+                total += v
         if not math.isfinite(total):
             raise DivergedIntegralError(
                 f"quadrature integral of {self.name} diverged on [{af}, {bf})", (af, bf)
@@ -477,11 +463,11 @@ class QuadratureWeight(Weight):
 
     def _reciprocal(self) -> "Weight":
         fn = self.fn
-        return QuadratureWeight(lambda x: 1.0 / fn(x), f"1/({self.name})", self.seg_len)
+        return QuadratureWeight(lambda x: 1.0 / fn(x), f"1/({self.name})")
 
     def power(self, s: float) -> "Weight":
         fn = self.fn
-        return QuadratureWeight(lambda x: fn(x) ** s, f"({self.name})^{s:g}", self.seg_len)
+        return QuadratureWeight(lambda x: fn(x) ** s, f"({self.name})^{s:g}")
 
 
 def product_weight(u: Weight, v: Weight) -> Weight:
@@ -504,8 +490,6 @@ def product_weight(u: Weight, v: Weight) -> Weight:
 def _scaled(w: Weight, c: float) -> Weight:
     if c == 1.0:
         return w
-    if isinstance(w, ConstantWeight):
-        return ConstantWeight(c * w.value)
     if isinstance(w, PowerWeight):
         return PowerWeight(w.exponent, w.center, c * w.coeff)
     if isinstance(w, SpikedLatticeWeight):
@@ -549,11 +533,16 @@ class A2Report:
     family_label: str
 
 
+# The default A2 family's random intervals: how many, and the seed they are drawn from.
+_FAMILY_RANDOM = 1000
+_FAMILY_SEED = 90210
+
+
 def interval_family(
     window: TruncationWindow,
     grids: Sequence[DyadicGrid],
-    n_random: int = 1000,
-    seed: int = 90210,
+    n_random: int = _FAMILY_RANDOM,
+    seed: int = _FAMILY_SEED,
 ) -> list[tuple[float, float]]:
     """Dyadic intervals of the given grids plus seeded random intervals.
 
@@ -609,7 +598,7 @@ def a2_constant(
     window: TruncationWindow,
     family: Sequence[tuple[float, float]] | None = None,
     grids: Sequence[DyadicGrid] | None = None,
-    seed: int = 90210,
+    seed: int = _FAMILY_SEED,
 ) -> A2Report:
     """sup over the family of avg(w) * avg(1/w); always >= 1 by AM-GM.
 
@@ -620,9 +609,9 @@ def a2_constant(
     if family is None:
         if grids is None:
             grids = (standard_grid(), third_shift_grid())
-        lo, hi = _family_bounds(window, grids, 1000, seed)
+        lo, hi = _family_bounds(window, grids, _FAMILY_RANDOM, seed)
         ids = ",".join(grid.grid_id for grid in grids)
-        family_label = (f"dyadic({ids})+" if ids else "") + "random(1000)"
+        family_label = (f"dyadic({ids})+" if ids else "") + f"random({_FAMILY_RANDOM})"
     else:
         lo, hi = _user_family_bounds(family)
         family_label = "user"
@@ -663,27 +652,21 @@ class ReverseHolderReport:
     per_exponent: dict
 
 
-def reverse_holder_exponent(
-    w: Weight,
-    window: TruncationWindow,
-    ladder: Sequence[float] = (2.25, 2.5, 3.0, 4.0),
-    cap: float = 10.0,
-    grid: DyadicGrid | None = None,
-) -> ReverseHolderReport:
-    """Largest ladder exponent r with [avg_I w^(r/2)]^(2/r) <= cap * avg_I w
-    uniformly over enumerated dyadic intervals; None when no rung qualifies.
-    Every rung and the cap must be finite and positive, or
-    InvalidParameterError is raised."""
-    for value in (*ladder, cap):
-        if not 0 < value < math.inf:
-            raise InvalidParameterError(f"rungs and cap must be finite and positive; got {value!r}")
-    if grid is None:
-        grid = standard_grid()
-    table = interval_table(grid, window)
+# The reverse-Hoelder exponents tried, and the largest ratio a qualifying one may reach.
+_RH_LADDER = (2.25, 2.5, 3.0, 4.0)
+_RH_CAP = 10.0
+
+
+def reverse_holder_exponent(w: Weight, window: TruncationWindow) -> ReverseHolderReport:
+    """Largest exponent r of the ladder (2.25, 2.5, 3, 4) with
+    [avg_I w^(r/2)]^(2/r) <= 10 avg_I w uniformly over the standard grid's
+    intervals in the window; None when no rung qualifies.  The report lists
+    every rung's worst ratio, inf where w^(r/2) has no finite integral."""
+    table = interval_table(standard_grid(), window)
     ell = table.right - table.left
     avg = w.integrals(table.left, table.right) / ell
     per: dict[float, float] = {}
-    for r in ladder:
+    for r in _RH_LADDER:
         try:
             wr = w.power(r / 2.0)
             num = (wr.integrals(table.left, table.right) / ell) ** (2.0 / r)
@@ -692,8 +675,8 @@ def reverse_holder_exponent(
             continue
         worst = float(np.max(num / avg, initial=0.0))
         per[r] = worst if math.isfinite(worst) else math.inf
-    qualifying = [r for r in ladder if per[r] <= cap]
+    qualifying = [r for r in _RH_LADDER if per[r] <= _RH_CAP]
     if not qualifying:
-        return ReverseHolderReport(None, math.inf, tuple(ladder), per)
+        return ReverseHolderReport(None, math.inf, _RH_LADDER, per)
     r_best = max(qualifying)
-    return ReverseHolderReport(r_best, per[r_best], tuple(ladder), per)
+    return ReverseHolderReport(r_best, per[r_best], _RH_LADDER, per)

@@ -6,10 +6,12 @@ import pytest
 
 from dyadlab.errors import InvalidConfigurationError, InvalidParameterError
 from dyadlab.grids import (
+    GAUSS_LEGENDRE_32,
     THIRD_SHIFT,
     DyadicInterval,
     default_window,
     enumerate_intervals,
+    gauss_legendre_32,
     grid_shift,
     haar_cell_values,
     interval_table,
@@ -372,3 +374,53 @@ class TestNonFiniteEntryPoints:
 
     def test_integral_float_scale_kept(self):
         assert make_window(0, 1, 0.0, 5.0) == make_window(0, 1, 0, 5)
+
+
+def lone_interval_gauss_legendre(fn, a, b):
+    """32-node Gauss-Legendre over one interval [a, b), on a 1-d node array."""
+    nodes, wts = GAUSS_LEGENDRE_32
+    half = 0.5 * (b - a)
+    xs = 0.5 * (a + b) + half * nodes
+    return half * float(np.sum(wts * fn(xs)))
+
+
+def _interval_sets():
+    rng = np.random.default_rng(3)
+    lo = rng.uniform(-5.0, 5.0, 700)
+    edges = np.linspace(-300.0, 400.0, 2049)
+    return {
+        "one": (np.array([0.25]), np.array([0.75])),
+        "random": (lo, lo + rng.uniform(1e-9, 3.0, 700)),
+        "segments": (edges[:-1], edges[1:]),
+        "cells": (default_window(8).cell_edges()[:-1], default_window(8).cell_edges()[1:]),
+    }
+
+
+class TestGaussLegendreApplier:
+    """Each row of one applier call has the bits of the row alone: of a
+    one-row call, and of the rule written out on a 1-d node array."""
+
+    FNS = {
+        "sin": np.sin,
+        "exp": lambda x: np.exp(-x * x),
+        "abs power": lambda x: np.abs(x - 1.0 / 3.0) ** -0.4,
+        "cutoff": lambda x: np.where((x >= 0) & (x < 1), x**3 - x, 0.0),
+    }
+
+    @pytest.mark.parametrize("fn_name", sorted(FNS))
+    @pytest.mark.parametrize("set_name", sorted(_interval_sets()))
+    def test_rows_bit_equal_to_lone_rows(self, fn_name, set_name):
+        fn = self.FNS[fn_name]
+        lo, hi = _interval_sets()[set_name]
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape)
+            return fn(x)
+
+        rows = gauss_legendre_32(counted, lo, hi)
+        assert calls == [(len(lo), 32)]
+        alone = np.array([gauss_legendre_32(fn, lo[i : i + 1], hi[i : i + 1])[0] for i in range(len(lo))])
+        assert rows.tobytes() == alone.tobytes()
+        written = [lone_interval_gauss_legendre(fn, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+        assert rows.tobytes() == np.array(written).tobytes()

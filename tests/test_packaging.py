@@ -4,6 +4,8 @@ module-level name is read somewhere in the package."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,3 +129,31 @@ def test_every_error_type_is_raised():
     assert subclasses, "errors defines no DyadlabError subclass"
     unraised = sorted(subclasses - _raised_names())
     assert not unraised, f"errors defines types the package never raises: {unraised}"
+
+
+FAILING_THEN_PASSING = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    assert True
+'''
+
+
+def test_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
+    """Under the project's warning filters, a failing `@given` test is
+    reported as one failure and the tests after it still run: the run does
+    not end in an INTERNALERROR raised while hypothesis reports its
+    falsifying example."""
+    pytest.importorskip("hypothesis")
+    (tmp_path / "test_two.py").write_text(FAILING_THEN_PASSING)
+    cmd = [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "--rootdir", str(tmp_path),
+           "-p", "no:cacheprovider", "test_two.py"]
+    out = subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in out.stdout + out.stderr, out.stdout[-2000:]
+    assert "1 failed, 1 passed" in out.stdout, out.stdout[-2000:]

@@ -563,6 +563,21 @@ class TestBatteryOnArrays:
                 assert differ.size == 0, (j_max, grid.grid_id, differ.size, pts[differ[:3]])
 
 
+class TestCellValuesWithoutAntiderivative:
+    """Without an antiderivative, the cell averages are one Gauss-Legendre
+    applier call over every cell, with the bits of one `integral` per cell."""
+
+    @pytest.mark.parametrize("name", sorted(ALL_BATTERY))
+    @pytest.mark.parametrize("window", [WIN, default_window(7)], ids=["unit j6", "default j7"])
+    def test_bit_equal_to_per_cell_integrals(self, name, window):
+        b = ALL_BATTERY[name](window)
+        bare = AnalyticSymbol(window, b.fn, None, lipschitz=b.lipschitz, name=b.name, support=b.support)
+        edges = window.cell_edges()
+        width = float(window.cell_width)
+        per_cell = np.array([bare.integral(edges[i], edges[i + 1]) / width for i in range(window.n_cells)])
+        assert bare.cell_values().tobytes() == per_cell.tobytes()
+
+
 def twin_without_support(b):
     """The same fn, antiderivative and name with no declared support."""
     return AnalyticSymbol(b.window, b.fn, b.antiderivative, lipschitz=b.lipschitz, name=b.name)

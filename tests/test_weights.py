@@ -304,20 +304,14 @@ class TestReverseHolder:
 
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"ladder": (0.0,)},
-            {"ladder": (2.5, math.nan)},
-            {"ladder": (math.inf,)},
-            {"ladder": (-2.0,)},
-            {"cap": math.nan},
-            {"cap": math.inf},
-        ],
-        ids=["rung 0", "rung nan", "rung inf", "rung -2", "cap nan", "cap inf"],
+        "w", [ConstantWeight(1.0), PowerWeight(0.5, center=0.0), pathological_weight(2.0, 3, 9.0)],
+        ids=lambda w: w.label,
     )
-    def test_bad_rung_or_cap_rejected(self, kwargs):
-        with pytest.raises(InvalidParameterError):
-            reverse_holder_exponent(ConstantWeight(1.0), make_window(0, 1, 0, 3), **kwargs)
+    def test_report_lists_the_fixed_rungs(self, w):
+        rep = reverse_holder_exponent(w, make_window(-1, 1, 0, 5))
+        assert rep.ladder == (2.25, 2.5, 3.0, 4.0)
+        assert list(rep.per_exponent) == [2.25, 2.5, 3.0, 4.0]
+        assert rep.exponent in (None, *rep.ladder)
 
 
 class TestVectorIntegrals:
@@ -379,12 +373,8 @@ class TestBadWeightParameters:
             lambda: PowerWeight(0.5, center=math.inf),
             lambda: PowerWeight(0.5, center=math.nan),
             lambda: PowerWeight(0.5, coeff=math.inf),
-            lambda: QuadratureWeight(np.exp, seg_len=0.0),
-            lambda: QuadratureWeight(np.exp, seg_len=math.nan),
-            lambda: QuadratureWeight(np.exp, seg_len=-1.0),
-            lambda: QuadratureWeight(np.exp, seg_len=math.inf),
         ],
-        ids=["center inf", "center nan", "coeff inf", "seg 0", "seg nan", "seg -1", "seg inf"],
+        ids=["center inf", "center nan", "coeff inf"],
     )
     def test_rejected(self, make):
         with pytest.raises(InvalidParameterError):
@@ -697,9 +687,11 @@ class TestEmptyIntervals:
 
 
 def segment_loop_integral(w, a, b):
-    """The former `QuadratureWeight.integral`: one `fn` call per segment."""
+    """The former `QuadratureWeight.integral`: one `fn` call per segment, on
+    segments of at most half the former default `seg_len` of 0.125."""
     nodes, wts = GAUSS_LEGENDRE_32
-    n_seg = max(1, int(math.ceil((b - a) / (w.seg_len / 2.0))))
+    seg_len = 0.125
+    n_seg = max(1, int(math.ceil((b - a) / (seg_len / 2.0))))
     edges = np.linspace(a, b, n_seg + 1)
     total = 0.0
     for i in range(n_seg):
