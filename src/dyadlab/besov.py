@@ -23,8 +23,7 @@ reductions run in a fixed order, so results do not depend on thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +61,6 @@ class NormReport:
     value: float
     terms: np.ndarray
     tables: tuple[IntervalTable, ...] = ()
-    params: dict = field(default_factory=dict)
     id_label: str = "interval_id"
     error_estimate: float | None = None
 
@@ -167,7 +165,6 @@ def dyadic_besov_norm(
         value=value,
         terms=terms,
         tables=(table,),
-        params={"p": p, "form": form, "grid": grid.grid_id},
     )
 
 
@@ -324,7 +321,6 @@ def continuous_besov_norm_p2(
     return NormReport(
         value=math.sqrt(energy),
         terms=per_cell,
-        params={"p": 2.0, "lam": lam.label, "mu": mu.label},
         id_label="pair_id",
         error_estimate=err,
     )
@@ -350,7 +346,6 @@ def intersection_norm(
         value=value,
         terms=np.concatenate((r0.terms, r1.terms)),
         tables=r0.tables + r1.tables,
-        params={"p": p, "grids": (grid0.grid_id, grid1.grid_id)},
     )
 
 
@@ -429,7 +424,8 @@ def weighted_bmo_dyadic(
     oscillation; the square form takes sup over K of the mu^-1(K)-normalized
     sum of squared coefficient terms over enumerated descendants of K.  A
     bare weight in place of the pair, or a symbol whose cells are not the
-    window's, raises InvalidConfigurationError.
+    window's, raises InvalidConfigurationError, and a form past the float
+    range InvalidParameterError.
     """
     if not isinstance(pair, BloomWeight):
         raise InvalidConfigurationError("the BMO square form needs both weights (mu, lam); got a bare weight")
@@ -437,14 +433,20 @@ def weighted_bmo_dyadic(
     table = interval_table(grid, window)
     lo, hi = table.left, table.right
     deviation = _abs_deviation_integrals(values, window.cell_edges(), float(window.cell_width), lo, hi)
-    # deviation / nu(I), with nu(I) read through the form-1 bracket |I| / nu(I)
-    sup_avg, arg_avg = _sup(deviation * _bracket(pair, 1, table) / table.length, table)
-
-    # square form, accumulated bottom-up over the interval tree
+    q1 = _bracket(pair, 1, table)
     mu_inv = pair.mu.inv().integrals(lo, hi)
     bh = haar_coefficients(b, table)
-    s_term = bh * bh * mu_inv * mu_inv * pair.lam.integrals(lo, hi) / table.length**3
-    sup_sq, arg_sq = _sup(_subtree_sums(s_term, table) / mu_inv, table)
+    lam = pair.lam.integrals(lo, hi)
+    # a value past the float range is inf here, and the check below names it
+    with np.errstate(over="ignore"):
+        # deviation / nu(I), with nu(I) read through the form-1 bracket |I| / nu(I)
+        sup_avg, arg_avg = _sup(deviation * q1 / table.length, table)
+        # square form, accumulated bottom-up over the interval tree
+        s_term = bh * bh * mu_inv * mu_inv * lam / table.length**3
+        sup_sq, arg_sq = _sup(_subtree_sums(s_term, table) / mu_inv, table)
+    for form, value in (("sup-average", sup_avg), ("square", sup_sq)):
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"the BMO {form} form lies past the float range")
     return BmoReport(sup_avg, sup_sq, arg_avg, arg_sq)
 
 
@@ -470,7 +472,6 @@ class VmoTailRow:
 class VmoTailReport:
     rows: list[VmoTailRow]
     total: float
-    center: float
 
 
 def vmo_tail_report(
@@ -478,27 +479,24 @@ def vmo_tail_report(
     weights: BloomWeight | Weight,
     grid: DyadicGrid,
     window: TruncationWindow,
-    ladder: Sequence[float] | None = None,
-    center: float | None = None,
 ) -> VmoTailReport:
     """Finite-scale surrogate for the three vanishing-oscillation limits:
     partial sums of squared form-1 contributions restricted to |I| < a,
-    |I| > a, and I disjoint from the ball B(center, a), tabulated over a
-    ladder of radii.  A center that is not finite, or a radius that is not
-    positive and finite, raises InvalidParameterError (naming NaN as such)."""
-    if center is None:
-        center = float(window.lo + window.span / 2)
-    if ladder is None:
-        ladder = [2.0 ** (-j) for j in range(window.j_min, window.j_max + 1)]
-    if math.isnan(center) or any(math.isnan(radius) for radius in ladder):
-        raise InvalidParameterError("VMO tail center and radii must not be NaN")
-    if not math.isfinite(center):
-        raise InvalidParameterError(f"VMO tail center {center!r} is not finite")
-    for radius in ladder:
-        if not 0.0 < radius < math.inf:
-            raise InvalidParameterError(f"VMO tail radius {radius!r} is not positive and finite")
+    |I| > a, and I disjoint from the ball B(c, a), tabulated over the radii
+    a = 2^-j for j = j_min..j_max, with c the window's midpoint.  A total
+    past the float range raises InvalidParameterError."""
+    center = float(window.lo + window.span / 2)
     table = interval_table(grid, window)
-    terms = (_haar_terms(b, table) * _bracket(weights, 1, table)) ** 2
+    haar, q1 = _haar_terms(b, table), _bracket(weights, 1, table)
+    with np.errstate(over="ignore"):
+        terms = (haar * q1) ** 2
+    try:
+        total = math.fsum(terms)
+    except OverflowError:  # fsum's partial sums of finite terms
+        total = math.inf
+    # every tail is a sum of some of the terms, so a finite total bounds them all
+    if not math.isfinite(total):
+        raise InvalidParameterError("the VMO tail total lies past the float range")
     # fsum rounds each partial sum once, so tails over nested sets stay monotone
     rows = [
         VmoTailRow(
@@ -507,6 +505,6 @@ def vmo_tail_report(
             math.fsum(terms[table.length > radius]),
             math.fsum(terms[(table.right <= center - radius) | (table.left >= center + radius)]),
         )
-        for radius in ladder
+        for radius in (2.0 ** (-j) for j in range(window.j_min, window.j_max + 1))
     ]
-    return VmoTailReport(rows, math.fsum(terms), center)
+    return VmoTailReport(rows, total)

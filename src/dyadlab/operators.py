@@ -70,23 +70,19 @@ from .grids import (
 from .symbols import Symbol, haar_coefficients
 from .weights import Weight
 
-UNWEIGHTED = "unweighted"
-
 
 @dataclass
 class OperatorMatrix:
-    """Dense N x N matrix with basis metadata and weight tags; every entry is
-    finite, or construction raises InvalidMatrixError.  The dense case of an
-    operator; a `MultiplicationCommutator` is held as its factors instead,
-    and `weight_conjugate` forms the one buffer of either's conjugation.
+    """Dense N x N matrix on the window's cells; every entry is finite, or
+    construction raises InvalidMatrixError.  The dense case of an operator;
+    a `MultiplicationCommutator` is held as its factors instead, and
+    `weight_conjugate` forms the one buffer of either's conjugation.
 
     `mat` may be a read-only view (the Hilbert transform's is a view of its
     2N - 1 Toeplitz values); copy it before writing to it."""
 
     mat: np.ndarray
     window: TruncationWindow
-    source_weight: str = UNWEIGHTED
-    target_weight: str = UNWEIGHTED
     name: str = "operator"
 
     def __post_init__(self):
@@ -389,8 +385,6 @@ def weight_conjugate(
     return OperatorMatrix(
         mat,
         t.window,
-        source_weight=mu.label,
-        target_weight=lam.label,
         name=f"conj({t.name})",
     )
 

@@ -19,7 +19,7 @@ its support (below), on the row's interval object.  An analytic symbol's
 `split_integral` calls its antiderivative once, on the array [left, mid,
 right], and its `integral` is the one-row case.  The battery antiderivatives
 round on an array exactly as on each point alone: powers of 3 and more are
-taken with `np.float_power`, which calls libm `pow` per element as the float
+taken with `np.float_power`, which calls libm pow per element as the float
 `**` does, where an array `**` takes a SIMD kernel that rounds differently.
 
 An analytic symbol may declare a `support` (s0, s1) outside which it is 0.
@@ -31,13 +31,14 @@ support (the constructor checks F at both ends of each stretch of the window
 that lies outside it), so a call on such a row would take F(m) - F(a) and
 F(c) - F(m) of equal finite values, which are +0.0, and give
 |I|^(-1/2) * (+0.0 - +0.0) = +0.0.  Without F, the Gauss-Legendre sums of
-fn's +0.0 values there are +0.0 as well.  Every battery symbol but `linear`
-declares its support.
+fn's +0.0 values there are +0.0 as well.  Every battery symbol but
+`linear_symbol` declares its support.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Mapping
 
 import numpy as np
@@ -96,7 +97,8 @@ class Symbol:
 
 
 class StepSymbol(Symbol):
-    """Cellwise-constant symbol given by its finite values on the finest cells."""
+    """Cellwise-constant symbol given by its finite values on the finest cells.
+    A running integral past the float range raises InvalidParameterError."""
 
     def __init__(self, window: TruncationWindow, values: np.ndarray):
         values = np.asarray(values, dtype=float)
@@ -113,7 +115,15 @@ class StepSymbol(Symbol):
         self._lo, self._hi = float(window.lo), float(window.hi)
         self._width, self._n = float(window.cell_width), window.n_cells
         # prefix[i] = integral from window.lo to edge i
-        self._prefix = np.concatenate([[0.0], np.cumsum(self._values) * self._width])
+        with np.errstate(over="ignore"):
+            prefix = np.cumsum(self._values) * self._width
+        finite = np.isfinite(prefix)
+        if not finite.all():
+            edge = float(self._lo + (int(np.argmin(finite)) + 1) * self._width)
+            raise InvalidParameterError(
+                f"step symbol integral from {self._lo} to {edge} overflows a float"
+            )
+        self._prefix = np.concatenate([[0.0], prefix])
 
     def cell_values(self) -> np.ndarray:
         return self._values
@@ -412,8 +422,16 @@ def random_haar_symbol(
 
     Draws n_terms distinct intervals [k 2^-j, (k+1) 2^-j) with j in
     scale_range, capped at j_max - 1; raises InvalidParameterError when the
-    range holds fewer than n_terms of them."""
-    j_lo, j_hi = scale_range
+    range holds fewer than n_terms of them, when n_terms is not a positive
+    integer, seed not an integer >= 0 or scale_range not a pair of integers."""
+    if not (isinstance(n_terms, (int, np.integer)) and n_terms >= 1):
+        raise InvalidParameterError(f"n_terms must be a positive integer; got {n_terms!r}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InvalidParameterError(f"seed must be an integer >= 0; got {seed!r}")
+    try:
+        j_lo, j_hi = (operator.index(j) for j in scale_range)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"scale_range {scale_range!r} is not a pair of integers") from None
     j_hi = min(j_hi, window.j_max - 1)
     # scales j_lo..j_hi hold 2^j_lo + ... + 2^j_hi intervals of [0, 1)
     if not 0 <= j_lo <= j_hi or n_terms > (2 << j_hi) - (1 << j_lo):

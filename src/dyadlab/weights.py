@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .errors import (
     InvalidParameterError,
 )
 from .grids import (
-    DyadicGrid,
     TruncationWindow,
     gauss_legendre_32,
     interval_table,
@@ -530,99 +529,51 @@ class A2Report:
     constant: float
     argmax_interval: tuple[float, float]
     family_size: int
-    family_label: str
 
 
-# The default A2 family's random intervals: how many, and the seed they are drawn from.
+# The A2 family's random intervals: how many, and the default seed they are drawn from.
 _FAMILY_RANDOM = 1000
 _FAMILY_SEED = 90210
 
 
-def interval_family(
-    window: TruncationWindow,
-    grids: Sequence[DyadicGrid],
-    n_random: int = _FAMILY_RANDOM,
-    seed: int = _FAMILY_SEED,
-) -> list[tuple[float, float]]:
-    """Dyadic intervals of the given grids plus seeded random intervals.
+def _family_bounds(window: TruncationWindow, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (lo, hi) arrays of the A2 family: the interval tables of the
+    standard and the one-third-shift grid, then `_FAMILY_RANDOM` random
+    intervals drawn from `seed`.
 
     Random lengths run from one finest cell up to a quarter of the window, so
-    the family never probes below the resolved scale.  The pairs are the rows
-    of the two bound arrays that `a2_constant` reads directly.
-    """
-    lo, hi = _family_bounds(window, grids, n_random, seed)
-    return list(zip(lo.tolist(), hi.tolist()))
-
-
-def _family_bounds(
-    window: TruncationWindow, grids: Sequence[DyadicGrid], n_random: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (lo, hi) arrays of `interval_family`: each grid's interval table,
-    then the random intervals.  Row k of the random intervals draws a
-    log-uniform length, then a uniform start, as the two scalar calls
-    `rng.uniform(log(min_len), log(max_len))` and `rng.uniform(lo, hi - ell)`
-    would: the same stream, read as one (n_random, 2) array, and the same
-    arithmetic low + (high - low) * u.  Each exp takes `math.exp`, since
-    numpy's may round differently."""
-    tables = [interval_table(grid, window) for grid in grids]
-    u = np.random.default_rng(seed).random((n_random, 2))
+    the family never probes below the resolved scale.  Row k of the random
+    intervals draws a log-uniform length, then a uniform start, as the two
+    scalar calls `rng.uniform(log(min_len), log(max_len))` and
+    `rng.uniform(lo, hi - ell)` would: the same stream, read as one
+    (`_FAMILY_RANDOM`, 2) array, and the same arithmetic
+    low + (high - low) * u.  Each exp takes `math.exp`, since numpy's may
+    round differently."""
+    tables = [interval_table(grid, window) for grid in (standard_grid(), third_shift_grid())]
+    u = np.random.default_rng(seed).random((_FAMILY_RANDOM, 2))
     lo_f, hi_f = float(window.lo), float(window.hi)
     log_min = math.log(float(window.cell_width))
     log_max = math.log(float(window.span) / 4.0)
     log_ell = log_min + (log_max - log_min) * u[:, 0]
-    ell = np.fromiter((math.exp(v) for v in log_ell.tolist()), float, n_random)
+    ell = np.fromiter((math.exp(v) for v in log_ell.tolist()), float, _FAMILY_RANDOM)
     starts = lo_f + ((hi_f - ell) - lo_f) * u[:, 1]
     lo = np.concatenate([table.left for table in tables] + [starts])
     hi = np.concatenate([table.right for table in tables] + [starts + ell])
     return lo, hi
 
 
-def _user_family_bounds(family: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) arrays of a family given as pairs (a, b); raises
-    InvalidParameterError naming the first entry that is not a pair of numbers."""
-    lo, hi = [], []
-    for entry in family:
-        try:
-            a, b = entry
-            lo.append(float(a))
-            hi.append(float(b))
-        except (TypeError, ValueError):
-            raise InvalidParameterError(
-                f"family entry {entry!r} is not an interval (a, b)"
-            ) from None
-    return np.array(lo, dtype=float), np.array(hi, dtype=float)
+def a2_constant(w: Weight, window: TruncationWindow, seed: int = _FAMILY_SEED) -> A2Report:
+    """sup over the A2 family of avg(w) * avg(1/w); always >= 1 by AM-GM.
 
-
-def a2_constant(
-    w: Weight,
-    window: TruncationWindow,
-    family: Sequence[tuple[float, float]] | None = None,
-    grids: Sequence[DyadicGrid] | None = None,
-    seed: int = _FAMILY_SEED,
-) -> A2Report:
-    """sup over the family of avg(w) * avg(1/w); always >= 1 by AM-GM.
-
-    The default family is that of `interval_family`, read as two bound arrays
-    and never formed as pairs.  A user family must hold pairs (a, b) of
-    numbers, and every interval [a, b) needs finite ends with a < b; the
-    first entry that breaks either rule raises InvalidParameterError."""
-    if family is None:
-        if grids is None:
-            grids = (standard_grid(), third_shift_grid())
-        lo, hi = _family_bounds(window, grids, _FAMILY_RANDOM, seed)
-        ids = ",".join(grid.grid_id for grid in grids)
-        family_label = (f"dyadic({ids})+" if ids else "") + f"random({_FAMILY_RANDOM})"
-    else:
-        lo, hi = _user_family_bounds(family)
-        family_label = "user"
-    if not lo.size:
-        raise InvalidConfigurationError("empty interval family")
-    bad = ~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise InvalidParameterError(
-            f"family interval [{float(lo[i])}, {float(hi[i])}) is empty or not finite"
-        )
+    The family is `_family_bounds(window, seed)`: every interval of both
+    grids in the window, then 1000 random intervals, read as two bound
+    arrays.  Every one of them is finite and nonempty (the 2^50 guard of
+    `interval_table` keeps one ulp of a random start below any random
+    length).  A seed that is not an integer >= 0 raises
+    InvalidParameterError."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InvalidParameterError(f"seed must be an integer >= 0; got {seed!r}")
+    lo, hi = _family_bounds(window, seed)
     ell = hi - lo
     pa = w.integrals(lo, hi) / ell
     pb = w.inv().integrals(lo, hi) / ell
@@ -635,7 +586,7 @@ def a2_constant(
         )
     prod = pa * pb
     best = int(np.argmax(prod))
-    return A2Report(float(prod[best]), (float(lo[best]), float(hi[best])), lo.size, family_label)
+    return A2Report(float(prod[best]), (float(lo[best]), float(hi[best])), lo.size)
 
 
 def pathological_weight(r: float, levels: int, growth: float) -> SpikedLatticeWeight:
@@ -648,7 +599,6 @@ def pathological_weight(r: float, levels: int, growth: float) -> SpikedLatticeWe
 class ReverseHolderReport:
     exponent: float | None
     constant: float
-    ladder: tuple[float, ...]
     per_exponent: dict
 
 
@@ -677,6 +627,6 @@ def reverse_holder_exponent(w: Weight, window: TruncationWindow) -> ReverseHolde
         per[r] = worst if math.isfinite(worst) else math.inf
     qualifying = [r for r in _RH_LADDER if per[r] <= _RH_CAP]
     if not qualifying:
-        return ReverseHolderReport(None, math.inf, _RH_LADDER, per)
+        return ReverseHolderReport(None, math.inf, per)
     r_best = max(qualifying)
-    return ReverseHolderReport(r_best, per[r_best], _RH_LADDER, per)
+    return ReverseHolderReport(r_best, per[r_best], per)

@@ -368,7 +368,8 @@ class TestVmoTails:
         win = make_window(0, 1, 0, 7)
         coeffs = {DyadicInterval("standard", j, 0): 1.0 for j in range(1, 7)}
         b = HaarSymbol(win, coeffs)
-        rep = vmo_tail_report(b, ConstantWeight(1.0), D0, win, ladder=[2.0**-3])
+        rep = vmo_tail_report(b, ConstantWeight(1.0), D0, win)
+        (row,) = [row for row in rep.rows if row.radius == 2.0**-3]
         from dyadlab.symbols import haar_coefficient
 
         expected = 0.0
@@ -376,7 +377,7 @@ class TestVmoTails:
             if float(interval.length) < 2.0**-3:
                 bh = haar_coefficient(b, interval)
                 expected += (abs(bh) * math.sqrt(float(interval.length)) / float(interval.length)) ** 2
-        assert rep.rows[0].small_scale == pytest.approx(expected, rel=1e-12)
+        assert row.small_scale == pytest.approx(expected, rel=1e-12)
 
     def test_tails_monotone_in_radius(self):
         b = random_haar_symbol(WIN, n_terms=8, seed=12)
@@ -388,23 +389,50 @@ class TestVmoTails:
         assert all(a <= b_ + 1e-15 for a, b_ in zip(small, small[1:]))
         assert all(a >= b_ - 1e-15 for a, b_ in zip(far, far[1:]))
 
+    def test_radii_and_center_are_fixed(self):
+        """The radii are 2^-j for j = j_min..j_max, and the far field is
+        measured about the window's midpoint 2: [0, 1) lies off B(2, a)
+        exactly when a <= 1, where about 0 it would meet every ball."""
+        win = make_window(0, 4, -1, 6)
+        b = HaarSymbol(win, {DyadicInterval("standard", 0, 0): 1.0})
+        rep = vmo_tail_report(b, ConstantWeight(1.0), D0, win)
+        assert [row.radius for row in rep.rows] == [2.0**-j for j in range(-1, 7)]
+        assert rep.total > 0.0
+        assert [row.far_field for row in rep.rows] == [0.0] + [rep.total] * 7
+
+
+def scaled_random_haar(scale):
+    b = random_haar_symbol(DEFAULT5)
+    return HaarSymbol(DEFAULT5, {iv: c * scale for iv, c in b.coefficients.items()})
+
+
+class TestBmoVmoFloatRange:
+    """A BMO form or VMO total past the float range raises
+    InvalidParameterError naming it, with no numpy warning; just inside the
+    range the values keep their bits."""
+
+    @pytest.mark.parametrize("grid", [D0, D1], ids=["standard", "shifted"])
+    def test_past_the_float_range_raises(self, grid):
+        b = scaled_random_haar(1e160)
+        with pytest.raises(InvalidParameterError, match="VMO tail total"):
+            vmo_tail_report(b, unweighted_pair(), grid, DEFAULT5)
+        with pytest.raises(InvalidParameterError, match="BMO square form"):
+            weighted_bmo_dyadic(b, unweighted_pair(), grid, DEFAULT5)
+
     @pytest.mark.parametrize(
-        "kwargs, message",
+        "grid, total, sup_average, square_form",
         [
-            ({"center": math.nan}, "NaN"),
-            ({"ladder": [0.25, math.nan]}, "NaN"),
-            ({"center": math.inf}, "not finite"),
-            ({"center": -math.inf}, "not finite"),
-            ({"ladder": [-1.0]}, "not positive"),
-            ({"ladder": [0.25, 0.0]}, "not positive"),
-            ({"ladder": [math.inf]}, "not positive and finite"),
+            (D0, "0x1.7bb3dd74852ddp+1001", "0x1.17e99afc2c80ep+500", "0x1.320f04fd25de4p+1000"),
+            (D1, "0x1.2a64a4bb2e608p+1002", "0x1.f19f4c6af9c92p+499", "0x1.981406a6dd286p+999"),
         ],
-        ids=["nan-center", "nan-radius", "inf-center", "-inf-center", "negative-radius", "zero-radius", "inf-radius"],
+        ids=["standard", "shifted"],
     )
-    def test_bad_center_or_radius_rejected(self, kwargs, message):
-        b = random_haar_symbol(WIN, n_terms=8, seed=12)
-        with pytest.raises(InvalidParameterError, match=message):
-            vmo_tail_report(b, ConstantWeight(1.0), D0, WIN, **kwargs)
+    def test_inside_the_float_range_keeps_its_bits(self, grid, total, sup_average, square_form):
+        # the values of the code before the range check
+        b = scaled_random_haar(1e150)
+        assert vmo_tail_report(b, unweighted_pair(), grid, DEFAULT5).total.hex() == total
+        rep = weighted_bmo_dyadic(b, unweighted_pair(), grid, DEFAULT5)
+        assert (rep.sup_average.hex(), rep.square_form.hex()) == (sup_average, square_form)
 
 
 class TestSharedBracket:

@@ -1,13 +1,17 @@
 """The package metadata in pyproject.toml points only at code that exists,
-every module of the package uses each name it imports, and every private
-module-level name is read somewhere in the package."""
+every module of the package uses each name it imports, every private
+module-level name is read somewhere in the package, and every backticked
+name in a docstring names something that exists."""
 
 import ast
 import importlib
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -157,3 +161,70 @@ def test_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
     out = subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert "INTERNALERROR" not in out.stdout + out.stderr, out.stdout[-2000:]
     assert "1 failed, 1 passed" in out.stdout, out.stdout[-2000:]
+
+
+PACKAGE = importlib.import_module("dyadlab")
+MODULES = {path.stem: importlib.import_module(f"dyadlab.{path.stem}") for path in sorted(SOURCE.glob("*.py"))}
+NAME = re.compile(r"[A-Za-z_][\w.]*")
+
+
+def _documented_nodes(tree: ast.Module):
+    """The module and each function and class under it, with the parameter
+    names of each function (none for the module or a class)."""
+    yield tree, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            yield node, {arg.arg for arg in every if arg is not None}
+        elif isinstance(node, ast.ClassDef):
+            yield node, set()
+
+
+def _class_members() -> set[str]:
+    """Every member and annotated field of every class the package defines,
+    base classes included."""
+    members = set()
+    for module in MODULES.values():
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__.startswith("dyadlab"):
+                members |= set(dir(obj))
+                for klass in obj.__mro__:
+                    members |= set(getattr(klass, "__annotations__", {}))
+    return members
+
+
+MEMBERS = _class_members()
+
+
+def _stale_span(span: str, params: set[str]) -> bool:
+    """Whether the backticked name `span` names nothing: its first part is
+    not a parameter of the documented function, a class member or field, a
+    module-level name of the package, a package module, `np` or `math`, or a
+    later part is not an attribute of what the parts before it name."""
+    first, *rest = span.split(".")
+    roots = {"np": np, "math": math, "dyadlab": PACKAGE, **MODULES}
+    found = [vars(module)[first] for module in MODULES.values() if first in vars(module)]
+    obj = roots.get(first, found[0] if found else None)
+    if obj is None:
+        # a parameter or a member, whose type the docstring does not state
+        return first not in params | MEMBERS or any(part not in MEMBERS for part in rest)
+    for part in rest:
+        if not hasattr(obj, part):
+            return True
+        obj = getattr(obj, part)
+    return False
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_docstring_names_resolve(path):
+    """Every backticked name in a docstring of the module names something
+    that exists, so a deletion cannot leave a docstring pointing at a name
+    that is gone."""
+    stale = []
+    for node, params in _documented_nodes(ast.parse(path.read_text(), filename=str(path))):
+        doc = ast.get_docstring(node) or ""
+        for span in re.findall(r"`([^`]*)`", doc):
+            if NAME.fullmatch(span) and _stale_span(span, params):
+                stale.append(f"{getattr(node, 'name', path.stem)}: `{span}`")
+    assert not stale, f"{path.name} docstrings name what does not exist: {stale}"

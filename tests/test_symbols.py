@@ -203,6 +203,28 @@ class TestRandomHaarSymbol:
         with pytest.raises(InvalidParameterError):
             random_haar_symbol(window, n_terms=n_terms, scale_range=scale_range)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"seed": -1}, "seed"),
+            ({"seed": 1.5}, "seed"),
+            ({"n_terms": 2.5}, "n_terms"),
+            ({"n_terms": -3}, "n_terms"),
+            ({"n_terms": 0}, "n_terms"),
+            ({"scale_range": (1.0, 3.0)}, "scale_range"),
+            ({"scale_range": None}, "scale_range"),
+            ({"scale_range": (1, 2, 3)}, "scale_range"),
+        ],
+        ids=["negative-seed", "float-seed", "float-n", "negative-n", "zero-n", "float-scales", "no-scales", "three-scales"],
+    )
+    def test_bad_seed_or_count_rejected(self, kwargs, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            random_haar_symbol(default_window(7), **kwargs)
+
+    def test_numpy_integers_keep_their_draws(self):
+        b = random_haar_symbol(default_window(7), n_terms=np.int32(6), seed=np.int64(7), scale_range=(np.int64(1), 5))
+        assert b.coefficients == random_haar_symbol(default_window(7), n_terms=6, seed=7).coefficients
+
 
 class TestNonFiniteValues:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -215,6 +237,24 @@ class TestNonFiniteValues:
     def test_haar_symbol_rejects_nan_coefficient(self):
         with pytest.raises(DyadlabError):
             HaarSymbol(WIN, {DyadicInterval("standard", 1, 0): math.nan})
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: StepSymbol(default_window(5), [1e308] * 256),
+            lambda: HaarSymbol(default_window(5), {DyadicInterval("standard", 0, 0): 1e308}),
+        ],
+        ids=["step", "haar"],
+    )
+    def test_prefix_past_the_float_range_rejected(self, make):
+        with pytest.raises(InvalidParameterError, match="overflows a float"):
+            make()
+
+    def test_prefix_near_the_float_range_keeps_its_bits(self):
+        vals = np.full(256, 1e308 / 256)
+        b = StepSymbol(default_window(5), vals)
+        want = np.cumsum(vals) * (1.0 / 32.0)
+        assert b.integral(-4.0, 4.0) == want[-1] and math.isfinite(want[-1])
 
     def test_haar_symbol_is_a_step_symbol(self):
         target = DyadicInterval("standard", 1, 1)

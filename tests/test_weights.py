@@ -12,7 +12,7 @@ from dyadlab.errors import (
     InvalidConfigurationError,
     InvalidParameterError,
 )
-from dyadlab.grids import GAUSS_LEGENDRE_32, make_window, standard_grid, third_shift_grid
+from dyadlab.grids import GAUSS_LEGENDRE_32, interval_table, make_window, standard_grid, third_shift_grid
 from dyadlab.weights import (
     A2Report,
     BloomWeight,
@@ -20,9 +20,10 @@ from dyadlab.weights import (
     PowerWeight,
     QuadratureWeight,
     SpikedLatticeWeight,
+    _FAMILY_SEED,
+    _family_bounds,
     a2_constant,
     derive_intermediary,
-    interval_family,
     pathological_weight,
     product_weight,
     reverse_holder_exponent,
@@ -48,26 +49,16 @@ class TestA2:
     def test_power_weight_matches_brute_force_oracle(self):
         w = PowerWeight(0.5, center=0.0)
         win = make_window(-1, 1, 0, 8)
-        fam = interval_family(win, (standard_grid(), third_shift_grid()), n_random=10000, seed=11)
-        assert len(fam) >= 10**4
-        rep = a2_constant(w, win, family=fam)
+        lo, hi = _family_bounds(win, 11)
+        rep = a2_constant(w, win, seed=11)
+        assert rep.family_size == len(lo)
         best = max(
             (power_integral(0.5, 0.0, a, b) / (b - a))
             * (power_integral(-0.5, 0.0, a, b) / (b - a))
-            for a, b in fam
+            for a, b in zip(lo.tolist(), hi.tolist())
         )
         assert rep.constant == pytest.approx(best, rel=1e-12)
         assert rep.constant >= 1.0
-
-    @pytest.mark.parametrize("w", [PowerWeight(0.5), pathological_weight(2.0, 3, 9.0)], ids=["power", "spiked"])
-    def test_default_family_is_interval_family(self, w):
-        win = make_window(-4, 4, -2, 6)
-        fam = interval_family(win, (standard_grid(), third_shift_grid()), seed=7)
-        default = a2_constant(w, win, seed=7)
-        given_family = a2_constant(w, win, family=fam)
-        assert default.constant.hex() == given_family.constant.hex()
-        assert default.argmax_interval == given_family.argmax_interval
-        assert default.family_size == given_family.family_size == len(fam)
 
     @pytest.mark.parametrize("seed", [0, 1, 90210, 12345])
     @pytest.mark.parametrize("j_max", [4, 7, 9, 10])
@@ -82,36 +73,53 @@ class TestA2:
             ell = math.exp(rng.uniform(log_min, log_max))
             a = rng.uniform(lo_f, hi_f - ell)
             want.append((a.hex(), (a + ell).hex()))
-        got = interval_family(win, (), seed=seed)
+        lo, hi = _family_bounds(win, seed)
+        got = zip(lo[-1000:].tolist(), hi[-1000:].tolist())
         assert [(a.hex(), b.hex()) for a, b in got] == want
 
-    @pytest.mark.parametrize("grids, label", [
-        ((standard_grid(), third_shift_grid()), "dyadic(standard,third_shift)+random(1000)"),
-        ((standard_grid(),), "dyadic(standard)+random(1000)"),
-        ((third_shift_grid(),), "dyadic(third_shift)+random(1000)"),
-        ((), "random(1000)"),
-    ], ids=["both", "standard", "third_shift", "none"])
-    def test_family_label_names_the_grids_sampled(self, grids, label):
-        win = make_window(-1, 1, 0, 6)
-        rep = a2_constant(PowerWeight(0.25), win, grids=grids)
-        assert rep.family_label == label
-        assert rep.family_size == len(interval_family(win, grids))
+    @pytest.mark.parametrize(
+        "win", [make_window(-1, 1, 0, 6), make_window(-4, 4, -2, 9), make_window(0, 1, 0, 0)],
+        ids=["unit", "default", "one_cell"],
+    )
+    def test_family_is_both_grids_and_1000_random_intervals(self, win):
+        rows = len(interval_table(standard_grid(), win)) + len(interval_table(third_shift_grid(), win))
+        assert a2_constant(PowerWeight(0.25), win).family_size == rows + 1000
 
-    def test_default_family_label_names_both_grids(self):
-        rep = a2_constant(PowerWeight(0.25), make_window(-1, 1, 0, 6))
-        assert rep.family_label == "dyadic(standard,third_shift)+random(1000)"
+    @pytest.mark.parametrize(
+        "win",
+        [
+            make_window(-(2**50 - 4), -(2**50 - 5), 0, 0),
+            make_window(2**50 - 5, 2**50 - 4, 0, 0),
+            make_window(2**41 - 2, 2**41 - 1, 0, 9),
+        ],
+        ids=["one_cell_low", "one_cell_high", "fine"],
+    )
+    def test_family_rows_nonempty_at_the_2_50_guard(self, win):
+        """a2_constant checks no row: next to the 2^50 guard of the interval
+        tables, one ulp of a random start is still below its length."""
+        for seed in (0, 1, _FAMILY_SEED):
+            lo, hi = _family_bounds(win, seed)
+            assert np.isfinite(lo).all() and np.isfinite(hi).all() and (hi > lo).all()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None], ids=["negative", "float", "str", "none"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(InvalidParameterError, match="seed must be an integer >= 0"):
+            a2_constant(PowerWeight(0.25), make_window(-1, 1, 0, 6), seed=seed)
+
+    def test_numpy_integer_seed_keeps_its_draws(self):
+        win = make_window(-1, 1, 0, 6)
+        assert a2_constant(PowerWeight(0.25), win, seed=np.int64(7)) == a2_constant(PowerWeight(0.25), win, seed=7)
 
     def test_symmetry_under_inversion(self):
         win = make_window(-1, 1, 0, 6)
-        fam = interval_family(win, (standard_grid(),), n_random=200, seed=3)
         w = PowerWeight(0.25, center=0.0)
-        r1 = a2_constant(w, win, family=fam)
-        r2 = a2_constant(w.inv(), win, family=fam)
+        r1 = a2_constant(w, win)
+        r2 = a2_constant(w.inv(), win)
         assert r1.constant == pytest.approx(r2.constant, rel=1e-12)
 
     def test_am_gm_lower_bound_over_family(self):
         win = make_window(-4, 4, -2, 6)
-        fam = interval_family(win, (standard_grid(), third_shift_grid()), n_random=300, seed=5)
+        lo, hi = _family_bounds(win, _FAMILY_SEED)
         for w in [
             ConstantWeight(2.5),
             PowerWeight(0.25),
@@ -119,7 +127,7 @@ class TestA2:
             pathological_weight(2.0, 3, 9.0),
         ]:
             w_inv = w.inv()
-            for a, b in fam:
+            for a, b in zip(lo.tolist(), hi.tolist()):
                 ell = b - a
                 prod = (w.integral(a, b) / ell) * (w_inv.integral(a, b) / ell)
                 assert prod >= 1.0 - 1e-10
@@ -309,9 +317,8 @@ class TestReverseHolder:
     )
     def test_report_lists_the_fixed_rungs(self, w):
         rep = reverse_holder_exponent(w, make_window(-1, 1, 0, 5))
-        assert rep.ladder == (2.25, 2.5, 3.0, 4.0)
         assert list(rep.per_exponent) == [2.25, 2.5, 3.0, 4.0]
-        assert rep.exponent in (None, *rep.ladder)
+        assert rep.exponent in (None, *rep.per_exponent)
 
 
 class TestVectorIntegrals:
@@ -394,39 +401,6 @@ class TestOverflowingPower:
     def test_rejected(self, make):
         with pytest.raises(InvalidParameterError, match="overflows"):
             make()
-
-
-class TestDegenerateIntervals:
-    @pytest.mark.parametrize(
-        "family, bad",
-        [
-            ([(0.2, 0.1)], "[0.2, 0.1)"),
-            ([(0.0, 0.5), (0.1, 0.1)], "[0.1, 0.1)"),
-            ([(0.0, 0.5), (0.25, math.inf), (0.3, 0.2)], "[0.25, inf)"),
-            ([(math.nan, 0.5)], "[nan, 0.5)"),
-        ],
-    )
-    def test_a2_rejects_bad_family_interval(self, family, bad):
-        win = make_window(0, 1, 0, 6)
-        with pytest.raises(InvalidParameterError) as info:
-            a2_constant(PowerWeight(0.25), win, family=family)
-        assert bad in str(info.value)
-
-    @pytest.mark.parametrize(
-        "family, bad",
-        [
-            pytest.param([(0.0, 0.25, 0.5), (0.5, 0.75, 1.0)], "(0.0, 0.25, 0.5)", id="triples"),
-            pytest.param([(0.25,), (0.5,)], "(0.25,)", id="singletons"),
-            pytest.param([(0.0, 0.5), (0.1, 0.2, 0.3), (0.4,)], "(0.1, 0.2, 0.3)", id="ragged"),
-            pytest.param([(0.0, 0.5), 0.75], "0.75", id="bare_number"),
-            pytest.param([(0.0, 0.5), (0.25, None)], "(0.25, None)", id="not_a_number"),
-        ],
-    )
-    def test_a2_rejects_malformed_family_entry(self, family, bad):
-        win = make_window(0, 1, 0, 6)
-        with pytest.raises(InvalidParameterError) as info:
-            a2_constant(PowerWeight(0.25), win, family=family)
-        assert f"entry {bad} is not an interval" in str(info.value)
 
 
 class TestSpikedScale:
