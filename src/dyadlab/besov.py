@@ -1,5 +1,6 @@
-"""Norm functionals: dyadic Besov (three equivalent forms), continuous Besov
-at p=2 by tensor quadrature, weighted dyadic BMO, and finite-scale VMO tails.
+"""Norm functionals: dyadic Besov (three equivalent forms), the continuous
+Besov energy by tensor quadrature, weighted dyadic BMO, and finite-scale VMO
+tails.
 
 Dyadic norms sum (|b_hat(I)| |I|^1/2 / nu(I))^p over enumerated intervals;
 the second and third forms replace the nu factor by the equivalent weighted
@@ -12,8 +13,9 @@ on the table's integer j and k columns.  A `NormReport` keeps its tables
 and builds row labels from those columns only when they are read; interval
 objects are built only for the rows `interval_form_ratios` returns.
 The continuous energy is the double integral of |b(x)-b(y)|^p / (x-y)^2 *
-lam(x) / mu(y) over the window square, and its square root at p=2 is the
-continuous norm.  Separated cell pairs take tensor Gauss-Legendre in row
+lam(x) / mu(y) over the window square.  At p=2 its square root is the
+continuous norm, but it is reported as the energy, in the units of its error
+estimate.  Separated cell pairs take tensor Gauss-Legendre in row
 blocks; near-diagonal cell pairs are split once into half cells and computed
 as 12 arrays over the cells, one per cell lag and half-cell pair, where the
 touching half-pairs take the Lipschitz difference-quotient bound.  All
@@ -45,38 +47,32 @@ _TINY = np.finfo(float).smallest_normal
 
 @dataclass
 class NormReport:
-    """A norm value with its per-item contribution table.
+    """A dyadic norm value with its per-interval contribution table.
 
-    `terms` holds one contribution per item.  The items are the rows of
-    `tables`, in order, or the window's x-cells when there is no table.
-    Their labels, `DyadicInterval.label` from each row's j and k columns or
-    xcell_i, are built only when `labels`, `contributions` or `to_csv` reads
-    them.
+    `terms` holds one contribution per row of `tables`, in order.  The rows'
+    labels, `DyadicInterval.label` from each row's j and k columns, are
+    built only when `labels`, `contributions` or `to_csv` reads them.
 
-    value >= 0, and for the dyadic norms value == 0 exactly when every Haar
-    term |b_hat(I)| |I|^-1/2 vanishes, even where its contribution, the
-    term's p-th power, underflows to 0.
+    value >= 0, and value == 0 exactly when every Haar term
+    |b_hat(I)| |I|^-1/2 vanishes, even where its contribution, the term's
+    p-th power, underflows to 0.
     """
 
     value: float
     terms: np.ndarray
-    tables: tuple[IntervalTable, ...] = ()
-    id_label: str = "interval_id"
-    error_estimate: float | None = None
+    tables: tuple[IntervalTable, ...]
 
     def labels(self) -> list[str]:
-        """The items' labels, in order, built on each call."""
-        if not self.tables:
-            return [f"xcell_{i}" for i in range(len(self.terms))]
+        """The rows' labels, in order, built on each call."""
         return [label for table in self.tables for label in table.labels()]
 
     @property
     def contributions(self) -> list[tuple[str, float]]:
-        """(label, contribution) per item, in order."""
+        """(label, contribution) per row, in order."""
         return list(zip(self.labels(), self.terms.tolist()))
 
     def to_csv(self, path) -> None:
-        lines = [f"{self.id_label},contribution,cumulative"]
+        lines = ["interval_id,contribution,cumulative"]
         running = 0.0
         for label, c in self.contributions:
             running += c
@@ -217,7 +213,7 @@ def continuous_energy(
     half-pair whose offset 2d + hy - hx is at most one half cell touches or
     overlaps, and takes the Lipschitz difference-quotient bound, whose total
     mass is returned as the error estimate; the other half-pairs take tensor
-    Gauss-Legendre.  Returns (value, error_estimate, per-x-cell totals).
+    Gauss-Legendre.  Returns (value, estimate, per-x-cell totals).
     Cells, and half cells near the diagonal, take 4-node Gauss-Legendre.  For
     p <= 1 the near-diagonal |x-y|^(p-2) is not integrable, so p must be
     finite and exceed 1, or InvalidParameterError is raised.
@@ -309,23 +305,6 @@ def continuous_energy(
     return float(np.sum(per_cell)), float(np.cumsum(mass)[-1]), per_cell
 
 
-def continuous_besov_norm_p2(
-    b: Symbol,
-    lam: Weight,
-    mu: Weight,
-    window: TruncationWindow,
-) -> NormReport:
-    """Square root of the p=2 energy, with the near-diagonal bound mass as the
-    quadrature error estimate."""
-    energy, err, per_cell = continuous_energy(b, 2.0, lam, mu, window)
-    return NormReport(
-        value=math.sqrt(energy),
-        terms=per_cell,
-        id_label="pair_id",
-        error_estimate=err,
-    )
-
-
 def intersection_norm(
     b: Symbol,
     weights: BloomWeight | Weight,
@@ -393,7 +372,9 @@ def _subtree_sums(terms: np.ndarray, table: IntervalTable) -> np.ndarray:
     table.  Levels are summed finest first, and each row adds its left
     child's sum, then its right child's.  Child rows are matched on the
     integer columns: the children of (j, k) are (j + 1, 2k + t) and
-    (j + 1, 2k + t + 1), t = 3 * grid_shift(j)."""
+    (j + 1, 2k + t + 1), t = 3 * grid_shift(j).  Each scale of an
+    `interval_table` is one ascending run of translations, so child k sits
+    at offset k - k0 in its scale's rows, k0 the scale's first translation."""
     j, k = table.j, table.k
     sums = terms.copy()
     levels = np.unique(j).tolist()
@@ -401,14 +382,12 @@ def _subtree_sums(terms: np.ndarray, table: IntervalTable) -> np.ndarray:
         kids = np.flatnonzero(j == level + 1)
         if kids.size == 0:
             continue
-        order = np.argsort(k[kids], kind="stable")
-        kid_k = k[kids][order]
         rows = np.flatnonzero(j == level)
         first = 2 * k[rows] + int(3 * grid_shift(table.grid_id, level))
         for want in (first, first + 1):
-            at = np.minimum(np.searchsorted(kid_k, want), kid_k.size - 1)
-            hit = kid_k[at] == want
-            sums[rows[hit]] += sums[kids[order[at[hit]]]]
+            at = want - k[kids[0]]
+            hit = (at >= 0) & (at < kids.size)
+            sums[rows[hit]] += sums[kids[at[hit]]]
     return sums
 
 
@@ -437,13 +416,25 @@ def weighted_bmo_dyadic(
     mu_inv = pair.mu.inv().integrals(lo, hi)
     bh = haar_coefficients(b, table)
     lam = pair.lam.integrals(lo, hi)
+
+    def square_form(c):
+        """The square form of the coefficients c, accumulated bottom-up over
+        the interval tree."""
+        s_term = c * c * mu_inv * mu_inv * lam / table.length**3
+        return _sup(_subtree_sums(s_term, table) / mu_inv, table)
+
     # a value past the float range is inf here, and the check below names it
     with np.errstate(over="ignore"):
         # deviation / nu(I), with nu(I) read through the form-1 bracket |I| / nu(I)
         sup_avg, arg_avg = _sup(deviation * q1 / table.length, table)
-        # square form, accumulated bottom-up over the interval tree
-        s_term = bh * bh * mu_inv * mu_inv * lam / table.length**3
-        sup_sq, arg_sq = _sup(_subtree_sums(s_term, table) / mu_inv, table)
+        sup_sq, arg_sq = square_form(bh)
+        if not math.isfinite(sup_sq):
+            # the squares can overflow before the division where the form
+            # does not: scale the coefficients by the largest, m, and
+            # multiply the form by m twice, as `_root_of_power_sum` does
+            m = float(np.max(np.abs(bh)))
+            sup_sq, arg_sq = square_form(bh / m)
+            sup_sq = sup_sq * m * m
     for form, value in (("sup-average", sup_avg), ("square", sup_sq)):
         if not math.isfinite(value):
             raise InvalidParameterError(f"the BMO {form} form lies past the float range")

@@ -429,8 +429,6 @@ class ExpansionResidual:
     operator_norm: float
     frobenius_norm: float
     lhs_norm: float
-    region: tuple[float, float]
-    kind: str
 
 
 def expansion_residual(
@@ -518,7 +516,5 @@ def expansion_residual(
         operator_norm=float(sig[0]),
         frobenius_norm=float(np.linalg.norm(resid)),
         lhs_norm=float(np.linalg.norm(lhs)),
-        region=region,
-        kind=kind,
     )
 

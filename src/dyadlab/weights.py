@@ -13,6 +13,10 @@ spiked kind is scale * base^s in one class.
 table call over the window's cells.  Every integral rejects a bound that is
 not finite, and every closed-form `eval` a point that is not finite, with
 InvalidParameterError; an inverted interval, b < a, is empty for every kind.
+One float-range rule serves every kind: `Weight.integrals` runs the kind's
+table path with overflow ignored, then raises InvalidParameterError naming
+the first interval whose integral is not finite.  Only an overflowing power
+(power kind) or a diverged sum (DivergedIntegralError) is reported first.
 A BloomWeight bundles a source weight mu and a target weight lam together
 with the derived intermediary nu = sqrt(mu/lam).  Weights are immutable;
 every method is pure and safe for concurrent use.
@@ -115,9 +119,13 @@ class Weight:
         return float(self.integrals([a], [b])[0])
 
     def integrals(self, lo, hi) -> np.ndarray:
-        """Integrals over the intervals [lo[i], hi[i]); an inverted one is empty."""
+        """Integrals over the intervals [lo[i], hi[i]); an inverted one is
+        empty, and one past the float range raises InvalidParameterError."""
         lo, hi = _finite_bounds(lo, hi)
-        return self._integrals(lo, np.where(hi < lo, lo, hi))
+        hi = np.where(hi < lo, lo, hi)
+        with np.errstate(over="ignore"):
+            out = self._integrals(lo, hi)
+        return _no_overflow(out, lo, hi, self.label)
 
     def _integrals(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """The table path on finite bounds."""
@@ -168,8 +176,7 @@ class Weight:
 
 @dataclass(frozen=True)
 class ConstantWeight(Weight):
-    """w(x) = value.  An integral that overflows a float raises
-    InvalidParameterError."""
+    """w(x) = value."""
 
     value: float = 1.0
 
@@ -186,9 +193,7 @@ class ConstantWeight(Weight):
         return np.full_like(xv, self.value) if xv.ndim else self.value
 
     def _integrals(self, lo, hi):
-        with np.errstate(over="ignore"):
-            out = self.value * (hi - lo)
-        return _no_overflow(out, lo, hi, self.label)
+        return self.value * (hi - lo)
 
     def _reciprocal(self) -> "ConstantWeight":
         return ConstantWeight(1.0 / self.value)
@@ -199,9 +204,7 @@ class ConstantWeight(Weight):
 
 @dataclass(frozen=True)
 class PowerWeight(Weight):
-    """w(x) = coeff * |x - center|^exponent.  A2 membership needs |exponent| < 1.
-
-    An integral that overflows a float raises InvalidParameterError."""
+    """w(x) = coeff * |x - center|^exponent.  A2 membership needs |exponent| < 1."""
 
     exponent: float
     center: float = 1.0 / 3.0
@@ -234,17 +237,14 @@ class PowerWeight(Weight):
             t = x - self.center
             # np.float_power calls libm pow once per element, as the float `**`
             # does; np.power (and array `**`) takes a SIMD kernel that rounds
-            # differently on about 5% of values
-            with np.errstate(over="ignore"):
-                mag = np.float_power(np.abs(t), e)
+            # differently on about 5% of values.  `integrals` ignores its overflow
+            mag = np.float_power(np.abs(t), e)
             if not np.isfinite(mag.max(initial=0.0)):
                 bad = float(np.abs(t)[np.argmax(np.isinf(mag))])
                 raise InvalidParameterError(f"{bad!r} ** {e!r} overflows a float")
             return np.copysign(mag, t) / e
 
-        with np.errstate(over="ignore"):
-            out = self.coeff * (prim(hi) - prim(lo))
-        return _no_overflow(out, lo, hi, self.label)
+        return self.coeff * (prim(hi) - prim(lo))
 
     def _reciprocal(self) -> "PowerWeight":
         return PowerWeight(-self.exponent, self.center, 1.0 / self.coeff)
@@ -444,10 +444,13 @@ class QuadratureWeight(Weight):
         edges = np.linspace(af, bf, n_seg + 1)
         total = 0.0
         # fn runs once per block of segments, and the segments are added to
-        # the total one at a time, in order
+        # the total one at a time, in order; a sum past the float range is
+        # inf or nan here, and the check below names it
         for s0 in range(0, n_seg, _SEGMENT_BLOCK):
             cut = edges[s0 : s0 + _SEGMENT_BLOCK + 1]
-            for v in gauss_legendre_32(self.fn, cut[:-1], cut[1:]).tolist():
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = gauss_legendre_32(self.fn, cut[:-1], cut[1:])
+            for v in sums.tolist():
                 total += v
         if not math.isfinite(total):
             raise DivergedIntegralError(
@@ -569,22 +572,19 @@ def a2_constant(w: Weight, window: TruncationWindow, seed: int = _FAMILY_SEED) -
     grids in the window, then 1000 random intervals, read as two bound
     arrays.  Every one of them is finite and nonempty (the 2^50 guard of
     `interval_table` keeps one ulp of a random start below any random
-    length).  A seed that is not an integer >= 0 raises
+    length), and `Weight.integrals` makes the integrals of w and 1/w
+    finite or raises.  An average can still pass the float range on a short
+    row where its integral does not; that row's product is then formed as
+    (w(I) w^-1(I) / |I|) / |I|.  A seed that is not an integer >= 0 raises
     InvalidParameterError."""
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise InvalidParameterError(f"seed must be an integer >= 0; got {seed!r}")
     lo, hi = _family_bounds(window, seed)
     ell = hi - lo
-    pa = w.integrals(lo, hi) / ell
-    pb = w.inv().integrals(lo, hi) / ell
-    bad = ~(np.isfinite(pa) & np.isfinite(pb))
-    if bad.any():
-        i = int(np.argmax(bad))
-        a, b = float(lo[i]), float(hi[i])
-        raise DivergedIntegralError(
-            f"non-integrable weight {w.label} on [{a}, {b})", (a, b)
-        )
-    prod = pa * pb
+    wa, wb = w.integrals(lo, hi), w.inv().integrals(lo, hi)
+    with np.errstate(over="ignore"):
+        prod = (wa / ell) * (wb / ell)
+        prod = np.where(np.isfinite(prod), prod, wa * wb / ell / ell)
     best = int(np.argmax(prod))
     return A2Report(float(prod[best]), (float(lo[best]), float(hi[best])), lo.size)
 

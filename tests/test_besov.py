@@ -6,7 +6,6 @@ import pytest
 from dyadlab.errors import DyadlabError, InvalidConfigurationError, InvalidParameterError
 from dyadlab.besov import (
     _abs_deviation_integrals,
-    continuous_besov_norm_p2,
     continuous_energy,
     dyadic_besov_norm,
     intersection_norm,
@@ -133,20 +132,20 @@ class TestContinuous:
         b = StepSymbol(WIN, np.zeros(WIN.n_cells))
         with pytest.raises(InvalidConfigurationError):
             # step symbols carry no Lipschitz certificate
-            continuous_besov_norm_p2(b, ConstantWeight(1.0), ConstantWeight(1.0), WIN)
+            continuous_energy(b, 2.0, ONE, ONE, WIN)
 
     def test_linear_unit_square_is_one(self):
         b = linear_symbol(WIN)
-        rep = continuous_besov_norm_p2(b, ConstantWeight(1.0), ConstantWeight(1.0), WIN)
-        assert rep.value == pytest.approx(1.0, abs=1e-12)
-        assert rep.error_estimate is not None
+        energy, estimate, _ = continuous_energy(b, 2.0, ONE, ONE, WIN)
+        assert math.sqrt(energy) == pytest.approx(1.0, abs=1e-12)
+        assert math.isfinite(estimate) and estimate >= 0.0
 
     def test_sin_against_monte_carlo_oracle(self):
         # the near-diagonal bound is an overestimate of order Lip^2 * 1.5/N,
         # so the 1% comparison needs the fine lattice
         win = make_window(0, 1, 0, 10)
         b = sin_symbol(win)
-        rep = continuous_besov_norm_p2(b, ConstantWeight(1.0), ConstantWeight(1.0), win)
+        energy, _, _ = continuous_energy(b, 2.0, ONE, ONE, win)
         rng = np.random.default_rng(314159)
         xs = rng.uniform(0, 1, size=10**6)
         ys = rng.uniform(0, 1, size=10**6)
@@ -154,7 +153,7 @@ class TestContinuous:
         den = xs - ys
         vals = np.where(den != 0, (num / den) ** 2, (2 * np.pi) ** 2)
         mc = float(np.mean(vals))
-        assert rep.value**2 == pytest.approx(mc, rel=0.01)
+        assert energy == pytest.approx(mc, rel=0.01)
 
     def test_unweighted_energy_linear_closed_form(self):
         # |x - y|^(p-2) over the unit square integrates to 8/3 at p = 3/2
@@ -172,8 +171,8 @@ class TestContinuous:
 
     def test_weighted_energy_positive(self):
         b = sin_symbol(WIN)
-        rep = continuous_besov_norm_p2(b, PowerWeight(0.25), PowerWeight(-0.25), WIN)
-        assert rep.value > 0
+        energy, _, _ = continuous_energy(b, 2.0, PowerWeight(0.25), PowerWeight(-0.25), WIN)
+        assert energy > 0
 
 
 ONE = ConstantWeight(1.0)
@@ -218,9 +217,9 @@ class TestIntersection:
 
     def test_dyadic_below_continuous_one_sided(self):
         b = sin_symbol(WIN)
-        cont = continuous_besov_norm_p2(b, ConstantWeight(1.0), ConstantWeight(1.0), WIN)
+        energy, _, _ = continuous_energy(b, 2.0, ONE, ONE, WIN)
         dy = dyadic_besov_norm(b, unweighted_pair(), 2.0, D0, WIN)
-        assert dy.value <= 4.0 * cont.value
+        assert dy.value <= 4.0 * math.sqrt(energy)
 
 
 DEFAULT5 = default_window(5)
@@ -434,6 +433,19 @@ class TestBmoVmoFloatRange:
         rep = weighted_bmo_dyadic(b, unweighted_pair(), grid, DEFAULT5)
         assert (rep.sup_average.hex(), rep.square_form.hex()) == (sup_average, square_form)
 
+    @pytest.mark.parametrize("grid", [D0, D1], ids=["standard", "shifted"])
+    def test_square_form_is_homogeneous_near_the_range_end(self, grid):
+        """The square form has degree 2 in b: its squares overflow at 1e154
+        while the form, c^2 / 4 on the standard grid, does not."""
+        def square(c):
+            b = HaarSymbol(DEFAULT5, {DyadicInterval("standard", -2, 0): c})
+            rep = weighted_bmo_dyadic(b, unweighted_pair(), grid, DEFAULT5)
+            return rep.square_form, rep.argmax_square
+
+        (small, small_at), (large, large_at) = square(1e150), square(1e154)
+        assert large == pytest.approx(1e8 * small, rel=1e-12)
+        assert large_at == small_at
+
 
 class TestSharedBracket:
     @pytest.mark.parametrize("grid", [D0, D1], ids=["standard", "shifted"])
@@ -631,15 +643,6 @@ class TestLabelsOnRead:
         assert rep.contributions == pairs
         rep.to_csv(tmp_path / "norm.csv")
         assert (tmp_path / "norm.csv").read_bytes() == former_csv(pairs, "interval_id")
-
-    def test_continuous_csv_labels_cells(self, tmp_path):
-        b = sin_symbol(WIN)
-        rep = continuous_besov_norm_p2(b, ConstantWeight(1.0), ConstantWeight(1.0), WIN)
-        _, _, per_cell = continuous_energy(b, 2.0, ConstantWeight(1.0), ConstantWeight(1.0), WIN)
-        pairs = [(f"xcell_{i}", float(v)) for i, v in enumerate(per_cell)]
-        assert rep.contributions == pairs
-        rep.to_csv(tmp_path / "cont.csv")
-        assert (tmp_path / "cont.csv").read_bytes() == former_csv(pairs, "pair_id")
 
     def test_value_stays_assignable(self):
         rep = dyadic_besov_norm(sin_symbol(WIN), unweighted_pair(), 2.0, D0, WIN)

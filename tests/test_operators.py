@@ -670,7 +670,6 @@ class TestStructuredAssembly:
                 b, D0, window, kind=kind, signs=checkerboard, region=region, remainder=remainder
             )
             assert_residual_close(res, restricted, lhs[:, i0:i1])
-            assert (res.region, res.kind) == (region, kind)
 
     @pytest.mark.parametrize("kind", ["shift", "multiplier"])
     def test_expansion_reads_each_coefficient_once(self, kind, monkeypatch):

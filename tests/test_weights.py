@@ -9,10 +9,18 @@ from test_table_paths import reference_power, reference_spiked_power, spike_leve
 
 from dyadlab.errors import (
     DivergedIntegralError,
+    DyadlabError,
     InvalidConfigurationError,
     InvalidParameterError,
 )
-from dyadlab.grids import GAUSS_LEGENDRE_32, interval_table, make_window, standard_grid, third_shift_grid
+from dyadlab.grids import (
+    GAUSS_LEGENDRE_32,
+    default_window,
+    interval_table,
+    make_window,
+    standard_grid,
+    third_shift_grid,
+)
 from dyadlab.weights import (
     A2Report,
     BloomWeight,
@@ -776,3 +784,61 @@ class TestQuadratureEvalNonFinite:
         w = QuadratureWeight(fn, "1+|x|")
         assert w.integral(0.0, 1.0) == pytest.approx(1.5, rel=1e-14)
         assert calls == [(16, 32)]
+
+
+# Weights of every kind built with a scale c, and rows that are long, wide
+# and short around the power weights' centre 1/3.
+FLOAT_RANGE_KINDS = {
+    "constant": lambda c: ConstantWeight(c),
+    "power+": lambda c: PowerWeight(0.5, 1.0 / 3.0, c),
+    "power-": lambda c: PowerWeight(-0.5, 1.0 / 3.0, c),
+    "spiked": lambda c: SpikedLatticeWeight(2, 3, 9, scale=c),
+    "spiked^2": lambda c: SpikedLatticeWeight(2, 3, 9, scale=c).power(2.0),
+    "quadrature": lambda c: QuadratureWeight(lambda x: c * (1 + x * x)),
+}
+FLOAT_RANGE_ROWS = [(0.0, 4.0), (-8.0, 8.0), (1.0 / 3.0 - 1e-3, 1.0 / 3.0 + 1e-3)]
+
+
+class TestIntegralsFiniteOrRaise:
+    """Every weight integral is a finite float, or raises a DyadlabError: a
+    value past the float range never comes back as inf, nor as a numpy
+    warning."""
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300, 1e308], ids=lambda c: f"{c:g}")
+    @pytest.mark.parametrize("kind", FLOAT_RANGE_KINDS)
+    def test_finite_or_raises(self, kind, scale, dual):
+        try:
+            w = FLOAT_RANGE_KINDS[kind](scale)
+        except DyadlabError:  # the scale of a power leaves the float range
+            return
+        w = w.inv() if dual else w
+        for a, b in FLOAT_RANGE_ROWS:
+            try:
+                value = float(w.integrals([a], [b])[0])
+            except DyadlabError:
+                continue
+            assert math.isfinite(value) and value >= 0.0, (a, b, value)
+
+    def test_spiked_overflow_names_the_row(self):
+        # the integral of base^s is finite; only its product with the scale overflows
+        w = SpikedLatticeWeight(r=2, levels=1, growth=9, scale=1e308)
+        with pytest.raises(InvalidParameterError, match=r"over \[0\.0, 4\.0\) overflows a float"):
+            w.integrals([0.0], [4.0])
+        with pytest.raises(InvalidParameterError):
+            a2_constant(w, default_window(5))
+
+    def test_quadrature_overflow_is_diverged(self):
+        w = QuadratureWeight(lambda x: np.full_like(x, 1e308))
+        with pytest.raises(DivergedIntegralError):
+            w.integral(0.0, 4.0)
+
+    def test_a2_average_past_the_float_range(self):
+        """A2 is invariant under w -> c w.  At c = 5e305 every integral is
+        finite, but the average over a short row at the centre is not; the
+        row's product is then formed from the integrals."""
+        window = default_window(5)
+        base = a2_constant(PowerWeight(-0.99), window)
+        scaled = a2_constant(PowerWeight(-0.99, coeff=5e305), window)
+        assert scaled.constant == pytest.approx(base.constant, rel=1e-12)
+        assert scaled.argmax_interval == base.argmax_interval
