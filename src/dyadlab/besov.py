@@ -12,13 +12,14 @@ per cell span, and the square form's subtree sums one level at a time, matched
 on the table's integer j and k columns.  A `NormReport` keeps its tables
 and builds row labels from those columns only when they are read; interval
 objects are built only for the rows `interval_form_ratios` returns.
-The continuous energy is the double integral of |b(x)-b(y)|^p / (x-y)^2 *
-lam(x) / mu(y) over the window square.  At p=2 its square root is the
-continuous norm, but it is reported as the energy, in the units of its error
-estimate.  Separated cell pairs take tensor Gauss-Legendre in row
-blocks; near-diagonal cell pairs are split once into half cells and computed
-as 12 arrays over the cells, one per cell lag and half-cell pair, where the
-touching half-pairs take the Lipschitz difference-quotient bound.  All
+The continuous energy is the double integral of ((b(x)-b(y)) / (x-y))^2 *
+lam(x) / mu(y) over the window square, the squared Hilbert-Schmidt norm of
+[b, H] from L2(mu) to L2(lam).  It is reported as the energy, in the units of
+its error estimate.  For a Lipschitz b the quotient is bounded, so one tensor
+Gauss-Legendre rule, with different node counts in x and y, runs over every
+cell pair at two orders; cells at a power weight's singular point are cut
+there and take a graded rule.  The fine rule is the value and the gap between
+the two is the estimate, a bound for constant and power weights.  All
 reductions run in a fixed order, so results do not depend on thread count.
 """
 
@@ -40,7 +41,7 @@ from .grids import (
     interval_table,
 )
 from .symbols import Symbol, haar_coefficients
-from .weights import BloomWeight, ConstantWeight, Weight
+from .weights import BloomWeight, PowerWeight, Weight
 
 _TINY = np.finfo(float).smallest_normal
 
@@ -193,116 +194,89 @@ def interval_form_ratios(
 # ----------------------------------------------------------------------------
 # continuous energy by tensor quadrature
 
-# Gauss-Legendre nodes per cell, and per half cell near the diagonal.
-_NODES = 4
+# Gauss-Legendre node counts (x, y) of the coarse and the fine rule on a plain
+# cell, then per piece of a cell cut at a singular point.  x and y take
+# different counts, so no node pair lies on the diagonal x = y.
+_RULES = (((4, 5), (20, 21)), ((8, 9), (40, 41)))
+
+
+def _energy_nodes(
+    window: TruncationWindow, cuts: list[float], m: int, m_graded: int
+) -> tuple[np.ndarray, ...]:
+    """Nodes, weights and cell indices of one axis of the tensor rule.  A cell
+    that holds or touches a point of `cuts` is cut there, and each piece takes
+    m_graded-node Gauss-Legendre in u under s(u) = u^4 / (u^4 + (1-u)^4),
+    which clusters the nodes at both ends; every other cell takes m nodes."""
+    edges = window.cell_edges()
+    touched = np.zeros(window.n_cells, dtype=bool)
+    for c in cuts:
+        touched |= (edges[:-1] <= c) & (c <= edges[1:])
+    ends = np.unique(np.concatenate([edges, [c for c in cuts if edges[0] < c < edges[-1]]]))
+    cell = np.searchsorted(edges, ends[:-1], side="right") - 1
+    parts = []
+    for graded, count in ((False, m), (True, m_graded)):
+        g, w = np.polynomial.legendre.leggauss(count)
+        u, w = 0.5 * (g + 1.0), 0.5 * w
+        if graded:
+            d = u**4 + (1.0 - u) ** 4
+            u, w = u**4 / d, w * 4.0 * u**3 * (1.0 - u) ** 3 / d**2
+        sel = touched[cell] == graded
+        lo, length = ends[:-1][sel], np.diff(ends)[sel]
+        nodes = (lo[:, None] + length[:, None] * u).ravel()
+        parts.append((nodes, np.outer(length, w).ravel(), np.repeat(cell[sel], count)))
+    return tuple(np.concatenate(z) for z in zip(*parts))
 
 
 def continuous_energy(
     b: Symbol,
-    p: float,
     lam: Weight,
     mu: Weight,
     window: TruncationWindow,
 ) -> tuple[float, float, np.ndarray]:
-    """Double integral of |b(x)-b(y)|^p / |x-y|^2 * lam(x) * mu^-1(y) over the
-    window square.
+    """Double integral of ((b(x)-b(y)) / (x-y))^2 * lam(x) * mu^-1(y) over the
+    window square, the squared S_2 norm of [b, H] from L2(mu) to L2(lam).
 
-    Separated cell pairs use tensor Gauss-Legendre.  Cell pairs closer than one
-    cell are split once into half cells and computed as 12 arrays over the
-    cells, one per cell lag d in {-1, 0, 1} and half-cell pair (hx, hy).  A
-    half-pair whose offset 2d + hy - hx is at most one half cell touches or
-    overlaps, and takes the Lipschitz difference-quotient bound, whose total
-    mass is returned as the error estimate; the other half-pairs take tensor
-    Gauss-Legendre.  Returns (value, estimate, per-x-cell totals).
-    Cells, and half cells near the diagonal, take 4-node Gauss-Legendre.  For
-    p <= 1 the near-diagonal |x-y|^(p-2) is not integrable, so p must be
-    finite and exceed 1, or InvalidParameterError is raised.
+    Returns (value, estimate, per-x-cell totals).  For a Lipschitz b the
+    quotient is bounded, so one tensor Gauss-Legendre rule runs over every
+    cell pair, with 4 nodes in x by 5 in y per cell, then 8 by 9; a cell at
+    the centre of a `PowerWeight` lam or mu is cut there, and each piece takes
+    a graded 20 by 21, then 40 by 41.  The value and per-cell totals are the
+    finer rule's, and the estimate is the gap between the two rules: a bound
+    for constant and power weights, but only an estimate for weights that
+    declare no singular point (`QuadratureWeight`, `SpikedLatticeWeight`).  A
+    symbol that is not Lipschitz raises InvalidConfigurationError, and an
+    energy past the float range InvalidParameterError.
     """
-    if not 1.0 < p < math.inf:
-        raise InvalidParameterError(f"p must lie in (1, inf); got {p!r}")
     if not b.is_lipschitz:
         raise InvalidConfigurationError(
             "continuous energy needs a Lipschitz symbol; jump symbols diverge"
         )
-    if p < 2 and not (
-        isinstance(lam, ConstantWeight) and isinstance(mu, ConstantWeight)
-    ):
-        raise InvalidConfigurationError(
-            "p < 2 near-diagonal closed form is available only for constant weights"
-        )
-    lip = float(b.lipschitz)
-    n = window.n_cells
-    width = float(window.cell_width)
-    edges = window.cell_edges()
+    cuts = sorted({w.center for w in (lam, mu) if isinstance(w, PowerWeight)})
     mu_inv = mu.inv()
-
-    gx, gw = np.polynomial.legendre.leggauss(_NODES)
-    # flatten (cell, node) grids once for both axes
-    half = 0.5 * width
-    centers = window.cell_midpoints()
-    xs = (centers[:, None] + half * gx[None, :]).ravel()
-    ws = np.tile(0.5 * width * gw, n)
-    fx = np.asarray(b.eval(xs), dtype=float)
-    lam_x = np.asarray(lam.eval(xs), dtype=float) * ws
-    mu_y = np.asarray(mu_inv.eval(xs), dtype=float) * ws
-
-    per_cell = np.zeros(n)
-    block = max(1, 262144 // (n * _NODES) + 1)
-    cell_of = np.repeat(np.arange(n), _NODES)
-    for i0 in range(0, n, block):
-        i1 = min(n, i0 + block)
-        r0, r1 = i0 * _NODES, i1 * _NODES
-        dx = xs[r0:r1, None] - xs[None, :]
-        df = np.abs(fx[r0:r1, None] - fx[None, :])
-        cells_r = cell_of[r0:r1]
-        sep = np.abs(cells_r[:, None] - cell_of[None, :]) >= 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            integrand = np.where(sep, df**p / (dx * dx), 0.0)
-        contrib = integrand * lam_x[r0:r1, None] * mu_y[None, :]
-        per_cell[i0:i1] += np.add.reduceat(contrib.sum(axis=1), np.arange(0, (i1 - i0) * _NODES, _NODES))
-
-    # near-diagonal pairs: half cell X = 2i + hx spans [ah[X], bh[X]), with
-    # Gauss nodes xh[X] and the lam, mu^-1 quadrature weights there
-    ah = (edges[:-1, None] + np.array([0.0, half])).ravel()
-    bh = ah + half
-    xh = (0.5 * (ah + bh))[:, None] + 0.25 * width * gx
-    wq = 0.25 * width * gw
-    fh = np.asarray(b.eval(xh), dtype=float)
-    lam_h = np.asarray(lam.eval(xh), dtype=float) * wq
-    mu_h = np.asarray(mu_inv.eval(xh), dtype=float) * wq
-    lam_int, mu_int = lam.integrals(ah, bh), mu_inv.integrals(ah, bh)
-
-    def prim(t):
-        return abs(t) ** p / (p * (p - 1.0))
-
-    # the 12 combinations of cell lag d and half cells (hx, hy); cell edges
-    # are exact floats, so the half-cell offset o of y from x decides whether
-    # the pair touches or overlaps (|o| <= 1).  mass holds the Lipschitz
-    # bounds, one column per combination
-    mass = np.zeros((n, 12))
-    combos = [(d, hx, hy) for d in (-1, 0, 1) for hx in (0, 1) for hy in (0, 1)]
-    for col, (d, hx, hy) in enumerate(combos):
-        i0, i1 = max(0, -d), min(n, n - d)
-        o = 2 * d + hy - hx
-        x = 2 * np.arange(i0, i1) + hx
-        y = x + o
-        if abs(o) > 1:  # separated half cells: tensor Gauss-Legendre
-            dx = xh[x][:, :, None] - xh[y][:, None, :]
-            df = np.abs(fh[x][:, :, None] - fh[y][:, None, :])
-            pairs = df**p / (dx * dx) * lam_h[x][:, :, None] * mu_h[y][:, None, :]
-            per_cell[i0:i1] += pairs.reshape(i1 - i0, _NODES * _NODES).sum(axis=1)
-            continue
-        if p < 2.0:
-            # constant weights only: the |x-y|^(p-2) factor integrates exactly
-            box = prim((1 - o) * half) - prim(o * half) - prim(o * half) + prim((1 + o) * half)
-            mass[i0:i1, col] = lip**p * lam.value * mu_inv.value * box
-        else:
-            # the pair's diameter to the power p - 2, exactly 1 at p = 2
-            diam = (1 + abs(o)) * half
-            mass[i0:i1, col] = lip**p * diam ** (p - 2.0) * lam_int[x] * mu_int[y]
-        per_cell[i0:i1] += mass[i0:i1, col]
-    # the error estimate adds the bounds one at a time, cell by cell
-    return float(np.sum(per_cell)), float(np.cumsum(mass)[-1]), per_cell
+    totals = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (mx, my), (gx, gy) in _RULES:
+            xs, wx, cell_x = _energy_nodes(window, cuts, mx, gx)
+            ys, wy, _ = _energy_nodes(window, cuts, my, gy)
+            fx, fy = (np.asarray(b.eval(t), dtype=float) for t in (xs, ys))
+            lam_x = np.asarray(lam.eval(xs), dtype=float) * wx
+            mu_y = np.asarray(mu_inv.eval(ys), dtype=float) * wy
+            # np.sum per x-node row, then np.bincount into cells: a fixed order
+            # with no BLAS product, so results do not depend on thread count.
+            # Blocks of at most 262144 (x node, y node) entries bound the memory
+            rows = np.empty(len(xs))
+            block = max(1, 262144 // len(ys))
+            for r0 in range(0, len(xs), block):
+                r = slice(r0, r0 + block)
+                q = (fx[r, None] - fy) / (xs[r, None] - ys)
+                rows[r] = np.sum(q * q * mu_y, axis=1) * lam_x[r]
+            totals.append(np.bincount(cell_x, weights=rows, minlength=window.n_cells))
+        coarse, fine = totals
+        value = float(np.sum(fine))
+        estimate = abs(value - float(np.sum(coarse)))
+    if not (math.isfinite(value) and math.isfinite(estimate)):
+        raise InvalidParameterError("the continuous energy lies past the float range")
+    return value, estimate, fine
 
 
 def intersection_norm(
@@ -413,28 +387,22 @@ def weighted_bmo_dyadic(
     lo, hi = table.left, table.right
     deviation = _abs_deviation_integrals(values, window.cell_edges(), float(window.cell_width), lo, hi)
     q1 = _bracket(pair, 1, table)
-    mu_inv = pair.mu.inv().integrals(lo, hi)
-    bh = haar_coefficients(b, table)
-    lam = pair.lam.integrals(lo, hi)
-
-    def square_form(c):
-        """The square form of the coefficients c, accumulated bottom-up over
-        the interval tree."""
-        s_term = c * c * mu_inv * mu_inv * lam / table.length**3
-        return _sup(_subtree_sums(s_term, table) / mu_inv, table)
-
     # a value past the float range is inf here, and the check below names it
     with np.errstate(over="ignore"):
         # deviation / nu(I), with nu(I) read through the form-1 bracket |I| / nu(I)
         sup_avg, arg_avg = _sup(deviation * q1 / table.length, table)
-        sup_sq, arg_sq = square_form(bh)
-        if not math.isfinite(sup_sq):
-            # the squares can overflow before the division where the form
-            # does not: scale the coefficients by the largest, m, and
-            # multiply the form by m twice, as `_root_of_power_sum` does
-            m = float(np.max(np.abs(bh)))
-            sup_sq, arg_sq = square_form(bh / m)
-            sup_sq = sup_sq * m * m
+    # the square form has degree 2 in b_hat(I), 1 in mu^-1(I) and 1 in lam(I).
+    # Each factor is scaled by a power of two, which is exact, to a largest
+    # entry in [1/2, 1), so no product overflows where the form does not
+    factors = (haar_coefficients(b, table), pair.mu.inv().integrals(lo, hi), pair.lam.integrals(lo, hi))
+    e_b, e_mu, e_lam = (math.frexp(float(np.max(np.abs(f), initial=0.0)))[1] for f in factors)
+    c, mu_inv, lam = (np.ldexp(f, -e) for f, e in zip(factors, (e_b, e_mu, e_lam)))
+    s_term = c * c * mu_inv * mu_inv * lam / table.length**3
+    sup_sq, arg_sq = _sup(_subtree_sums(s_term, table) / mu_inv, table)
+    try:
+        sup_sq = math.ldexp(sup_sq, 2 * e_b + e_mu + e_lam)
+    except OverflowError:
+        sup_sq = math.inf
     for form, value in (("sup-average", sup_avg), ("square", sup_sq)):
         if not math.isfinite(value):
             raise InvalidParameterError(f"the BMO {form} form lies past the float range")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,9 +27,7 @@ from dyadlab.symbols import (
     StepSymbol,
     haar_coefficient,
     linear_symbol,
-    parabola_symbol,
     quartic_bump_symbol,
-    ramp_bump_symbol,
     random_haar_symbol,
     sin_symbol,
 )
@@ -37,7 +36,6 @@ from dyadlab.weights import (
     ConstantWeight,
     PowerWeight,
     QuadratureWeight,
-    product_weight,
     unweighted_pair,
 )
 
@@ -132,20 +130,19 @@ class TestContinuous:
         b = StepSymbol(WIN, np.zeros(WIN.n_cells))
         with pytest.raises(InvalidConfigurationError):
             # step symbols carry no Lipschitz certificate
-            continuous_energy(b, 2.0, ONE, ONE, WIN)
+            continuous_energy(b, ONE, ONE, WIN)
 
     def test_linear_unit_square_is_one(self):
         b = linear_symbol(WIN)
-        energy, estimate, _ = continuous_energy(b, 2.0, ONE, ONE, WIN)
+        energy, estimate, _ = continuous_energy(b, ONE, ONE, WIN)
         assert math.sqrt(energy) == pytest.approx(1.0, abs=1e-12)
         assert math.isfinite(estimate) and estimate >= 0.0
 
     def test_sin_against_monte_carlo_oracle(self):
-        # the near-diagonal bound is an overestimate of order Lip^2 * 1.5/N,
-        # so the 1% comparison needs the fine lattice
-        win = make_window(0, 1, 0, 10)
-        b = sin_symbol(win)
-        energy, _, _ = continuous_energy(b, 2.0, ONE, ONE, win)
+        # the tensor rule's error is far below the oracle's sampling error,
+        # so the coarse lattice serves
+        b = sin_symbol(WIN)
+        energy, _, _ = continuous_energy(b, ONE, ONE, WIN)
         rng = np.random.default_rng(314159)
         xs = rng.uniform(0, 1, size=10**6)
         ys = rng.uniform(0, 1, size=10**6)
@@ -155,43 +152,83 @@ class TestContinuous:
         mc = float(np.mean(vals))
         assert energy == pytest.approx(mc, rel=0.01)
 
-    def test_unweighted_energy_linear_closed_form(self):
-        # |x - y|^(p-2) over the unit square integrates to 8/3 at p = 3/2
-        b = linear_symbol(WIN)
-        got, _, _ = continuous_energy(b, 1.5, ONE, ONE, WIN)
-        assert got == pytest.approx(8.0 / 3.0, rel=5e-3)
-
-    @pytest.mark.parametrize("j_max", [3, 5])
-    def test_linear_p3_brackets_closed_form(self, j_max):
-        # |x - y|^(p-2) over the unit square integrates to 1/3 at p = 3; the
-        # value is an upper bound, and removing the Lipschitz mass undershoots
-        win = make_window(0, 1, 0, j_max)
-        value, estimate, _ = continuous_energy(linear_symbol(win), 3.0, ONE, ONE, win)
-        assert value - estimate <= 1.0 / 3.0 <= value
-
     def test_weighted_energy_positive(self):
         b = sin_symbol(WIN)
-        energy, _, _ = continuous_energy(b, 2.0, PowerWeight(0.25), PowerWeight(-0.25), WIN)
+        energy, _, _ = continuous_energy(b, PowerWeight(0.25), PowerWeight(-0.25), WIN)
         assert energy > 0
 
 
 ONE = ConstantWeight(1.0)
 
+# The closed form of the flat quartic_bump energy on [-4, 4), and the
+# benchmark's power pair's value from a graded reference rule.
+QUARTIC_FLAT = 6.697675804568441
+QUARTIC_POWER = 26.8609312
+
+
+def power_pair(c):
+    """(lam, mu) of the benchmark's power pair, centred at c."""
+    return PowerWeight(-0.3, c), PowerWeight(0.5, c)
+
+
+class TestTensorEnergy:
+    """The tensor rule against closed forms: for linear the quotient is 1,
+    so the energy is lam(W) mu^-1(W) on the window W."""
+
+    def test_flat_quartic_bump_closed_form(self):
+        win = default_window(5)
+        value, estimate, _ = continuous_energy(quartic_bump_symbol(win), ONE, ONE, win)
+        assert abs(value - QUARTIC_FLAT) <= min(1e-9, estimate)
+
+    def test_flat_linear_is_the_window_area(self):
+        win = default_window(4)
+        value, estimate, _ = continuous_energy(linear_symbol(win), ONE, ONE, win)
+        assert value == pytest.approx(64.0, rel=1e-13, abs=0.0)
+        assert estimate <= 1e-12
+
+    # 1/3 lies inside a cell, 0.25 on a cell edge
+    @pytest.mark.parametrize("c", [1.0 / 3.0, 0.25], ids=["c=1/3", "c=1/4"])
+    @pytest.mark.parametrize("j_max", [3, 5], ids=["N=64", "N=256"])
+    def test_linear_power_pair_within_its_estimate(self, c, j_max):
+        win = default_window(j_max)
+        lam, mu = power_pair(c)
+        value, estimate, _ = continuous_energy(linear_symbol(win), lam, mu, win)
+        exact = lam.integral(-4, 4) * mu.inv().integral(-4, 4)
+        assert abs(value - exact) <= estimate
+
+    @pytest.mark.parametrize("j_max", [3, 5], ids=["N=64", "N=256"])
+    def test_quartic_bump_power_pair_within_its_estimate(self, j_max):
+        win = default_window(j_max)
+        value, estimate, _ = continuous_energy(quartic_bump_symbol(win), *power_pair(1.0 / 3.0), win)
+        assert abs(value - QUARTIC_POWER) <= min(3e-7, estimate)
+
+    @pytest.mark.parametrize("make", [linear_symbol, quartic_bump_symbol], ids=["linear", "quartic_bump"])
+    def test_estimate_falls_with_the_lattice(self, make):
+        coarse, fine = (
+            continuous_energy(make(win), *power_pair(1.0 / 3.0), win)[1]
+            for win in (default_window(3), default_window(5))
+        )
+        assert fine < coarse
+
+    def test_per_cell_totals_sum_to_the_value(self):
+        win = default_window(3)
+        value, _, per_cell = continuous_energy(quartic_bump_symbol(win), *power_pair(1.0 / 3.0), win)
+        assert per_cell.shape == (win.n_cells,)
+        assert float(np.sum(per_cell)) == value
+
 
 class TestContinuousBadInput:
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda b: continuous_energy(b, 1.0, ONE, ONE, WIN),  # 0 / 0 in the bound
-            lambda b: continuous_energy(b, 0.5, ONE, ONE, WIN),
-            lambda b: continuous_energy(b, math.nan, ONE, ONE, WIN),
-            lambda b: continuous_energy(b, math.inf, ONE, ONE, WIN),
-        ],
-        ids=["p=1", "p=0.5", "p=nan", "p=inf"],
-    )
-    def test_rejected(self, call):
-        with pytest.raises(InvalidParameterError):
-            call(linear_symbol(WIN))
+    def test_past_the_float_range_raises(self):
+        win = default_window(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="continuous energy"):
+                continuous_energy(linear_symbol(win), ConstantWeight(1e300), ConstantWeight(1e-10), win)
+
+    def test_near_the_float_range_end(self):
+        win = default_window(4)
+        value, _, _ = continuous_energy(linear_symbol(win), ConstantWeight(1e290), ConstantWeight(1e-10), win)
+        assert value == pytest.approx(6.4e301, rel=1e-13, abs=0.0)
 
 
 class TestIntersection:
@@ -217,7 +254,7 @@ class TestIntersection:
 
     def test_dyadic_below_continuous_one_sided(self):
         b = sin_symbol(WIN)
-        energy, _, _ = continuous_energy(b, 2.0, ONE, ONE, WIN)
+        energy, _, _ = continuous_energy(b, ONE, ONE, WIN)
         dy = dyadic_besov_norm(b, unweighted_pair(), 2.0, D0, WIN)
         assert dy.value <= 4.0 * math.sqrt(energy)
 
@@ -446,6 +483,20 @@ class TestBmoVmoFloatRange:
         assert large == pytest.approx(1e8 * small, rel=1e-12)
         assert large_at == small_at
 
+    @pytest.mark.parametrize("grid", [D0, D1], ids=["standard", "shifted"])
+    def test_square_form_is_homogeneous_in_a_small_mu(self, grid):
+        """The square form has degree -1 in mu: mu^-1(I) squared overflows
+        at mu = 1e-160 while the form, about 2.5e159, does not."""
+        def square(mu):
+            b = HaarSymbol(DEFAULT5, {DyadicInterval("standard", -2, 0): 1.0})
+            pair = BloomWeight(ConstantWeight(mu), ConstantWeight(1.0))
+            rep = weighted_bmo_dyadic(b, pair, grid, DEFAULT5)
+            return rep.square_form, rep.argmax_square
+
+        (large, large_at), (small, small_at) = square(1e-160), square(1e-150)
+        assert large == pytest.approx(1e10 * small, rel=1e-12)
+        assert large_at == small_at
+
 
 class TestSharedBracket:
     @pytest.mark.parametrize("grid", [D0, D1], ids=["standard", "shifted"])
@@ -471,122 +522,6 @@ class TestSharedBracket:
         pair = BloomWeight(ConstantWeight(1.0), lam)
         with np.errstate(divide="ignore"), pytest.raises(DyadlabError):
             dyadic_besov_norm(sin_symbol(WIN), pair, 2.0, D0, WIN, form=form)
-
-
-# Reference copy of the former continuous energy: the near-diagonal half-cell
-# pairs visited one at a time, touching decided on float endpoints, and the
-# Lipschitz bound taken from scalar `eval` and `integral` calls.
-def old_continuous_energy(b, p, lam, mu, window, nodes=4):
-    lip = float(b.lipschitz)
-    n = window.n_cells
-    width = float(window.cell_width)
-    edges = window.cell_edges()
-    mu_inv = mu.inv()
-    gx, gw = np.polynomial.legendre.leggauss(nodes)
-    half = 0.5 * width
-    centers = window.cell_midpoints()
-    xs = (centers[:, None] + half * gx[None, :]).ravel()
-    ws = np.tile(0.5 * width * gw, n)
-    fx = np.asarray(b.eval(xs), dtype=float)
-    lam_x = np.asarray(lam.eval(xs), dtype=float) * ws
-    mu_y = np.asarray(mu_inv.eval(xs), dtype=float) * ws
-    per_cell = np.zeros(n)
-    block = max(1, 262144 // (n * nodes) + 1)
-    cell_of = np.repeat(np.arange(n), nodes)
-    for i0 in range(0, n, block):
-        i1 = min(n, i0 + block)
-        r0, r1 = i0 * nodes, i1 * nodes
-        dx = xs[r0:r1, None] - xs[None, :]
-        df = np.abs(fx[r0:r1, None] - fx[None, :])
-        cells_r = cell_of[r0:r1]
-        sep = np.abs(cells_r[:, None] - cell_of[None, :]) >= 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            integrand = np.where(sep, df**p / (dx * dx), 0.0)
-        contrib = integrand * lam_x[r0:r1, None] * mu_y[None, :]
-        per_cell[i0:i1] += np.add.reduceat(contrib.sum(axis=1), np.arange(0, (i1 - i0) * nodes, nodes))
-    lip_mass = 0.0
-    for i in range(n):
-        for j in (i - 1, i, i + 1):
-            if j < 0 or j >= n:
-                continue
-            for hx in range(2):
-                ax = edges[i] + hx * half
-                bx = ax + half
-                for hy in range(2):
-                    ay = edges[j] + hy * half
-                    by = ay + half
-                    touching = not (bx <= ay or by <= ax) or bx == ay or by == ax
-                    if touching:
-                        c = old_lip_bound(lip, p, lam, mu_inv, ax, bx, ay, by)
-                        lip_mass += c
-                        per_cell[i] += c
-                    else:
-                        xm = 0.5 * (ax + bx) + 0.25 * width * gx
-                        ym = 0.5 * (ay + by) + 0.25 * width * gx
-                        wq = 0.25 * width * gw
-                        dxh = xm[:, None] - ym[None, :]
-                        dfh = np.abs(
-                            np.asarray(b.eval(xm))[:, None] - np.asarray(b.eval(ym))[None, :]
-                        )
-                        integ = dfh**p / (dxh * dxh)
-                        c = float(
-                            np.sum(
-                                integ
-                                * (np.asarray(lam.eval(xm)) * wq)[:, None]
-                                * (np.asarray(mu_inv.eval(ym)) * wq)[None, :]
-                            )
-                        )
-                        per_cell[i] += c
-    return float(np.sum(per_cell)), lip_mass, per_cell
-
-
-def old_lip_bound(lip, p, lam, mu_inv, ax, bx, ay, by):
-    if p == 2.0:
-        return lip**2 * lam.integral(ax, bx) * mu_inv.integral(ay, by)
-    if p > 2.0:
-        diam = max(bx, by) - min(ax, ay)
-        return lip**p * diam ** (p - 2.0) * lam.integral(ax, bx) * mu_inv.integral(ay, by)
-    lam_val = lam.eval(0.5 * (ax + bx))
-    mu_val = mu_inv.eval(0.5 * (ay + by))
-
-    def prim(t):
-        return abs(t) ** p / (p * (p - 1.0))
-
-    box = prim(bx - ay) - prim(ax - ay) - prim(bx - by) + prim(ax - by)
-    return lip**p * float(lam_val) * float(mu_val) * box
-
-
-ENERGY_WEIGHTS = {
-    "constant": (ConstantWeight(2.0), ConstantWeight(0.3)),
-    "power": (PowerWeight(-0.3, 1.0 / 3.0), PowerWeight(0.5, 1.0 / 3.0)),
-    # distinct centres, so each product is a quadrature weight
-    "quadrature": (
-        product_weight(PowerWeight(0.25, 0.25), PowerWeight(-0.2)),
-        product_weight(PowerWeight(0.3), PowerWeight(-0.15, 0.6)),
-    ),
-}
-ENERGY_CASES = [
-    pytest.param(kind, p, id=f"{kind}-p={p:g}")
-    for kind in ENERGY_WEIGHTS
-    for p in ((1.5, 2.0, 3.0) if kind == "constant" else (2.0, 3.0))
-]
-
-
-class TestContinuousEnergyArrays:
-    @pytest.mark.parametrize("window", [make_window(-1, 2, 0, 3), default_window(5)], ids=["N=24", "N=256"])
-    @pytest.mark.parametrize(
-        "make", [sin_symbol, parabola_symbol, ramp_bump_symbol, quartic_bump_symbol, linear_symbol],
-        ids=["sin", "parabola", "ramp_bump", "quartic_bump", "linear"],
-    )
-    @pytest.mark.parametrize("kind, p", ENERGY_CASES)
-    def test_bit_equal_to_scalar_loop(self, kind, p, make, window):
-        b = make(window)
-        lam, mu = ENERGY_WEIGHTS[kind]
-        value, estimate, per_cell = continuous_energy(b, p, lam, mu, window)
-        old_value, old_estimate, old_per_cell = old_continuous_energy(b, p, lam, mu, window)
-        assert value.hex() == old_value.hex()
-        assert estimate.hex() == old_estimate.hex()
-        assert per_cell.tobytes() == old_per_cell.tobytes()
 
 
 def former_csv(pairs, id_label):
