@@ -199,6 +199,10 @@ def interval_form_ratios(
 # different counts, so no node pair lies on the diagonal x = y.
 _RULES = (((4, 5), (20, 21)), ((8, 9), (40, 41)))
 
+# Most (x node, y node) entries in one block of the quotient array; this
+# bounds the memory of a call, and the result does not depend on it.
+_BLOCK_ENTRIES = 262144
+
 
 def _energy_nodes(
     window: TruncationWindow, cuts: list[float], m: int, m_graded: int
@@ -262,10 +266,9 @@ def continuous_energy(
             lam_x = np.asarray(lam.eval(xs), dtype=float) * wx
             mu_y = np.asarray(mu_inv.eval(ys), dtype=float) * wy
             # np.sum per x-node row, then np.bincount into cells: a fixed order
-            # with no BLAS product, so results do not depend on thread count.
-            # Blocks of at most 262144 (x node, y node) entries bound the memory
+            # with no BLAS product, so results do not depend on thread count
             rows = np.empty(len(xs))
-            block = max(1, 262144 // len(ys))
+            block = max(1, _BLOCK_ENTRIES // len(ys))
             for r0 in range(0, len(xs), block):
                 r = slice(r0, r0 + block)
                 q = (fx[r, None] - fy) / (xs[r, None] - ys)

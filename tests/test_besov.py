@@ -27,7 +27,9 @@ from dyadlab.symbols import (
     StepSymbol,
     haar_coefficient,
     linear_symbol,
+    parabola_symbol,
     quartic_bump_symbol,
+    ramp_bump_symbol,
     random_haar_symbol,
     sin_symbol,
 )
@@ -36,6 +38,7 @@ from dyadlab.weights import (
     ConstantWeight,
     PowerWeight,
     QuadratureWeight,
+    product_weight,
     unweighted_pair,
 )
 
@@ -215,6 +218,106 @@ class TestTensorEnergy:
         value, _, per_cell = continuous_energy(quartic_bump_symbol(win), *power_pair(1.0 / 3.0), win)
         assert per_cell.shape == (win.n_cells,)
         assert float(np.sum(per_cell)) == value
+
+
+ENERGY_WEIGHTS = {
+    "constant": (ConstantWeight(2.0), ConstantWeight(0.3)),
+    "power": power_pair(1.0 / 3.0),
+    "power_on_an_edge": power_pair(0.25),
+    # distinct centres, so each product is a quadrature weight
+    "quadrature": (
+        product_weight(PowerWeight(0.25, 0.25), PowerWeight(-0.2)),
+        product_weight(PowerWeight(0.3), PowerWeight(-0.15, 0.6)),
+    ),
+}
+ENERGY_SYMBOLS = [
+    pytest.param(make, id=make.__name__.removesuffix("_symbol"))
+    for make in (sin_symbol, parabola_symbol, ramp_bump_symbol, quartic_bump_symbol, linear_symbol)
+]
+ENERGY_WINDOWS = [
+    pytest.param(make_window(-1, 2, 0, 3), id="N=24"),
+    pytest.param(default_window(5), id="N=256"),
+]
+
+
+def graded_gauss_legendre(m):
+    """m-node Gauss-Legendre on [0, 1) in u under s(u) = u^4 / (u^4 + (1-u)^4)."""
+    g, w = np.polynomial.legendre.leggauss(m)
+    u, w = (g + 1.0) / 2.0, w / 2.0
+    d = u**4 + (1.0 - u) ** 4
+    return u**4 / d, w * 4.0 * u**3 * (1.0 - u) ** 3 / d**2
+
+
+def cell_by_cell_nodes(window, cuts, m, m_graded):
+    """Per cell, the (nodes, weights) of one axis of the tensor rule, built
+    one cell at a time from the rule's statement: a cell whose closure holds
+    a cut is split at the cuts inside it, and each piece takes m_graded
+    graded nodes; any other cell takes m plain Gauss-Legendre nodes."""
+    edges = window.cell_edges().tolist()
+    cells = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        if any(a <= c <= b for c in cuts):
+            u, w = graded_gauss_legendre(m_graded)
+        else:
+            g, w = np.polynomial.legendre.leggauss(m)
+            u, w = (g + 1.0) / 2.0, w / 2.0
+        ends = [a] + sorted(c for c in cuts if a < c < b) + [b]
+        pieces = [(lo + (hi - lo) * u, (hi - lo) * w) for lo, hi in zip(ends[:-1], ends[1:])]
+        cells.append(tuple(np.concatenate(z) for z in zip(*pieces)))
+    return cells
+
+
+def cell_by_cell_energy(b, lam, mu, window):
+    """(value, estimate, per-x-cell totals) of `continuous_energy`, each
+    x cell's double sum taken over its own nodes against every y node and
+    added with `math.fsum`."""
+    cuts = sorted({w.center for w in (lam, mu) if isinstance(w, PowerWeight)})
+    mu_inv = mu.inv()
+    totals = []
+    for (mx, my), (gx, gy) in [((4, 5), (20, 21)), ((8, 9), (40, 41))]:
+        ys, wy = (np.concatenate(z) for z in zip(*cell_by_cell_nodes(window, cuts, my, gy)))
+        fy, my_w = b.eval(ys), mu_inv.eval(ys) * wy
+        per_cell = []
+        for xs, wx in cell_by_cell_nodes(window, cuts, mx, gx):
+            q = (b.eval(xs)[:, None] - fy) / (xs[:, None] - ys)
+            per_cell.append(math.fsum((q * q * my_w * (lam.eval(xs) * wx)[:, None]).ravel()))
+        totals.append(np.array(per_cell))
+    coarse, fine = totals
+    value = math.fsum(fine)
+    return value, abs(value - math.fsum(coarse)), fine
+
+
+class TestContinuousEnergyArrays:
+    """The array code against the rule taken one x cell at a time, and its
+    bits against the block size, on four weight pairs: constant, power pairs
+    centred inside a cell and on a cell edge, and quadrature weights."""
+
+    @pytest.mark.parametrize("window", ENERGY_WINDOWS)
+    @pytest.mark.parametrize("make", ENERGY_SYMBOLS)
+    @pytest.mark.parametrize("kind", list(ENERGY_WEIGHTS))
+    def test_equal_to_a_cell_by_cell_loop(self, kind, make, window):
+        b = make(window)
+        lam, mu = ENERGY_WEIGHTS[kind]
+        value, estimate, per_cell = continuous_energy(b, lam, mu, window)
+        ref_value, ref_estimate, ref_per_cell = cell_by_cell_energy(b, lam, mu, window)
+        assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
+        assert estimate == pytest.approx(ref_estimate, rel=0.0, abs=1e-12 * ref_value)
+        np.testing.assert_allclose(per_cell, ref_per_cell, rtol=1e-12, atol=1e-14 * ref_value)
+
+    @pytest.mark.parametrize("window", ENERGY_WINDOWS)
+    @pytest.mark.parametrize("make", ENERGY_SYMBOLS)
+    @pytest.mark.parametrize("kind", list(ENERGY_WEIGHTS))
+    def test_bit_equal_with_one_row_per_block(self, monkeypatch, kind, make, window):
+        from dyadlab import besov
+
+        b = make(window)
+        lam, mu = ENERGY_WEIGHTS[kind]
+        value, estimate, per_cell = continuous_energy(b, lam, mu, window)
+        monkeypatch.setattr(besov, "_BLOCK_ENTRIES", 1)
+        one_value, one_estimate, one_per_cell = continuous_energy(b, lam, mu, window)
+        assert value.hex() == one_value.hex()
+        assert estimate.hex() == one_estimate.hex()
+        assert per_cell.tobytes() == one_per_cell.tobytes()
 
 
 class TestContinuousBadInput:
