@@ -9,9 +9,11 @@ tails read one `interval_table(grid, window)`, and compute over the whole
 table at once: Haar coefficients from `haar_coefficients`, weight brackets
 from `Weight.integrals`, BMO's mean oscillations from one (rows, cells) block
 per cell span, and the square form's subtree sums one level at a time, matched
-on the table's integer j and k columns.  A `NormReport` keeps its tables
-and builds row labels from those columns only when they are read; interval
-objects are built only for the rows `interval_form_ratios` returns.
+on the table's integer j and k columns.  The VMO tails are `math.fsum`s over
+the nonzero terms only, as Python lists: fsum is exact, so leaving out the
+zeros (most rows of a sparse symbol) keeps every bit.  A `NormReport` keeps
+its tables and builds row labels from those columns only when they are read;
+interval objects are built only for the rows `interval_form_ratios` returns.
 The continuous energy is the double integral of ((b(x)-b(y)) / (x-y))^2 *
 lam(x) / mu(y) over the window square, the squared Hilbert-Schmidt norm of
 [b, H] from L2(mu) to L2(lam).  It is reported as the energy, in the units of
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,7 +125,7 @@ def _root_of_power_sum(t: np.ndarray, p: float) -> tuple[float, np.ndarray]:
     with np.errstate(over="ignore"):
         powers = t**p
     try:
-        total = math.fsum(powers)
+        total = math.fsum(powers.tolist())
         value = total ** (1.0 / p)
     except OverflowError:  # fsum's partial sums, or the float ** of the root
         total = value = math.inf
@@ -132,7 +135,7 @@ def _root_of_power_sum(t: np.ndarray, p: float) -> tuple[float, np.ndarray]:
     if m == 0.0:
         return 0.0, powers
     try:
-        value = m * math.fsum((t / m) ** p) ** (1.0 / p)
+        value = m * math.fsum(((t / m) ** p).tolist()) ** (1.0 / p)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
@@ -165,8 +168,7 @@ def dyadic_besov_norm(
     )
 
 
-@dataclass(frozen=True)
-class IntervalFormRow:
+class IntervalFormRow(NamedTuple):
     interval: DyadicInterval
     q1: float
     q2: float
@@ -186,9 +188,8 @@ def interval_form_ratios(
     qs = np.stack([q1, q2, q3])
     worst = float(np.max(qs.max(axis=0) / qs.min(axis=0), initial=1.0))
     # each returned row carries its interval object, in table order
-    intervals = enumerate_intervals(grid, window)
-    columns = (intervals, q1.tolist(), q2.tolist(), q3.tolist(), cs_gap.tolist())
-    return [IntervalFormRow(*row) for row in zip(*columns)], worst
+    columns = (q1.tolist(), q2.tolist(), q3.tolist(), cs_gap.tolist())
+    return list(map(IntervalFormRow, enumerate_intervals(grid, window), *columns)), worst
 
 
 # ----------------------------------------------------------------------------
@@ -452,8 +453,11 @@ def vmo_tail_report(
     haar, q1 = _haar_terms(b, table), _bracket(weights, 1, table)
     with np.errstate(over="ignore"):
         terms = (haar * q1) ** 2
+    # fsum is exact, so the sums over the nonzero terms alone keep their bits
+    nonzero = np.flatnonzero(terms)
+    terms, length, left, right = (a[nonzero] for a in (terms, table.length, table.left, table.right))
     try:
-        total = math.fsum(terms)
+        total = math.fsum(terms.tolist())
     except OverflowError:  # fsum's partial sums of finite terms
         total = math.inf
     # every tail is a sum of some of the terms, so a finite total bounds them all
@@ -463,9 +467,9 @@ def vmo_tail_report(
     rows = [
         VmoTailRow(
             radius,
-            math.fsum(terms[table.length < radius]),
-            math.fsum(terms[table.length > radius]),
-            math.fsum(terms[(table.right <= center - radius) | (table.left >= center + radius)]),
+            math.fsum(terms[length < radius].tolist()),
+            math.fsum(terms[length > radius].tolist()),
+            math.fsum(terms[(right <= center - radius) | (left >= center + radius)].tolist()),
         )
         for radius in (2.0 ** (-j) for j in range(window.j_min, window.j_max + 1))
     ]

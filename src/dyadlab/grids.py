@@ -7,9 +7,11 @@ Two grid families are supported: the standard grid and its one-third shift,
 where the scale-j translation is (-1)^j * 2^-j / 3.
 
 `interval_table(grid, window)` is the one enumeration of a grid's intervals
-inside a window: each scale contributes one range of translations, and the
-table holds the integer j and k of every row with its float left, mid,
-right and length, built as arrays without an interval object per row.
+inside a window: each scale contributes one range of translations, found by
+integer floor and ceiling from the numerators and denominators of the
+window's ends, and the table holds the integer j and k of every row with
+its float left, mid, right and length, built as arrays without an interval
+object per row.
 `enumerate_intervals` is the object view of the same rows, for callers that
 hand intervals on.  Every Haar function takes its cells from the one
 cell-range rule, `TruncationWindow.cell_slice` (`haar_cell_values`), and
@@ -303,6 +305,13 @@ def _float_bounds(k, t, length):
     return left, mid, right
 
 
+def _times_scale(x: Fraction, j: int) -> tuple[int, int]:
+    """Integers (a, d), d > 0, with a / d = x * 2^j exactly."""
+    if j >= 0:
+        return x.numerator << j, x.denominator
+    return x.numerator, x.denominator << -j
+
+
 # Translations up to this size keep 6k + 3 + 2t, and so every float column, exact.
 _EXACT_K = 2**50
 
@@ -316,13 +325,16 @@ def interval_table(grid: DyadicGrid, window: TruncationWindow) -> IntervalTable:
     0 that a translation reaches 2^50 raises InvalidConfigurationError, as
     its float geometry could not be exact."""
     ts, ks = [], []
+    lo, hi = window.lo, window.hi
     for j in range(window.j_min, window.j_max + 1):
         # [left, right) = [3k + t, 3k + 3 + t) * 2^-j / 3 lies in [lo, hi)
-        # exactly when 3k + t >= lo * 3 * 2^j and 3k + 3 + t <= hi * 3 * 2^j
+        # exactly when 3k + t >= lo * 3 * 2^j and 3k + 3 + t <= hi * 3 * 2^j.
+        # With x * 2^j = a / d in integers, k_min = ceil((3 a_lo - t d_lo) / (3 d_lo))
+        # and k_max = floor((3 a_hi - (3 + t) d_hi) / (3 d_hi)), by floor division
         t = _shift_thirds(grid.shift_rule, j)
-        scale = 3 * Fraction(2) ** j
-        k_min = math.ceil((window.lo * scale - t) / 3)
-        k_max = math.floor((window.hi * scale - 3 - t) / 3)
+        (a_lo, d_lo), (a_hi, d_hi) = (_times_scale(x, j) for x in (lo, hi))
+        k_min = -((t * d_lo - 3 * a_lo) // (3 * d_lo))
+        k_max = (3 * a_hi - (3 + t) * d_hi) // (3 * d_hi)
         if max(abs(k_min), abs(k_max)) >= _EXACT_K:
             raise InvalidConfigurationError(
                 f"scale-{j} translations of the window reach 2^50; its float geometry is not exact"
@@ -330,10 +342,11 @@ def interval_table(grid: DyadicGrid, window: TruncationWindow) -> IntervalTable:
         ts.append(t)
         ks.append(np.arange(k_min, k_max + 1, dtype=np.int64))
     counts = [len(k) for k in ks]
-    j = np.repeat(np.arange(window.j_min, window.j_max + 1, dtype=np.int64), counts)
+    scales = np.arange(window.j_min, window.j_max + 1, dtype=np.int64)
+    j = np.repeat(scales, counts)
     t = np.repeat(ts, counts)
     k = np.concatenate(ks)
-    length = np.ldexp(1.0, -j)
+    length = np.repeat(np.ldexp(1.0, -scales), counts)  # one exact 2^-j per scale
     left, mid, right = _float_bounds(k, t, length)
     for arr in (j, k, left, mid, right, length):
         arr.flags.writeable = False

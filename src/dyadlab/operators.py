@@ -13,8 +13,10 @@ u one entry per cell of I, and a v of one entry is a constant row.  A
 builder gives only its per-row coefficients c_I and its block pattern (u, v)
 on c cells, in which h_I is the local vector +-1/sqrt(c) (`_local_haar`),
 and `_term` cuts them into one block per scale; the multiplier's coarse
-averages are one more block, with c_I = 1.  `_haar_sum` writes the blocks
-densely, through one strided view of each scale's c x c diagonal blocks;
+averages are one more block, with c_I = 1.  `_haar_sum` is the one dense
+writer: it writes the blocks, or their transposes, into all N columns or a
+range of them, through one strided view of each scale's c x c diagonal
+blocks inside the range and slices of the at most two it cuts;
 `_haar_apply` applies them, or their transposes, to N x k columns, scale by
 scale, and forms no N x N array.  The dense builders are
 `paraproduct_matrix`, `haar_multiplier_matrix` and `haar_shift_matrix`; the
@@ -24,8 +26,10 @@ the expansion read one table, of the resolvable rows (`_resolvable_rows`),
 with one `haar_coefficients` call for b_hat(I); the shift and the remainder
 drop its finest scale themselves, as a child there holds no Haar pair.  An
 expansion's paraproduct, remainder and shift or multiplier all read that one
-table and call, and it applies them to the region's columns only, so it
-forms N x k blocks and no N x N one.
+table and call.  Its identity columns, T E, (pi + pi*) E and R E, are the
+dense matrices' columns on the region, so `_haar_sum` writes them; only the
+products with those, (pi + pi*) T E and T (pi + pi*) E, take `_haar_apply`.
+It forms N x k blocks for the region's k columns and no N x N one.
 The Hilbert transform matrix comes from the closed-form primitive
 G(t) = t (ln|t| - 1), which renders every cell-pair principal value finite
 (diagonal entries vanish by antisymmetry); a box integral depends only on the
@@ -160,11 +164,12 @@ def _through_scale(rows: IntervalTable, max_scale: int) -> IntervalTable:
     return rows[: int(np.searchsorted(rows.j, max_scale, side="right"))]
 
 
-def _diagonal_blocks(mat: np.ndarray, i0: int, count: int, cells: int) -> np.ndarray:
-    """Writable (count, cells, cells) view of the blocks on cells
-    [i0 + m cells, i0 + (m + 1) cells) x the same, m < count."""
+def _diagonal_blocks(mat: np.ndarray, r0: int, c0: int, count: int, cells: int) -> np.ndarray:
+    """Writable (count, cells, cells) view of the blocks on rows
+    [r0 + m cells, r0 + (m + 1) cells) x columns [c0 + m cells, c0 + (m + 1) cells),
+    m < count."""
     rs, cs = mat.strides
-    return as_strided(mat[i0:, i0:], (count, cells, cells), (cells * (rs + cs), rs, cs))
+    return as_strided(mat[r0:, c0:], (count, cells, cells), (cells * (rs + cs), rs, cs))
 
 
 def _term(rows: IntervalTable, coefficients: np.ndarray, window: TruncationWindow, block: Callable) -> list[tuple]:
@@ -182,17 +187,56 @@ def _term(rows: IntervalTable, coefficients: np.ndarray, window: TruncationWindo
     return blocks
 
 
-def _haar_sum(blocks: list[tuple], window: TruncationWindow) -> np.ndarray:
-    """The scale blocks written into a fresh N x N array, each through one
-    view of its diagonal blocks, with (c_I u) v as the one temporary.  Every
-    builder has c_I = +-1 or entries +-2^-k in u or v, so (c_I u_i) v_j
-    rounds as c_I (u_i v_j) does."""
+def _haar_sum(
+    blocks: list[tuple],
+    window: TruncationWindow,
+    cols: tuple[int, int] | None = None,
+    transpose: bool = False,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The columns [a, b) = `cols` (all N when None) of the dense sum of the
+    scale blocks, or of their transpose (u and v swapped), added scale by
+    scale into the N x (b - a) array `out` (fresh zeros when None), which is
+    returned.  Each scale writes its blocks that lie inside the columns
+    through one view of those diagonal blocks, and the at most two it cuts
+    through slices, with (c_I u) v as the one temporary; the columns are the
+    dense matrix's bit for bit.  Every builder has c_I = +-1 or entries
+    +-2^-k in u or v, so (c_I u_i) v_j rounds as c_I (u_i v_j) and
+    u_i (v_j c_I) do: with `out`, the result is `_haar_apply`'s on the
+    identity's columns [a, b) bit for bit."""
     n = window.n_cells
-    mat = np.zeros((n, n))
+    a, b = (0, n) if cols is None else cols
+    if out is None:
+        out = np.zeros((n, b - a))
     for c, i0, u, v in blocks:
-        view = _diagonal_blocks(mat, i0, len(c), len(u))
-        view += (c[:, None] * u)[:, :, None] * v
-    return mat
+        cells = len(u)  # before the swap: v may be one constant entry
+        if transpose:
+            u, v = v, u
+        # blocks m0..m1-1 meet the columns, and f0..f1-1 lie inside them
+        m0, m1 = max(0, (a - i0) // cells), min(len(c), -(-(b - i0) // cells))
+        f0, f1 = max(0, -(-(a - i0) // cells)), min(len(c), (b - i0) // cells)
+        if f0 < f1:
+            r0 = i0 + f0 * cells
+            view = _diagonal_blocks(out, r0, r0 - a, f1 - f0, cells)
+            view += (c[f0:f1, None] * u)[:, :, None] * v
+        v = np.broadcast_to(v, cells)
+        for m in {m0, m1 - 1}:
+            if m0 <= m < m1 and not f0 <= m < f1:  # a block the columns cut
+                r0 = i0 + m * cells
+                j0, j1 = max(a, r0), min(b, r0 + cells)
+                out[r0 : r0 + cells, j0 - a : j1 - a] += (c[m] * u)[:, None] * v[j0 - r0 : j1 - r0]
+    return out
+
+
+def _runs(v: np.ndarray, cells: int) -> list[tuple[int, int, float]]:
+    """(s, e, v_s) for each run [s, e) of equal entries of v, read on `cells`
+    entries; a v of one entry is one constant run.  No block pattern holds a
+    zero, so equal entries have equal bits, and every builder's pattern has
+    at most four runs."""
+    if len(v) == 1:
+        return [(0, cells, v[0])]
+    cuts = [0, *(np.flatnonzero(v[1:] != v[:-1]) + 1).tolist(), cells]
+    return [(s, e, v[s]) for s, e in zip(cuts, cuts[1:])]
 
 
 def _haar_apply(
@@ -205,9 +249,11 @@ def _haar_apply(
     """The scale blocks (or their transposes, u and v swapped) applied to the
     N x k columns x, added into `out` (fresh zeros when None), which is
     returned.  Each scale reads x's rows as (count, cells, k) blocks and adds
-    c_I u (v^T x_I), with u (v^T x_I) c_I as the one N x k temporary; no
-    N x N array is formed.  With c_I = +-1 and x a column of the identity,
-    v^T x_I is v_j exactly, so the columns are bit-equal to the dense sum's."""
+    c_I u (v^T x_I).  u is constant on each run of equal entries (`_runs`),
+    so each run adds u_s (v^T x_I) c_I to its rows with a (count, k)
+    temporary; no N x k temporary or N x N array is formed.  With c_I = +-1
+    and x a column of the identity, v^T x_I is v_j exactly, so the columns
+    are bit-equal to the dense sum's."""
     k = x.shape[1]
     if out is None:
         out = np.zeros((window.n_cells, k))
@@ -218,7 +264,9 @@ def _haar_apply(
         i1 = i0 + len(c) * cells
         proj = np.broadcast_to(v, cells) @ x[i0:i1].reshape(len(c), cells, k)
         proj *= c[:, None]
-        out[i0:i1] += (np.broadcast_to(u, cells)[:, None] * proj[:, None, :]).reshape(i1 - i0, k)
+        rows = out[i0:i1].reshape(len(c), cells, k)  # splitting the row axis is a view
+        for s, e, value in _runs(u, cells):
+            rows[:, s:e] += (value * proj)[:, None, :]
     return out
 
 
@@ -457,16 +505,17 @@ def expansion_residual(
     the coarsest intervals, so those columns are zero outside the blocks the
     region meets, which are taken as a window of their own, with one table
     of its resolvable rows.  There the paraproduct, the remainder and S (or
-    T_eps) are only applied, scale by scale, never assembled: T E (bit-equal
-    to the dense columns, so `lhs_norm` is too), (pi + pi*) T E
-    - T (pi + pi*) E and R E, all N x k blocks for the blocks' N cells and
-    the region's k.  The result is the same operator; only the rounding of
-    the residual's sums and of the SVD can differ from dense products, and a
-    region that meets every block is computed on the whole window.  The
-    multiplier expansion reads and checks `signs` only on the intervals
-    inside those blocks.  A region with no cell, or a symbol whose cells are
-    not the window's, raises InvalidConfigurationError; a region bound that
-    is not a finite number raises InvalidParameterError.
+    T_eps) are never assembled: T E, (pi + pi*) E and R E are the dense
+    matrices' columns on the region, which `_haar_sum` writes bit for bit
+    (so `lhs_norm` keeps the dense bits too), and (pi + pi*) T E and
+    T (pi + pi*) E are applied scale by scale; all are N x k blocks for the
+    blocks' N cells and the region's k.  The result is the same operator;
+    only the rounding of the residual's sums and of the SVD can differ from
+    dense products, and a region that meets every block is computed on the
+    whole window.  The multiplier expansion reads and checks `signs` only on
+    the intervals inside those blocks.  A region with no cell, or a symbol
+    whose cells are not the window's, raises InvalidConfigurationError; a
+    region bound that is not a finite number raises InvalidParameterError.
     """
     try:
         form = _REMAINDERS[remainder]
@@ -497,16 +546,14 @@ def expansion_residual(
     else:
         raise InvalidConfigurationError(f"unknown expansion kind {kind!r}")
 
-    def sym(x):  # (pi + pi*) x, both added into one buffer
-        return _haar_apply(pi, blocks, x, transpose=True, out=_haar_apply(pi, blocks, x))
-
-    # E, the region's columns of the identity, and T E = t[:, i0:i1] bit for bit
-    e = np.eye(blocks.n_cells, i1 - i0, -i0)
-    cols = _haar_apply(t, blocks, e)
-    # (pi t - t pi + pi* t - t pi*) E in two applies of T
-    rhs = sym(cols)
-    rhs -= _haar_apply(t, blocks, sym(e))
-    _haar_apply(rem, blocks, e, out=rhs)
+    # the region's columns E of the identity pick the dense columns [i0, i1)
+    picked = (i0, i1)
+    cols = _haar_sum(t, blocks, picked)  # T E
+    # (pi t - t pi + pi* t - t pi*) E: pi and pi* applied to T E, T to (pi + pi*) E
+    rhs = _haar_apply(pi, blocks, cols, transpose=True, out=_haar_apply(pi, blocks, cols))
+    sym = _haar_sum(pi, blocks, picked, transpose=True, out=_haar_sum(pi, blocks, picked))
+    rhs -= _haar_apply(t, blocks, sym)
+    _haar_sum(rem, blocks, picked, out=rhs)  # + R E
     # [M_b, T] entrywise: equal to mult @ t - t @ mult, whose sums add exact zeros
     vals = values[c0:c1]
     lhs = vals[:, None] * cols - cols * vals[None, i0:i1]

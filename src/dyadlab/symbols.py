@@ -312,8 +312,10 @@ def haar_coefficients(b: Symbol, table: IntervalTable) -> np.ndarray:
 
 
 def sin_symbol(window: TruncationWindow, cycles: int = 1) -> AnalyticSymbol:
-    """sin(2 pi cycles x) on [0, 1), zero outside; continuous at both ends."""
-    if not (isinstance(cycles, (int, np.integer)) and cycles >= 1):
+    """sin(2 pi cycles x) on [0, 1), zero outside; continuous at both ends.
+    A cycles that is not a positive integer, a bool included, raises
+    InvalidParameterError."""
+    if isinstance(cycles, bool) or not (isinstance(cycles, (int, np.integer)) and cycles >= 1):
         raise InvalidParameterError(f"cycles must be a positive integer; got {cycles!r}")
     om = 2.0 * math.pi * cycles
 
@@ -423,10 +425,11 @@ def random_haar_symbol(
     Draws n_terms distinct intervals [k 2^-j, (k+1) 2^-j) with j in
     scale_range, capped at j_max - 1; raises InvalidParameterError when the
     range holds fewer than n_terms of them, when n_terms is not a positive
-    integer, seed not an integer >= 0 or scale_range not a pair of integers."""
-    if not (isinstance(n_terms, (int, np.integer)) and n_terms >= 1):
+    integer, seed not an integer >= 0 (a bool is neither) or scale_range not
+    a pair of integers."""
+    if isinstance(n_terms, bool) or not (isinstance(n_terms, (int, np.integer)) and n_terms >= 1):
         raise InvalidParameterError(f"n_terms must be a positive integer; got {n_terms!r}")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise InvalidParameterError(f"seed must be an integer >= 0; got {seed!r}")
     try:
         j_lo, j_hi = (operator.index(j) for j in scale_range)

@@ -575,9 +575,9 @@ def a2_constant(w: Weight, window: TruncationWindow, seed: int = _FAMILY_SEED) -
     length), and `Weight.integrals` makes the integrals of w and 1/w
     finite or raises.  An average can still pass the float range on a short
     row where its integral does not; that row's product is then formed as
-    (w(I) w^-1(I) / |I|) / |I|.  A seed that is not an integer >= 0 raises
-    InvalidParameterError."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    (w(I) w^-1(I) / |I|) / |I|.  A seed that is not an integer >= 0, a bool
+    included, raises InvalidParameterError."""
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise InvalidParameterError(f"seed must be an integer >= 0; got {seed!r}")
     lo, hi = _family_bounds(window, seed)
     ell = hi - lo

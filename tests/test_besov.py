@@ -18,6 +18,7 @@ from dyadlab.grids import (
     DyadicInterval,
     default_window,
     enumerate_intervals,
+    interval_table,
     make_window,
     standard_grid,
     third_shift_grid,
@@ -26,6 +27,7 @@ from dyadlab.symbols import (
     HaarSymbol,
     StepSymbol,
     haar_coefficient,
+    haar_coefficients,
     linear_symbol,
     parabola_symbol,
     quartic_bump_symbol,
@@ -538,6 +540,44 @@ class TestVmoTails:
         assert [row.radius for row in rep.rows] == [2.0**-j for j in range(-1, 7)]
         assert rep.total > 0.0
         assert [row.far_field for row in rep.rows] == [0.0] + [rep.total] * 7
+
+
+def vmo_terms(b, pair, table):
+    """The squared form-1 contributions (|b_hat(I)| |I|^-1/2 |I| / nu(I))^2
+    of every table row, zero or not, rounded as the report rounds them."""
+    haar = np.abs(haar_coefficients(b, table)) / np.sqrt(table.length)
+    return (haar * (table.length / pair.nu.integrals(table.left, table.right))) ** 2
+
+
+class TestVmoTailSums:
+    """Each tail is fsum over every term its set holds, zeros included, bit
+    for bit: fsum is exact, so the report may leave the zeros out."""
+
+    @pytest.mark.parametrize("grid", [D0, D1], ids=["standard", "shifted"])
+    @pytest.mark.parametrize(
+        "pair",
+        [unweighted_pair(), BloomWeight(*reversed(power_pair(1.0 / 3.0)))],
+        ids=["flat", "power"],
+    )
+    @pytest.mark.parametrize("name", ["quartic_bump", "random_haar"])
+    def test_rows_bit_equal_to_fsum_over_all_terms(self, grid, pair, name):
+        b = quartic_bump_symbol(WIN) if name == "quartic_bump" else random_haar_symbol(WIN, seed=0)
+        table = interval_table(grid, WIN)
+        terms = vmo_terms(b, pair, table)
+        zeros = len(terms) - np.count_nonzero(terms)
+        # quartic_bump's terms are all nonzero but [0, 1)'s, which vanishes by
+        # symmetry; a third or more of random_haar's vanish
+        assert zeros <= 1 if name == "quartic_bump" else zeros >= len(terms) / 3
+        rep = vmo_tail_report(b, pair, grid, WIN)
+        assert rep.total.hex() == math.fsum(terms).hex()
+        center = float(WIN.lo + WIN.span / 2)
+        radii = [2.0 ** (-j) for j in range(WIN.j_min, WIN.j_max + 1)]
+        assert [row.radius for row in rep.rows] == radii
+        for row, a in zip(rep.rows, radii):
+            far = (table.right <= center - a) | (table.left >= center + a)
+            want = [math.fsum(terms[mask]) for mask in (table.length < a, table.length > a, far)]
+            got = [row.small_scale, row.large_scale, row.far_field]
+            assert [x.hex() for x in got] == [x.hex() for x in want], a
 
 
 def scaled_random_haar(scale):

@@ -350,6 +350,73 @@ class TestIntervalTable:
             interval_table(standard_grid(), make_window(2**60, 2**60 + 1, 0, 3))
 
 
+def fraction_k_range(grid, window, j):
+    """The scale-j translations k with [3k + t, 3k + 3 + t) 2^-j / 3 inside
+    the window, by Fraction arithmetic: ceil and floor of the exact bounds."""
+    t = 3 * grid_shift(grid.shift_rule, j)
+    scale = 3 * Fraction(2) ** j
+    return math.ceil((window.lo * scale - t) / 3), math.floor((window.hi * scale - 3 - t) / 3)
+
+
+# windows on either side of the 2^50 guard: the last translation below it, and
+# the first at it, at negative, zero and positive scales
+GUARD_WINDOWS = [
+    pytest.param(make_window(2**50 - 1, 2**50, 0, 0), id="below"),
+    pytest.param(make_window(2**50, 2**50 + 1, 0, 0), id="at"),
+    pytest.param(make_window(-(2**50 - 1), -(2**50 - 2), 0, 0), id="below-negative"),
+    pytest.param(make_window(-(2**50), -(2**50) + 1, 0, 0), id="at-negative"),
+    pytest.param(make_window(2**49 - 1, 2**49, 0, 1), id="below-finer"),
+    pytest.param(make_window(2**49, 2**49 + 1, 0, 1), id="at-finer"),
+    pytest.param(make_window(2**52 - 4, 2**52, -2, -2), id="below-coarser"),
+    pytest.param(make_window(2**52, 2**52 + 4, -2, -2), id="at-coarser"),
+    pytest.param(make_window(2**60, 2**60 + 1, 0, 3), id="far"),
+]
+
+
+class TestIntegerKRange:
+    """`interval_table` finds each scale's translations with integer floor
+    division; they are the Fraction formula's, on both grids."""
+
+    @GRIDS
+    @pytest.mark.parametrize(
+        "window",
+        [
+            *WINDOWS,
+            pytest.param(make_window(Fraction(-3, 4), Fraction(5, 4), 2, 6), id="lo_not_whole"),
+            pytest.param(make_window(Fraction(-5, 4), Fraction(-1, 2), 2, 5), id="negative_fractions"),
+            pytest.param(make_window(-6, -2, -1, 4), id="negative_window"),
+        ],
+    )
+    def test_translations_match_fraction_formula(self, grid, window):
+        table = interval_table(grid, window)
+        for j in range(window.j_min, window.j_max + 1):
+            k_min, k_max = fraction_k_range(grid, window, j)
+            assert table.k[table.j == j].tolist() == list(range(k_min, k_max + 1)), j
+
+    @GRIDS
+    @pytest.mark.parametrize("window", GUARD_WINDOWS)
+    def test_guard_raises_where_the_fraction_formula_reaches_2_50(self, grid, window):
+        ranges = {j: fraction_k_range(grid, window, j) for j in range(window.j_min, window.j_max + 1)}
+        if max(abs(k) for pair in ranges.values() for k in pair) >= 2**50:
+            with pytest.raises(InvalidConfigurationError, match="2\\^50"):
+                interval_table(grid, window)
+            return
+        table = interval_table(grid, window)
+        for j, (k_min, k_max) in ranges.items():
+            assert table.k[table.j == j].tolist() == list(range(k_min, k_max + 1)), j
+
+    def test_guard_windows_cover_both_sides(self):
+        """On the standard grid the "at" windows and the far one raise, and
+        the "below" windows do not."""
+        raised = []
+        for param in GUARD_WINDOWS:
+            try:
+                interval_table(standard_grid(), param.values[0])
+            except InvalidConfigurationError:
+                raised.append(param.id)
+        assert raised == ["at", "at-negative", "at-finer", "at-coarser", "far"]
+
+
 class TestNonFiniteEntryPoints:
     @pytest.mark.parametrize(
         "call",

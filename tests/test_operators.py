@@ -1271,6 +1271,75 @@ class TestHaarApply:
         assert np.allclose(out, start + mat @ x, rtol=1e-14, atol=1e-14)
 
 
+def column_ranges(window):
+    """Column ranges [a, b) of the window: the last coarsest interval's
+    cells (aligned), ranges that start or end inside the first or last
+    coarsest interval (cutting a block at every scale coarser than a cell),
+    and an empty one."""
+    n = window.n_cells
+    step = 1 << (window.j_max - window.j_min)
+    ranges = {"aligned": (n - step, n), "cut_first": (1, n), "cut_both": (step // 2 + 1, n - 1),
+              "empty": (n // 2, n // 2)}
+    return {name: (a, b) for name, (a, b) in ranges.items() if a <= b}
+
+
+class TestHaarColumns:
+    """`_haar_sum` over a column range writes the dense matrix's columns, of
+    each builder and of its transpose, and adds them as `_haar_apply` adds
+    the identity's columns."""
+
+    @pytest.mark.parametrize("window", STRUCTURE_WINDOWS)
+    def test_columns_bit_equal_to_the_dense_matrix(self, window):
+        ranges = column_ranges(window)
+        for name, terms, mat in haar_terms(window) + unit_haar_terms(window)[2:]:
+            for transpose, dense in ((False, mat), (True, mat.T)):
+                assert_bits_equal(operators._haar_sum(terms, window, transpose=transpose), dense)
+                for cut, (a, b) in ranges.items():
+                    got = operators._haar_sum(terms, window, (a, b), transpose=transpose)
+                    assert_bits_equal(got, dense[:, a:b])
+
+    @pytest.mark.parametrize("window", STRUCTURE_WINDOWS)
+    def test_added_into_out_as_the_applied_identity(self, window):
+        n = window.n_cells
+        eye = np.eye(n)
+        rng = np.random.default_rng(8)
+        for name, terms, mat in haar_terms(window) + unit_haar_terms(window)[2:]:
+            for transpose in (False, True):
+                for cut, (a, b) in column_ranges(window).items():
+                    start = rng.normal(size=(n, b - a))
+                    got = operators._haar_sum(terms, window, (a, b), transpose=transpose, out=start.copy())
+                    want = operators._haar_apply(terms, window, eye[:, a:b], transpose=transpose, out=start.copy())
+                    assert_bits_equal(got, want)
+
+    def test_strided_out_added_into_in_place(self):
+        """Both writers add into a strided `out`, every other column of a
+        wider array, as into a contiguous one, and leave the columns between
+        untouched."""
+        window = make_window(-4, 4, -2, 6)
+        n, (a, b) = window.n_cells, column_ranges(window)["cut_both"]
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(n, b - a))
+        for name, terms, mat in haar_terms(window):
+            start = rng.normal(size=(n, b - a))
+            for write in (
+                lambda out: operators._haar_sum(terms, window, (a, b), transpose=True, out=out),
+                lambda out: operators._haar_apply(terms, window, x, out=out),
+            ):
+                want = write(start.copy())
+                wide = np.zeros((n, 2 * (b - a)))
+                wide[:, ::2] = start
+                assert write(wide[:, ::2]).base is wide
+                assert_bits_equal(wide[:, ::2], want)
+                assert not wide[:, 1::2].any(), name
+
+    def test_ranges_cut_blocks(self):
+        """The cut ranges start or end inside a block of the coarsest scale."""
+        window = make_window(-4, 4, -2, 6)
+        step = 1 << (window.j_max - window.j_min)
+        for cut, (a, b) in column_ranges(window).items():
+            assert (a % step != 0 or b % step != 0) == cut.startswith("cut"), cut
+
+
 class TestIntSign:
     """One int sign is a constant array: no row's interval object is built."""
 

@@ -211,11 +211,16 @@ class TestRandomHaarSymbol:
             ({"n_terms": 2.5}, "n_terms"),
             ({"n_terms": -3}, "n_terms"),
             ({"n_terms": 0}, "n_terms"),
+            ({"seed": True}, "seed"),
+            ({"n_terms": True}, "n_terms"),
             ({"scale_range": (1.0, 3.0)}, "scale_range"),
             ({"scale_range": None}, "scale_range"),
             ({"scale_range": (1, 2, 3)}, "scale_range"),
         ],
-        ids=["negative-seed", "float-seed", "float-n", "negative-n", "zero-n", "float-scales", "no-scales", "three-scales"],
+        ids=[
+            "negative-seed", "float-seed", "float-n", "negative-n", "zero-n", "bool-seed", "bool-n",
+            "float-scales", "no-scales", "three-scales",
+        ],
     )
     def test_bad_seed_or_count_rejected(self, kwargs, message):
         with pytest.raises(InvalidParameterError, match=message):
@@ -265,7 +270,7 @@ class TestNonFiniteValues:
 
 
 class TestBadSymbolInput:
-    @pytest.mark.parametrize("cycles", [0, -1, 1.5, 2.0, None])
+    @pytest.mark.parametrize("cycles", [0, -1, 1.5, 2.0, None, True])
     def test_sin_cycles_must_be_a_positive_integer(self, cycles):
         with pytest.raises(InvalidParameterError, match="cycles must be a positive integer"):
             sin_symbol(WIN, cycles=cycles)

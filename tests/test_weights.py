@@ -109,7 +109,9 @@ class TestA2:
             lo, hi = _family_bounds(win, seed)
             assert np.isfinite(lo).all() and np.isfinite(hi).all() and (hi > lo).all()
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None], ids=["negative", "float", "str", "none"])
+    @pytest.mark.parametrize(
+        "seed", [-1, 1.5, "7", None, True, False], ids=["negative", "float", "str", "none", "true", "false"]
+    )
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(InvalidParameterError, match="seed must be an integer >= 0"):
             a2_constant(PowerWeight(0.25), make_window(-1, 1, 0, 6), seed=seed)
