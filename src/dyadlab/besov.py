@@ -152,12 +152,14 @@ def dyadic_besov_norm(
     form: int = 1,
 ) -> NormReport:
     """p-th root of the sum of the per-interval terms (|b_hat(I)| |I|^-1/2 q)^p,
-    where `form` selects which of the three equivalent brackets q is.  A norm
-    past the float range raises InvalidParameterError."""
+    where `form` selects which of the three equivalent brackets q is.  A form
+    that is not the integer 1, 2 or 3 (a bool or a float is not) raises
+    InvalidConfigurationError, and a norm past the float range
+    InvalidParameterError."""
     if not 0 < p < math.inf:
         raise InvalidParameterError("p must lie in (0, inf)")
-    if form not in (1, 2, 3):
-        raise InvalidConfigurationError(f"unknown form {form}")
+    if isinstance(form, bool) or not isinstance(form, (int, np.integer)) or form not in (1, 2, 3):
+        raise InvalidConfigurationError(f"unknown form {form!r}")
     table = interval_table(grid, window)
     q = _bracket(weights, form, table)
     value, terms = _root_of_power_sum(_haar_terms(b, table) * q, p)

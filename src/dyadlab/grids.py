@@ -130,7 +130,10 @@ class TruncationWindow:
 
     Finest cells live at scale j_max; their count N = (hi - lo) * 2^j_max.
     Window endpoints must be multiples of the coarsest length 2^-j_min so the
-    standard grid tiles the window exactly at every enumerated scale.
+    standard grid tiles the window exactly at every enumerated scale.  The
+    ends are Fractions and the scales integers (a bool is not one), as
+    `make_window` builds them from any exact numbers; other types raise
+    InvalidParameterError.
     """
 
     lo: Fraction
@@ -139,6 +142,10 @@ class TruncationWindow:
     j_max: int
 
     def __post_init__(self):
+        exact = isinstance(self.lo, Fraction) and isinstance(self.hi, Fraction)
+        scales = (self.j_min, self.j_max)
+        if not exact or any(isinstance(j, bool) or not isinstance(j, (int, np.integer)) for j in scales):
+            raise InvalidParameterError("a window takes Fraction ends and integer scales; build it with make_window")
         if self.hi <= self.lo:
             raise InvalidConfigurationError("empty window")
         if self.j_min > self.j_max:
@@ -223,18 +230,18 @@ class TruncationWindow:
 
 
 def _exact(x, what: str) -> Fraction:
-    """x as an exact Fraction; a value with none (nan, inf) raises
-    InvalidParameterError."""
+    """x as an exact Fraction; a value with none (nan, inf, or a type Fraction
+    does not take, such as numpy's bool) raises InvalidParameterError."""
     try:
         return Fraction(x)
-    except (OverflowError, ValueError):
+    except (OverflowError, ValueError, TypeError):
         raise InvalidParameterError(f"{what} {x!r} is not a finite number") from None
 
 
 def make_window(lo, hi, j_min: int, j_max: int) -> TruncationWindow:
     lo, hi = _exact(lo, "window end"), _exact(hi, "window end")
     scales = [_exact(j, "scale") for j in (j_min, j_max)]
-    if any(j.denominator != 1 for j in scales):
+    if isinstance(j_min, bool) or isinstance(j_max, bool) or any(j.denominator != 1 for j in scales):
         raise InvalidParameterError(f"scales {j_min!r} and {j_max!r} must be integers")
     return TruncationWindow(lo, hi, *map(int, scales))
 

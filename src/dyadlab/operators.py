@@ -8,27 +8,32 @@ description: a list of scale blocks (c, i0, u, v), each the sum over one
 scale's intervals I of c_I times a local block u outer v on I x I.  A
 scale's intervals are consecutive translations, so their blocks are disjoint
 and lie along the diagonal from i0, the first row's first cell
-(`TruncationWindow.cell_slices`); c holds one coefficient per interval and
-u one entry per cell of I, and a v of one entry is a constant row.  A
+(`TruncationWindow.cell_slices`); c holds one coefficient per interval,
+and u and v one entry per cell of I, or one entry for a constant (a v of
+one entry is a constant row).  A
 builder gives only its per-row coefficients c_I and its block pattern (u, v)
 on c cells, in which h_I is the local vector +-1/sqrt(c) (`_local_haar`),
 and `_term` cuts them into one block per scale; the multiplier's coarse
-averages are one more block, with c_I = 1.  `_haar_sum` is the one dense
-writer: it writes the blocks, or their transposes, into all N columns or a
-range of them, through one strided view of each scale's c x c diagonal
+averages are one more block, with c_I = 1.  A transpose is the same list
+with u and v swapped in every block, and a sum of operators is their lists
+concatenated, so a block's cell count is the longer of u and v.
+`_haar_sum` is the one dense writer: it writes a list into all N columns or
+a range of them, through one strided view of each scale's c x c diagonal
 blocks inside the range and slices of the at most two it cuts;
-`_haar_apply` applies them, or their transposes, to N x k columns, scale by
-scale, and forms no N x N array.  The dense builders are
+`_haar_apply` applies a list to N x k columns, scale by scale, into a fresh
+array, and forms no N x N array.  The dense builders are
 `paraproduct_matrix`, `haar_multiplier_matrix` and `haar_shift_matrix`; the
 shift remainder, in its two forms ("displayed" and "derived",
 `_REMAINDERS`), enters only through `expansion_residual`.  Each builder and
 the expansion read one table, of the resolvable rows (`_resolvable_rows`),
 with one `haar_coefficients` call for b_hat(I); the shift and the remainder
-drop its finest scale themselves, as a child there holds no Haar pair.  An
-expansion's paraproduct, remainder and shift or multiplier all read that one
-table and call.  Its identity columns, T E, (pi + pi*) E and R E, are the
+build their (children pattern) x h_I blocks through one builder,
+`_children`, which drops the finest scale, as a child there holds no Haar
+pair.  An expansion's paraproduct, remainder and shift or multiplier all
+read that one table and call.  Its identity columns, T E, (pi + pi*) E and R E, are the
 dense matrices' columns on the region, so `_haar_sum` writes them; only the
-products with those, (pi + pi*) T E and T (pi + pi*) E, take `_haar_apply`.
+products with those, (pi + pi*) T E and T (pi + pi*) E, take `_haar_apply`,
+and pi + pi* is the paraproduct's list followed by its swapped copy.
 It forms N x k blocks for the region's k columns and no N x N one.
 The Hilbert transform matrix comes from the closed-form primitive
 G(t) = t (ln|t| - 1), which renders every cell-pair principal value finite
@@ -191,27 +196,26 @@ def _haar_sum(
     blocks: list[tuple],
     window: TruncationWindow,
     cols: tuple[int, int] | None = None,
-    transpose: bool = False,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The columns [a, b) = `cols` (all N when None) of the dense sum of the
-    scale blocks, or of their transpose (u and v swapped), added scale by
-    scale into the N x (b - a) array `out` (fresh zeros when None), which is
-    returned.  Each scale writes its blocks that lie inside the columns
-    through one view of those diagonal blocks, and the at most two it cuts
-    through slices, with (c_I u) v as the one temporary; the columns are the
-    dense matrix's bit for bit.  Every builder has c_I = +-1 or entries
-    +-2^-k in u or v, so (c_I u_i) v_j rounds as c_I (u_i v_j) and
-    u_i (v_j c_I) do: with `out`, the result is `_haar_apply`'s on the
-    identity's columns [a, b) bit for bit."""
+    scale blocks, added scale by scale into the N x (b - a) array `out`
+    (fresh zeros when None), which is returned.  Each scale writes its
+    blocks that lie inside the columns through one view of those diagonal
+    blocks, and the at most two it cuts through slices, with (c_I u) v as
+    the one temporary; the columns are the dense matrix's bit for bit.  A
+    transpose is the list with u and v swapped in every block, and a sum is
+    the lists concatenated, which adds the same terms in the same order as
+    writing one list into `out` after the other.  Every builder has
+    c_I = +-1 or entries +-2^-k in u or v, so (c_I u_i) v_j rounds as
+    c_I (u_i v_j) and u_i (v_j c_I) do: the result is `_haar_apply`'s on
+    the identity's columns [a, b) bit for bit."""
     n = window.n_cells
     a, b = (0, n) if cols is None else cols
     if out is None:
         out = np.zeros((n, b - a))
     for c, i0, u, v in blocks:
-        cells = len(u)  # before the swap: v may be one constant entry
-        if transpose:
-            u, v = v, u
+        cells = max(len(u), len(v))  # u or v may be one constant entry
         # blocks m0..m1-1 meet the columns, and f0..f1-1 lie inside them
         m0, m1 = max(0, (a - i0) // cells), min(len(c), -(-(b - i0) // cells))
         f0, f1 = max(0, -(-(a - i0) // cells)), min(len(c), (b - i0) // cells)
@@ -239,28 +243,19 @@ def _runs(v: np.ndarray, cells: int) -> list[tuple[int, int, float]]:
     return [(s, e, v[s]) for s, e in zip(cuts, cuts[1:])]
 
 
-def _haar_apply(
-    blocks: list[tuple],
-    window: TruncationWindow,
-    x: np.ndarray,
-    transpose: bool = False,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """The scale blocks (or their transposes, u and v swapped) applied to the
-    N x k columns x, added into `out` (fresh zeros when None), which is
-    returned.  Each scale reads x's rows as (count, cells, k) blocks and adds
+def _haar_apply(blocks: list[tuple], window: TruncationWindow, x: np.ndarray) -> np.ndarray:
+    """The scale blocks applied to the N x k columns x, as a fresh N x k
+    array; a transpose or a sum is applied as its list (`_haar_sum`).  Each
+    scale reads x's rows as (count, cells, k) blocks and adds
     c_I u (v^T x_I).  u is constant on each run of equal entries (`_runs`),
     so each run adds u_s (v^T x_I) c_I to its rows with a (count, k)
     temporary; no N x k temporary or N x N array is formed.  With c_I = +-1
     and x a column of the identity, v^T x_I is v_j exactly, so the columns
     are bit-equal to the dense sum's."""
     k = x.shape[1]
-    if out is None:
-        out = np.zeros((window.n_cells, k))
+    out = np.zeros((window.n_cells, k))
     for c, i0, u, v in blocks:
-        cells = len(u)  # before the swap: v may be one constant entry
-        if transpose:
-            u, v = v, u
+        cells = max(len(u), len(v))  # u or v may be one constant entry
         i1 = i0 + len(c) * cells
         proj = np.broadcast_to(v, cells) @ x[i0:i1].reshape(len(c), cells, k)
         proj *= c[:, None]
@@ -366,16 +361,28 @@ def haar_shift_matrix(grid: DyadicGrid, window: TruncationWindow) -> OperatorMat
 
 
 def _shift(rows: IntervalTable, window: TruncationWindow) -> list[tuple]:
-    """The shift on the resolvable rows of scale <= j_max - 2, whose children
-    each hold a Haar pair of cells; the finest resolvable scale is dropped."""
+    """The shift on the resolvable rows whose children each hold a Haar pair
+    of cells (`_children`)."""
+    return _children(rows, np.ones(len(rows)), window, (1.0, -1.0), math.sqrt(2.0))
+
+
+def _children(
+    rows: IntervalTable, coefficients: np.ndarray, window: TruncationWindow, child_signs, divisor: float = 1.0
+) -> list[tuple]:
+    """The sum over the resolvable rows I of scale <= j_max - 2, whose
+    children each hold a Haar pair of cells, of
+    c_I ((s_l h_(left child) + s_r h_(right child)) / divisor outer h_I), with
+    `coefficients` one c_I per row of `rows`: the shift's and the remainder's
+    blocks.  The finest resolvable scale is dropped."""
     rows = _through_scale(rows, window.j_max - 2)
+    s_left, s_right = child_signs
 
     def block(cells):
         # both children carry the same local pattern, on I's two halves
         hc = _local_haar(cells // 2)
-        return np.concatenate((hc, -hc)) / math.sqrt(2.0), _local_haar(cells)
+        return np.concatenate((s_left * hc, s_right * hc)) / divisor, _local_haar(cells)
 
-    return _term(rows, np.ones(len(rows)), window, block)
+    return _term(rows, coefficients[: len(rows)], window, block)
 
 
 def hilbert_primitive(t: np.ndarray) -> np.ndarray:
@@ -452,16 +459,9 @@ def _remainder(
 ) -> list[tuple]:
     """Sum over the resolvable rows I of scale <= j_max - 2 of
     (b_hat(I) / sqrt(scale |I|)) * ((s_l h_(left child) + s_r h_(right child))
-    outer h_I), with `coefficients` the b_hat of every resolvable row."""
-    rows = _through_scale(rows, window.j_max - 2)
-    coefficients = coefficients[: len(rows)]
-    s_left, s_right = child_signs
-
-    def block(cells):
-        hc = _local_haar(cells // 2)
-        return np.concatenate((s_left * hc, s_right * hc)), _local_haar(cells)
-
-    return _term(rows, coefficients / np.sqrt(scale * rows.length), window, block)
+    outer h_I), with `coefficients` the b_hat of every resolvable row
+    (`_children`)."""
+    return _children(rows, coefficients / np.sqrt(scale * rows.length), window, child_signs)
 
 
 # (child signs, scale) of each remainder form: "displayed" is
@@ -550,9 +550,9 @@ def expansion_residual(
     picked = (i0, i1)
     cols = _haar_sum(t, blocks, picked)  # T E
     # (pi t - t pi + pi* t - t pi*) E: pi and pi* applied to T E, T to (pi + pi*) E
-    rhs = _haar_apply(pi, blocks, cols, transpose=True, out=_haar_apply(pi, blocks, cols))
-    sym = _haar_sum(pi, blocks, picked, transpose=True, out=_haar_sum(pi, blocks, picked))
-    rhs -= _haar_apply(t, blocks, sym)
+    sym = pi + [(c, i0, v, u) for c, i0, u, v in pi]  # pi + pi*, with u and v swapped
+    rhs = _haar_apply(sym, blocks, cols)
+    rhs -= _haar_apply(t, blocks, _haar_sum(sym, blocks, picked))
     _haar_sum(rem, blocks, picked, out=rhs)  # + R E
     # [M_b, T] entrywise: equal to mult @ t - t @ mult, whose sums add exact zeros
     vals = values[c0:c1]

@@ -426,13 +426,14 @@ def random_haar_symbol(
     scale_range, capped at j_max - 1; raises InvalidParameterError when the
     range holds fewer than n_terms of them, when n_terms is not a positive
     integer, seed not an integer >= 0 (a bool is neither) or scale_range not
-    a pair of integers."""
+    a pair of integers (a bool is not one)."""
     if isinstance(n_terms, bool) or not (isinstance(n_terms, (int, np.integer)) and n_terms >= 1):
         raise InvalidParameterError(f"n_terms must be a positive integer; got {n_terms!r}")
     if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise InvalidParameterError(f"seed must be an integer >= 0; got {seed!r}")
     try:
-        j_lo, j_hi = (operator.index(j) for j in scale_range)
+        # a bool is left out, so a pair holding one does not unpack
+        j_lo, j_hi = (operator.index(j) for j in scale_range if not isinstance(j, bool))
     except (TypeError, ValueError):
         raise InvalidParameterError(f"scale_range {scale_range!r} is not a pair of integers") from None
     j_hi = min(j_hi, window.j_max - 1)

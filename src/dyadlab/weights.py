@@ -296,8 +296,9 @@ class SpikedLatticeWeight(Weight):
     A2 statistic over interval families at ordinary scales stays flat.  Closed
     form integrals of any power rely on the spike sets of distinct levels
     being disjoint, which holds exactly when 2^(levels-1) <= growth + 1; the
-    constructor enforces that regime.  Powers, duals and scalar multiples
-    change only s and the scale, which must be positive and finite.
+    constructor enforces that regime, and takes `levels` only as an integer
+    >= 1 (a bool is not one).  Powers, duals and scalar multiples change only
+    s and the scale, which must be positive and finite.
     """
 
     r: float
@@ -314,8 +315,8 @@ class SpikedLatticeWeight(Weight):
             raise InvalidParameterError(
                 f"need growth*(1-alpha) > 2; got {self.growth * (1.0 - alpha):g}"
             )
-        if self.levels < 1:
-            raise InvalidParameterError("need at least one spike level")
+        if isinstance(self.levels, bool) or not (isinstance(self.levels, (int, np.integer)) and self.levels >= 1):
+            raise InvalidParameterError(f"spike levels must be an integer >= 1; got {self.levels!r}")
         if 2 ** (self.levels - 1) > self.growth + 1:
             raise InvalidConfigurationError(
                 "spike levels overlap when 2^(levels-1) > growth+1; "

@@ -76,6 +76,18 @@ class TestDyadicNorm:
         with pytest.raises(InvalidConfigurationError):
             dyadic_besov_norm(b, ConstantWeight(1.0), 2.0, D0, WIN, form=2)
 
+    @pytest.mark.parametrize("form", [True, False, 1.0, 2.5, 0, 4, "1", None])
+    def test_form_not_one_of_three_integers_rejected(self, form):
+        """A bool or a float is no form, even where it equals 1, 2 or 3."""
+        with pytest.raises(InvalidConfigurationError, match="unknown form"):
+            dyadic_besov_norm(sin_symbol(WIN), ConstantWeight(1.0), 2.0, D0, WIN, form=form)
+
+    def test_numpy_integer_form_kept(self):
+        b, pair = sin_symbol(WIN), unweighted_pair()
+        for form in (1, 2, 3):
+            got = dyadic_besov_norm(b, pair, 2.0, D0, WIN, form=np.int64(form)).value
+            assert got == dyadic_besov_norm(b, pair, 2.0, D0, WIN, form=form).value
+
     def test_homogeneity_exact_for_binary_scalar(self):
         b = random_haar_symbol(WIN, n_terms=6, seed=1)
         scaled = StepSymbol(WIN, 4.0 * b.cell_values())

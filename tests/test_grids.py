@@ -4,11 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dyadlab.errors import InvalidConfigurationError, InvalidParameterError
+from dyadlab.errors import DyadlabError, InvalidConfigurationError, InvalidParameterError
 from dyadlab.grids import (
     GAUSS_LEGENDRE_32,
     THIRD_SHIFT,
     DyadicInterval,
+    TruncationWindow,
     default_window,
     enumerate_intervals,
     gauss_legendre_32,
@@ -441,6 +442,44 @@ class TestNonFiniteEntryPoints:
 
     def test_integral_float_scale_kept(self):
         assert make_window(0, 1, 0.0, 5.0) == make_window(0, 1, 0, 5)
+
+    @pytest.mark.parametrize("j_min, j_max", [(False, True), (0, True), (True, 5), (np.True_, 5)])
+    def test_bool_scale_rejected(self, j_min, j_max):
+        with pytest.raises(InvalidParameterError):
+            make_window(0, 1, j_min, j_max)
+
+    def test_numpy_integer_scale_kept(self):
+        assert make_window(0, 1, np.int64(0), np.int32(5)) == make_window(0, 1, 0, 5)
+
+
+class TestDirectWindow:
+    """`TruncationWindow` takes the Fraction ends and integer scales that
+    `make_window` builds; any other type raises a DyadlabError naming
+    `make_window` instead of failing inside the checks."""
+
+    @pytest.mark.parametrize(
+        "lo, hi, j_min, j_max",
+        [
+            (0.5, 1, 0, 3),
+            (Fraction(0), 1.0, 0, 3),
+            (Fraction(0), Fraction(1), 0.0, 3),
+            (Fraction(0), Fraction(1), 0, 3.5),
+            (Fraction(0), Fraction(1), True, 3),
+            (Fraction(0), Fraction(1), 0, np.True_),
+        ],
+        ids=["float-lo", "float-hi", "float-j_min", "fractional-j_max", "bool-j_min", "numpy-bool-j_max"],
+    )
+    def test_other_types_rejected_naming_make_window(self, lo, hi, j_min, j_max):
+        with pytest.raises(DyadlabError, match="make_window"):
+            TruncationWindow(lo, hi, j_min, j_max)
+
+    def test_fraction_ends_and_int_scales_kept(self):
+        """The form `make_window` builds, which `expansion_residual` builds
+        too for the blocks its region meets."""
+        window = TruncationWindow(Fraction(-1, 2), Fraction(3, 2), 1, 4)
+        assert window == make_window(-0.5, 1.5, 1, 4)
+        assert window.n_cells == 32
+        assert TruncationWindow(Fraction(0), Fraction(1), np.int64(0), np.int32(3)) == make_window(0, 1, 0, 3)
 
 
 def lone_interval_gauss_legendre(fn, a, b):

@@ -1239,19 +1239,26 @@ def haar_terms(window):
     return out
 
 
+def swapped(terms):
+    """The transpose of a Haar operator: its scale blocks with u and v
+    swapped."""
+    return [(c, i0, v, u) for c, i0, u, v in terms]
+
+
 class TestHaarApply:
     """`_haar_apply` reads the description `_haar_sum` writes, one scale at a
     time, and forms no N x N array."""
 
     @pytest.mark.parametrize("window", STRUCTURE_WINDOWS)
     def test_apply_and_transpose_match_dense_products(self, window):
-        """Entrywise within 1e-14 (|mat| @ |X|).  The all-plus multiplier is
-        left to the identity test below: it is I by cancellation across
-        scales, so |mat| does not bound the terms that are summed."""
+        """Entrywise within 1e-14 (|mat| @ |X|), the transpose applied as the
+        swapped list.  The all-plus multiplier is left to the identity test
+        below: it is I by cancellation across scales, so |mat| does not
+        bound the terms that are summed."""
         x = np.random.default_rng(5).normal(size=(window.n_cells, 7))
         for name, terms, mat in haar_terms(window):
-            for transpose, dense in ((False, mat), (True, mat.T)):
-                got = operators._haar_apply(terms, window, x, transpose=transpose)
+            for transpose, blocks, dense in ((False, terms, mat), (True, swapped(terms), mat.T)):
+                got = operators._haar_apply(blocks, window, x)
                 bound = 1e-14 * (np.abs(dense) @ np.abs(x))
                 assert np.all(np.abs(got - dense @ x) <= bound), (name, transpose)
 
@@ -1261,14 +1268,6 @@ class TestHaarApply:
         eye = np.eye(window.n_cells)
         for name, terms, mat in unit_haar_terms(window):
             assert_bits_equal(operators._haar_apply(terms, window, eye), mat)
-
-    def test_apply_adds_into_out(self):
-        window = make_window(-4, 4, -2, 6)
-        x = np.random.default_rng(6).normal(size=(window.n_cells, 3))
-        _, terms, mat = haar_terms(window)[2]
-        start = np.ones_like(x)
-        out = operators._haar_apply(terms, window, x, out=start.copy())
-        assert np.allclose(out, start + mat @ x, rtol=1e-14, atol=1e-14)
 
 
 def column_ranges(window):
@@ -1285,52 +1284,64 @@ def column_ranges(window):
 
 class TestHaarColumns:
     """`_haar_sum` over a column range writes the dense matrix's columns, of
-    each builder and of its transpose, and adds them as `_haar_apply` adds
-    the identity's columns."""
+    each builder and of its transpose (the swapped list), and writes a
+    concatenated list as it adds one list into `out` after the other and as
+    `_haar_apply` adds the identity's columns."""
 
     @pytest.mark.parametrize("window", STRUCTURE_WINDOWS)
     def test_columns_bit_equal_to_the_dense_matrix(self, window):
         ranges = column_ranges(window)
         for name, terms, mat in haar_terms(window) + unit_haar_terms(window)[2:]:
-            for transpose, dense in ((False, mat), (True, mat.T)):
-                assert_bits_equal(operators._haar_sum(terms, window, transpose=transpose), dense)
+            for blocks, dense in ((terms, mat), (swapped(terms), mat.T)):
+                assert_bits_equal(operators._haar_sum(blocks, window), dense)
                 for cut, (a, b) in ranges.items():
-                    got = operators._haar_sum(terms, window, (a, b), transpose=transpose)
+                    got = operators._haar_sum(blocks, window, (a, b))
                     assert_bits_equal(got, dense[:, a:b])
 
     @pytest.mark.parametrize("window", STRUCTURE_WINDOWS)
-    def test_added_into_out_as_the_applied_identity(self, window):
+    def test_added_into_out_as_the_concatenated_list(self, window):
+        """An operator and its transpose added one after the other into a
+        nonzero `out` are their concatenated list added into it."""
         n = window.n_cells
-        eye = np.eye(n)
         rng = np.random.default_rng(8)
         for name, terms, mat in haar_terms(window) + unit_haar_terms(window)[2:]:
-            for transpose in (False, True):
-                for cut, (a, b) in column_ranges(window).items():
-                    start = rng.normal(size=(n, b - a))
-                    got = operators._haar_sum(terms, window, (a, b), transpose=transpose, out=start.copy())
-                    want = operators._haar_apply(terms, window, eye[:, a:b], transpose=transpose, out=start.copy())
-                    assert_bits_equal(got, want)
+            for cut, (a, b) in column_ranges(window).items():
+                start = rng.normal(size=(n, b - a))
+                chained = operators._haar_sum(terms, window, (a, b), out=start.copy())
+                chained = operators._haar_sum(swapped(terms), window, (a, b), out=chained)
+                got = operators._haar_sum(terms + swapped(terms), window, (a, b), out=start.copy())
+                assert_bits_equal(got, chained)
+
+    @pytest.mark.parametrize("window", STRUCTURE_WINDOWS)
+    def test_concatenation_is_the_chained_sum_and_the_applied_identity(self, window):
+        """For every builder, A = the operator and B = its transpose (so
+        pi + pi* for the paraproduct): `_haar_sum(A + B)` is
+        `_haar_sum(B, out=_haar_sum(A))` and `_haar_apply(A + B)` on the
+        identity's columns, bit for bit, on every column range."""
+        eye = np.eye(window.n_cells)
+        for name, terms, mat in haar_terms(window) + unit_haar_terms(window)[2:]:
+            first, second = terms, swapped(terms)
+            for cut, (a, b) in column_ranges(window).items():
+                got = operators._haar_sum(first + second, window, (a, b))
+                chained = operators._haar_sum(second, window, (a, b), out=operators._haar_sum(first, window, (a, b)))
+                assert_bits_equal(got, chained)
+                assert_bits_equal(got, operators._haar_apply(first + second, window, eye[:, a:b]))
 
     def test_strided_out_added_into_in_place(self):
-        """Both writers add into a strided `out`, every other column of a
-        wider array, as into a contiguous one, and leave the columns between
+        """`_haar_sum` adds into a strided `out`, every other column of a
+        wider array, as into a contiguous one, and leaves the columns between
         untouched."""
         window = make_window(-4, 4, -2, 6)
         n, (a, b) = window.n_cells, column_ranges(window)["cut_both"]
         rng = np.random.default_rng(9)
-        x = rng.normal(size=(n, b - a))
         for name, terms, mat in haar_terms(window):
             start = rng.normal(size=(n, b - a))
-            for write in (
-                lambda out: operators._haar_sum(terms, window, (a, b), transpose=True, out=out),
-                lambda out: operators._haar_apply(terms, window, x, out=out),
-            ):
-                want = write(start.copy())
-                wide = np.zeros((n, 2 * (b - a)))
-                wide[:, ::2] = start
-                assert write(wide[:, ::2]).base is wide
-                assert_bits_equal(wide[:, ::2], want)
-                assert not wide[:, 1::2].any(), name
+            want = operators._haar_sum(swapped(terms), window, (a, b), out=start.copy())
+            wide = np.zeros((n, 2 * (b - a)))
+            wide[:, ::2] = start
+            assert operators._haar_sum(swapped(terms), window, (a, b), out=wide[:, ::2]).base is wide
+            assert_bits_equal(wide[:, ::2], want)
+            assert not wide[:, 1::2].any(), name
 
     def test_ranges_cut_blocks(self):
         """The cut ranges start or end inside a block of the coarsest scale."""

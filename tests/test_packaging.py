@@ -228,3 +228,54 @@ def test_docstring_names_resolve(path):
             if NAME.fullmatch(span) and _stale_span(span, params):
                 stale.append(f"{getattr(node, 'name', path.stem)}: `{span}`")
     assert not stale, f"{path.name} docstrings name what does not exist: {stale}"
+
+
+def _raises_not_implemented_only(body: list[ast.stmt]) -> bool:
+    """Whether a function body, past its docstring, is one `raise
+    NotImplementedError`: an abstract method, whose parameters only name
+    what its overrides take."""
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Raise) or body[0].exc is None:
+        return False
+    exc = body[0].exc.func if isinstance(body[0].exc, ast.Call) else body[0].exc
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def _unread_parameters(tree: ast.Module) -> list[str]:
+    """`name:line parameter` for each parameter of each function or lambda
+    under `tree` that its body never reads; a nested function's read counts
+    for the function around it."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        body = node.body if isinstance(node.body, list) else [node.body]
+        if _raises_not_implemented_only(body):
+            continue
+        args = node.args
+        every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        read = set().union(*(_used_names(stmt) for stmt in body))
+        name = getattr(node, "name", "lambda")
+        unread += [f"{name}:{node.lineno} {arg.arg}" for arg in every if arg is not None and arg.arg not in read]
+    return unread
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    """Every parameter of every function in the module, `self` included, is
+    read in that function's body, so a removed branch cannot leave its flag
+    behind.  A body that only raises NotImplementedError is exempt."""
+    unread = _unread_parameters(ast.parse(path.read_text(), filename=str(path)))
+    assert not unread, f"{path.name} has parameters that nothing reads: {unread}"
+
+
+def test_unread_parameter_found():
+    """The scan finds a flag that a body no longer reads, and passes an
+    abstract method and a parameter read only by a nested function."""
+    tree = ast.parse(
+        "def write(blocks, transpose=False):\n    return blocks\n"
+        "def abstract(self, x):\n    '''doc'''\n    raise NotImplementedError\n"
+        "def outer(cells):\n    block = lambda: cells\n    return block\n"
+    )
+    assert _unread_parameters(tree) == ["write:1 transpose"]

@@ -216,10 +216,13 @@ class TestRandomHaarSymbol:
             ({"scale_range": (1.0, 3.0)}, "scale_range"),
             ({"scale_range": None}, "scale_range"),
             ({"scale_range": (1, 2, 3)}, "scale_range"),
+            ({"scale_range": (True, 5)}, "scale_range"),
+            ({"scale_range": (1, True)}, "scale_range"),
+            ({"scale_range": (np.True_, 5)}, "scale_range"),
         ],
         ids=[
             "negative-seed", "float-seed", "float-n", "negative-n", "zero-n", "bool-seed", "bool-n",
-            "float-scales", "no-scales", "three-scales",
+            "float-scales", "no-scales", "three-scales", "bool-low-scale", "bool-high-scale", "numpy-bool-scale",
         ],
     )
     def test_bad_seed_or_count_rejected(self, kwargs, message):

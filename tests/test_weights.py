@@ -245,6 +245,18 @@ class TestSpikedWeight:
         with pytest.raises(InvalidConfigurationError):
             pathological_weight(2.0, 6, 9.0)  # levels overlap
 
+    @pytest.mark.parametrize("levels", [1.5, 2.0, True, np.True_, "2", None], ids=repr)
+    def test_levels_not_an_integer_rejected(self, levels):
+        """A float or a bool is no level count, even where it equals one; the
+        spiked weight and `pathological_weight` refuse it before reading it."""
+        for build in (SpikedLatticeWeight, pathological_weight):
+            with pytest.raises(InvalidParameterError, match="spike levels must be an integer"):
+                build(2, levels, 9)
+
+    def test_numpy_integer_levels_kept(self):
+        w = SpikedLatticeWeight(2, np.int64(3), 9)
+        assert w.integral(0.0, 1.0) == SpikedLatticeWeight(2, 3, 9).integral(0.0, 1.0)
+
     def test_unrepresentable_level_rejected_at_construction(self):
         with pytest.raises(InvalidParameterError, match="overflows"):
             SpikedLatticeWeight(r=2, levels=6, growth=31)  # height 2^1488
