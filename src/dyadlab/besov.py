@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateWeightError, InvalidConfigurationError, InvalidParameterError
+from .errors import DegenerateWeightError, InvalidConfigurationError, InvalidParameterError, is_integer, real
 from .grids import (
     DyadicGrid,
     DyadicInterval,
@@ -153,12 +153,12 @@ def dyadic_besov_norm(
 ) -> NormReport:
     """p-th root of the sum of the per-interval terms (|b_hat(I)| |I|^-1/2 q)^p,
     where `form` selects which of the three equivalent brackets q is.  A form
-    that is not the integer 1, 2 or 3 (a bool or a float is not) raises
-    InvalidConfigurationError, and a norm past the float range
+    that is not the integer 1, 2 or 3 (`errors.is_integer`: a bool or a float
+    is not) raises InvalidConfigurationError; a p that is not a positive real
+    number (`errors.real`), or a norm past the float range,
     InvalidParameterError."""
-    if not 0 < p < math.inf:
-        raise InvalidParameterError("p must lie in (0, inf)")
-    if isinstance(form, bool) or not isinstance(form, (int, np.integer)) or form not in (1, 2, 3):
+    p = real(p, "p must lie in (0, inf)", above=0.0)
+    if not is_integer(form) or form not in (1, 2, 3):
         raise InvalidConfigurationError(f"unknown form {form!r}")
     table = interval_table(grid, window)
     q = _bracket(weights, form, table)

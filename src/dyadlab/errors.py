@@ -1,4 +1,21 @@
-"""Exception types shared across the laboratory."""
+"""Exception types shared across the laboratory, and the one rule for what
+counts as an integer or a real argument.
+
+An integer argument (a scale, translation, seed, count or form) is an int
+or a numpy integer; a real argument (p, a weight's exponent, centre or
+scale, a window end) is any finite real number: an int, float, Fraction or
+numpy number.  A bool is neither, and neither is a string, so a value typed
+by a user is parsed before it reaches the library.  `integer` and `real`
+return the plain int or float, or raise InvalidParameterError with the
+caller's message; each also takes the one kind of bound its callers need
+(an integer's least value, a real's strict lower bound).  Every module
+checks its integer and real parameters through them.
+"""
+
+import math
+from numbers import Real
+
+import numpy as np
 
 
 class DyadlabError(Exception):
@@ -28,3 +45,29 @@ class DivergedIntegralError(DyadlabError):
 class InvalidMatrixError(DyadlabError):
     """An operator matrix contains non-finite entries."""
 
+
+def is_integer(x) -> bool:
+    """Whether x is an int or a numpy integer; a bool is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def integer(x, message: str, least: int | None = None) -> int:
+    """int(x) for an integer x that is at least `least` when that is given;
+    any other x raises InvalidParameterError(message)."""
+    if not is_integer(x) or (least is not None and x < least):
+        raise InvalidParameterError(message)
+    return int(x)
+
+
+def real(x, message: str, above: float = -math.inf) -> float:
+    """float(x) for a real number x whose float is finite and greater than
+    `above`; a bool (numpy's included), a string, None, nan, inf, a number
+    past the float range or one not above `above` raises
+    InvalidParameterError(message)."""
+    try:
+        value = float(x) if isinstance(x, Real) and not isinstance(x, bool) else math.nan
+    except OverflowError:  # an int or Fraction past the float range
+        value = math.inf
+    if not above < value < math.inf:
+        raise InvalidParameterError(message)
+    return value

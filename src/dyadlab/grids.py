@@ -25,10 +25,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Rational
 
 import numpy as np
 
-from .errors import InvalidConfigurationError, InvalidParameterError
+from .errors import InvalidConfigurationError, InvalidParameterError, is_integer, real
 
 STANDARD = "standard"
 THIRD_SHIFT = "third_shift"
@@ -131,8 +132,8 @@ class TruncationWindow:
     Finest cells live at scale j_max; their count N = (hi - lo) * 2^j_max.
     Window endpoints must be multiples of the coarsest length 2^-j_min so the
     standard grid tiles the window exactly at every enumerated scale.  The
-    ends are Fractions and the scales integers (a bool is not one), as
-    `make_window` builds them from any exact numbers; other types raise
+    ends are Fractions and the scales integers (`errors.is_integer`), as
+    `make_window` builds them from any real numbers; other types raise
     InvalidParameterError.
     """
 
@@ -143,8 +144,7 @@ class TruncationWindow:
 
     def __post_init__(self):
         exact = isinstance(self.lo, Fraction) and isinstance(self.hi, Fraction)
-        scales = (self.j_min, self.j_max)
-        if not exact or any(isinstance(j, bool) or not isinstance(j, (int, np.integer)) for j in scales):
+        if not (exact and is_integer(self.j_min) and is_integer(self.j_max)):
             raise InvalidParameterError("a window takes Fraction ends and integer scales; build it with make_window")
         if self.hi <= self.lo:
             raise InvalidConfigurationError("empty window")
@@ -180,9 +180,6 @@ class TruncationWindow:
     # the sum rounds once.
     def cell_edges(self) -> np.ndarray:
         return float(self.lo) + np.arange(self.n_cells + 1) * float(self.cell_width)
-
-    def cell_midpoints(self) -> np.ndarray:
-        return float(self.lo) + (np.arange(self.n_cells) + 0.5) * float(self.cell_width)
 
     @cached_property
     def _lo_cells(self) -> int:
@@ -230,18 +227,18 @@ class TruncationWindow:
 
 
 def _exact(x, what: str) -> Fraction:
-    """x as an exact Fraction; a value with none (nan, inf, or a type Fraction
-    does not take, such as numpy's bool) raises InvalidParameterError."""
-    try:
-        return Fraction(x)
-    except (OverflowError, ValueError, TypeError):
-        raise InvalidParameterError(f"{what} {x!r} is not a finite number") from None
+    """x as an exact Fraction; anything but a finite real number
+    (`errors.real`: a bool, a string, nan or inf) raises InvalidParameterError."""
+    value = real(x, f"{what} {x!r} is not a finite number")
+    return Fraction(x if isinstance(x, Rational) else value)
 
 
 def make_window(lo, hi, j_min: int, j_max: int) -> TruncationWindow:
+    """The window [lo, hi) with scales j_min..j_max, from any real numbers;
+    a scale must be integral, and 5.0 is taken as 5."""
     lo, hi = _exact(lo, "window end"), _exact(hi, "window end")
     scales = [_exact(j, "scale") for j in (j_min, j_max)]
-    if isinstance(j_min, bool) or isinstance(j_max, bool) or any(j.denominator != 1 for j in scales):
+    if any(j.denominator != 1 for j in scales):
         raise InvalidParameterError(f"scales {j_min!r} and {j_max!r} must be integers")
     return TruncationWindow(lo, hi, *map(int, scales))
 
@@ -378,7 +375,10 @@ def haar_cell_values(interval: DyadicInterval, window: TruncationWindow) -> np.n
     """Exact cell values of h_I on the finest-cell lattice: +|I|^(-1/2) on
     the first half of I's `cell_slice` and -|I|^(-1/2) on the second.  An
     interval that is not cell-aligned, inside the window and of scale
-    <= j_max - 1 raises InvalidConfigurationError."""
+    <= j_max - 1 raises InvalidConfigurationError, and one whose j or k is
+    not an integer (a user's `HaarSymbol` key) InvalidParameterError."""
+    if not (is_integer(interval.j) and is_integer(interval.k)):
+        raise InvalidParameterError(f"{interval!r} needs an integer scale j and translation k")
     if interval.j > window.j_max - 1:
         raise InvalidConfigurationError(
             f"Haar function of {interval.label()} is not resolvable at j_max {window.j_max}"

@@ -67,7 +67,7 @@ from typing import Callable, Mapping
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .errors import InvalidConfigurationError, InvalidMatrixError
+from .errors import InvalidConfigurationError, InvalidMatrixError, is_integer
 from .grids import (
     STANDARD,
     DyadicGrid,
@@ -320,11 +320,13 @@ def _multiplier(signs, rows: IntervalTable, window: TruncationWindow) -> list[tu
 
 
 def _row_signs(signs, rows: IntervalTable) -> np.ndarray:
-    """Every row's sign as floats.  One int is checked once, before any row
-    is read, so on a table with no row too, and builds no interval object;
-    the error names the first row when there is one.  A callable or mapping
-    is read and checked on every row, in enumeration order."""
-    if isinstance(signs, (int, np.integer)):
+    """Every row's sign as floats; a sign is the integer -1 or +1
+    (`errors.is_integer`: True and 1.0 are not).  One int is checked once,
+    before any row is read, so on a table with no row too, and builds no
+    interval object; the error names the first row when there is one.  A
+    callable or mapping is read and checked on every row, in enumeration
+    order."""
+    if is_integer(signs):
         if signs not in (-1, 1):
             where = f" on {rows.label(0)}" if len(rows) else ""
             raise InvalidConfigurationError(f"sign pattern must map to +/-1; got {signs}{where}")
@@ -344,7 +346,7 @@ def _row_signs(signs, rows: IntervalTable) -> np.ndarray:
     row_signs = []
     for interval in rows.intervals():
         s = sign_of(interval)
-        if s not in (-1, 1):
+        if not is_integer(s) or s not in (-1, 1):
             raise InvalidConfigurationError(
                 f"sign pattern must map to +/-1; got {s} on {interval.label()}"
             )

@@ -38,12 +38,11 @@ fn's +0.0 values there are +0.0 as well.  Every battery symbol but
 from __future__ import annotations
 
 import math
-import operator
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import InvalidConfigurationError, InvalidParameterError
+from .errors import InvalidConfigurationError, InvalidParameterError, integer, real
 from .grids import (
     STANDARD,
     DyadicInterval,
@@ -175,8 +174,9 @@ class AnalyticSymbol(Symbol):
     the rows that lie off it +0.0 without computing them.  With an
     antiderivative F the constructor checks F(min(lo, s0)) == F(s0) and
     F(s1) == F(max(hi, s1)) at the window ends lo, hi, and raises
-    InvalidConfigurationError when F moves outside the support; a bad pair
-    raises InvalidParameterError.
+    InvalidConfigurationError when F moves outside the support.  The support
+    ends and `lipschitz` are real numbers (`errors.real`: a bool or a string
+    is not); a bad pair or constant raises InvalidParameterError.
     """
 
     def __init__(
@@ -188,8 +188,9 @@ class AnalyticSymbol(Symbol):
         name: str = "analytic",
         support: tuple[float, float] | None = None,
     ):
-        if lipschitz is not None and not 0 <= lipschitz < math.inf:
-            raise InvalidParameterError(f"Lipschitz constant {lipschitz!r} must be finite and not negative")
+        message = f"Lipschitz constant {lipschitz!r} must be finite and not negative"
+        if lipschitz is not None and real(lipschitz, message) < 0:
+            raise InvalidParameterError(message)
         self.window = window
         self.fn = fn
         self.antiderivative = antiderivative
@@ -199,14 +200,13 @@ class AnalyticSymbol(Symbol):
         self._cells: np.ndarray | None = None
 
     def _checked_support(self, support) -> tuple[float, float]:
+        message = f"support {support!r} of {self.name} needs finite ends s0 < s1"
         try:
-            s0, s1 = (float(end) for end in support)
+            s0, s1 = (real(end, message) for end in support)
         except (TypeError, ValueError):
-            raise InvalidParameterError(
-                f"support {support!r} of {self.name} is not a pair of numbers"
-            ) from None
-        if not -math.inf < s0 < s1 < math.inf:
-            raise InvalidParameterError(f"support {support!r} of {self.name} needs finite ends s0 < s1")
+            raise InvalidParameterError(f"support {support!r} of {self.name} is not a pair of numbers") from None
+        if not s0 < s1:
+            raise InvalidParameterError(message)
         if self.antiderivative is not None:
             lo, hi = float(self.window.lo), float(self.window.hi)
             ends = np.array((min(lo, s0), s0, s1, max(hi, s1)))
@@ -311,39 +311,35 @@ def haar_coefficients(b: Symbol, table: IntervalTable) -> np.ndarray:
 # battery constructors
 
 
+def _on_unit_interval(window: TruncationWindow, f, F, lipschitz: float, name: str) -> AnalyticSymbol:
+    """f(x) on [0, 1), zero outside, with support (0, 1): the battery symbol
+    whose antiderivative is F of x clamped into [0, 1].  f and F take float
+    arrays."""
+
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x >= 0) & (x < 1), f(x), 0.0)
+
+    def prim(x):
+        return F(np.minimum(1.0, np.maximum(0.0, np.asarray(x, dtype=float))))
+
+    return AnalyticSymbol(window, fn, prim, lipschitz=lipschitz, name=name, support=(0.0, 1.0))
+
+
 def sin_symbol(window: TruncationWindow, cycles: int = 1) -> AnalyticSymbol:
     """sin(2 pi cycles x) on [0, 1), zero outside; continuous at both ends.
     A cycles that is not a positive integer, a bool included, raises
     InvalidParameterError."""
-    if isinstance(cycles, bool) or not (isinstance(cycles, (int, np.integer)) and cycles >= 1):
-        raise InvalidParameterError(f"cycles must be a positive integer; got {cycles!r}")
+    cycles = integer(cycles, f"cycles must be a positive integer; got {cycles!r}", least=1)
     om = 2.0 * math.pi * cycles
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= 0) & (x < 1), np.sin(om * x), 0.0)
-
-    def prim(x):
-        x = np.asarray(x, dtype=float)
-        xc = np.minimum(1.0, np.maximum(0.0, x))
-        return (1.0 - np.cos(om * xc)) / om
-
-    return AnalyticSymbol(window, fn, prim, lipschitz=om, name=f"sin{cycles}", support=(0.0, 1.0))
+    prim = lambda xc: (1.0 - np.cos(om * xc)) / om
+    return _on_unit_interval(window, lambda x: np.sin(om * x), prim, om, f"sin{cycles}")
 
 
 def parabola_symbol(window: TruncationWindow) -> AnalyticSymbol:
     """x (1 - x) on [0, 1), zero outside."""
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= 0) & (x < 1), x * (1.0 - x), 0.0)
-
-    def prim(x):
-        x = np.asarray(x, dtype=float)
-        xc = np.minimum(1.0, np.maximum(0.0, x))
-        return xc**2 / 2.0 - np.float_power(xc, 3) / 3.0
-
-    return AnalyticSymbol(window, fn, prim, lipschitz=1.0, name="parabola", support=(0.0, 1.0))
+    prim = lambda xc: xc**2 / 2.0 - np.float_power(xc, 3) / 3.0
+    return _on_unit_interval(window, lambda x: x * (1.0 - x), prim, 1.0, "parabola")
 
 
 # A point far past ramp_bump's support, at which its antiderivative is still
@@ -383,23 +379,14 @@ def ramp_bump_symbol(window: TruncationWindow) -> AnalyticSymbol:
 
 def quartic_bump_symbol(window: TruncationWindow) -> AnalyticSymbol:
     """16 x^2 (1-x)^2 on [0, 1), zero outside; peak height 1 at x = 1/2."""
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= 0) & (x < 1), 16.0 * x**2 * (1.0 - x) ** 2, 0.0)
-
     # the terms x^3 / 3, x^4 / 2 and x^5 / 5 of the antiderivative on a trailing axis
     exps, divs = np.array([3.0, 4.0, 5.0]), np.array([3.0, 2.0, 5.0])
 
-    def prim(x):
-        x = np.asarray(x, dtype=float)
-        xc = np.minimum(1.0, np.maximum(0.0, x))
+    def prim(xc):
         terms = np.float_power(xc[..., None], exps) / divs
         return 16.0 * (terms[..., 0] - terms[..., 1] + terms[..., 2])
 
-    return AnalyticSymbol(
-        window, fn, prim, lipschitz=16.0 * 0.25, name="quartic_bump", support=(0.0, 1.0)
-    )
+    return _on_unit_interval(window, lambda x: 16.0 * x**2 * (1.0 - x) ** 2, prim, 16.0 * 0.25, "quartic_bump")
 
 
 def linear_symbol(window: TruncationWindow) -> AnalyticSymbol:
@@ -427,15 +414,13 @@ def random_haar_symbol(
     range holds fewer than n_terms of them, when n_terms is not a positive
     integer, seed not an integer >= 0 (a bool is neither) or scale_range not
     a pair of integers (a bool is not one)."""
-    if isinstance(n_terms, bool) or not (isinstance(n_terms, (int, np.integer)) and n_terms >= 1):
-        raise InvalidParameterError(f"n_terms must be a positive integer; got {n_terms!r}")
-    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise InvalidParameterError(f"seed must be an integer >= 0; got {seed!r}")
+    n_terms = integer(n_terms, f"n_terms must be a positive integer; got {n_terms!r}", least=1)
+    seed = integer(seed, f"seed must be an integer >= 0; got {seed!r}", least=0)
+    pair = f"scale_range {scale_range!r} is not a pair of integers"
     try:
-        # a bool is left out, so a pair holding one does not unpack
-        j_lo, j_hi = (operator.index(j) for j in scale_range if not isinstance(j, bool))
+        j_lo, j_hi = (integer(j, pair) for j in scale_range)
     except (TypeError, ValueError):
-        raise InvalidParameterError(f"scale_range {scale_range!r} is not a pair of integers") from None
+        raise InvalidParameterError(pair) from None
     j_hi = min(j_hi, window.j_max - 1)
     # scales j_lo..j_hi hold 2^j_lo + ... + 2^j_hi intervals of [0, 1)
     if not 0 <= j_lo <= j_hi or n_terms > (2 << j_hi) - (1 << j_lo):

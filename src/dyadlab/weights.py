@@ -35,6 +35,8 @@ from .errors import (
     DivergedIntegralError,
     InvalidConfigurationError,
     InvalidParameterError,
+    integer,
+    real,
 )
 from .grids import (
     TruncationWindow,
@@ -88,6 +90,12 @@ def _float_power(x: float, s: float) -> float:
         return x**s
     except OverflowError:
         raise InvalidParameterError(f"{x!r} ** {s!r} overflows a float") from None
+
+
+def _store_real(weight: "Weight", name: str, message: str, above: float = -math.inf) -> None:
+    """Set the field `name` of the frozen `weight` to the float that
+    `errors.real` makes of it, or raise InvalidParameterError(message)."""
+    object.__setattr__(weight, name, real(getattr(weight, name), message, above))
 
 
 @dataclass(frozen=True)
@@ -176,13 +184,12 @@ class Weight:
 
 @dataclass(frozen=True)
 class ConstantWeight(Weight):
-    """w(x) = value."""
+    """w(x) = value, a positive real number (`errors.real`) stored as a float."""
 
     value: float = 1.0
 
     def __post_init__(self):
-        if not (self.value > 0 and math.isfinite(self.value)):
-            raise InvalidParameterError("constant weight must be positive and finite")
+        _store_real(self, "value", "constant weight must be positive and finite", above=0.0)
 
     @property
     def label(self) -> str:
@@ -204,21 +211,21 @@ class ConstantWeight(Weight):
 
 @dataclass(frozen=True)
 class PowerWeight(Weight):
-    """w(x) = coeff * |x - center|^exponent.  A2 membership needs |exponent| < 1."""
+    """w(x) = coeff * |x - center|^exponent.  A2 membership needs |exponent| < 1.
+    The three are real numbers (`errors.real`) stored as floats, so a
+    Fraction or numpy centre integrates as its float does."""
 
     exponent: float
     center: float = 1.0 / 3.0
     coeff: float = 1.0
 
     def __post_init__(self):
+        exponent = "power weight exponent must lie in (-1, 1) for local integrability of w and 1/w"
+        _store_real(self, "exponent", exponent)
         if not -1.0 < self.exponent < 1.0:
-            raise InvalidParameterError(
-                "power weight exponent must lie in (-1, 1) for local integrability of w and 1/w"
-            )
-        if not 0 < self.coeff < math.inf:
-            raise InvalidParameterError("power weight coefficient must be positive and finite")
-        if not math.isfinite(self.center):
-            raise InvalidParameterError("power weight center must be finite")
+            raise InvalidParameterError(exponent)
+        _store_real(self, "coeff", "power weight coefficient must be positive and finite", above=0.0)
+        _store_real(self, "center", "power weight center must be finite")
 
     @property
     def label(self) -> str:
@@ -297,8 +304,9 @@ class SpikedLatticeWeight(Weight):
     form integrals of any power rely on the spike sets of distinct levels
     being disjoint, which holds exactly when 2^(levels-1) <= growth + 1; the
     constructor enforces that regime, and takes `levels` only as an integer
-    >= 1 (a bool is not one).  Powers, duals and scalar multiples change only
-    s and the scale, which must be positive and finite.
+    >= 1 (`errors.integer`: a bool is not one) and r, growth, s and the scale
+    as finite real numbers (`errors.real`), stored as floats.  Powers, duals
+    and scalar multiples change only s and the scale, which must be positive.
     """
 
     r: float
@@ -308,22 +316,22 @@ class SpikedLatticeWeight(Weight):
     scale: float = 1.0
 
     def __post_init__(self):
-        if not self.r > 1:
-            raise InvalidParameterError("spiked weight needs r > 1")
+        _store_real(self, "r", "spiked weight needs r > 1", above=1.0)
+        _store_real(self, "growth", f"spiked weight growth {self.growth!r} is not a finite number")
         alpha = self.alpha
         if not self.growth * (1.0 - alpha) > 2.0:
             raise InvalidParameterError(
                 f"need growth*(1-alpha) > 2; got {self.growth * (1.0 - alpha):g}"
             )
-        if isinstance(self.levels, bool) or not (isinstance(self.levels, (int, np.integer)) and self.levels >= 1):
-            raise InvalidParameterError(f"spike levels must be an integer >= 1; got {self.levels!r}")
+        levels = f"spike levels must be an integer >= 1; got {self.levels!r}"
+        object.__setattr__(self, "levels", integer(self.levels, levels, least=1))
         if 2 ** (self.levels - 1) > self.growth + 1:
             raise InvalidConfigurationError(
                 "spike levels overlap when 2^(levels-1) > growth+1; "
                 "closed-form integrals would be wrong in that regime"
             )
-        if not 0 < self.scale < math.inf:
-            raise InvalidParameterError(f"spiked weight scale {self.scale!r} must be positive and finite")
+        _store_real(self, "s", f"spiked weight power {self.s!r} is not a finite number")
+        _store_real(self, "scale", f"spiked weight scale {self.scale!r} must be positive and finite", above=0.0)
         # a frozen dataclass: the derived level table is set once, here
         object.__setattr__(self, "_levels", self._level_table())
 
@@ -578,8 +586,7 @@ def a2_constant(w: Weight, window: TruncationWindow, seed: int = _FAMILY_SEED) -
     row where its integral does not; that row's product is then formed as
     (w(I) w^-1(I) / |I|) / |I|.  A seed that is not an integer >= 0, a bool
     included, raises InvalidParameterError."""
-    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise InvalidParameterError(f"seed must be an integer >= 0; got {seed!r}")
+    seed = integer(seed, f"seed must be an integer >= 0; got {seed!r}", least=0)
     lo, hi = _family_bounds(window, seed)
     ell = hi - lo
     wa, wb = w.integrals(lo, hi), w.inv().integrals(lo, hi)

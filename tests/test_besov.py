@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -739,3 +740,26 @@ class TestLabelsOnRead:
         before = rep.value
         rep.value *= 1.0 + 1e-9
         assert rep.value == before * (1.0 + 1e-9)
+
+
+class TestArgumentRule:
+    """p goes through `errors.real`: True is no p = 1 and '2' no p = 2, both
+    refused with InvalidParameterError, and a numpy float or a Fraction
+    gives its float twin's bits."""
+
+    @pytest.mark.parametrize("p", [True, "2", None, math.nan, 0, -1.0], ids=repr)
+    def test_p_that_is_not_a_positive_real_refused(self, p):
+        window = default_window(4)
+        b, flat = sin_symbol(window), ConstantWeight(1.0)
+        with pytest.raises(InvalidParameterError, match=r"p must lie in \(0, inf\)"):
+            dyadic_besov_norm(b, flat, p, standard_grid(), window)
+        with pytest.raises(InvalidParameterError, match=r"p must lie in \(0, inf\)"):
+            intersection_norm(b, flat, standard_grid(), third_shift_grid(), window, p=p)
+
+    @pytest.mark.parametrize("p", [np.float64(1.5), Fraction(3, 2), np.float32(1.5)], ids=repr)
+    def test_numpy_and_fraction_p_kept(self, p):
+        window = default_window(4)
+        b, pair = sin_symbol(window), BloomWeight(PowerWeight(0.25), ConstantWeight(2.0))
+        got = dyadic_besov_norm(b, pair, p, standard_grid(), window, form=2)
+        want = dyadic_besov_norm(b, pair, 1.5, standard_grid(), window, form=2)
+        assert got.value == want.value and got.terms.tobytes() == want.terms.tobytes()

@@ -183,9 +183,7 @@ class TestWindow:
     def test_cell_points_bit_equal_to_fractions(self, window):
         w = window.cell_width
         edges = [float(window.lo + i * w) for i in range(window.n_cells + 1)]
-        mids = [float(window.lo + i * w + w / 2) for i in range(window.n_cells)]
         assert np.array_equal(window.cell_edges(), np.array(edges))
-        assert np.array_equal(window.cell_midpoints(), np.array(mids))
 
 
 def reference_cell_slice(window, interval):
@@ -428,11 +426,19 @@ class TestNonFiniteEntryPoints:
             lambda: default_window(4).slice_of(math.nan, 1.0),
             lambda: default_window(4).slice_of(0.0, math.inf),
             lambda: make_window(0, 1, 0, math.nan),
+            lambda: make_window("0", "1", "0", "5"),
+            lambda: make_window(False, True, 0, 5),
+            lambda: default_window("5"),
+            lambda: default_window(4).slice_of("0", "1"),
+            lambda: default_window(4).slice_of(False, True),
         ],
-        ids=["window nan", "window inf", "window -inf", "slice nan", "slice inf", "scale nan"],
+        ids=["window nan", "window inf", "window -inf", "slice nan", "slice inf", "scale nan",
+             "string window", "bool ends", "string j_max", "string range", "bool range"],
     )
     def test_rejected(self, call):
-        with pytest.raises(InvalidParameterError):
+        """A string or a bool is no number (`errors.real`): it is refused,
+        not parsed or read as 0 or 1."""
+        with pytest.raises(InvalidParameterError, match="is not a finite number"):
             call()
 
     @pytest.mark.parametrize("j_min, j_max", [(0, 5.5), (0.5, 5), (Fraction(1, 2), 5)])
@@ -530,3 +536,26 @@ class TestGaussLegendreApplier:
         assert rows.tobytes() == alone.tobytes()
         written = [lone_interval_gauss_legendre(fn, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
         assert rows.tobytes() == np.array(written).tobytes()
+
+
+class TestArgumentRule:
+    """A numpy number or a Fraction builds the window its plain twin builds,
+    and a Haar key's j and k are integers (`errors.is_integer`)."""
+
+    def test_numpy_and_fraction_ends_kept(self):
+        got = make_window(np.float64(-4), Fraction(4), np.int64(-2), np.int32(5))
+        assert got == make_window(-4, 4, -2, 5)
+        assert got.cell_edges().tobytes() == make_window(-4, 4, -2, 5).cell_edges().tobytes()
+
+    def test_numpy_float32_end_kept(self):
+        """Fraction takes no numpy float32, but its float is exact."""
+        assert make_window(np.float32(0.5), 1, 1, 3) == make_window(0.5, 1, 1, 3)
+
+    def test_huge_integer_end_refused(self):
+        with pytest.raises(InvalidParameterError, match="is not a finite number"):
+            make_window(0, 10**400, 0, 2)
+
+    def test_numpy_integer_haar_key_kept(self):
+        window = make_window(0, 1, 0, 4)
+        got = haar_cell_values(DyadicInterval("standard", np.int64(1), np.int32(1)), window)
+        assert got.tobytes() == haar_cell_values(DyadicInterval("standard", 1, 1), window).tobytes()

@@ -884,7 +884,9 @@ class TestBadAssemblyInput:
         with pytest.raises(InvalidConfigurationError, match=missing.label()):
             haar_multiplier_matrix(pattern, D0, WIN)
 
-    @pytest.mark.parametrize("region", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0)])
+    @pytest.mark.parametrize(
+        "region", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0), ("0", "1"), (False, True)], ids=repr
+    )
     def test_region_bound_not_finite_rejected(self, region):
         win = make_window(-4, 4, -2, 4)
         with pytest.raises(InvalidParameterError, match="not a finite number"):
@@ -899,7 +901,9 @@ class TestBadAssemblyInput:
             got = expansion_residual(b, D0, win, kind="multiplier", signs=integer(s))
             assert got == expansion_residual(b, D0, win, kind="multiplier", signs=s)
 
-    @pytest.mark.parametrize("signs", [1.0, "+-", None], ids=["float", "string", "none"])
+    @pytest.mark.parametrize(
+        "signs", [1.0, "+-", None, True, False, np.True_], ids=["float", "string", "none", "true", "false", "np-true"]
+    )
     def test_sign_pattern_of_no_kind_rejected(self, signs):
         win = make_window(-4, 4, -2, 4)
         with pytest.raises(InvalidConfigurationError, match="is no int, callable or mapping"):
@@ -1577,3 +1581,32 @@ class TestRemainderForms:
         with pytest.raises(InvalidConfigurationError) as info:
             expansion_residual(sin_symbol(win), D0, win, kind=kind, remainder=remainder)
         assert str(info.value) == f"unknown remainder {remainder!r}"
+
+
+class TestArgumentRule:
+    """Signs go through `errors.is_integer`: True and a float sign from a
+    callable or mapping are refused, naming the row, and numpy integers and
+    numbers give their plain twins' bits."""
+
+    @pytest.mark.parametrize("sign", [True, 1.0, -1.0, np.float64(1.0)], ids=repr)
+    def test_row_sign_that_is_not_an_integer_refused(self, sign):
+        win = make_window(-4, 4, -2, 4)
+        first = enumerate_intervals(D0, win)[0].label()
+        mapping = {interval: sign for interval in enumerate_intervals(D0, win)}
+        for signs in (lambda interval: sign, mapping):
+            with pytest.raises(InvalidConfigurationError, match=rf"must map to \+/-1; got .* on {first}$"):
+                haar_multiplier_matrix(signs, D0, win)
+            with pytest.raises(InvalidConfigurationError, match=r"must map to \+/-1"):
+                expansion_residual(sin_symbol(win), D0, win, kind="multiplier", signs=signs)
+
+    def test_numpy_integer_row_sign_kept(self):
+        win = make_window(-4, 4, -2, 4)
+        pattern = lambda interval: np.int64(-1 if interval.k % 2 else 1)
+        plain = lambda interval: -1 if interval.k % 2 else 1
+        assert_bits_equal(haar_multiplier_matrix(pattern, D0, win).mat, haar_multiplier_matrix(plain, D0, win).mat)
+
+    def test_numpy_and_fraction_region_kept(self):
+        win = make_window(-4, 4, -2, 4)
+        b = sin_symbol(win)
+        got = expansion_residual(b, D0, win, region=(Fraction(0), np.float64(1.0)))
+        assert got == expansion_residual(b, D0, win, region=(0.0, 1.0))

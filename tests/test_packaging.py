@@ -279,3 +279,38 @@ def test_unread_parameter_found():
         "def outer(cells):\n    block = lambda: cells\n    return block\n"
     )
     assert _unread_parameters(tree) == ["write:1 transpose"]
+
+
+def _bool_checks(tree: ast.AST) -> list[int]:
+    """The line of each `isinstance` call under `tree` whose class argument
+    names `bool` or numpy's `bool_`, alone or in a tuple."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            classes = node.args[1] if len(node.args) == 2 else ast.Tuple(elts=[])
+            elts = classes.elts if isinstance(classes, ast.Tuple) else [classes]
+            names = {getattr(c, "id", None) or getattr(c, "attr", None) for c in elts}
+            if names & {"bool", "bool_"}:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_argument_rule_lives_in_errors():
+    """Only `errors` decides whether a bool counts as an integer or a real
+    argument; every other module asks `errors.is_integer`, `errors.integer`
+    or `errors.real`, so the modules cannot drift apart on what they take."""
+    hits = [
+        f"{path.name}:{line}"
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "errors.py"
+        for line in _bool_checks(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not hits, f"bool checks outside errors.py: {hits}"
+    assert _bool_checks(ast.parse((SOURCE / "errors.py").read_text())), "errors.py holds no bool check"
+
+
+def test_bool_check_found():
+    """The scan finds a bare and a tupled bool class, numpy's too, and
+    passes an isinstance call that names no bool."""
+    tree = ast.parse("isinstance(x, bool)\nisinstance(x, (int, np.bool_))\nisinstance(x, int)\n")
+    assert _bool_checks(tree) == [1, 2]

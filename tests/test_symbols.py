@@ -1,5 +1,6 @@
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -281,7 +282,7 @@ class TestBadSymbolInput:
     def test_sin_cycles_numpy_integer_kept(self):
         assert np.array_equal(sin_symbol(WIN, np.int64(3)).cell_values(), sin_symbol(WIN, 3).cell_values())
 
-    @pytest.mark.parametrize("lip", [-1.0, -2.0 * math.pi, math.nan, math.inf])
+    @pytest.mark.parametrize("lip", [-1.0, -2.0 * math.pi, math.nan, math.inf, True, "1"])
     def test_analytic_lipschitz_must_be_finite_and_not_negative(self, lip):
         with pytest.raises(InvalidParameterError, match="Lipschitz constant"):
             AnalyticSymbol(WIN, np.sin, np.cos, lipschitz=lip)
@@ -740,9 +741,9 @@ class TestDeclaredSupport:
 
     @pytest.mark.parametrize("support", [
         (math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 1.0),
-        (1.0, 0.0), (0.5, 0.5), (0.0,), (0.0, 0.5, 1.0), "ab", 5.0,
+        (1.0, 0.0), (0.5, 0.5), (0.0,), (0.0, 0.5, 1.0), "ab", 5.0, ("0", "1"), (False, True), (0.0, None),
     ], ids=["nan lo", "nan hi", "inf hi", "inf lo", "reversed", "empty", "one end",
-            "three ends", "letters", "a number"])
+            "three ends", "letters", "a number", "strings", "bools", "none"])
     @pytest.mark.parametrize("with_antiderivative", [True, False], ids=["F", "quadrature"])
     def test_bad_support_rejected(self, support, with_antiderivative):
         bump = quartic_bump_symbol(WIN)
@@ -831,3 +832,22 @@ class TestHaarSymbolCells:
             want += c * ref
         got = HaarSymbol(window, dict(zip(intervals, coefficients))).cell_values()
         assert got.tobytes() == want.tobytes()
+
+
+class TestArgumentRule:
+    """A Haar key's j and k go through `errors.is_integer`: a bool, a float or
+    a string is refused with InvalidParameterError, not read as a number or
+    left to a raw TypeError; support ends go through `errors.real`, so
+    numpy numbers and Fractions give their float twins' bits."""
+
+    @pytest.mark.parametrize("j, k", [(True, 0), (1.5, 0), (1, "0"), (1, 0.0)], ids=repr)
+    def test_haar_key_that_is_not_integer_refused(self, j, k):
+        with pytest.raises(InvalidParameterError, match="needs an integer scale j and translation k"):
+            HaarSymbol(WIN, {DyadicInterval("standard", j, k): 1.0})
+
+    def test_fraction_and_numpy_support_kept(self):
+        base = parabola_symbol(WIN)
+        got = AnalyticSymbol(WIN, base.fn, base.antiderivative, 1.0, support=(Fraction(0), np.float64(1.0)))
+        assert got.support == (0.0, 1.0) and all(type(end) is float for end in got.support)
+        table = interval_table(standard_grid(), WIN)
+        assert haar_coefficients(got, table).tobytes() == haar_coefficients(base, table).tobytes()

@@ -402,10 +402,21 @@ class TestBadWeightParameters:
             lambda: PowerWeight(0.5, center=math.inf),
             lambda: PowerWeight(0.5, center=math.nan),
             lambda: PowerWeight(0.5, coeff=math.inf),
+            lambda: ConstantWeight(True),
+            lambda: ConstantWeight("2"),
+            lambda: PowerWeight(0.5, center=True),
+            lambda: PowerWeight(0.5, coeff=True),
+            lambda: PowerWeight("0.5"),
+            lambda: SpikedLatticeWeight("2", 3, 9),
+            lambda: SpikedLatticeWeight(2, 3, "9"),
+            lambda: SpikedLatticeWeight(2, 3, 9, s=math.nan),
         ],
-        ids=["center inf", "center nan", "coeff inf"],
+        ids=["center inf", "center nan", "coeff inf", "const-bool", "const-str", "center-bool", "coeff-bool",
+             "exponent-str", "r-str", "growth-str", "s-nan"],
     )
     def test_rejected(self, make):
+        """Every parameter goes through `errors.real`: a bool or a string is
+        refused, not read as 0 or 1 or left to a raw TypeError."""
         with pytest.raises(InvalidParameterError):
             make()
 
@@ -856,3 +867,30 @@ class TestIntegralsFiniteOrRaise:
         scaled = a2_constant(PowerWeight(-0.99, coeff=5e305), window)
         assert scaled.constant == pytest.approx(base.constant, rel=1e-12)
         assert scaled.argmax_interval == base.argmax_interval
+
+
+class TestArgumentRule:
+    """The weights store the float that `errors.real` makes of each
+    parameter, so a Fraction or numpy parameter integrates with its float
+    twin's bits."""
+
+    def test_parameters_stored_as_floats(self):
+        w = PowerWeight(Fraction(1, 2), np.float32(0.25), np.int64(2))
+        assert [type(v) for v in (w.exponent, w.center, w.coeff)] == [float] * 3
+        assert w == PowerWeight(0.5, 0.25, 2.0)
+
+    def test_fraction_constant_kept(self):
+        lo, hi = [0.0, -1.5, 0.25], [1.0, 2.0, 0.75]
+        got = ConstantWeight(Fraction(5, 2)).integrals(lo, hi)
+        assert got.tobytes() == ConstantWeight(2.5).integrals(lo, hi).tobytes()
+
+    def test_fraction_center_integrates(self):
+        """At the parent a Fraction centre reached numpy's float_power and
+        failed there."""
+        got = PowerWeight(0.5, Fraction(1, 3)).integral(0, 1)
+        assert got == PowerWeight(0.5, 1.0 / 3.0).integral(0, 1)
+
+    def test_numpy_and_fraction_spiked_kept(self):
+        lo, hi = np.linspace(-1.0, 0.5, 7), np.linspace(-0.5, 1.0, 7)
+        got = SpikedLatticeWeight(np.float64(2.0), np.int64(3), Fraction(9)).integrals(lo, hi)
+        assert got.tobytes() == SpikedLatticeWeight(2, 3, 9).integrals(lo, hi).tobytes()
