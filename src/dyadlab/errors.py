@@ -9,7 +9,9 @@ by a user is parsed before it reaches the library.  `integer` and `real`
 return the plain int or float, or raise InvalidParameterError with the
 caller's message; each also takes the one kind of bound its callers need
 (an integer's least value, a real's strict lower bound).  Every module
-checks its integer and real parameters through them.
+checks its integer and real parameters through them.  Integration bounds
+take the same rule through `reals`, which returns a float array and leaves
+nan and inf to the integral that reads them.
 """
 
 import math
@@ -71,3 +73,17 @@ def real(x, message: str, above: float = -math.inf) -> float:
     if not above < value < math.inf:
         raise InvalidParameterError(message)
     return value
+
+
+def reals(x, message: str) -> np.ndarray:
+    """x, a real number or an array of them, as a float array; a bool, a
+    string or bytes, alone or in an array, raises
+    InvalidParameterError(message).  nan and inf pass for the caller to
+    judge, except among Fractions or ints past int64 (a numpy object
+    array), each of which must pass `real`."""
+    xs = np.asarray(x)
+    if xs.dtype.kind == "O":
+        xs = np.array([real(v, message) for v in xs.flat], dtype=float).reshape(xs.shape)
+    elif xs.dtype.kind not in "iuf":
+        raise InvalidParameterError(message)
+    return xs.astype(float, copy=False)

@@ -7,20 +7,28 @@ Step and Haar kinds are exactly representable on the finest cells (a Haar
 symbol sums its terms' `haar_cell_values`); analytic symbols are reduced to
 cell averages when a step view is required.
 
+Every symbol integrates by one rule, `Symbol.split_integrals(a, m, c)`: the
+integrals over [a, m) and [m, c) of every row, from one call of the symbol's
+`antiderivative` F on the flat array [a..., m..., c...] when it has one, and
+from 32-node Gauss-Legendre of `eval` on each half when it has none.  The
+scalar `split_integral` and `integral` and an analytic symbol's
+`cell_values` are its one-row and one-table cases.  A step symbol's F is its
+prefix sum at the point clamped into the window.  The battery
+antiderivatives round on an array exactly as on each point alone: powers of
+3 and more are taken with `np.float_power`, which calls libm pow per element
+as the float `**` does, where an array `**` takes a SIMD kernel that rounds
+differently.  So a row's bits do not depend on the rows beside it.
+
 A Haar coefficient <b, h_I> is computed from one set of float endpoints of I
 (`DyadicInterval.float_bounds`, built from the integers (j, k)) and one
 `split_integral` call, which integrates b over both children of I at once.
 `haar_coefficients(b, table)` gives the coefficients of every row of an
-`IntervalTable`: a step symbol evaluates its prefix sums on the table's
-left/mid/right arrays in one `split_integrals` pass, whose one-row case is
-also its scalar `integral` and `split_integral`, so both paths give the same
-bits; any other symbol makes one `haar_coefficient` call per row that meets
-its support (below), on the row's interval object.  An analytic symbol's
-`split_integral` calls its antiderivative once, on the array [left, mid,
-right], and its `integral` is the one-row case.  The battery antiderivatives
-round on an array exactly as on each point alone: powers of 3 and more are
-taken with `np.float_power`, which calls libm pow per element as the float
-`**` does, where an array `**` takes a SIMD kernel that rounds differently.
+`IntervalTable`: a step symbol integrates the table's left/mid/right arrays
+in one `split_integrals` pass.  Any other symbol makes one
+`haar_coefficient` call per row that meets its support (below), on the row's
+interval object.  That per-row branch stays only because the benchmark
+counts `haar_coefficient` calls; one `split_integrals` pass over the table
+would give the battery's rows the same bits.
 
 An analytic symbol may declare a `support` (s0, s1) outside which it is 0.
 A Haar function has mean zero, so a row with right <= s0 or left >= s1 has
@@ -42,7 +50,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import InvalidConfigurationError, InvalidParameterError, integer, real
+from .errors import InvalidConfigurationError, InvalidParameterError, integer, real, reals
 from .grids import (
     STANDARD,
     DyadicInterval,
@@ -54,12 +62,16 @@ from .grids import (
 
 
 class Symbol:
-    """Base: window binding, cell values, and exact interval integrals."""
+    """Base: window binding, cell values, and the one integration rule."""
 
     window: TruncationWindow
+    name = "symbol"
     lipschitz: float | None = None
     # (s0, s1) when the symbol is 0 outside [s0, s1]
     support: tuple[float, float] | None = None
+    # F on float arrays, with F(y) - F(x) the integral over [x, y); None
+    # integrates by quadrature
+    antiderivative: Callable[[np.ndarray], np.ndarray] | None = None
 
     def cell_values(self) -> np.ndarray:
         raise NotImplementedError
@@ -84,8 +96,42 @@ class Symbol:
         return self.split_integral(a, b, b)[0]
 
     def split_integral(self, a, m, c) -> tuple[float, float]:
-        """The integrals over [a, m) and [m, c); an empty or inverted half is 0.0."""
-        raise NotImplementedError
+        """The integrals over [a, m) and [m, c): the one-row case of
+        `split_integrals`."""
+        lower, upper = self.split_integrals(a, m, c)
+        return float(lower), float(upper)
+
+    def split_integrals(self, a, m, c) -> tuple[np.ndarray, np.ndarray]:
+        """Row by row over a, m and c, broadcast together: the integrals over
+        [a, m) and [m, c); an empty or inverted half is 0.0.
+
+        With an `antiderivative` F: one call of F on the flat float64 array
+        [a..., m..., c...], and the halves F(m) - F(a), F(c) - F(m).  Without
+        one: 32-node Gauss-Legendre of `eval` on each half.  A bound that is
+        not a real number (`errors.reals`) or is NaN, a bound that is not
+        finite for the quadrature, or a half whose integral is not finite (an
+        infinite bound of a symbol without compact support) raises
+        InvalidParameterError."""
+        a, m, c = (reals(x, "an integration bound is not a real number") for x in (a, m, c))
+        pts = np.empty((3,) + np.broadcast(a, m, c).shape)
+        pts[0], pts[1], pts[2] = a, m, c
+        if np.isnan(pts).any():
+            raise InvalidParameterError("an integration bound is NaN")
+        if self.antiderivative is None:
+            if not np.isfinite(pts).all():
+                raise InvalidParameterError("quadrature needs finite integration bounds")
+            halves = gauss_legendre_32(self.eval, pts[:2].ravel(), pts[1:].ravel()).reshape(2, *pts.shape[1:])
+        else:
+            f = np.asarray(self.antiderivative(pts.ravel()), dtype=float).reshape(pts.shape)
+            # F(+-inf) at both ends of a half forms inf - inf, which is refused below
+            with np.errstate(invalid="ignore", over="ignore"):
+                halves = f[1:] - f[:2]
+        halves = np.where(pts[1:] <= pts[:2], 0.0, halves)
+        if not np.isfinite(halves).all():
+            i = int(np.argmin(np.isfinite(halves).all(axis=0).ravel()))
+            lo, hi = pts[0].ravel()[i], pts[2].ravel()[i]
+            raise InvalidParameterError(f"integral of {self.name} over [{lo}, {hi}) is not finite")
+        return halves[0], halves[1]
 
     def eval(self, x):
         raise NotImplementedError
@@ -138,36 +184,21 @@ class StepSymbol(Symbol):
         out = np.where(inside, self._values[np.where(inside, pos, 0.0).astype(np.intp)], 0.0)
         return float(out) if np.ndim(x) == 0 else out
 
-    def split_integral(self, a, m, c) -> tuple[float, float]:
-        """Exact: prefix sums plus fractional coverage of the end cells; the
-        one-row case of `split_integrals`."""
-        lower, upper = self.split_integrals(float(a), float(m), float(c))
-        return float(lower), float(upper)
-
-    def split_integrals(self, a, m, c) -> tuple[np.ndarray, np.ndarray]:
-        """`split_integral` row by row over arrays of points: three prefix
-        lookups per row at the points clamped into the window, and a clamped
-        half is empty exactly when it is inverted or outside the window.  A
-        NaN point raises InvalidParameterError."""
+    def antiderivative(self, x):
+        """The integral from window.lo to each point of x: the prefix sums at x
+        clamped into the window, so constant outside it; a NaN point gives
+        NaN, as the battery's antiderivatives do."""
         # np.minimum/np.maximum clamp as np.clip does, with less call overhead
-        af, mf, cf = (np.minimum(np.maximum(x, self._lo), self._hi) for x in (a, m, c))
-        # clipped points are finite, so the sum is NaN only where a point is
-        if np.isnan(af + mf + cf).any():
-            raise InvalidParameterError("an integration bound is NaN")
-        pa, pm, pc = self._prefix_at_each(af), self._prefix_at_each(mf), self._prefix_at_each(cf)
-        return np.where(mf <= af, 0.0, pm - pa), np.where(cf <= mf, 0.0, pc - pm)
-
-    def _prefix_at_each(self, t: np.ndarray) -> np.ndarray:
-        """Integral from window.lo to each point of t, which lie in the window."""
-        pos = (t - self._lo) / self._width
-        i = np.minimum(np.maximum(np.floor(pos), 0.0), self._n - 1)
+        pos = (np.minimum(np.maximum(x, self._lo), self._hi) - self._lo) / self._width
+        # np.fmax sends a NaN position to cell 0, so the int cast never sees NaN
+        i = np.minimum(np.fmax(np.floor(pos), 0.0), self._n - 1)
         k = i.astype(np.intp)
         return self._prefix[k] + self._values[k] * (pos - i) * self._width
 
 
 class AnalyticSymbol(Symbol):
-    """Callable symbol; integrals use the supplied exact antiderivative when
-    available and 32-node Gauss-Legendre per cell otherwise.
+    """Callable symbol, integrated through the supplied exact antiderivative
+    when there is one and by Gauss-Legendre otherwise (`split_integrals`).
 
     `support` = (s0, s1), finite with s0 < s1, states that fn is 0 outside
     [s0, s1]; it is a fact about the function, and `haar_coefficients` gives
@@ -218,44 +249,17 @@ class AnalyticSymbol(Symbol):
         return s0, s1
 
     def eval(self, x):
-        return self.fn(np.asarray(x, dtype=float))
-
-    def split_integral(self, a, m, c) -> tuple[float, float]:
-        """With an antiderivative F: one call of F on the float64 array
-        [a, m, c], and the halves F(m) - F(a), F(c) - F(m).  Without one:
-        32-node Gauss-Legendre on each half.  A NaN bound, a bound that is
-        not finite for the quadrature, or a half whose integral is not finite
-        (an infinite bound of a symbol without compact support) raises
-        InvalidParameterError."""
-        af, mf, cf = float(a), float(m), float(c)
-        if math.isnan(af) or math.isnan(mf) or math.isnan(cf):
-            raise InvalidParameterError("an integration bound is NaN")
-        if self.antiderivative is None:
-            if not (math.isfinite(af) and math.isfinite(mf) and math.isfinite(cf)):
-                raise InvalidParameterError("quadrature needs finite integration bounds")
-            return self._gauss_legendre(af, mf), self._gauss_legendre(mf, cf)
-        pts = np.array((af, mf, cf))
-        fa, fm, fc = np.asarray(self.antiderivative(pts), dtype=float).tolist()
-        lower, upper = (0.0 if mf <= af else fm - fa), (0.0 if cf <= mf else fc - fm)
-        if not (math.isfinite(lower) and math.isfinite(upper)):
-            raise InvalidParameterError(f"integral of {self.name} over [{af}, {cf}) is not finite")
-        return lower, upper
-
-    def _gauss_legendre(self, a: float, b: float) -> float:
-        """32-node Gauss-Legendre over [a, b); 0.0 when it is empty or inverted."""
-        if b <= a:
-            return 0.0
-        return float(gauss_legendre_32(self.fn, np.array([a]), np.array([b]))[0])
+        """fn at x; a NaN point raises InvalidParameterError."""
+        xv = np.asarray(x, dtype=float)
+        if np.isnan(xv).any():
+            raise InvalidParameterError("an evaluation point is NaN")
+        return self.fn(xv)
 
     def cell_values(self) -> np.ndarray:
+        """The cell averages: each cell's integral over the cell width."""
         if self._cells is None:
             edges = self.window.cell_edges()
-            width = float(self.window.cell_width)
-            if self.antiderivative is not None:
-                prim = np.asarray(self.antiderivative(edges), dtype=float)
-                vals = np.diff(prim) / width
-            else:
-                vals = gauss_legendre_32(self.fn, edges[:-1], edges[1:]) / width
+            vals = self.split_integrals(edges[:-1], edges[1:], edges[1:])[0] / float(self.window.cell_width)
             vals.flags.writeable = False
             self._cells = vals
         return self._cells
@@ -291,10 +295,10 @@ def haar_coefficients(b: Symbol, table: IntervalTable) -> np.ndarray:
     A step symbol takes both child integrals of every row from one
     `split_integrals` pass over the table's float geometry.  Any other symbol
     makes one `haar_coefficient` call per row that meets its `support`, in
-    table order, whose `split_integral` call evaluates an analytic symbol's
-    antiderivative on one 3-point array.  A row with right <= s0 or
-    left >= s1 is +0.0, the value its call would give (see the module
-    docstring); a symbol without a support makes a call on every row.
+    table order; this branch stays only for the benchmark's count of those
+    calls, and the same pass would serve every symbol.  A row with
+    right <= s0 or left >= s1 is +0.0, the value its call would give (see the
+    module docstring); a symbol without a support makes a call on every row.
     """
     if isinstance(b, StepSymbol):
         lower, upper = b.split_integrals(table.left, table.mid, table.right)

@@ -37,6 +37,7 @@ from .errors import (
     InvalidParameterError,
     integer,
     real,
+    reals,
 )
 from .grids import (
     TruncationWindow,
@@ -48,10 +49,11 @@ from .grids import (
 
 
 def _finite_bounds(lo, hi):
-    """(lo, hi) as float arrays; raises InvalidParameterError naming the first
-    interval [lo[i], hi[i]) with a bound that is not finite.  Every weight
-    integral checks its bounds here."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    """(lo, hi) as float arrays (`errors.reals`: a bool or a string is not a
+    bound); raises InvalidParameterError naming the first interval
+    [lo[i], hi[i]) with a bound that is not finite.  Every weight integral
+    checks its bounds here."""
+    lo, hi = (reals(x, "an integration bound is not a real number") for x in (lo, hi))
     finite = np.isfinite(lo) & np.isfinite(hi)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -156,7 +158,12 @@ class Weight:
         return dual
 
     def power(self, s: float) -> "Weight":
-        """The weight w^s, with closed forms preserved where possible."""
+        """The weight w^s for a real number s (`errors.real`: a bool or a
+        string is not one), with closed forms preserved where possible."""
+        return self._power(real(s, f"weight power {s!r} is not a finite real number"))
+
+    def _power(self, s: float) -> "Weight":
+        """w^s for a finite float s."""
         raise NotImplementedError
 
     def __call__(self, x):
@@ -205,7 +212,7 @@ class ConstantWeight(Weight):
     def _reciprocal(self) -> "ConstantWeight":
         return ConstantWeight(1.0 / self.value)
 
-    def power(self, s: float) -> "ConstantWeight":
+    def _power(self, s: float) -> "ConstantWeight":
         return ConstantWeight(_float_power(self.value, s))
 
 
@@ -256,7 +263,7 @@ class PowerWeight(Weight):
     def _reciprocal(self) -> "PowerWeight":
         return PowerWeight(-self.exponent, self.center, 1.0 / self.coeff)
 
-    def power(self, s: float) -> Weight:
+    def _power(self, s: float) -> Weight:
         alpha = self.exponent * s
         if not -1.0 < alpha < 1.0:
             raise InvalidParameterError(f"power {s} leaves the integrable range")
@@ -416,7 +423,7 @@ class SpikedLatticeWeight(Weight):
     def _reciprocal(self) -> "SpikedLatticeWeight":
         return replace(self, s=-self.s, scale=1.0 / self.scale)
 
-    def power(self, t: float) -> "SpikedLatticeWeight":
+    def _power(self, t: float) -> "SpikedLatticeWeight":
         return replace(self, s=self.s * t, scale=_float_power(self.scale, t))
 
 
@@ -476,7 +483,7 @@ class QuadratureWeight(Weight):
         fn = self.fn
         return QuadratureWeight(lambda x: 1.0 / fn(x), f"1/({self.name})")
 
-    def power(self, s: float) -> "Weight":
+    def _power(self, s: float) -> "Weight":
         fn = self.fn
         return QuadratureWeight(lambda x: fn(x) ** s, f"({self.name})^{s:g}")
 

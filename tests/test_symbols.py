@@ -14,6 +14,7 @@ from dyadlab.grids import (
     DyadicInterval,
     default_window,
     enumerate_intervals,
+    gauss_legendre_32,
     haar_cell_values,
     interval_table,
     make_window,
@@ -403,15 +404,17 @@ class TestSplitIntegral:
                     assert bits(b.integral(a, c)) == bits(0.0), (a, c)
 
     def test_integral_defined_once_in_the_base(self):
-        """Every symbol class integrates through the base class's one-row
-        split, so only `split_integral` differs between kinds."""
+        """Every symbol class integrates through the base class's one rule:
+        no kind defines its own `integral`, `split_integral` or
+        `split_integrals`, so kinds differ only in their antiderivative."""
         kinds = [cls for cls in vars(symbols).values() if isinstance(cls, type) and issubclass(cls, symbols.Symbol)]
         assert {AnalyticSymbol, HaarSymbol, StepSymbol} <= set(kinds)
-        assert all(cls.integral is symbols.Symbol.integral for cls in kinds)
+        for name in ("integral", "split_integral", "split_integrals"):
+            assert all(getattr(cls, name) is getattr(symbols.Symbol, name) for cls in kinds), name
 
     def test_split_integral_left_to_each_kind(self):
-        """A symbol kind that does not define `split_integral` has no
-        integral: both raise NotImplementedError instead of recursing."""
+        """A symbol kind with neither an `antiderivative` nor an `eval` has
+        no integral: both raise NotImplementedError instead of recursing."""
 
         class Bare(symbols.Symbol):
             window = SPLIT_WIN
@@ -851,3 +854,131 @@ class TestArgumentRule:
         assert got.support == (0.0, 1.0) and all(type(end) is float for end in got.support)
         table = interval_table(standard_grid(), WIN)
         assert haar_coefficients(got, table).tobytes() == haar_coefficients(base, table).tobytes()
+
+
+class TestOneRuleOnArrays:
+    """`split_integrals` broadcasts a, m and c together, and each row has the
+    bits of its own `split_integral` call."""
+
+    @pytest.mark.parametrize("kind", sorted(split_symbols()))
+    def test_scalar_mid_broadcasts(self, kind):
+        b = split_symbols()[kind]
+        a = np.array([-7.0, -2.0, 0.0, 0.25, 0.5, 1.0])
+        c = np.array([0.75, 1.0, 0.5, 2.0, 9.0, 0.25])
+        lower, upper = b.split_integrals(a, 0.5, c)
+        assert lower.shape == upper.shape == a.shape
+        want = [b.split_integral(x, 0.5, y) for x, y in zip(a.tolist(), c.tolist())]
+        assert bits(*lower, *upper) == bits(*(w[0] for w in want), *(w[1] for w in want))
+
+    @pytest.mark.parametrize("kind", sorted(split_symbols()))
+    def test_grid_of_rows(self, kind):
+        b = split_symbols()[kind]
+        a = np.array([[-1.0], [0.125]])
+        c = np.array([0.3, 0.5, 1.5])
+        lower, upper = b.split_integrals(a, (a + c) / 2, c)
+        assert lower.shape == upper.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                got = (lower[i, j], upper[i, j])
+                assert bits(*got) == bits(*b.split_integral(a[i, 0], (a[i, 0] + c[j]) / 2, c[j]))
+
+    @pytest.mark.parametrize("kind", sorted(split_symbols()))
+    def test_empty_rows(self, kind):
+        lower, upper = split_symbols()[kind].split_integrals([], [], [])
+        assert lower.shape == upper.shape == (0,)
+
+
+NOT_BOUNDS = ["0", b"0", True, np.True_, None, ["0", "1"], np.array([True, False]), [0j]]
+
+
+class TestBoundRule:
+    """Integration bounds go through `errors.reals` in `Symbol.split_integrals`:
+    a bool, a string or bytes is refused, not parsed ('0.25' as 0.25) or
+    read as a number; Fractions and numpy numbers keep their float twins' bits."""
+
+    @pytest.mark.parametrize("kind", sorted(split_symbols()))
+    @pytest.mark.parametrize("bad", NOT_BOUNDS, ids=repr)
+    def test_refused(self, kind, bad):
+        b = split_symbols()[kind]
+        for call in (
+            lambda: b.integral(bad, 1.0),
+            lambda: b.split_integral(0.0, bad, 1.0),
+            lambda: b.split_integrals(np.zeros(2), np.full(2, 0.5), bad),
+        ):
+            with pytest.raises(InvalidParameterError, match="an integration bound is not a real number"):
+                call()
+
+    @pytest.mark.parametrize("kind", sorted(split_symbols()))
+    def test_fraction_and_numpy_bounds_keep_their_bits(self, kind):
+        b = split_symbols()[kind]
+        got = b.split_integral(Fraction(1, 3), np.float32(0.5), np.int64(1))
+        assert bits(*got) == bits(*b.split_integral(1.0 / 3.0, float(np.float32(0.5)), 1.0))
+        assert bits(b.integral(0, Fraction(3, 4))) == bits(b.integral(0.0, 0.75))
+
+
+class TestAnalyticEvalNaN:
+    """`AnalyticSymbol.eval` refuses a NaN point as `StepSymbol.eval` does,
+    instead of giving NaN (`linear`) or 0.0 (`quartic_bump`)."""
+
+    @pytest.mark.parametrize("kind", ANALYTIC_KINDS)
+    @pytest.mark.parametrize("x", [math.nan, np.array([0.5, math.nan])], ids=["scalar", "array"])
+    def test_refused(self, kind, x):
+        with pytest.raises(InvalidParameterError, match="an evaluation point is NaN"):
+            split_symbols()[kind].eval(x)
+
+    @pytest.mark.parametrize("kind", ANALYTIC_KINDS)
+    def test_finite_points_keep_their_bits(self, kind):
+        b = split_symbols()[kind]
+        xs = np.array(SPLIT_POINTS)
+        assert np.asarray(b.eval(xs)).tobytes() == np.asarray(b.fn(xs)).tobytes()
+
+
+class TestStepAntiderivative:
+    """A step symbol's antiderivative is its prefix sum at the point clamped
+    into the window: `integral(window.lo, x)`, constant outside the window."""
+
+    @pytest.mark.parametrize("kind", ["step", "haar"])
+    def test_bit_equal_to_integral_from_lo(self, kind):
+        b = split_symbols()[kind]
+        lo = float(SPLIT_WIN.lo)
+        xs = [*SPLIT_POINTS, -math.inf, math.inf, *np.linspace(-2.5, 2.5, 101).tolist()]
+        got = b.antiderivative(np.array(xs))
+        assert bits(*got) == bits(*(b.integral(lo, x) for x in xs))
+        assert [bits(b.antiderivative(x)) for x in xs] == [bits(v) for v in got]
+
+    @pytest.mark.parametrize("kind", ["step", "haar"])
+    def test_constant_outside_the_window(self, kind):
+        b = split_symbols()[kind]
+        lo, hi = float(SPLIT_WIN.lo), float(SPLIT_WIN.hi)
+        below = b.antiderivative(np.array([-math.inf, -1e300, -7.0, np.nextafter(lo, -math.inf), lo]))
+        above = b.antiderivative(np.array([hi, np.nextafter(hi, math.inf), 9.0, 1e300, math.inf]))
+        assert bits(*below) == bits(0.0) * 5
+        assert len(set(bits(*above))) == 1
+        assert bits(above[0]) == bits(b.integral(lo, hi))
+
+    def test_nan_gives_nan(self):
+        got = split_symbols()["step"].antiderivative(np.array([0.5, math.nan]))
+        assert not math.isnan(got[0]) and math.isnan(got[1])
+
+
+class TestAnalyticCellValues:
+    """`AnalyticSymbol.cell_values` is the one rule over the cells, bit-equal
+    to the two formulas it replaced: `np.diff(F(edges)) / width` with an
+    antiderivative, and one `gauss_legendre_32` call over every cell without."""
+
+    @pytest.mark.parametrize("name", sorted(ALL_BATTERY))
+    @pytest.mark.parametrize("window", [WIN, default_window(7), make_window(-2, 2, -1, 5)],
+                             ids=["unit j6", "default j7", "wide j5"])
+    def test_bit_equal_to_the_former_formulas(self, name, window):
+        b = ALL_BATTERY[name](window)
+        bare = AnalyticSymbol(window, b.fn, None, lipschitz=b.lipschitz, name=b.name, support=b.support)
+        edges, width = window.cell_edges(), float(window.cell_width)
+        with_f = np.diff(np.asarray(b.antiderivative(edges), dtype=float)) / width
+        without_f = gauss_legendre_32(b.fn, edges[:-1], edges[1:]) / width
+        assert b.cell_values().tobytes() == with_f.tobytes()
+        assert bare.cell_values().tobytes() == without_f.tobytes()
+
+    def test_cached_and_read_only(self):
+        b = quartic_bump_symbol(WIN)
+        assert b.cell_values() is b.cell_values()
+        assert not b.cell_values().flags.writeable

@@ -894,3 +894,52 @@ class TestArgumentRule:
         lo, hi = np.linspace(-1.0, 0.5, 7), np.linspace(-0.5, 1.0, 7)
         got = SpikedLatticeWeight(np.float64(2.0), np.int64(3), Fraction(9)).integrals(lo, hi)
         assert got.tobytes() == SpikedLatticeWeight(2, 3, 9).integrals(lo, hi).tobytes()
+
+
+# One weight of every kind, a dual and a closed-form power among them.
+EVERY_KIND = [
+    ConstantWeight(2.0),
+    PowerWeight(0.5),
+    PowerWeight(0.5).inv(),
+    pathological_weight(2, 3, 9),
+    QuadratureWeight(lambda x: 1.0 + np.abs(x), "1+|x|"),
+]
+NOT_BOUNDS = ["0", b"0", True, np.True_, None, ["0", "1"], np.array([True, False]), [0j]]
+
+
+class TestBoundRule:
+    """Integration bounds go through `errors.reals`: a bool, a string or bytes
+    is refused, not parsed ('0' as 0.0) or read as a number (True as 1.0)."""
+
+    @pytest.mark.parametrize("w", EVERY_KIND, ids=lambda w: w.label)
+    @pytest.mark.parametrize("bad", NOT_BOUNDS, ids=repr)
+    def test_refused(self, w, bad):
+        with pytest.raises(InvalidParameterError, match="not a real number"):
+            w.integral(bad, 1.0)
+        with pytest.raises(InvalidParameterError, match="not a real number"):
+            w.integrals(np.zeros(2), bad)
+
+    @pytest.mark.parametrize("w", EVERY_KIND, ids=lambda w: w.label)
+    def test_fraction_and_numpy_bounds_keep_their_bits(self, w):
+        got = w.integral(Fraction(1, 3), np.float32(0.75))
+        assert got.hex() == w.integral(1.0 / 3.0, float(np.float32(0.75))).hex()
+        lo = [Fraction(-1, 3), np.int64(0), 2**3]
+        want = w.integrals([-1.0 / 3.0, 0.0, 8.0], 9.0)
+        assert w.integrals(lo, np.float16(9.0)).tobytes() == want.tobytes()
+
+
+class TestPowerRule:
+    """`Weight.power(s)` checks s once, through `errors.real`, for every kind."""
+
+    @pytest.mark.parametrize("w", EVERY_KIND, ids=lambda w: w.label)
+    @pytest.mark.parametrize("s", [True, np.False_, "2", None, math.nan, math.inf, np.array(2.0)], ids=repr)
+    def test_refused(self, w, s):
+        with pytest.raises(InvalidParameterError, match="is not a finite real number"):
+            w.power(s)
+
+    @pytest.mark.parametrize("w", EVERY_KIND, ids=lambda w: w.label)
+    def test_fraction_and_numpy_powers_keep_their_bits(self, w):
+        for s in (Fraction(1, 2), np.float32(0.5), np.int64(1)):
+            got, want = w.power(s), w.power(float(s))
+            assert got.integral(0.1, 0.9).hex() == want.integral(0.1, 0.9).hex()
+            assert got.label == want.label
