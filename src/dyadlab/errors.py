@@ -77,10 +77,16 @@ def real(x, message: str, above: float = -math.inf) -> float:
 
 def reals(x, message: str) -> np.ndarray:
     """x, a real number or an array of them, as a float array; a bool, a
-    string or bytes, alone or in an array, raises
-    InvalidParameterError(message).  nan and inf pass for the caller to
-    judge, except among Fractions or ints past int64 (a numpy object
-    array), each of which must pass `real`."""
+    string or bytes, alone, in an array or anywhere in a list or tuple,
+    raises InvalidParameterError(message).  nan and inf pass for the caller
+    to judge, except among Fractions or ints past int64 (a numpy object
+    array), each of which must pass `real`.  numpy reads a bool among
+    numbers in a list as a number, so a list or tuple is scanned entry by
+    entry; an array is judged by its dtype alone."""
+    if isinstance(x, (list, tuple)) and any(
+        isinstance(v, bool) or getattr(v, "dtype", None) == np.bool_ for v in np.asarray(x, dtype=object).flat
+    ):
+        raise InvalidParameterError(message)
     xs = np.asarray(x)
     if xs.dtype.kind == "O":
         xs = np.array([real(v, message) for v in xs.flat], dtype=float).reshape(xs.shape)

@@ -34,7 +34,9 @@ read that one table and call.  Its identity columns, T E, (pi + pi*) E and R E, 
 dense matrices' columns on the region, so `_haar_sum` writes them; only the
 products with those, (pi + pi*) T E and T (pi + pi*) E, take `_haar_apply`,
 and pi + pi* is the paraproduct's list followed by its swapped copy.
-It forms N x k blocks for the region's k columns and no N x N one.
+It forms N x k blocks for the region's k columns and no N x N one, and
+takes the residual's operator norm from its k x k Gram
+(`_largest_singular_value`), not from an SVD of the N x k residual.
 The Hilbert transform matrix comes from the closed-form primitive
 G(t) = t (ln|t| - 1), which renders every cell-pair principal value finite
 (diagonal entries vanish by antisymmetry); a box integral depends only on the
@@ -257,7 +259,10 @@ def _haar_apply(blocks: list[tuple], window: TruncationWindow, x: np.ndarray) ->
     for c, i0, u, v in blocks:
         cells = max(len(u), len(v))  # u or v may be one constant entry
         i1 = i0 + len(c) * cells
-        proj = np.broadcast_to(v, cells) @ x[i0:i1].reshape(len(c), cells, k)
+        # a contiguous constant row: matmul takes an unblocked loop for a
+        # stride-0 vector
+        row = v if len(v) == cells else np.full(cells, v[0])
+        proj = row @ x[i0:i1].reshape(len(c), cells, k)
         proj *= c[:, None]
         rows = out[i0:i1].reshape(len(c), cells, k)  # splitting the row axis is a view
         for s, e, value in _runs(u, cells):
@@ -474,6 +479,19 @@ def _remainder(
 _REMAINDERS = {"displayed": ((-1.0, 1.0), 1.0), "derived": ((1.0, 1.0), 2.0)}
 
 
+def _largest_singular_value(a: np.ndarray) -> float:
+    """sigma_max of the N x k array a, as s sqrt(lambda_max) with s = max |a|
+    and lambda_max the top eigenvalue of the k x k Gram (a/s)^T (a/s): no
+    SVD, and no square under- or overflows, since every scaled entry is at
+    most 1 and one of them is 1, so lambda_max >= 1.  A zero array gives
+    exactly 0.0.  It differs from the SVD's sigma_max by rounding only."""
+    s = max(float(a.max()), -float(a.min()))
+    if s == 0.0:
+        return 0.0
+    scaled = a / s
+    return s * math.sqrt(np.linalg.eigvalsh(scaled.T @ scaled)[-1])
+
+
 @dataclass
 class ExpansionResidual:
     operator_norm: float
@@ -512,10 +530,12 @@ def expansion_residual(
     (so `lhs_norm` keeps the dense bits too), and (pi + pi*) T E and
     T (pi + pi*) E are applied scale by scale; all are N x k blocks for the
     blocks' N cells and the region's k.  The result is the same operator;
-    only the rounding of the residual's sums and of the SVD can differ from
-    dense products, and a region that meets every block is computed on the
-    whole window.  The multiplier expansion reads and checks `signs` only on
-    the intervals inside those blocks.  A region with no cell, or a symbol
+    only the rounding of the residual's sums, and of its operator norm,
+    which is sigma_max from the k x k Gram (`_largest_singular_value`)
+    rather than an SVD, can differ from dense products, and a region that
+    meets every block is computed on the whole window.  The multiplier
+    expansion reads and checks `signs` only on the intervals inside those
+    blocks.  A region with no cell, or a symbol
     whose cells are not the window's, raises InvalidConfigurationError; a
     region bound that is not a finite number raises InvalidParameterError.
     """
@@ -559,10 +579,9 @@ def expansion_residual(
     # [M_b, T] entrywise: equal to mult @ t - t @ mult, whose sums add exact zeros
     vals = values[c0:c1]
     lhs = vals[:, None] * cols - cols * vals[None, i0:i1]
-    resid = lhs - rhs
-    sig = np.linalg.svd(resid, compute_uv=False)
+    resid = np.subtract(lhs, rhs, out=rhs)
     return ExpansionResidual(
-        operator_norm=float(sig[0]),
+        operator_norm=_largest_singular_value(resid),
         frobenius_norm=float(np.linalg.norm(resid)),
         lhs_norm=float(np.linalg.norm(lhs)),
     )

@@ -188,12 +188,24 @@ class StepSymbol(Symbol):
         """The integral from window.lo to each point of x: the prefix sums at x
         clamped into the window, so constant outside it; a NaN point gives
         NaN, as the battery's antiderivatives do."""
-        # np.minimum/np.maximum clamp as np.clip does, with less call overhead
-        pos = (np.minimum(np.maximum(x, self._lo), self._hi) - self._lo) / self._width
+        # each step in place on one fresh array of x's shape, so a Python
+        # float or a 0-d array stays an array until the end; np.minimum and
+        # np.maximum clamp as np.clip does, with less call overhead
+        pos = np.maximum(x, self._lo, out=np.empty(np.shape(x)))
+        np.minimum(pos, self._hi, out=pos)
+        pos -= self._lo
+        pos /= self._width
         # np.fmax sends a NaN position to cell 0, so the int cast never sees NaN
-        i = np.minimum(np.fmax(np.floor(pos), 0.0), self._n - 1)
+        i = np.floor(pos, out=np.empty_like(pos))
+        np.minimum(np.fmax(i, 0.0, out=i), self._n - 1, out=i)
         k = i.astype(np.intp)
-        return self._prefix[k] + self._values[k] * (pos - i) * self._width
+        # prefix[k] + values[k] (pos - i) width, whose products and sum
+        # commute bit for bit
+        pos -= i
+        pos *= self._values[k]
+        pos *= self._width
+        pos += self._prefix[k]
+        return pos[()]
 
 
 class AnalyticSymbol(Symbol):

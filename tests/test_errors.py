@@ -73,11 +73,13 @@ def test_real_arrays(x, want):
 
 @pytest.mark.parametrize(
     "x", [True, np.True_, "1", b"1", None, 1j, ["0", "1"], [b"0"], np.array([True]), [1, None],
-          [Fraction(1, 3), math.nan], [Fraction(1, 3), 10**400]],
+          [Fraction(1, 3), math.nan], [Fraction(1, 3), 10**400], [True, 0.0], (0.5, np.False_),
+          [[0.0], [True]], [np.array(True), 1.0], [[1.0, 2.0], np.array([False, True])]],
     ids=repr,
 )
 def test_not_real_arrays(x):
-    """A bool, a string or bytes is refused alone or in an array, and so is
-    an entry of a mixed object array that `real` refuses."""
+    """A bool, a string or bytes is refused alone, in an array or anywhere in
+    a list or tuple of numbers (numpy alone reads the bool as 1.0 or 0.0),
+    and so is an entry of a mixed object array that `real` refuses."""
     with pytest.raises(InvalidParameterError, match="^the message$"):
         reals(x, "the message")

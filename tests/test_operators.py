@@ -1610,3 +1610,64 @@ class TestArgumentRule:
         b = sin_symbol(win)
         got = expansion_residual(b, D0, win, region=(Fraction(0), np.float64(1.0)))
         assert got == expansion_residual(b, D0, win, region=(0.0, 1.0))
+
+
+def expansion_cases():
+    """Every expansion the tests above run, as (b, window, kind, remainder,
+    region), and the benchmark's two on `default_window(7)` at seeds 0 and 1."""
+    for window in (p.values[0] for p in STRUCTURE_WINDOWS):
+        for b in structure_symbols(window):
+            for kind, remainder in EXPANSIONS:
+                yield b, window, kind, remainder, (float(window.lo), float(window.lo) + 1.0)
+    regions = [(0.5, 1.0), (-1.0, 0.5), (-4.0, -3.0), (3.5, 4.0), (1.0, 4.0), (-4.0, 4.0), (-3.5, 3.5)]
+    for region in regions:
+        for b in structure_symbols(BLOCKS_WINDOW):
+            for kind, remainder in EXPANSIONS:
+                yield b, BLOCKS_WINDOW, kind, remainder, region
+    window = default_window(7)
+    for seed in (0, 1):
+        b = random_haar_symbol(window, seed=seed)
+        yield b, window, "shift", "derived", (0.0, 1.0)
+        yield b, window, "multiplier", "displayed", (0.0, 1.0)
+
+
+class TestLargestSingularValue:
+    """`expansion_residual` takes sigma_max of its N x k residual from the
+    k x k Gram of the residual scaled by its largest entry, not from an SVD."""
+
+    def test_equal_to_the_svd_on_every_expansion_case(self, monkeypatch):
+        residuals = []
+
+        def spy(a):
+            residuals.append(a.copy())
+            return largest(a)
+
+        largest = operators._largest_singular_value
+        monkeypatch.setattr(operators, "_largest_singular_value", spy)
+        for b, window, kind, remainder, region in expansion_cases():
+            res = expansion_residual(
+                b, D0, window, kind=kind, signs=checkerboard, region=region, remainder=remainder
+            )
+            assert res.operator_norm == largest(residuals[-1])
+        assert len(residuals) == 5 * 3 * 3 + 7 * 3 * 3 + 4
+        for a in residuals:
+            svd = float(np.linalg.svd(a, compute_uv=False)[0])
+            assert abs(largest(a) - svd) <= 1e-13 * svd
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    @pytest.mark.parametrize("shape", [(512, 128), (64, 1), (33, 7), (1, 1)])
+    def test_equal_to_the_svd_at_extreme_scales(self, scale, shape):
+        a = np.random.default_rng(5).standard_normal(shape) * scale
+        svd = float(np.linalg.svd(a, compute_uv=False)[0])
+        assert math.isfinite(svd) and svd > 0.0
+        assert abs(operators._largest_singular_value(a) - svd) <= 1e-13 * svd
+
+    def test_zero_residual_is_exactly_zero(self):
+        for a in (np.zeros((16, 4)), np.full((8, 3), -0.0)):
+            assert operators._largest_singular_value(a).hex() == (0.0).hex()
+        # a constant symbol commutes with everything, and its paraproduct vanishes
+        win = make_window(-4, 4, 0, 6)
+        b = StepSymbol(win, np.full(win.n_cells, 3.0))
+        for kind, remainder in EXPANSIONS:
+            res = expansion_residual(b, D0, win, kind=kind, signs=checkerboard, remainder=remainder)
+            assert res.operator_norm.hex() == (0.0).hex() and res.frobenius_norm == 0.0

@@ -889,6 +889,8 @@ class TestOneRuleOnArrays:
 
 
 NOT_BOUNDS = ["0", b"0", True, np.True_, None, ["0", "1"], np.array([True, False]), [0j]]
+# a bool among numbers in a list or tuple, which numpy alone reads as 1.0 or 0.0
+BOOL_IN_A_LIST = [[0.0, True], (0.0, np.False_), [[0.0, 1.0], [np.True_, 0.5]], [np.array(False), 0.5]]
 
 
 class TestBoundRule:
@@ -897,7 +899,7 @@ class TestBoundRule:
     read as a number; Fractions and numpy numbers keep their float twins' bits."""
 
     @pytest.mark.parametrize("kind", sorted(split_symbols()))
-    @pytest.mark.parametrize("bad", NOT_BOUNDS, ids=repr)
+    @pytest.mark.parametrize("bad", NOT_BOUNDS + BOOL_IN_A_LIST, ids=repr)
     def test_refused(self, kind, bad):
         b = split_symbols()[kind]
         for call in (
@@ -933,6 +935,15 @@ class TestAnalyticEvalNaN:
         assert np.asarray(b.eval(xs)).tobytes() == np.asarray(b.fn(xs)).tobytes()
 
 
+def former_step_antiderivative(b, x):
+    """`StepSymbol.antiderivative` as one expression, as it was before its
+    steps were taken in place."""
+    pos = (np.minimum(np.maximum(x, b._lo), b._hi) - b._lo) / b._width
+    i = np.minimum(np.fmax(np.floor(pos), 0.0), b._n - 1)
+    k = i.astype(np.intp)
+    return b._prefix[k] + b._values[k] * (pos - i) * b._width
+
+
 class TestStepAntiderivative:
     """A step symbol's antiderivative is its prefix sum at the point clamped
     into the window: `integral(window.lo, x)`, constant outside the window."""
@@ -959,6 +970,24 @@ class TestStepAntiderivative:
     def test_nan_gives_nan(self):
         got = split_symbols()["step"].antiderivative(np.array([0.5, math.nan]))
         assert not math.isnan(got[0]) and math.isnan(got[1])
+
+    @pytest.mark.parametrize("kind", ["step", "haar"])
+    def test_bit_equal_to_the_former_expression(self, kind):
+        """The in-place steps round as the one expression they replaced, on
+        tables, Python floats, 0-d arrays, +-inf and NaN, and a scalar or a
+        0-d array still gives a 0-d result."""
+        b = split_symbols()[kind]
+        table = interval_table(standard_grid(), SPLIT_WIN)
+        shifted = interval_table(third_shift_grid(), SPLIT_WIN)
+        special = np.array([*SPLIT_POINTS, -math.inf, math.inf, math.nan, -0.0])
+        for x in (np.concatenate([table.left, table.mid, table.right]), shifted.mid, special, special[:18].reshape(3, 6)):
+            got, want = b.antiderivative(x), former_step_antiderivative(b, x)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for x in [*special.tolist(), *special]:  # Python floats and numpy scalars
+            got = b.antiderivative(x)
+            assert np.ndim(got) == 0 and bits(got) == bits(former_step_antiderivative(b, x))
+            got = b.antiderivative(np.array(x))
+            assert np.ndim(got) == 0 and bits(got) == bits(former_step_antiderivative(b, np.array(x)))
 
 
 class TestAnalyticCellValues:

@@ -489,6 +489,78 @@ class TestPowerIntegralRows:
         assert [w.integral(a, b).hex() for a, b in pairs] == want
 
 
+def former_power_integrals(w, lo, hi) -> np.ndarray:
+    """`PowerWeight.integrals` as it once was, on float arrays: the
+    antiderivative evaluated at both ends of every row, coeff * (F(hi) -
+    F(lo)) with F(x) = sign(t) |t|^e / e, t = x - center and e = 1 + exponent."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    hi = np.where(hi < lo, lo, hi)
+    e = 1.0 + w.exponent
+
+    def prim(x):
+        t = x - w.center
+        return np.copysign(np.float_power(np.abs(t), e), t) / e
+
+    return w.coeff * (prim(hi) - prim(lo))
+
+
+# the benchmark's power weights and centres on a cell edge (0 and 1/4)
+SHARED_END_WEIGHTS = [
+    PowerWeight(0.5, 1.0 / 3.0),
+    PowerWeight(-0.3, 1.0 / 3.0),
+    PowerWeight(0.4, 1.0 / 3.0),
+    PowerWeight(0.25, 0.0, 2.0),
+    PowerWeight(-0.5, 0.25, 0.75),
+]
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestSharedEnds:
+    """`PowerWeight.integrals` evaluates its antiderivative once at every
+    left end and reuses it for a right end with the same bits: the rows keep
+    the bits of coeff * (F(hi) - F(lo)) with F evaluated at both ends."""
+
+    @pytest.mark.parametrize("w", SHARED_END_WEIGHTS, ids=lambda w: w.label)
+    @pytest.mark.parametrize("j_max", range(4, 10))
+    def test_tables_bit_equal_to_both_ends(self, w, j_max):
+        window = default_window(j_max)
+        for grid in (standard_grid(), third_shift_grid()):
+            table = interval_table(grid, window)
+            for v in (w, w.inv()):
+                got = v.integrals(table.left, table.right)
+                assert hexes(got) == hexes(former_power_integrals(v, table.left, table.right))
+
+    @pytest.mark.parametrize("w", SHARED_END_WEIGHTS, ids=lambda w: w.label)
+    def test_cell_edges_bit_equal_to_both_ends(self, w):
+        for window in (default_window(9), make_window(0, 1, 0, 6), make_window(-2, 2, -1, 5)):
+            edges = window.cell_edges()
+            for v in (w, w.inv()):
+                want = former_power_integrals(v, edges[:-1], edges[1:]) / float(window.cell_width)
+                assert hexes(v.cell_averages(window)) == hexes(want)
+
+    @pytest.mark.parametrize("w", SHARED_END_WEIGHTS, ids=lambda w: w.label)
+    def test_unshared_random_bounds_bit_equal_to_both_ends(self, w):
+        rng = np.random.default_rng(23)
+        lo = rng.uniform(-4.0, 4.0, 1000)
+        hi = lo + rng.uniform(-0.5, 2.0, 1000)  # some rows inverted, so empty
+        hi[::7] = np.roll(lo, -1)[::7]  # and a few shared ends among them
+        assert hexes(w.integrals(lo, hi)) == hexes(former_power_integrals(w, lo, hi))
+        assert hexes(w.integrals(lo, 1.5)) == hexes(former_power_integrals(w, lo, np.full(1000, 1.5)))
+
+    def test_signed_zero_end_is_not_shared(self):
+        """At centre 0, F(-0.0) is -0.0 and F(+0.0) is +0.0: a right end -0.0
+        beside a left end +0.0 compares equal but keeps its own F, so the
+        empty row [0.0, -0.0) integrates to -0.0, as with F at both ends."""
+        w = PowerWeight(0.25, 0.0, 2.0)
+        for lo, hi in (([0.0, 0.0], [-0.0, 1.0]), ([-1.0, -0.0], [0.0, -0.0]), ([-0.0, 0.0], [0.0, 0.0])):
+            got, want = w.integrals(lo, hi), former_power_integrals(w, lo, hi)
+            assert hexes(got) == hexes(want)
+        assert hexes(w.integrals([0.0, 0.0], [-0.0, 1.0]))[0] == "-0x0.0p+0"
+
+
 # 1 + alpha of the benchmark pairs' power weights, their duals, the
 # intermediary nu and its dual, and powers that the diagnostics take
 FLOAT_POWER_EXPONENTS = (1.5, 0.7, 1.4, 0.6, 0.5, 1.3, 0.85, 1.25, 1.15, 0.75, 1.0 / 3.0, 1.9, 0.1)
@@ -905,6 +977,8 @@ EVERY_KIND = [
     QuadratureWeight(lambda x: 1.0 + np.abs(x), "1+|x|"),
 ]
 NOT_BOUNDS = ["0", b"0", True, np.True_, None, ["0", "1"], np.array([True, False]), [0j]]
+# a bool among numbers in a list or tuple, which numpy alone reads as 1.0 or 0.0
+BOOL_IN_A_LIST = [[0.0, True], (0.0, np.False_), [[0.0, 1.0], [np.True_, 0.5]], [np.array(False), 0.5]]
 
 
 class TestBoundRule:
@@ -912,7 +986,7 @@ class TestBoundRule:
     is refused, not parsed ('0' as 0.0) or read as a number (True as 1.0)."""
 
     @pytest.mark.parametrize("w", EVERY_KIND, ids=lambda w: w.label)
-    @pytest.mark.parametrize("bad", NOT_BOUNDS, ids=repr)
+    @pytest.mark.parametrize("bad", NOT_BOUNDS + BOOL_IN_A_LIST, ids=repr)
     def test_refused(self, w, bad):
         with pytest.raises(InvalidParameterError, match="not a real number"):
             w.integral(bad, 1.0)
